@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+from .builder import energy_consumption
 from .domain import (
     CODESIGN,
     FIXED_INFRASTRUCTURE,
@@ -105,8 +106,7 @@ def _naive_cover_counts(scenario: Scenario, type_id: int) -> dict[str, dict[int,
                 key = (leg.origin_id, block)
                 occupancy[key] = occupancy.get(key, 0) + 1
             soe = min(soe + used * per_block_energy, truck.battery_capacity_kwh)
-            tons = max(leg.payload_tons, truck.tare_tons)
-            soe -= leg.distance_km * tons * truck.consumption_kwh_per_km_ton
+            soe -= energy_consumption(leg, truck)
 
     counts: dict[str, dict[int, int]] = {}
     for (location, _), n in occupancy.items():

@@ -11,22 +11,26 @@ Decision variables:
 
 Energy charged in a block is rated power times block duration; energy
 bought from the grid divides by charger efficiency. The peak term is
-charged on power (kW), the usual demand-charge convention; building with
-``peak_on_energy=True`` instead charges per-block energy (kWh) for
-cross-checking against tools that define peaks that way.
+charged on power (kW), the usual demand-charge convention.
 
-Column and row order is deterministic (sorted by semantic key), so building
-the same scenario twice yields byte-identical models.
+Each build derives one per-leg table (window, usable chargers, kWh, the
+tour's running energy deficit and the leg's Y columns) and every
+constraint family reads from it. Column and row order is deterministic
+(sorted by semantic key), so building the same scenario twice yields
+byte-identical models.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 from dataclasses import dataclass, field
 
 from .domain import (
     CODESIGN,
+    ChargerType,
     Scenario,
     TripLeg,
     Truck,
@@ -41,16 +45,7 @@ __all__ = [
     "VariableCatalog",
     "energy_consumption",
     "build_problem",
-    "add_energy_constraints",
-    "add_schedule_constraints",
-    "add_capacity_constraints",
-    "add_peak_epigraph",
-    "add_charge_block_counts",
-    "add_required_location_rows",
-    "add_location_energy_capacity",
-    "build_objective",
     "objective_breakdown",
-    "energy_feasibility_scan",
     "plan_to_solution_values",
 ]
 
@@ -67,7 +62,7 @@ class BuildDiagnostic:
     guaranteed_infeasible: bool = False
 
 
-def _usable_chargers(scenario: Scenario, truck: Truck):
+def _usable_chargers(scenario: Scenario, truck: Truck) -> list[ChargerType]:
     """Charger types the truck can take a whole block from.
 
     One block at rated power delivers block-duration x power kWh; if that
@@ -82,7 +77,11 @@ def _usable_chargers(scenario: Scenario, truck: Truck):
 
 @dataclass
 class VariableCatalog:
-    """Maps from semantic keys to model column indices."""
+    """Maps from semantic keys to model column indices.
+
+    ``peak_floor`` holds the lower bound a strengthened co-design build puts
+    on a location's C_peak (absent: no floor).
+    """
 
     y: dict[tuple[str, int, int, int, int], int] = field(default_factory=dict)
     x: dict[tuple[str, int], int] = field(default_factory=dict)
@@ -93,13 +92,7 @@ class VariableCatalog:
     e_arr: dict[tuple[str, int, int], int] = field(default_factory=dict)
     c_peak: dict[str, int] = field(default_factory=dict)
     windows: dict[tuple[str, int, int], range] = field(default_factory=dict)
-
-    def y_for_leg(self, truck_id: str, day: int, leg_index: int):
-        return {
-            (type_id, block): col
-            for (tid, d, li, type_id, block), col in self.y.items()
-            if tid == truck_id and d == day and li == leg_index
-        }
+    peak_floor: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -123,15 +116,60 @@ def energy_consumption(leg: TripLeg, truck: Truck) -> float:
     return leg.distance_km * effective_tons * truck.consumption_kwh_per_km_ton
 
 
-def _ordered_tours(scenario: Scenario):
+@dataclass(slots=True)
+class _Leg:
+    """One row of the per-leg table that every constraint family reads.
+
+    ``deficit`` is the kWh the tour has drawn through this leg beyond the
+    truck's initial state of energy. ``slots`` are the leg's Y columns as
+    (block, charger, col), block-major, chargers in catalog order.
+    """
+
+    key: tuple[str, int, int]
+    tag: str
+    leg: TripLeg
+    truck: Truck
+    window: range
+    usable: list[ChargerType]
+    kwh: float
+    deficit: float
+    slots: list[tuple[int, ChargerType, int]] = field(default_factory=list)
+
+    def slots_by_block(self):
+        n = len(self.usable)
+        for i, block in enumerate(self.window):
+            yield block, self.slots[i * n:(i + 1) * n]
+
+
+# Tours keyed by (truck, day) in sorted order, legs in tour order.
+_Table = dict[tuple[str, int], list[_Leg]]
+
+
+def _leg_table(scenario: Scenario, windows) -> _Table:
+    table: _Table = {}
     for (truck_id, day), legs in tours(scenario).items():
-        yield truck_id, day, scenario.truck(truck_id), legs
+        truck = scenario.truck(truck_id)
+        usable = _usable_chargers(scenario, truck)
+        consumed = 0.0
+        rows = table[(truck_id, day)] = []
+        for leg in legs:
+            key = (truck_id, day, leg.leg_index)
+            kwh = energy_consumption(leg, truck)
+            consumed += kwh
+            rows.append(_Leg(
+                key, f"{truck_id}_d{day}_l{leg.leg_index}", leg, truck,
+                windows[key], usable, kwh, consumed - truck.initial_soe_kwh))
+    return table
 
 
-def _build_variables(
-    scenario: Scenario, model: LinearModel, strengthen: bool = True
-) -> VariableCatalog:
-    cat = VariableCatalog(windows=charging_windows(scenario))
+def _all_legs(table: _Table):
+    return itertools.chain.from_iterable(table.values())
+
+
+def _add_columns(
+    model: LinearModel, scenario: Scenario, cat: VariableCatalog,
+    table: _Table, strengthen: bool,
+) -> None:
     grid = scenario.time_grid
     beta = scenario.slack_blocks
 
@@ -142,7 +180,7 @@ def _build_variables(
     # splitting on "how many chargers here at all" partitions the design
     # space into bands the relaxation bounds tightly.
     if scenario.design_mode == CODESIGN:
-        caps = _location_demand_caps(scenario, cat)
+        caps = _location_demand_caps(table)
         demanded = [loc for loc in scenario.location_ids if caps.get(loc, 0) > 0]
         if strengthen:
             for location in demanded:
@@ -156,134 +194,107 @@ def _build_variables(
                     float(caps[location]), integer=True,
                     branch_priority=1)
 
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        day_start = grid.day_start(day)
-        for leg in legs:
-            key = (truck_id, day, leg.leg_index)
-            tag = f"{truck_id}_d{day}_l{leg.leg_index}"
-            soe_lo, soe_hi = 0.0, truck.battery_capacity_kwh
-            if leg.leg_index == 1:
-                cat.e_dep[key] = model.add_column(
-                    f"e_dep[{tag}]", truck.initial_soe_kwh, truck.initial_soe_kwh)
-            else:
-                cat.e_dep[key] = model.add_column(f"e_dep[{tag}]", soe_lo, soe_hi)
-            cat.e_arr[key] = model.add_column(f"e_arr[{tag}]", soe_lo, soe_hi)
-            cat.dep_act[key] = model.add_column(
-                f"dep_act[{tag}]", float(day_start),
-                float(leg.scheduled_departure_block + beta))
-            usable = _usable_chargers(scenario, truck)
-            for block in cat.windows[key]:
-                for charger in usable:
-                    cat.y[(truck_id, day, leg.leg_index, charger.id, block)] = \
-                        model.add_column(
-                            f"y[{tag}_r{charger.id}_t{block}]", 0.0, 1.0,
-                            integer=True)
+    for row in _all_legs(table):
+        key, tag, leg, truck = row.key, row.tag, row.leg, row.truck
+        soe_lo, soe_hi = 0.0, truck.battery_capacity_kwh
+        if leg.leg_index == 1:
+            cat.e_dep[key] = model.add_column(
+                f"e_dep[{tag}]", truck.initial_soe_kwh, truck.initial_soe_kwh)
+        else:
+            cat.e_dep[key] = model.add_column(f"e_dep[{tag}]", soe_lo, soe_hi)
+        cat.e_arr[key] = model.add_column(f"e_arr[{tag}]", soe_lo, soe_hi)
+        cat.dep_act[key] = model.add_column(
+            f"dep_act[{tag}]", float(grid.day_start(key[1])),
+            float(leg.scheduled_departure_block + beta))
+        for block in row.window:
+            for charger in row.usable:
+                col = model.add_column(
+                    f"y[{tag}_r{charger.id}_t{block}]", 0.0, 1.0, integer=True)
+                cat.y[(*key, charger.id, block)] = col
+                row.slots.append((block, charger, col))
 
     if strengthen:
-        for truck_id, day, truck, legs in _ordered_tours(scenario):
-            window_slots = sum(
-                len(cat.windows[(truck_id, day, leg.leg_index)]) for leg in legs)
-            if window_slots > 0 and _usable_chargers(scenario, truck):
+        for (truck_id, day), rows in table.items():
+            window_slots = sum(len(row.window) for row in rows)
+            if window_slots > 0 and rows[0].usable:
                 cat.blocks_used[(truck_id, day)] = model.add_column(
                     f"blocks_used[{truck_id}_d{day}]", 0.0, float(window_slots),
                     integer=True, branch_priority=1)
 
     for location in scenario.location_ids:
         cat.c_peak[location] = model.add_column(f"c_peak[{location}]", 0.0, INF)
-    return cat
 
 
-def _location_demand_caps(scenario: Scenario, cat: VariableCatalog) -> dict[str, int]:
+def _location_demand_caps(table: _Table) -> dict[str, int]:
     """Most legs that could ever charge simultaneously at each location.
 
     A valid upper bound on useful charger counts; it keeps integer boxes
     small for the solver without cutting any optimum.
     """
-    per_block: dict[tuple[str, int], int] = {}
-    for truck_id, day, _, legs in _ordered_tours(scenario):
-        for leg in legs:
-            window = cat.windows[(truck_id, day, leg.leg_index)]
-            for block in window:
-                k = (leg.origin_id, block)
-                per_block[k] = per_block.get(k, 0) + 1
+    per_block = Counter((row.leg.origin_id, block)
+                        for row in _all_legs(table) for block in row.window)
     caps: dict[str, int] = {}
     for (location, _), count in per_block.items():
         caps[location] = max(caps.get(location, 0), count)
     return caps
 
 
-def add_energy_constraints(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog
+def _add_leg_and_location_rows(
+    model: LinearModel, scenario: Scenario, cat: VariableCatalog, table: _Table
 ) -> None:
-    """State-of-energy bookkeeping: balance, chaining, battery headroom."""
+    """The plain formulation's rows, in one walk over the table.
+
+    Per leg: state-of-energy balance (equality, so energy cannot appear
+    from nowhere), battery headroom and chaining; departure after the last
+    charge block and after the previous leg's travel; one charger per
+    block. Per location: simultaneous charging fits the chargers built,
+    and the C_peak epigraph prices the largest simultaneous draw in kW
+    (tight at any optimum with a positive peak weight).
+    """
     tau = scenario.time_grid.block_duration_hours
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        for leg in legs:
-            key = (truck_id, day, leg.leg_index)
-            tag = f"{truck_id}_d{day}_l{leg.leg_index}"
-            consumed = energy_consumption(leg, truck)
-            charge_terms = [
-                (cat.y[(truck_id, day, leg.leg_index, charger.id, block)],
-                 tau * charger.rated_power_kw)
-                for block in cat.windows[key]
-                for charger in _usable_chargers(scenario, truck)
-            ]
-            # Arrival energy equals departure energy plus charge minus burn;
-            # equality (not the looser >=) so energy cannot appear from nowhere.
-            coeffs = [(cat.e_arr[key], 1.0), (cat.e_dep[key], -1.0)]
-            coeffs += [(col, -coef) for col, coef in charge_terms]
-            model.add_row(f"soe_balance[{tag}]", coeffs, EQ, -consumed)
-            # Battery headroom: departure energy plus charge fits the pack.
-            cap_coeffs = [(cat.e_dep[key], 1.0)] + charge_terms
-            model.add_row(
-                f"soe_cap[{tag}]", cap_coeffs, LE, truck.battery_capacity_kwh)
-            if leg.leg_index > 1:
-                prev = (truck_id, day, leg.leg_index - 1)
-                model.add_row(
-                    f"soe_chain[{tag}]",
-                    [(cat.e_dep[key], 1.0), (cat.e_arr[prev], -1.0)], EQ, 0.0)
-
-
-def add_schedule_constraints(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog
-) -> None:
-    """Departure coherence: after the last charge block, inside the window."""
-    for truck_id, day, _, legs in _ordered_tours(scenario):
-        for leg in legs:
-            key = (truck_id, day, leg.leg_index)
-            tag = f"{truck_id}_d{day}_l{leg.leg_index}"
-            dep_col = cat.dep_act[key]
-            for block in cat.windows[key]:
+    energy: list[tuple] = []
+    schedule: list[tuple] = []
+    one_charger: list[tuple] = []
+    occupancy: dict[tuple[str, int, int], list[int]] = {}
+    draw: dict[tuple[str, int], list[tuple[int, float]]] = {}
+    for rows in table.values():
+        for prev, row in zip([None] + rows, rows):
+            tag = row.tag
+            e_dep, e_arr, dep = \
+                cat.e_dep[row.key], cat.e_arr[row.key], cat.dep_act[row.key]
+            charge = [(col, tau * charger.rated_power_kw)
+                      for _, charger, col in row.slots]
+            energy.append((
+                f"soe_balance[{tag}]",
+                [(e_arr, 1.0), (e_dep, -1.0)] + [(col, -kwh) for col, kwh in charge],
+                EQ, -row.kwh))
+            energy.append((f"soe_cap[{tag}]", [(e_dep, 1.0)] + charge, LE,
+                           row.truck.battery_capacity_kwh))
+            if prev is not None:
+                energy.append((f"soe_chain[{tag}]",
+                               [(e_dep, 1.0), (cat.e_arr[prev.key], -1.0)], EQ, 0.0))
+            for block, slots in row.slots_by_block():
                 # Charging occupies [block, block+1), so departing requires
                 # the block to have completed.
-                coeffs = [(dep_col, 1.0)]
-                for charger in scenario.charger_catalog:
-                    ycol = cat.y.get((truck_id, day, leg.leg_index, charger.id, block))
-                    if ycol is not None:
-                        coeffs.append((ycol, -float(block + 1)))
-                model.add_row(f"dep_after_charge[{tag}_t{block}]", coeffs, GE, 0.0)
-            if leg.leg_index > 1:
-                prev_leg = legs[leg.leg_index - 2]
-                prev_key = (truck_id, day, leg.leg_index - 1)
-                model.add_row(
-                    f"dep_chain[{tag}]",
-                    [(dep_col, 1.0), (cat.dep_act[prev_key], -1.0)],
-                    GE, float(prev_leg.travel_blocks))
+                schedule.append((
+                    f"dep_after_charge[{tag}_t{block}]",
+                    [(dep, 1.0)] + [(col, -float(block + 1)) for _, _, col in slots],
+                    GE, 0.0))
+                if len(slots) > 1:
+                    one_charger.append((f"one_charger[{tag}_t{block}]",
+                                        [(col, 1.0) for _, _, col in slots], LE, 1.0))
+            if prev is not None:
+                schedule.append((f"dep_chain[{tag}]",
+                                 [(dep, 1.0), (cat.dep_act[prev.key], -1.0)],
+                                 GE, float(prev.leg.travel_blocks)))
+            for block, charger, col in row.slots:
+                origin = row.leg.origin_id
+                occupancy.setdefault((origin, charger.id, block), []).append(col)
+                draw.setdefault((origin, block), []).append(
+                    (col, charger.rated_power_kw))
 
-
-def add_capacity_constraints(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog
-) -> None:
-    """Simultaneous charging fits the chargers built; one charger per truck."""
-    occupancy: dict[tuple[str, int, int], list[int]] = {}
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        for leg in legs:
-            for block in cat.windows[(truck_id, day, leg.leg_index)]:
-                for charger in _usable_chargers(scenario, truck):
-                    col = cat.y[(truck_id, day, leg.leg_index, charger.id, block)]
-                    occupancy.setdefault(
-                        (leg.origin_id, charger.id, block), []).append(col)
-
+    for args in energy + schedule:
+        model.add_row(*args)
     for (location, type_id, block), cols in sorted(occupancy.items()):
         coeffs = [(col, 1.0) for col in cols]
         name = f"capacity[{location}_r{type_id}_t{block}]"
@@ -292,168 +303,93 @@ def add_capacity_constraints(
             model.add_row(name, coeffs, LE, 0.0)
         else:
             model.add_row(name, coeffs, LE, float(scenario.fixed_count(location, type_id)))
-
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        for leg in legs:
-            key = (truck_id, day, leg.leg_index)
-            tag = f"{truck_id}_d{day}_l{leg.leg_index}"
-            usable = _usable_chargers(scenario, truck)
-            for block in cat.windows[key]:
-                coeffs = [
-                    (cat.y[(truck_id, day, leg.leg_index, c.id, block)], 1.0)
-                    for c in usable
-                ]
-                if len(coeffs) > 1:
-                    model.add_row(f"one_charger[{tag}_t{block}]", coeffs, LE, 1.0)
+    for args in one_charger:
+        model.add_row(*args)
+    price = scenario.price_schedule.peak_price_per_kw
+    for (location, block), terms in sorted(draw.items()):
+        coeffs = [(cat.c_peak[location], 1.0)]
+        coeffs += [(col, -price * power) for col, power in terms]
+        model.add_row(f"peak[{location}_t{block}]", coeffs, GE, 0.0)
 
 
-def add_charge_block_counts(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog
+def _add_strengthening_rows(
+    model: LinearModel, scenario: Scenario, cat: VariableCatalog, table: _Table
 ) -> None:
-    """Whole-block counting rows: a valid strengthening of the relaxation.
+    """Rows that every integer solution satisfies but the relaxation does not.
 
-    Energy bought before any leg arrives comes in whole charging blocks of
-    at most block-duration x fastest-rated-power kWh each, so a tour prefix
-    with a k-kWh shortfall needs at least ceil(k / that) blocks among its
-    legs so far. Integer solutions all satisfy this; the relaxation without
-    it pays for fractional slivers of large chargers and bounds far too low.
+    Block counting: energy bought before any leg arrives comes in whole
+    blocks of at most block-duration x fastest-rated-power kWh each, so a
+    tour prefix with a k-kWh shortfall needs at least ceil(k / that) blocks
+    among its legs so far; a per-tour count column lets the search pin "how
+    much" before "when".
+
+    Co-design only: while a tour has only ever had charging windows at one
+    location, any shortfall so far must be bought there. That location
+    needs a charger of some type, its peak is at least one charger's rated
+    power, and the installed power times the span of those windows must
+    cover the energy (a Hall-style condition per window close).
     """
-    if not scenario.charger_catalog:
-        return
     tau = scenario.time_grid.block_duration_hours
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        usable = _usable_chargers(scenario, truck)
-        if not usable:
-            continue
-        block_max_kwh = tau * max(c.rated_power_kw for c in usable)
-        consumed = 0.0
+    # Per (location, day): each tour that so far could only charge there
+    # contributes (its window blocks, the energy it must buy there).
+    needs: dict[tuple[str, int], list[tuple[set[int], float]]] = {}
+    for (truck_id, day), rows in table.items():
+        usable = rows[0].usable
+        block_max_kwh = tau * max((c.rated_power_kw for c in usable), default=0.0)
         coeffs: list[tuple[int, float]] = []
-        for leg in legs:
-            key = (truck_id, day, leg.leg_index)
-            tag = f"{truck_id}_d{day}_l{leg.leg_index}"
-            coeffs += [
-                (cat.y[(truck_id, day, leg.leg_index, charger.id, block)], 1.0)
-                for block in cat.windows[key]
-                for charger in usable
-            ]
-            consumed += energy_consumption(leg, truck)
-            deficit = consumed - truck.initial_soe_kwh
-            if deficit > 1e-9:
-                blocks_needed = math.ceil(deficit / block_max_kwh - 1e-9)
+        single_location: str | None = None
+        broken = False
+        blocks: set[int] = set()
+        best_deficit = 0.0
+        for row in rows:
+            coeffs += [(col, 1.0) for _, _, col in row.slots]
+            if usable and row.deficit > 1e-9:
+                blocks_needed = math.ceil(row.deficit / block_max_kwh - 1e-9)
                 model.add_row(
-                    f"min_blocks[{tag}]", list(coeffs), GE, float(blocks_needed))
-        # The number of blocks a tour charges is itself an integer; giving
-        # it a column of its own lets the search pin "how much" before
-        # "when", instead of shaving fractional block counts forever.
-        if coeffs:
-            count_col = cat.blocks_used.get((truck_id, day))
-            if count_col is not None:
-                model.add_row(
-                    f"blocks_used[{truck_id}_d{day}]",
-                    list(coeffs) + [(count_col, -1.0)], EQ, 0.0)
+                    f"min_blocks[{row.tag}]", list(coeffs), GE, float(blocks_needed))
+            if len(row.window) > 0:
+                if single_location is None:
+                    single_location = row.leg.origin_id
+                broken = broken or row.leg.origin_id != single_location
+                if not broken:
+                    blocks.update(row.window)
+            if not broken and single_location is not None:
+                best_deficit = max(best_deficit, row.deficit)
+        count_col = cat.blocks_used.get((truck_id, day))
+        if coeffs and count_col is not None:
+            model.add_row(f"blocks_used[{truck_id}_d{day}]",
+                          coeffs + [(count_col, -1.0)], EQ, 0.0)
+        if best_deficit > 1e-9:
+            needs.setdefault((single_location, day), []).append(
+                (blocks, best_deficit))
 
-
-def add_required_location_rows(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog,
-    peak_on_energy: bool = False,
-) -> None:
-    """Locations that provably must install a charger get sum(X) >= 1.
-
-    If a tour prefix runs short of energy while every charging window seen
-    so far sits at one location, any feasible plan charges there at least
-    once, so that location needs at least one charger of some type. Only
-    meaningful in co-design mode (fixed counts are data, not decisions).
-    """
     if scenario.design_mode != CODESIGN:
         return
     for location in sorted(cat.x_total):
         coeffs = [(cat.x_total[location], 1.0)]
         coeffs += [(cat.x[(location, c.id)], -1.0) for c in scenario.charger_catalog]
         model.add_row(f"count_total[{location}]", coeffs, EQ, 0.0)
-    required: set[str] = set()
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        consumed = 0.0
-        seen_locations: set[str] = set()
-        for leg in legs:
-            key = (truck_id, day, leg.leg_index)
-            if len(cat.windows[key]) > 0:
-                seen_locations.add(leg.origin_id)
-            consumed += energy_consumption(leg, truck)
-            if consumed - truck.initial_soe_kwh > 1e-9 and len(seen_locations) == 1:
-                required.add(next(iter(seen_locations)))
     min_power = min((c.rated_power_kw for c in scenario.charger_catalog),
                     default=0.0)
-    if peak_on_energy:
-        min_power *= scenario.time_grid.block_duration_hours
     peak_price = scenario.price_schedule.peak_price_per_kw
-    for location in sorted(required):
+    for location in sorted({location for location, _ in needs}):
         coeffs = [(cat.x[(location, c.id)], 1.0) for c in scenario.charger_catalog]
         model.add_row(f"charger_required[{location}]", coeffs, GE, 1.0)
         # Any integer schedule that charges here at all peaks at no less
         # than one charger's rated power; the relaxation otherwise fakes a
         # lower peak by spreading fractional blocks.
-        model.add_row(
-            f"peak_floor[{location}]", [(cat.c_peak[location], 1.0)], GE,
-            peak_price * min_power)
-
-
-def add_location_energy_capacity(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog
-) -> None:
-    """Installed power at a location must cover the energy it has to supply.
-
-    While a tour has only ever had charging windows at a single location,
-    any energy shortfall so far must be bought there, inside the union of
-    those windows. Chargers of type r supply at most block-duration x rated
-    power per block each, so the span times the installed power bounds the
-    deliverable energy. Valid for every integer solution; the relaxation
-    needs it spelled out to see that starved designs are hopeless.
-    """
-    if scenario.design_mode != CODESIGN:
-        return
-    tau = scenario.time_grid.block_duration_hours
-
-    # Per (location, day): each truck that so far could only charge here
-    # contributes (its window blocks, the energy it must buy here).
-    needs: dict[tuple[str, int], list[tuple[set[int], float]]] = {}
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        consumed = 0.0
-        single_location: str | None = None
-        broken = False
-        blocks: set[int] = set()
-        best_deficit = 0.0
-        for leg in legs:
-            window = cat.windows[(truck_id, day, leg.leg_index)]
-            if len(window) > 0:
-                if single_location is None:
-                    single_location = leg.origin_id
-                if leg.origin_id != single_location:
-                    broken = True
-                if not broken:
-                    blocks.update(window)
-            consumed += energy_consumption(leg, truck)
-            if broken or single_location is None:
-                continue
-            best_deficit = max(best_deficit, consumed - truck.initial_soe_kwh)
-        if single_location is not None and best_deficit > 1e-9 and blocks:
-            needs.setdefault((single_location, day), []).append(
-                (blocks, best_deficit))
-
+        cat.peak_floor[location] = float(peak_price * min_power)
+        model.add_row(f"peak_floor[{location}]", [(cat.c_peak[location], 1.0)],
+                      GE, cat.peak_floor[location])
     for (location, day), entries in sorted(needs.items()):
-        # One row per distinct window close: trucks fully inside the prefix
-        # must fit within the prefix's deliverable energy (a Hall-style
-        # condition in energy units).
         closes = sorted({max(blocks) for blocks, _ in entries})
         for close in closes:
             inside = [(blocks, d) for blocks, d in entries if max(blocks) <= close]
             span = len(set().union(*(blocks for blocks, _ in inside)))
             demand = sum(d for _, d in inside)
-            if span == 0 or demand <= 1e-9:
-                continue
             coeffs = [
                 (cat.x[(location, c.id)], tau * span * c.rated_power_kw)
                 for c in scenario.charger_catalog
-                if (location, c.id) in cat.x
             ]
             if coeffs:
                 model.add_row(
@@ -461,38 +397,9 @@ def add_location_energy_capacity(
                     GE, demand)
 
 
-def add_peak_epigraph(
+def _set_objective(
     model: LinearModel, scenario: Scenario, cat: VariableCatalog,
-    peak_on_energy: bool = False,
-) -> None:
-    """Per-location demand-charge epigraph over every block.
-
-    C_peak_i bounds the cost of the largest simultaneous power draw; since
-    the objective minimizes it, the bound is tight at any optimum with a
-    positive peak weight. Peak is measured in kW by default (no
-    block-duration factor); ``peak_on_energy`` prices the per-block energy
-    instead.
-    """
-    draw: dict[tuple[str, int], list[tuple[int, float]]] = {}
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        for leg in legs:
-            for block in cat.windows[(truck_id, day, leg.leg_index)]:
-                for charger in _usable_chargers(scenario, truck):
-                    col = cat.y[(truck_id, day, leg.leg_index, charger.id, block)]
-                    draw.setdefault((leg.origin_id, block), []).append(
-                        (col, charger.rated_power_kw))
-
-    scale = scenario.time_grid.block_duration_hours if peak_on_energy else 1.0
-    price = scenario.price_schedule.peak_price_per_kw
-    for (location, block), terms in sorted(draw.items()):
-        coeffs = [(cat.c_peak[location], 1.0)]
-        coeffs += [(col, -price * power * scale) for col, power in terms]
-        model.add_row(f"peak[{location}_t{block}]", coeffs, GE, 0.0)
-
-
-def build_objective(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog,
-    amortize_ratio: float | None = None,
+    table: _Table, amortize_ratio: float | None,
 ) -> None:
     """Energy purchase cost + infrastructure capital + weighted peak cost.
 
@@ -503,11 +410,11 @@ def build_objective(
     """
     tau = scenario.time_grid.block_duration_hours
     prices = scenario.price_schedule.energy_price_per_kwh
-    for (truck_id, day, leg_index, type_id, block), col in cat.y.items():
-        charger = scenario.charger(type_id)
-        price = prices[scenario.charger_index(type_id)][block]
-        model.set_objective(
-            col, tau * (charger.rated_power_kw / charger.efficiency) * price)
+    for row in _all_legs(table):
+        for block, charger, col in row.slots:
+            price = prices[scenario.charger_index(charger.id)][block]
+            model.set_objective(
+                col, tau * (charger.rated_power_kw / charger.efficiency) * price)
 
     ratio = 1.0 if amortize_ratio is None else amortize_ratio
     if scenario.design_mode == CODESIGN:
@@ -525,47 +432,50 @@ def build_objective(
         model.set_objective(col, scenario.alpha)
 
 
-def energy_feasibility_scan(scenario: Scenario) -> list[BuildDiagnostic]:
-    """Upper-bound SOE walk; flags legs that cannot be reached at any cost.
+def _diagnostics(scenario: Scenario, table: _Table) -> list[BuildDiagnostic]:
+    """Legs no plan can reach, then legs with an empty charging window.
 
-    Assumes unlimited chargers of the fastest type throughout each window,
-    so a negative state of energy here proves the model infeasible. A
-    deficit at a leg with an empty charging window is the classic
-    no-window failure; with a window it is a plain energy shortfall.
+    The reachability walk assumes unlimited chargers of the fastest usable
+    type throughout each window, so a negative state of energy proves the
+    model infeasible. A deficit at a leg with an empty window is the
+    classic no-window failure; with a window it is a plain shortfall.
     """
     diagnostics: list[BuildDiagnostic] = []
-    if not scenario.charger_catalog:
-        return diagnostics
     tau = scenario.time_grid.block_duration_hours
-    windows = charging_windows(scenario)
-    for truck_id, day, truck, legs in _ordered_tours(scenario):
-        usable = _usable_chargers(scenario, truck)
-        max_power = max((c.rated_power_kw for c in usable), default=0.0)
+    for rows in table.values() if scenario.charger_catalog else ():
+        truck = rows[0].truck
+        max_power = max((c.rated_power_kw for c in rows[0].usable), default=0.0)
         soe = truck.initial_soe_kwh
-        for leg in legs:
-            window = windows[(truck_id, day, leg.leg_index)]
-            charge_cap = tau * max_power * len(window)
-            soe = min(soe + charge_cap, truck.battery_capacity_kwh)
-            consumed = energy_consumption(leg, truck)
-            soe -= consumed
+        for row in rows:
+            soe = min(soe + tau * max_power * len(row.window),
+                      truck.battery_capacity_kwh)
+            soe -= row.kwh
             if soe < -1e-9:
-                code = WINDOW_EMPTY if len(window) == 0 else ENERGY_DEFICIT
+                truck_id, day, leg_index = row.key
+                empty = len(row.window) == 0
                 diagnostics.append(BuildDiagnostic(
-                    code=code,
+                    code=WINDOW_EMPTY if empty else ENERGY_DEFICIT,
                     message=(
-                        f"truck {truck_id} day {day} leg {leg.leg_index}: needs "
-                        f"{consumed:.3f} kWh but at most {consumed + soe:.3f} kWh "
-                        f"is reachable"
-                        + (" (no charging window)" if len(window) == 0 else "")),
+                        f"truck {truck_id} day {day} leg {leg_index}: needs "
+                        f"{row.kwh:.3f} kWh but at most {row.kwh + soe:.3f} kWh "
+                        f"is reachable" + (" (no charging window)" if empty else "")),
                     guaranteed_infeasible=True,
                 ))
                 soe = 0.0  # keep walking to report every defect
+    for row in _all_legs(table):
+        if len(row.window) == 0:
+            truck_id, day, leg_index = row.key
+            diagnostics.append(BuildDiagnostic(
+                code=WINDOW_EMPTY,
+                message=(f"truck {truck_id} day {day} leg {leg_index} has an "
+                         f"empty charging window"),
+            ))
     return diagnostics
 
 
 def build_problem(
     scenario: Scenario, amortize_ratio: float | None = None,
-    strengthen: bool = True, peak_on_energy: bool = False,
+    strengthen: bool = True,
 ) -> BuildResult:
     """Compose the full model; pure function of the scenario.
 
@@ -576,27 +486,15 @@ def build_problem(
     enumerate assignments use the plain formulation.
     """
     model = LinearModel()
-    cat = _build_variables(scenario, model, strengthen)
-    add_energy_constraints(model, scenario, cat)
-    add_schedule_constraints(model, scenario, cat)
-    add_capacity_constraints(model, scenario, cat)
-    add_peak_epigraph(model, scenario, cat, peak_on_energy)
+    cat = VariableCatalog(windows=charging_windows(scenario))
+    table = _leg_table(scenario, cat.windows)
+    _add_columns(model, scenario, cat, table, strengthen)
+    _add_leg_and_location_rows(model, scenario, cat, table)
     if strengthen:
-        add_charge_block_counts(model, scenario, cat)
-        add_required_location_rows(model, scenario, cat, peak_on_energy)
-        add_location_energy_capacity(model, scenario, cat)
-    build_objective(model, scenario, cat, amortize_ratio)
-
-    diagnostics = energy_feasibility_scan(scenario)
-    for key, window in sorted(cat.windows.items()):
-        if len(window) == 0:
-            diagnostics.append(BuildDiagnostic(
-                code=WINDOW_EMPTY,
-                message=(
-                    f"truck {key[0]} day {key[1]} leg {key[2]} has an empty "
-                    f"charging window"),
-            ))
-    return BuildResult(model=model, catalog=cat, diagnostics=diagnostics)
+        _add_strengthening_rows(model, scenario, cat, table)
+    _set_objective(model, scenario, cat, table, amortize_ratio)
+    return BuildResult(model=model, catalog=cat,
+                       diagnostics=_diagnostics(scenario, table))
 
 
 def plan_to_solution_values(
@@ -663,11 +561,7 @@ def plan_to_solution_values(
     for location, col in cat.c_peak.items():
         peak_kw = max((kw for (loc, _), kw in draw.items() if loc == location),
                       default=0.0)
-        floor = 0.0
-        for row in model.rows:
-            if row.name == f"peak_floor[{location}]":
-                floor = row.rhs
-        values[col] = max(price * peak_kw, floor)
+        values[col] = max(price * peak_kw, cat.peak_floor.get(location, 0.0))
     return values
 
 

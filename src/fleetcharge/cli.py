@@ -61,12 +61,7 @@ def _apply_overrides(scenario, args, design: str, fixed_counts):
     if getattr(args, "alpha", None) is not None:
         updates["alpha"] = args.alpha
     if getattr(args, "slack_min", None) is not None:
-        blocks = args.slack_min / scenario.time_grid.block_minutes
-        if abs(blocks - round(blocks)) > 1e-9:
-            raise ValueError(
-                f"--slack-min {args.slack_min} is not a whole number of "
-                f"{scenario.time_grid.block_minutes:g}-minute blocks")
-        updates["slack_blocks"] = int(round(blocks))
+        updates["slack_blocks"] = scenario.time_grid.slack_blocks(args.slack_min)
     if getattr(args, "window_mode", None):
         updates["window_mode"] = args.window_mode
     updates["design_mode"] = design
@@ -156,7 +151,6 @@ def cmd_sweep(args) -> int:
             rel_gap=args.gap,
             node_limit=args.node_limit,
             time_limit=args.time_limit,
-            threads=args.threads,
             out_dir=args.out,
         )
     except (ValueError, ScenarioValidationError, OSError) as exc:
@@ -276,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gap", type=float, default=0.01)
     p_sweep.add_argument("--node-limit", type=int, default=None)
     p_sweep.add_argument("--time-limit", type=float, default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--out", default="sweep_out")
     p_sweep.set_defaults(func=cmd_sweep)
 

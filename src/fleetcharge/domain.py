@@ -120,6 +120,15 @@ class TimeGrid:
     def block_of_day(self, block: int) -> int:
         return block % self.blocks_per_day
 
+    def slack_blocks(self, slack_minutes: float) -> int:
+        """Departure slack in whole blocks; ValueError if it does not divide."""
+        blocks = slack_minutes / self.block_minutes
+        if abs(blocks - round(blocks)) > 1e-9:
+            raise ValueError(
+                f"slack of {slack_minutes} min is not a whole number of "
+                f"{self.block_minutes:g}-minute blocks")
+        return int(round(blocks))
+
 
 @dataclass(frozen=True, slots=True)
 class ChargerType:

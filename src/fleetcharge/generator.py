@@ -87,11 +87,7 @@ def generate_synthetic(
 
     rng = random.Random(seed)
     grid = TimeGrid.from_minutes(block_minutes, n_days)
-    slack_blocks = 1 if slack_minutes is None else \
-        int(round(slack_minutes / grid.block_minutes))
-    if slack_minutes is not None and \
-            abs(slack_minutes - slack_blocks * grid.block_minutes) > 1e-9:
-        raise ValueError("slack_minutes must convert to whole blocks")
+    slack_blocks = 1 if slack_minutes is None else grid.slack_blocks(slack_minutes)
 
     depot = "DEPOT"
     retailers = [f"R{i:02d}" for i in range(1, n_locations)]

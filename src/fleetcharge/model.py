@@ -91,9 +91,6 @@ class LinearModel:
     def set_objective(self, col: int, coefficient: float) -> None:
         self.objective[col] = float(coefficient)
 
-    def add_objective(self, col: int, coefficient: float) -> None:
-        self.objective[col] += float(coefficient)
-
     def objective_value(self, values) -> float:
         total = self.objective_offset
         for c, x in zip(self.objective, values):

@@ -60,15 +60,6 @@ def _format_clock(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-def _slack_blocks(slack_minutes: int, grid: TimeGrid) -> int:
-    blocks = slack_minutes / grid.block_minutes
-    if abs(blocks - round(blocks)) > 1e-9:
-        raise ValueError(
-            f"slack of {slack_minutes} min does not convert to whole "
-            f"{grid.block_minutes:g}-minute blocks")
-    return int(round(blocks))
-
-
 def _expand_price_row(row: list[float], grid: TimeGrid, label: str) -> tuple[float, ...]:
     if len(row) == grid.total_blocks:
         return tuple(float(p) for p in row)
@@ -169,7 +160,7 @@ def scenario_from_dict(
         location_ids=tuple(str(x) for x in doc["locations"]),
         price_schedule=price_schedule,
         alpha=float(params.get("alpha", 1.0)),
-        slack_blocks=_slack_blocks(int(params.get("slack_minutes", 0)), grid),
+        slack_blocks=grid.slack_blocks(int(params.get("slack_minutes", 0))),
         design_mode=str(params.get("design_mode", CODESIGN)),
         fixed_counts=fixed_counts,
         window_mode=str(params.get("window_mode", WINDOW_PREVIOUS_ARRIVAL)),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,7 +42,6 @@ class Solution:
     gap: float | None = None
     node_count: int = 0
     wall_time: float = 0.0
-    trace: list[str] = field(default_factory=list)
 
     @property
     def is_feasible(self) -> bool:

@@ -2,22 +2,20 @@
 
 Each cell is an independent solve whose verified plan lands in a JSON
 report; three aggregate CSVs collect infrastructure, costs, and daily power
-curves across cells. Cell evaluation may fan out to a thread pool, but
-results are joined and written in deterministic cell order, so outputs are
-byte-identical for identical inputs in any thread configuration.
+curves across cells. Cells run one after another and are written in cell
+order, so outputs are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario, validate_scenario
 from .run import SolveOutcome, solve_scenario
-from .validator import write_plan_json
+from .validator import _location_peak_kw, write_plan_json
 
 __all__ = ["SweepSpec", "SweepCell", "run_sweep", "default_amortize_ratio"]
 
@@ -48,7 +46,6 @@ class SweepSpec:
     rel_gap: float = 1e-2
     node_limit: int | None = None
     time_limit: float | None = None
-    threads: int = 1
     amortize_ratio: float | None = None  # None: derive from the scenario
     out_dir: str | Path = "sweep_out"
 
@@ -70,14 +67,10 @@ class SweepSpec:
 
 
 def _cell_scenario(scenario: Scenario, spec: SweepSpec, cell: SweepCell) -> Scenario:
-    blocks = cell.slack_minutes / scenario.time_grid.block_minutes
-    if abs(blocks - round(blocks)) > 1e-9:
-        raise ValueError(
-            f"slack {cell.slack_minutes} min is not a whole number of blocks")
     variant = replace(
         scenario,
         alpha=cell.alpha,
-        slack_blocks=int(round(blocks)),
+        slack_blocks=scenario.time_grid.slack_blocks(cell.slack_minutes),
         design_mode=cell.design,
         fixed_counts=spec.fixed_counts if cell.design == FIXED_INFRASTRUCTURE else None,
     )
@@ -108,11 +101,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     also written to ``summary.json``.
     """
     for slack in spec.slack_minutes:
-        blocks = slack / scenario.time_grid.block_minutes
-        if abs(blocks - round(blocks)) > 1e-9:
-            raise ValueError(
-                f"slack {slack} min is not a whole number of "
-                f"{scenario.time_grid.block_minutes:g}-minute blocks")
+        scenario.time_grid.slack_blocks(slack)  # reject before any cell runs
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()
@@ -129,11 +118,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
         except Exception as exc:  # per-cell failure; the sweep continues
             return cell, None, f"{type(exc).__name__}: {exc}"
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            results = list(pool.map(evaluate, cells))
-    else:
-        results = [evaluate(cell) for cell in cells]
+    results = [evaluate(cell) for cell in cells]
 
     summary: dict = {"cells": [], "failures": []}
     infra_rows: list[list] = []
@@ -227,11 +212,7 @@ def _curve_rows(scenario: Scenario, cell: SweepCell, plan, type_ids) -> list[lis
         total = [sum(daily[tid][t] for tid in type_ids) for t in range(bpd)]
         smooth_by_type = {tid: _smooth(daily[tid]) for tid in type_ids}
         smooth_total = _smooth(total)
-        full_total = [
-            sum(by_type.get(tid, [0.0] * grid.total_blocks)[t] for tid in type_ids)
-            for t in range(grid.total_blocks)
-        ]
-        max_peak = max(full_total, default=0.0)
+        max_peak = _location_peak_kw(by_type)
         installed = sum(
             scenario.charger(tid).rated_power_kw
             * plan.charger_counts.get(location, {}).get(tid, 0)

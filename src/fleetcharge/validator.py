@@ -165,15 +165,16 @@ def decode_plan(
             actual_block=float(values[col]),
         ))
 
-    report = PlanReport(
+    curves = power_curves(scenario, events)
+    return PlanReport(
         design_mode=scenario.design_mode,
         alpha=scenario.alpha,
         slack_blocks=scenario.slack_blocks,
         charger_counts=counts,
         events=tuple(events),
         departures=tuple(departures),
-        costs=CostBreakdown(0.0, 0.0, 0.0, 0.0),
-        power_by_type={},
+        costs=_costs(scenario, counts, events, curves),
+        power_by_type=curves,
         solver_info={
             "status": solution.status.value,
             "objective": solution.objective,
@@ -185,9 +186,6 @@ def decode_plan(
         scenario_name=scenario.name,
         window_mode=scenario.window_mode,
     )
-    report.power_by_type = power_curves(scenario, report.events)
-    report.costs = recompute_costs(scenario, report)
-    return report
 
 
 def _leg_consumption(scenario: Scenario, leg) -> float:
@@ -332,36 +330,43 @@ def power_curves(
     return curves
 
 
+def _location_peak_kw(by_type: dict[int, list[float]]) -> float:
+    """Literal max over blocks of one location's total drawn power (kW)."""
+    return max(map(sum, zip(*by_type.values())), default=0.0)
+
+
 def recompute_costs(scenario: Scenario, plan: PlanReport) -> CostBreakdown:
     """Cost breakdown from first principles, bypassing the model objective.
 
     Peak cost uses the literal max over blocks of total drawn power per
-    location, i.e. the definition the epigraph merely approximates.
+    location, i.e. the definition the epigraph merely approximates. The
+    power curves are rebuilt from the plan's events, never taken from the
+    curves the plan reports.
     """
+    return _costs(scenario, plan.charger_counts, plan.events,
+                  power_curves(scenario, plan.events))
+
+
+def _costs(scenario: Scenario, charger_counts, events, curves) -> CostBreakdown:
     tau = scenario.time_grid.block_duration_hours
     prices = scenario.price_schedule.energy_price_per_kwh
 
     energy = 0.0
-    for event in plan.events:
+    for event in events:
         charger = scenario.charger(event.charger_type_id)
         price = prices[scenario.charger_index(event.charger_type_id)][event.block]
         energy += tau * (charger.rated_power_kw / charger.efficiency) * price
 
     infrastructure = sum(
         scenario.charger(type_id).capital_cost * count
-        for per_type in plan.charger_counts.values()
+        for per_type in charger_counts.values()
         for type_id, count in per_type.items()
     )
 
-    curves = power_curves(scenario, plan.events)
     peak = 0.0
     for location in scenario.location_ids:
-        by_type = curves[location]
-        block_totals = [
-            sum(by_type[c.id][t] for c in scenario.charger_catalog)
-            for t in range(scenario.time_grid.total_blocks)
-        ]
-        peak += scenario.price_schedule.peak_price_per_kw * max(block_totals, default=0.0)
+        peak += scenario.price_schedule.peak_price_per_kw \
+            * _location_peak_kw(curves[location])
     peak *= scenario.alpha
 
     return CostBreakdown(
@@ -375,14 +380,7 @@ def recompute_costs(scenario: Scenario, plan: PlanReport) -> CostBreakdown:
 def location_peaks_kw(scenario: Scenario, plan: PlanReport) -> dict[str, float]:
     """Literal max-over-blocks power per location, in kW."""
     curves = power_curves(scenario, plan.events)
-    peaks = {}
-    for location in scenario.location_ids:
-        by_type = curves[location]
-        peaks[location] = max(
-            (sum(by_type[c.id][t] for c in scenario.charger_catalog)
-             for t in range(scenario.time_grid.total_blocks)),
-            default=0.0)
-    return peaks
+    return {loc: _location_peak_kw(curves[loc]) for loc in scenario.location_ids}
 
 
 def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:

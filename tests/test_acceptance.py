@@ -158,10 +158,7 @@ def test_criterion_3_epigraph_tightness(depot_scenario, depot_lab):
         price = variant.price_schedule.peak_price_per_kw
         for location, col in outcome.build.catalog.c_peak.items():
             expected = price * peaks[location]
-            floor = 0.0
-            for row in outcome.build.model.rows:
-                if row.name == f"peak_floor[{location}]":
-                    floor = row.rhs
+            floor = outcome.build.catalog.peak_floor.get(location, 0.0)
             assert values[col] == pytest.approx(max(expected, floor), abs=1e-6), \
                 (location, outcome.plan.alpha)
             assert values[col] >= expected - 1e-6
@@ -193,13 +190,13 @@ def test_criterion_7_infeasibility_finding(remote_scenario):
 
 
 def test_criterion_8_sweep_determinism(two_truck_scenario, tmp_path):
-    """Two single-threaded sweeps produce byte-identical CSV outputs."""
+    """Two sweeps produce byte-identical CSV outputs."""
     digests = []
     for run in ("first", "second"):
         out = tmp_path / run
         spec = SweepSpec(
             alphas=[0.5, 1.0], slack_minutes=[0, 15], designs=[fc.CODESIGN],
-            rel_gap=1e-3, threads=1, out_dir=out)
+            rel_gap=1e-3, out_dir=out)
         run_sweep(two_truck_scenario, spec)
         digests.append(tuple(
             (name, (out / name).read_bytes())

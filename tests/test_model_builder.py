@@ -5,12 +5,14 @@ inspecting the decoded plans, with brute-force enumeration as the ground
 truth wherever the spec of a rule is subtle.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 import fleetcharge as fc
 from fleetcharge.builder import build_problem, energy_consumption, objective_breakdown
+from fleetcharge.model import LE
 from fleetcharge.solver import SolveStatus, branch_and_bound, brute_force_enumerate
 
 from test_domain import make_leg, minimal_scenario
@@ -252,8 +254,13 @@ class TestCapacityConstraints:
              fc.ChargerType(2, 180.0, 50000.0, 0.98)),
             (truck,))
         build = build_problem(scenario, strengthen=False)
-        rows = [r for r in build.model.rows if r.name.startswith("one_charger")]
-        assert rows and all(r.rhs == 1.0 for r in rows)
+        # Each block's Y columns share one row capping their sum at 1.
+        per_block: dict = {}
+        for (_, _, _, _, block), col in build.catalog.y.items():
+            per_block.setdefault(block, set()).add((col, 1.0))
+        rows = {(frozenset(r.coeffs), r.sense, r.rhs) for r in build.model.rows}
+        assert per_block and all(
+            (frozenset(cols), LE, 1.0) in rows for cols in per_block.values())
         brute = brute_force_enumerate(build.model)
         by_block: dict = {}
         for (t, d, l, r, b), col in build.catalog.y.items():
@@ -379,17 +386,59 @@ class TestDiagnostics:
         assert empties and not build.guaranteed_infeasible
 
 
-class TestPeakConvention:
-    def test_peak_on_energy_scales_epigraph(self, two_truck_scenario):
-        power_build = build_problem(two_truck_scenario)
-        energy_build = build_problem(two_truck_scenario, peak_on_energy=True)
-        tau = two_truck_scenario.time_grid.block_duration_hours
-        from fleetcharge.solver import branch_and_bound as bnb
-        a = bnb(power_build.model, rel_gap_target=1e-6)
-        b = bnb(energy_build.model, rel_gap_target=1e-6)
-        peak_a = a.values[power_build.catalog.c_peak["DC"]]
-        peak_b = b.values[energy_build.catalog.c_peak["DC"]]
-        assert peak_b == pytest.approx(peak_a * tau, abs=1e-6)
+def model_fingerprint(model) -> str:
+    """Digest of every model field, floats by exact repr."""
+    digest = hashlib.sha256()
+    for part in (model.col_names, model.lower, model.upper, model.integer,
+                 model.objective, model.objective_offset, model.branch_priority):
+        digest.update(repr(part).encode())
+    for row in model.rows:
+        digest.update(repr((row.name, row.coeffs, row.sense, row.rhs)).encode())
+    return digest.hexdigest()[:16]
+
+
+# (design, slack blocks, strengthen) -> fingerprint of the depot fixture's model.
+GOLDEN_FINGERPRINTS = {
+    ("codesign", 0, True): "c78d080b5a255e42",
+    ("codesign", 0, False): "b2d7c8e9b98b56e5",
+    ("codesign", 1, True): "410569f5664bf288",
+    ("codesign", 1, False): "61be1abbc4bb4ea9",
+    ("codesign", 2, True): "72d1e1e732cd3613",
+    ("codesign", 2, False): "79d51978682a0878",
+    ("codesign", 4, True): "e789b039cf1297ba",
+    ("codesign", 4, False): "dd7a9d8d7b3f5bf7",
+    ("fixed", 0, True): "e68bf2f07db0f835",
+    ("fixed", 0, False): "12da0143aea8e5cf",
+    ("fixed", 1, True): "9921d350da8890f0",
+    ("fixed", 1, False): "8fbb64e8e7abbd2a",
+    ("fixed", 2, True): "e506db35837e453e",
+    ("fixed", 2, False): "9baf585fe28f7d80",
+    ("fixed", 4, True): "a4e09ca629e368f4",
+    ("fixed", 4, False): "1ec4ff2f90f93eab",
+}
+
+
+class TestModelFingerprint:
+    def test_depot_models_match_golden(self, depot_scenario):
+        """Builds are pinned field for field, floats by exact repr.
+
+        A deliberate change to the formulation (columns, rows, names,
+        coefficients, bounds, priorities or their order) must update
+        GOLDEN_FINGERPRINTS; any other change to the builder must leave
+        every fingerprint as it is.
+        """
+        from fleetcharge.baseline import MainDepotOnly, rule_based_design
+
+        fixed_counts = rule_based_design(depot_scenario, MainDepotOnly(2, 2))
+        found = {}
+        for design, slack, strengthen in GOLDEN_FINGERPRINTS:
+            scenario = fc.validate_scenario(replace(
+                depot_scenario, slack_blocks=slack, design_mode=design,
+                fixed_counts=fixed_counts if design == fc.FIXED_INFRASTRUCTURE
+                else None))
+            build = build_problem(scenario, strengthen=strengthen)
+            found[(design, slack, strengthen)] = model_fingerprint(build.model)
+        assert found == GOLDEN_FINGERPRINTS
 
 
 class TestPlanReconstruction:

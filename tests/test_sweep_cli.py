@@ -92,17 +92,6 @@ class TestSweep:
             })
         assert outputs[0] == outputs[1]
 
-    def test_threaded_join_matches_serial(self, two_truck_scenario, tmp_path):
-        specs = []
-        for threads, name in ((1, "serial"), (3, "pooled")):
-            out = tmp_path / name
-            spec = SweepSpec(
-                alphas=[0.5, 1.0], slack_minutes=[0, 15], designs=["codesign"],
-                rel_gap=1e-3, threads=threads, out_dir=out)
-            run_sweep(two_truck_scenario, spec)
-            specs.append((out / "costs.csv").read_bytes())
-        assert specs[0] == specs[1]
-
     def test_amortization_convention(self, two_truck_scenario, tmp_path):
         ratio = default_amortize_ratio(two_truck_scenario)
         assert ratio == pytest.approx(1 / 3650)
