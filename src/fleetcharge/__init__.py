@@ -47,7 +47,6 @@ from .solver import (
     Solution,
     SolveStatus,
     branch_and_bound,
-    brute_force_enumerate,
     solve_lp,
 )
 from .sweep import SweepSpec, default_amortize_ratio, run_sweep
@@ -86,7 +85,6 @@ __all__ = [
     "Truck",
     "VariableCatalog",
     "branch_and_bound",
-    "brute_force_enumerate",
     "build_problem",
     "charging_windows",
     "compare_designs",

@@ -2,7 +2,8 @@
 
 Subcommands: validate, solve, sweep, compare, generate. Exit codes:
 0 success, 1 infeasibility or violations found, 2 usage or configuration
-error, 3 solver limit hit. Errors also land as a JSON report on stderr.
+error, 3 solver limit hit, 4 internal solver or verification failure.
+Errors also land as a JSON report on stderr.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .domain import (
     validate_scenario,
 )
 from .generator import generate_synthetic
-from .run import solve_scenario
+from .run import PlanVerificationError, solve_scenario
 from .scenario_io import load_scenario, save_scenario
-from .solver import SolveStatus
+from .solver import NumericalFailure, SolveStatus
 from .sweep import SweepSpec, default_amortize_ratio, run_sweep
 from .validator import write_plan_json, write_power_curves_csv
 
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_FAILURE = 4
 
 
 def _error_report(code: str, message: str, details=None) -> None:
@@ -39,6 +41,16 @@ def _error_report(code: str, message: str, details=None) -> None:
     if details:
         doc["error"]["details"] = details
     print(json.dumps(doc, indent=2), file=sys.stderr)
+
+
+def _failure_report(exc: Exception) -> int:
+    """Report an internal solver or plan-verification failure as data."""
+    if isinstance(exc, PlanVerificationError):
+        _error_report("PlanVerificationFailed", str(exc),
+                      [str(v) for v in exc.replay_result.violations])
+    else:
+        _error_report("SolverFailure", str(exc))
+    return EXIT_FAILURE
 
 
 def _float_list(text: str) -> list[float]:
@@ -101,14 +113,17 @@ def cmd_solve(args) -> int:
 
     ratio = default_amortize_ratio(scenario)
     trace: list[str] | None = [] if args.trace else None
-    outcome = solve_scenario(
-        scenario,
-        rel_gap=args.gap,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        amortize_objective_ratio=ratio if args.amortize_objective else None,
-        trace=trace,
-    )
+    try:
+        outcome = solve_scenario(
+            scenario,
+            rel_gap=args.gap,
+            node_limit=args.node_limit,
+            time_limit=args.time_limit,
+            amortize_objective_ratio=ratio if args.amortize_objective else None,
+            trace=trace,
+        )
+    except (NumericalFailure, PlanVerificationError) as exc:
+        return _failure_report(exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -186,7 +201,10 @@ def cmd_compare(args) -> int:
         _error_report("ConfigError", str(exc))
         return EXIT_USAGE
 
-    comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
+    try:
+        comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
+    except (NumericalFailure, PlanVerificationError) as exc:
+        return _failure_report(exc)
     doc = comparison.to_dict()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:

@@ -1,20 +1,18 @@
-"""Exact MILP solving: LP simplex, branch-and-bound, enumeration oracle."""
+"""Exact MILP solving: LP simplex and branch-and-bound."""
 
 from .branch_bound import DEFAULT_REL_GAP, INTEGRALITY_TOL, branch_and_bound
-from .brute import brute_force_enumerate
 from .simplex import PreparedLP, check_solution, solve_lp
-from .types import NumericalFailure, Solution, SolveStatus, TooLarge, relative_gap
+from .types import Basis, NumericalFailure, Solution, SolveStatus, relative_gap
 
 __all__ = [
+    "Basis",
     "DEFAULT_REL_GAP",
     "INTEGRALITY_TOL",
     "NumericalFailure",
     "PreparedLP",
     "Solution",
     "SolveStatus",
-    "TooLarge",
     "branch_and_bound",
-    "brute_force_enumerate",
     "check_solution",
     "relative_gap",
     "solve_lp",

@@ -3,8 +3,11 @@
 Best-bound node selection through a sequence-stamped priority queue (the
 stamp breaks ties deterministically), branching on the most fractional
 integer column with ties to the lowest column index. Nodes carry bound
-overrides only; each LP is solved from scratch against the shared
-:class:`PreparedLP` (no warm starts by design).
+overrides and their parent's final LP basis (a small :class:`Basis`
+record, never a basis inverse); each node LP goes through the shared
+:class:`PreparedLP`, which warm-starts a dual simplex from that basis,
+since a child differs from its parent in one column bound. The root LP
+starts cold.
 
 A node's priority is its parent's relaxation objective, which lower-bounds
 its subtree; with best-first order the popped priorities are nondecreasing,
@@ -12,7 +15,8 @@ so the last popped priority is the global proven bound.
 
 When a relaxation comes back integral, the integer columns are fixed at
 their rounded values and the LP re-solved once ("polish"), so incumbents
-carry exactly integral values and an objective consistent with them.
+carry exactly integral values and an objective consistent with them. The
+polish starts from the node's own basis.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def branch_and_bound(
         return math.floor(bound / tie_band) * tie_band
 
     def rekey_heap() -> None:
-        entries = [(quantize(e[2]), e[1], e[2], e[3], e[4], e[5]) for e in heap]
+        entries = [(quantize(e[2]), *e[1:]) for e in heap]
         heap.clear()
         heap.extend(entries)
         heapq.heapify(heap)
@@ -138,14 +142,14 @@ def branch_and_bound(
 
     lower = np.asarray(model.lower, dtype=float)
     upper = np.asarray(model.upper, dtype=float)
-    heapq.heappush(heap, (-math.inf, -seq, -math.inf, lower, upper, 0))
+    heapq.heappush(heap, (-math.inf, -seq, -math.inf, lower, upper, 0, None))
 
     def open_bound() -> float:
         # The proven global bound is the raw minimum over open nodes.
         return min((entry[2] for entry in heap), default=math.inf)
 
     while heap:
-        _, neg_id, raw_bound, lo, hi, depth = heapq.heappop(heap)
+        _, neg_id, raw_bound, lo, hi, depth, basis = heapq.heappop(heap)
         node_id = -neg_id
         proven_bound = min(raw_bound, open_bound())
 
@@ -155,7 +159,7 @@ def branch_and_bound(
             if raw_bound >= incumbent_obj - 1e-9 * max(1.0, abs(incumbent_obj)):
                 continue  # fathomed by bound
 
-        result = prep.solve(lo, hi)
+        result = prep.solve(lo, hi, basis)
         nodes += 1
         if result.status == SolveStatus.INFEASIBLE:
             log(node_id, depth, math.inf)
@@ -177,7 +181,7 @@ def branch_and_bound(
         branch_col = _most_fractional(result.values, int_cols,
                                        model.branch_priority)
         if branch_col is None:
-            candidate = _polish(prep, model, int_cols, lo, hi, result.values)
+            candidate = _polish(prep, model, int_cols, lo, hi, result)
             if candidate[1] < incumbent_obj:
                 first = incumbent is None
                 incumbent, incumbent_obj = candidate
@@ -200,7 +204,7 @@ def branch_and_bound(
         for child_lo, child_hi in children:
             seq += 1
             heapq.heappush(heap, (child_key, -seq, result.objective,
-                                  child_lo, child_hi, depth + 1))
+                                  child_lo, child_hi, depth + 1, result.basis))
 
         if node_limit is not None and nodes >= node_limit:
             return finish(SolveStatus.FEASIBLE, min(open_bound(), incumbent_obj))
@@ -219,15 +223,16 @@ def _polish(
     int_cols: list[int],
     lo: np.ndarray,
     hi: np.ndarray,
-    values: np.ndarray,
+    relaxed: Solution,
 ) -> tuple[np.ndarray, float]:
     """Fix integers at rounded values and re-solve for exact continuous parts."""
+    values = relaxed.values
     lo2, hi2 = lo.copy(), hi.copy()
     for j in int_cols:
         v = float(round(values[j]))
         lo2[j] = v
         hi2[j] = v
-    refined = prep.solve(lo2, hi2)
+    refined = prep.solve(lo2, hi2, relaxed.basis)
     if refined.status == SolveStatus.OPTIMAL:
         return refined.values, refined.objective
     snapped = values.copy()

@@ -1,16 +1,28 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable simplex: primal cold start, dual warm start.
 
-Two phases: artificial variables give a starting basis, phase 1 minimizes
-their sum, phase 2 minimizes the real objective. Variables live between
-(possibly infinite) bounds and sit nonbasic at a bound or free at zero;
-each row gets one slack column whose bounds encode the row sense, so every
-row is an equality internally. Artificial columns are +-unit vectors and
-are handled implicitly rather than stored.
+Variables live between (possibly infinite) bounds and sit nonbasic at a
+bound or free at zero; each row gets one slack column whose bounds encode
+the row sense, so every row is an equality internally. Artificial columns
+are +-unit vectors and are handled implicitly rather than stored.
 
+Cold start: a crash basis of slacks and artificials, then two primal
+phases. Phase 1 minimizes the artificials' sum, phase 2 the real objective.
 Pricing is Dantzig (most violating reduced cost) with a permanent switch to
-Bland's least-index rule after a stall, which breaks cycling. The basis
-inverse is updated by elementary row operations and refactorized from
-scratch periodically. Rows and the cost vector are rescaled to unit
+Bland's least-index rule after a stall, which breaks cycling.
+
+Warm start: given the final :class:`Basis` of an earlier solve of the same
+LP under other bounds (a branch-and-bound parent), the solve refactorizes
+that basis once, recomputes the basic values under the new bounds and runs
+a bounded dual simplex. The leaving row has the largest bound violation
+(ties to the lowest position); the entering column comes from the dual
+ratio test (ties to the largest pivot, then the lowest index). A row no
+column can repair proves the LP infeasible. A primal phase 2 then cleans
+up; it stops at once when the basis is already dual feasible. A basis that
+does not fit, is singular or not dual feasible, or a dual loop that fails
+numerically, falls back to the cold start.
+
+The basis inverse is updated by elementary row operations and refactorized
+from scratch periodically. Rows and the cost vector are rescaled to unit
 magnitude so absolute tolerances are meaningful across problems; the
 reported objective is recomputed from unscaled data.
 
@@ -22,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import EQ, GE, LE, LinearModel
-from .types import NumericalFailure, Solution, SolveStatus
+from .types import Basis, NumericalFailure, Solution, SolveStatus
 
 __all__ = ["PreparedLP", "solve_lp", "check_solution"]
 
@@ -36,6 +48,8 @@ FREE = 3
 TOL_DUAL = 1e-9
 TOL_PIVOT = 1e-10
 TOL_PHASE1 = 1e-7
+TOL_PRIMAL = 1e-9  # bound violation the dual simplex still repairs
+TOL_WARM_DUAL = 1e-7  # reduced-cost slip a warm basis may carry
 REFACTOR_EVERY = 96
 STALL_LIMIT = 400
 
@@ -44,7 +58,7 @@ class PreparedLP:
     """A model converted once to dense arrays, solvable under many bounds.
 
     Branch-and-bound reuses a single instance across nodes, passing
-    per-node structural bounds to :meth:`solve`. Instances are immutable
+    per-node structural bounds and the parent's basis to :meth:`solve`. Instances are immutable
     after construction, so concurrent solves are safe.
     """
 
@@ -87,8 +101,13 @@ class PreparedLP:
         self.c_real = np.zeros(self.n_real)
         self.c_real[:n] = c / self.cost_scale
 
-    def solve(self, lower=None, upper=None) -> Solution:
-        """Solve min c'x under the given structural bounds (default: model's)."""
+    def solve(self, lower=None, upper=None, basis: Basis | None = None) -> Solution:
+        """Solve min c'x under the given structural bounds (default: model's).
+
+        ``basis``, the ``Solution.basis`` of an earlier solve of this LP,
+        starts the dual simplex from it; an unusable basis falls back to
+        the cold start, so the result never depends on its quality.
+        """
         n, m = self.n, self.m
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
         hi = np.asarray(self.model.upper if upper is None else upper, dtype=float)
@@ -97,8 +116,17 @@ class PreparedLP:
         if m == 0:
             return self._solve_unconstrained(lo, hi)
 
-        state = _SimplexState(self, lo, hi)
-        if state.run_phase1() > TOL_PHASE1:
+        state = None
+        if basis is not None:
+            try:
+                state = _SimplexState(self, lo, hi, basis)
+                feasible = state.run_dual()
+            except NumericalFailure:
+                state = None  # unusable basis: start cold below
+        if state is None:
+            state = _SimplexState(self, lo, hi)
+            feasible = state.run_phase1() <= TOL_PHASE1
+        if not feasible:
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0)
         status = state.run_phase2()
         if status == SolveStatus.UNBOUNDED:
@@ -113,6 +141,7 @@ class PreparedLP:
             objective=objective,
             best_bound=objective,
             gap=0.0,
+            basis=Basis(state.basis, state.col_status, state.art_signs),
         )
 
     def _solve_unconstrained(self, lo, hi) -> Solution:
@@ -133,7 +162,7 @@ class PreparedLP:
 class _SimplexState:
     """Mutable per-solve state: bounds, basis, statuses, basis inverse."""
 
-    def __init__(self, prep: PreparedLP, lo, hi):
+    def __init__(self, prep: PreparedLP, lo, hi, start: Basis | None = None):
         self.prep = prep
         self.m, self.n = prep.m, prep.n
         self.n_real = prep.n_real
@@ -142,20 +171,22 @@ class _SimplexState:
 
         self.lower = np.concatenate([lo, prep.slack_lower, np.zeros(self.m)])
         self.upper = np.concatenate([hi, prep.slack_upper, np.full(self.m, INF)])
+        self._outer_buf = np.empty((self.m, self.m))
+        if start is None:
+            self._crash()
+        else:
+            self._load(start)
 
+    def _crash(self) -> None:
+        """Crash basis: a row whose residual fits inside its slack bounds
+        starts with the slack basic; only the rest need artificials."""
+        lo, hi = self.lower[:self.n_real], self.upper[:self.n_real]
         self.col_status = np.full(self.width, AT_LOWER, dtype=np.int8)
-        self.basis = np.empty(0, dtype=int)  # placeholder until crash below
-        for j in range(self.n_real):
-            if np.isfinite(self.lower[j]):
-                self.col_status[j] = AT_LOWER
-            elif np.isfinite(self.upper[j]):
-                self.col_status[j] = AT_UPPER
-            else:
-                self.col_status[j] = FREE
+        self.col_status[:self.n_real] = np.where(
+            np.isfinite(lo), AT_LOWER, np.where(np.isfinite(hi), AT_UPPER, FREE))
+        self.basis = np.empty(0, dtype=int)
 
-        # Crash basis: a row whose residual fits inside its slack bounds
-        # starts with the slack basic; only the rest need artificials.
-        residual = self.b - self.prep.A_real @ self._nonbasic_values()
+        residual = self._residual()
         self.art_signs = np.ones(self.m)
         basis = np.empty(self.m, dtype=int)
         diag = np.empty(self.m)
@@ -180,16 +211,44 @@ class _SimplexState:
         self.basis = basis
         self.B_inv = np.diag(diag)
         self.x_B = x_B
-        self._outer_buf = np.empty((self.m, self.m))
+
+    def _load(self, start: Basis) -> None:
+        """Adopt a basis from an earlier solve under the current bounds.
+
+        Raises :class:`NumericalFailure` when the record does not fit this
+        LP or its basis matrix is singular or ill-conditioned.
+        """
+        basic, status = np.asarray(start.basic), np.asarray(start.status)
+        art_signs = np.asarray(start.art_signs, dtype=float)
+        if (basic.dtype.kind not in "iu" or basic.shape != (self.m,)
+                or status.shape != (self.width,)
+                or art_signs.shape != (self.m,) or np.any(np.abs(art_signs) != 1.0)
+                or basic.min() < 0 or basic.max() >= self.width
+                or np.count_nonzero(status == BASIC) != self.m
+                or np.any(status[basic] != BASIC)):
+            raise NumericalFailure("warm-start basis does not fit this LP")
+        self.basis = basic.astype(int)
+        self.art_signs = art_signs.copy()
+        self.upper[self.n_real:] = 0.0  # artificials stay pinned at zero
+
+        # Nonbasic columns sit at a finite bound of the new box, keeping
+        # their old side where it exists, or free at zero.
+        col = status.astype(np.int8)
+        nonbasic = col != BASIC
+        lo_ok, hi_ok = np.isfinite(self.lower), np.isfinite(self.upper)
+        at_hi = nonbasic & hi_ok & ((col == AT_UPPER) | ~lo_ok)
+        col[nonbasic] = FREE
+        col[nonbasic & lo_ok & ~at_hi] = AT_LOWER
+        col[at_hi] = AT_UPPER
+        self.col_status = col
+
+        self._refactor()
+        residual = self._residual()
+        error = np.abs(self._basis_matrix() @ self.x_B - residual).max()
+        if not error <= 1e-7 * (1.0 + np.abs(residual).max()):
+            raise NumericalFailure("warm-start basis is ill-conditioned")
 
     # -- column access (artificials are implicit +-unit vectors) ------------
-
-    def _column(self, j: int) -> np.ndarray:
-        if j < self.n_real:
-            return self.prep.A_real[:, j]
-        col = np.zeros(self.m)
-        col[j - self.n_real] = self.art_signs[j - self.n_real]
-        return col
 
     def _ftran(self, j: int) -> np.ndarray:
         """B_inv times column j."""
@@ -217,23 +276,33 @@ class _SimplexState:
         x[self.basis[self.basis < self.n_real]] = 0.0
         return x
 
+    def _residual(self) -> np.ndarray:
+        """b minus the nonbasic columns' share; nonbasic artificials sit at
+        zero, so only real columns count."""
+        return self.b - self.prep.A_real @ self._nonbasic_values()
+
     def values(self) -> np.ndarray:
         x = np.zeros(self.width)
         x[:self.n_real] = self._nonbasic_values()
         x[self.basis] = self.x_B
         return x
 
+    def _basis_matrix(self) -> np.ndarray:
+        art = self.basis >= self.n_real
+        B = self.prep.A_real[:, np.where(art, 0, self.basis)]
+        if art.any():
+            pos = np.flatnonzero(art)
+            rows = self.basis[pos] - self.n_real
+            B[:, pos] = 0.0
+            B[rows, pos] = self.art_signs[rows]
+        return B
+
     def _refactor(self) -> None:
-        B = np.empty((self.m, self.m))
-        for k, j in enumerate(self.basis):
-            B[:, k] = self._column(j)
         try:
-            self.B_inv = np.linalg.inv(B)
+            self.B_inv = np.linalg.inv(self._basis_matrix())
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis during refactorization") from exc
-        # Nonbasic artificials sit at zero, so only the real residual matters.
-        r = self.b - self.prep.A_real @ self._nonbasic_values()
-        self.x_B = self.B_inv @ r
+        self.x_B = self.B_inv @ self._residual()
 
     # -- phases ---------------------------------------------------------------
 
@@ -266,10 +335,83 @@ class _SimplexState:
         self.upper[self.n_real:] = 0.0
         self.lower[self.n_real:] = 0.0
 
-    def run_phase2(self) -> SolveStatus:
+    def _phase2_costs(self) -> np.ndarray:
         c = np.zeros(self.width)
         c[:self.n_real] = self.prep.c_real
-        return self._iterate(c, allow_unbounded=True)
+        return c
+
+    def run_phase2(self) -> SolveStatus:
+        return self._iterate(self._phase2_costs(), allow_unbounded=True)
+
+    def run_dual(self) -> bool:
+        """Bounded dual simplex from a dual-feasible basis to a primal-
+        feasible one; False when a row proves the LP infeasible.
+
+        Raises :class:`NumericalFailure` when the basis is not dual feasible
+        or the loop cannot finish; the caller then starts cold.
+        """
+        n_real = self.n_real
+        c = self._phase2_costs()
+        status = self.col_status[:n_real]
+        movable = (self.upper - self.lower)[:n_real] > 1e-15
+        z = self._reduced_costs(c)[:n_real]
+        slip = np.where(status == AT_LOWER, -z, np.where(status == AT_UPPER, z,
+                        np.where(status == FREE, np.abs(z), 0.0)))
+        if np.any(movable & (slip > TOL_WARM_DUAL)):
+            raise NumericalFailure("warm-start basis is not dual feasible")
+
+        max_iters = max(1000, self.m + self.width)
+        for iteration in range(1, max_iters + 1):
+            if iteration % REFACTOR_EVERY == 0:
+                self._refactor()
+                z = self._reduced_costs(c)[:n_real]
+            lo_b, hi_b = self.lower[self.basis], self.upper[self.basis]
+            below, above = lo_b - self.x_B, self.x_B - hi_b
+            violation = np.maximum(below, above)
+            leave_pos = int(np.argmax(violation))
+            if violation[leave_pos] <= TOL_PRIMAL:
+                return True
+            to_lower = below[leave_pos] > 0
+            target = lo_b[leave_pos] if to_lower else hi_b[leave_pos]
+
+            # x_r = beta_r - sum_j alpha_j (x_j - x_j now) over nonbasic j;
+            # a column qualifies when its feasible move pushes x_r to target.
+            alpha = self.B_inv[leave_pos] @ self.prep.A_real
+            push = alpha if to_lower else -alpha
+            eligible = movable & (
+                ((status == AT_LOWER) & (push < -TOL_PIVOT))
+                | ((status == AT_UPPER) & (push > TOL_PIVOT))
+                | ((status == FREE) & (np.abs(push) > TOL_PIVOT)))
+            if not eligible.any():
+                if violation[leave_pos] <= TOL_PHASE1:
+                    raise NumericalFailure("near-feasible row has no pivot")
+                return False
+
+            cand = np.flatnonzero(eligible)
+            z_cand = z[cand]
+            dual_room = np.where(status[cand] == AT_LOWER, z_cand,
+                                 np.where(status[cand] == AT_UPPER, -z_cand,
+                                          np.abs(z_cand)))
+            ratio = np.maximum(dual_room, 0.0) / np.abs(alpha[cand])
+            ties = cand[ratio <= ratio.min() * (1 + 1e-9) + 1e-12]
+            enter = int(ties[np.argmax(np.abs(alpha[ties]))])
+
+            d = self._ftran(enter)
+            step = (self.x_B[leave_pos] - target) / d[leave_pos]
+            base = (self.upper[enter] if status[enter] == AT_UPPER
+                    else self.lower[enter] if status[enter] == AT_LOWER else 0.0)
+            self.x_B -= d * step
+            leave_col = self.basis[leave_pos]
+            self._pivot(leave_pos, enter, base + step, d=d)
+            # Dual step: the entering reduced cost drops to zero and the
+            # leaving column takes minus the step.
+            theta = z[enter] / alpha[enter]
+            z -= theta * alpha
+            z[enter] = 0.0
+            if leave_col < n_real:
+                z[leave_col] = -theta
+        raise NumericalFailure(
+            f"dual simplex exceeded {max_iters} iterations without converging")
 
     # -- core loop --------------------------------------------------------------
 

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["SolveStatus", "Solution", "NumericalFailure", "TooLarge"]
+__all__ = ["SolveStatus", "Solution", "Basis", "NumericalFailure"]
 
 
 class SolveStatus(Enum):
@@ -21,8 +21,19 @@ class NumericalFailure(RuntimeError):
     """The LP solver could not make progress within its iteration budget."""
 
 
-class TooLarge(ValueError):
-    """Model exceeds the brute-force enumeration cap."""
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """A simplex basis, small enough to keep on every open search node.
+
+    ``basic`` holds the column index basic in each row position, ``status``
+    every column's status code (real columns, then one artificial per row),
+    and ``art_signs`` the sign of each row's artificial unit column. The
+    arrays are never written after construction, so siblings may share one.
+    """
+
+    basic: np.ndarray
+    status: np.ndarray
+    art_signs: np.ndarray
 
 
 @dataclass
@@ -32,7 +43,8 @@ class Solution:
     ``gap`` is (objective - best_bound) / max(|objective|, 1e-9) for
     minimization; OPTIMAL implies gap <= the configured tolerance. ``values``
     covers the model's structural columns and is None when no feasible point
-    was found.
+    was found. ``basis`` is the final LP basis of an OPTIMAL LP solve, a
+    warm start for a solve of the same model under nearby bounds.
     """
 
     status: SolveStatus
@@ -42,6 +54,7 @@ class Solution:
     gap: float | None = None
     node_count: int = 0
     wall_time: float = 0.0
+    basis: Basis | None = None
 
     @property
     def is_feasible(self) -> bool:

@@ -2,16 +2,23 @@
 
 Kept deliberately separate from the package: a rational-arithmetic LP
 solver (exact tableau simplex with Bland's rule), a knapsack dynamic
-program, and deterministic random-instance generators. Nothing here shares
-code with the implementation under test.
+program, and deterministic random-instance generators share no code with
+the implementation under test. The brute-force enumeration oracle tries
+every integer assignment; it borrows only the package's cold-start LP
+solve for the continuous part, never branch-and-bound or a warm start.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from fleetcharge.model import EQ, GE, LE, LinearModel
+from fleetcharge.solver import PreparedLP, Solution, SolveStatus
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -211,3 +218,129 @@ def random_binary_milp(seed: int) -> LinearModel:
             rhs = value
         model.add_row(f"r{i}", coeffs, sense, float(rhs))
     return model
+
+
+# -- brute-force enumeration ---------------------------------------------------
+# Every integer assignment inside the column bounds is tried; continuous
+# columns are optimized by an LP solve per assignment. Models whose columns
+# are all integer skip the LP entirely and are checked in vectorized batches.
+
+
+class TooLarge(ValueError):
+    """Model exceeds the brute-force enumeration cap."""
+
+
+FEAS_TOL = 1e-9
+BATCH = 1 << 14
+
+
+def _integer_ranges(model: LinearModel, max_binaries: int, max_assignments: int):
+    int_cols = model.integer_cols
+    if len(int_cols) > max_binaries:
+        raise TooLarge(
+            f"{len(int_cols)} integer columns exceed the cap of {max_binaries}")
+    ranges = []
+    total = 1
+    for j in int_cols:
+        lo, hi = model.lower[j], model.upper[j]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise TooLarge(
+                f"integer column {model.col_names[j]} lacks finite bounds")
+        lo_i, hi_i = math.ceil(lo - 1e-9), math.floor(hi + 1e-9)
+        if hi_i < lo_i:
+            return int_cols, None, 0  # empty integer box: infeasible
+        ranges.append(range(lo_i, hi_i + 1))
+        total *= len(ranges[-1])
+        if total > max_assignments:
+            raise TooLarge(
+                f"assignment count exceeds the cap of {max_assignments}")
+    return int_cols, ranges, total
+
+
+def _pure_integer_best(model: LinearModel, int_cols, ranges) -> Solution:
+    """All columns integer: vectorized feasibility scan, no LP needed."""
+    n = model.num_cols
+    A = np.zeros((model.num_rows, n))
+    senses = []
+    rhs = np.zeros(model.num_rows)
+    for i, row in enumerate(model.rows):
+        for j, coef in row.coeffs:
+            A[i, j] += coef
+        senses.append(row.sense)
+        rhs[i] = row.rhs
+    c = np.asarray(model.objective, dtype=float)
+
+    best_obj = math.inf
+    best_x = None
+    assignments = itertools.product(*ranges)
+    while True:
+        batch = list(itertools.islice(assignments, BATCH))
+        if not batch:
+            break
+        X = np.zeros((len(batch), n))
+        X[:, int_cols] = np.asarray(batch, dtype=float)
+        lhs = X @ A.T
+        ok = np.ones(len(batch), dtype=bool)
+        for i, sense in enumerate(senses):
+            tol = FEAS_TOL * max(1.0, abs(rhs[i]))
+            if sense == LE:
+                ok &= lhs[:, i] <= rhs[i] + tol
+            elif sense == GE:
+                ok &= lhs[:, i] >= rhs[i] - tol
+            else:
+                ok &= np.abs(lhs[:, i] - rhs[i]) <= tol
+        if not ok.any():
+            continue
+        objs = X[ok] @ c
+        k = int(np.argmin(objs))
+        if objs[k] < best_obj - 1e-15:
+            best_obj = float(objs[k])
+            best_x = X[ok][k].copy()
+    if best_x is None:
+        return Solution(status=SolveStatus.INFEASIBLE)
+    total = best_obj + model.objective_offset
+    return Solution(status=SolveStatus.OPTIMAL, values=best_x, objective=total,
+                    best_bound=total, gap=0.0)
+
+
+def brute_force_enumerate(
+    model: LinearModel,
+    max_binaries: int = 20,
+    max_assignments: int = 1 << 20,
+) -> Solution:
+    """Exhaustively fix integer assignments; return the global best.
+
+    Raises :class:`TooLarge` above the caps. Deterministic: assignments are
+    visited in lexicographic order and ties keep the first winner.
+    """
+    int_cols, ranges, total = _integer_ranges(model, max_binaries, max_assignments)
+    if ranges is None:
+        return Solution(status=SolveStatus.INFEASIBLE)
+    if not int_cols:
+        return PreparedLP(model).solve()
+
+    continuous = [j for j in range(model.num_cols) if not model.integer[j]]
+    if not continuous:
+        return _pure_integer_best(model, int_cols, ranges)
+
+    prep = PreparedLP(model)
+    lower = np.asarray(model.lower, dtype=float)
+    upper = np.asarray(model.upper, dtype=float)
+    best: Solution | None = None
+    for assignment in itertools.product(*ranges):
+        lo = lower.copy()
+        hi = upper.copy()
+        for j, v in zip(int_cols, assignment):
+            lo[j] = v
+            hi[j] = v
+        result = prep.solve(lo, hi)
+        if result.status != SolveStatus.OPTIMAL:
+            continue
+        if best is None or result.objective < best.objective - 1e-12:
+            best = result
+    if best is None:
+        return Solution(status=SolveStatus.INFEASIBLE, node_count=total)
+    best.gap = 0.0
+    best.best_bound = best.objective
+    best.node_count = total
+    return best

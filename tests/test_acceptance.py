@@ -21,10 +21,10 @@ from fleetcharge.scenario_io import (
     scenario_to_dict,
     validate_against_schema,
 )
-from fleetcharge.solver import SolveStatus, branch_and_bound, brute_force_enumerate
+from fleetcharge.solver import SolveStatus, branch_and_bound
 from fleetcharge.sweep import SweepSpec, run_sweep
 
-from oracles import random_binary_milp
+from oracles import brute_force_enumerate, random_binary_milp
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from fleetcharge.model import GE, LE, LinearModel
-from fleetcharge.solver import (
-    SolveStatus,
-    TooLarge,
-    branch_and_bound,
-    brute_force_enumerate,
-    solve_lp,
-)
+from fleetcharge.solver import SolveStatus, branch_and_bound, solve_lp
 
-from oracles import knapsack_best_value, random_binary_milp
+from oracles import (
+    TooLarge,
+    brute_force_enumerate,
+    knapsack_best_value,
+    random_binary_milp,
+)
 
 INF = float("inf")
 

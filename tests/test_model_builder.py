@@ -13,8 +13,9 @@ import pytest
 import fleetcharge as fc
 from fleetcharge.builder import build_problem, energy_consumption, objective_breakdown
 from fleetcharge.model import LE
-from fleetcharge.solver import SolveStatus, branch_and_bound, brute_force_enumerate
+from fleetcharge.solver import SolveStatus, branch_and_bound
 
+from oracles import brute_force_enumerate
 from test_domain import make_leg, minimal_scenario
 
 

@@ -1,10 +1,15 @@
-"""LP solver: textbook cases, the exact-arithmetic oracle, determinism."""
+"""LP solver: textbook cases, the exact-arithmetic oracle, warm starts,
+determinism."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fleetcharge.model import EQ, GE, LE, LinearModel
-from fleetcharge.solver import SolveStatus, check_solution, solve_lp
+from fleetcharge.solver import Basis, PreparedLP, SolveStatus, check_solution, solve_lp
+from fleetcharge.solver import simplex
 
 from oracles import INFEASIBLE, OPTIMAL, lp_to_exact_inputs, random_lp, solve_lp_exact
 
@@ -104,6 +109,196 @@ class TestExactOracle:
             sol = solve_lp(model)
             if sol.status == SolveStatus.OPTIMAL:
                 assert check_solution(model, sol.values) == []
+
+
+def _no_cold_start(monkeypatch):
+    """Make any fall back to the cold two-phase path fail the test."""
+    def crash(self):
+        raise AssertionError("warm solve fell back to the cold start")
+    monkeypatch.setattr(simplex._SimplexState, "_crash", crash)
+
+
+class TestWarmStart:
+    """Re-solves from a parent's basis after one bound change, as in
+    branch-and-bound, against a cold solve and the exact oracle."""
+
+    # random_lp seeds with an optimal parent; halving the bound makes
+    # seeds 3 and 13 infeasible.
+    SEEDS = [2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14]
+
+    @staticmethod
+    def child(seed, direction):
+        """A random LP, its optimal parent solve, and child bounds that cut
+        the parent's largest value: halved from above or raised past it."""
+        model = random_lp(seed, size=8)
+        prep = PreparedLP(model)
+        parent = prep.solve()
+        assert parent.status == SolveStatus.OPTIMAL and parent.basis is not None
+        j = int(np.argmax(parent.values))
+        lower, upper = list(model.lower), list(model.upper)
+        if direction == "down":
+            upper[j] = math.floor(parent.values[j] / 2)
+        else:
+            lower[j] = math.floor(parent.values[j]) + 1
+        return model, prep, parent, lower, upper
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tightened_upper_bound_matches_cold_and_exact(self, seed, monkeypatch):
+        model, prep, parent, lower, upper = self.child(seed, "down")
+        cold = prep.solve(lower, upper)
+        _no_cold_start(monkeypatch)
+        warm = prep.solve(lower, upper, basis=parent.basis)
+
+        status, objective = solve_lp_exact(
+            *lp_to_exact_inputs(replace(model, upper=upper)))
+        assert warm.status == cold.status
+        if status == OPTIMAL:
+            assert warm.status == SolveStatus.OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.objective == pytest.approx(float(objective), abs=1e-7)
+            assert check_solution(replace(model, upper=upper), warm.values) == []
+        else:
+            assert status == INFEASIBLE
+            assert warm.status == SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raised_lower_bound_matches_cold(self, seed, monkeypatch):
+        model, prep, parent, lower, upper = self.child(seed, "up")
+        cold = prep.solve(lower, upper)
+        _no_cold_start(monkeypatch)
+        warm = prep.solve(lower, upper, basis=parent.basis)
+        assert warm.status == cold.status
+        if cold.status == SolveStatus.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dual_simplex_keeps_dual_feasibility(self, seed, direction):
+        # Dual pivots alone must reach the optimum; the primal clean-up
+        # would hide a ratio test that lets reduced costs change sign.
+        _, prep, parent, lower, upper = self.child(seed, direction)
+        state = simplex._SimplexState(
+            prep, np.array(lower, dtype=float), np.array(upper, dtype=float),
+            parent.basis)
+        if not state.run_dual():
+            return  # proven infeasible; covered against the oracle above
+        z = state._reduced_costs(state._phase2_costs())[:prep.n_real]
+        status = state.col_status[:prep.n_real]
+        movable = state.upper[:prep.n_real] > state.lower[:prep.n_real]
+        assert np.all(z[movable & (status == simplex.AT_LOWER)] >= -1e-9)
+        assert np.all(z[movable & (status == simplex.AT_UPPER)] <= 1e-9)
+        assert np.all(np.abs(z[status == simplex.FREE]) <= 1e-9)
+
+    def test_infeasible_child(self, monkeypatch):
+        # x0 + x1 >= 3 with x0 <= 2: cutting x1 to 0 leaves no solution.
+        model = simple_model(
+            [1.0, 2.0], [(0, 2), (0, 5)], [([(0, 1.0), (1, 1.0)], GE, 3.0)])
+        prep = PreparedLP(model)
+        parent = prep.solve()
+        assert parent.objective == pytest.approx(4.0)
+        _no_cold_start(monkeypatch)
+        child = prep.solve([0, 0], [2, 0], basis=parent.basis)
+        assert child.status == SolveStatus.INFEASIBLE
+
+    def test_unusable_basis_falls_back_to_cold(self):
+        # The second row is twice the first, so {x0, x1} is a singular basis.
+        model = simple_model(
+            [1.0, 1.0, 0.0], [(0, 4), (0, 4), (0, 4)],
+            [([(0, 1.0), (1, 1.0), (2, 1.0)], GE, 1.0),
+             ([(0, 2.0), (1, 2.0), (2, 1.0)], LE, 5.0)])
+        prep = PreparedLP(model)
+        cold = prep.solve()
+        width = prep.n_real + prep.m
+        status = np.full(width, simplex.AT_LOWER, dtype=np.int8)
+        status[[0, 1]] = simplex.BASIC
+        signs = np.ones(prep.m)
+        slack_status = np.full(width, simplex.AT_LOWER, dtype=np.int8)
+        slack_status[[3, 4]] = simplex.BASIC
+        garbage = [
+            Basis(np.array([0, 1]), status, signs),  # singular
+            Basis(np.array([0, 0]), status, signs),  # repeated column
+            Basis(np.array([0]), status, signs),  # wrong length
+            Basis(np.array([0, width]), status, signs),  # out of range
+            Basis(np.array([0.0, 1.0]), status, signs),  # not indices
+            Basis(np.array([2, 3]), status, signs),  # statuses disagree
+            Basis(np.array([3, 4]), slack_status, np.zeros(prep.m)),  # signs not +-1
+        ]
+        for basis in garbage:
+            warm = prep.solve(basis=basis)
+            assert warm.status == cold.status
+            assert np.array_equal(warm.values, cold.values)
+            assert warm.objective == cold.objective
+
+    def test_repeat_warm_solves_identical(self, depot_scenario):
+        import fleetcharge as fc
+
+        model = fc.build_problem(depot_scenario).model
+        prep = PreparedLP(model)
+        root = prep.solve()
+        j = next(j for j in model.integer_cols
+                 if abs(root.values[j] - round(root.values[j])) > 1e-6)
+        upper = np.array(model.upper)
+        upper[j] = math.floor(root.values[j])
+        record = [a.copy() for a in (root.basis.basic, root.basis.status,
+                                     root.basis.art_signs)]
+        a = prep.solve(model.lower, upper, basis=root.basis)
+        b = prep.solve(model.lower, upper, basis=root.basis)
+        assert a.status == b.status == SolveStatus.OPTIMAL
+        assert a.objective == b.objective
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.basis.basic, b.basis.basic)
+        assert np.array_equal(a.basis.status, b.basis.status)
+        # The parent's record is shared by both children and never written.
+        for kept, now in zip(record, (root.basis.basic, root.basis.status,
+                                      root.basis.art_signs)):
+            assert np.array_equal(kept, now)
+        cold = prep.solve(model.lower, upper)
+        assert a.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+class TestSetUp:
+    """The vectorized per-solve set-up against the column loops it replaced."""
+
+    def test_basis_matrix_matches_column_loop(self, depot_scenario):
+        import fleetcharge as fc
+
+        model = fc.build_problem(depot_scenario).model
+        prep = PreparedLP(model)
+        state = simplex._SimplexState(
+            prep, np.array(model.lower), np.array(model.upper))
+        artificial = state.basis >= prep.n_real
+        assert artificial.any() and not artificial.all()  # crash: slacks and artificials
+        for stage in ("crash", "phase 1"):
+            if stage == "phase 1":
+                state.run_phase1()  # structural columns enter
+            reference = np.zeros((prep.m, prep.m))
+            for k, j in enumerate(state.basis):
+                if j < prep.n_real:
+                    reference[:, k] = prep.A_real[:, j]
+                else:
+                    reference[j - prep.n_real, k] = state.art_signs[j - prep.n_real]
+            assert np.array_equal(state._basis_matrix(), reference), stage
+
+    def test_initial_statuses_match_column_loop(self):
+        model = simple_model(
+            [1.0, 1.0, 1.0, 1.0], [(-INF, INF), (-INF, 5), (0, INF), (2, 3)],
+            [([(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], GE, 1.0)])
+        prep = PreparedLP(model)
+        state = simplex._SimplexState(
+            prep, np.array(model.lower), np.array(model.upper))
+        expected = []
+        for j in range(prep.n_real):
+            if j in state.basis:
+                expected.append(simplex.BASIC)
+            elif np.isfinite(state.lower[j]):
+                expected.append(simplex.AT_LOWER)
+            elif np.isfinite(state.upper[j]):
+                expected.append(simplex.AT_UPPER)
+            else:
+                expected.append(simplex.FREE)
+        assert state.col_status[:prep.n_real].tolist() == expected
+        assert expected[:4] == [simplex.FREE, simplex.AT_UPPER,
+                                simplex.AT_LOWER, simplex.AT_LOWER]
 
 
 class TestDeterminism:

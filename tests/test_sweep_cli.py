@@ -8,7 +8,10 @@ import pytest
 
 import fleetcharge as fc
 from fleetcharge.cli import main
+from fleetcharge.run import PlanVerificationError
+from fleetcharge.solver import NumericalFailure
 from fleetcharge.sweep import SweepSpec, default_amortize_ratio, run_sweep
+from fleetcharge.validator import ReplayResult, Violation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWO_TRUCK = str(FIXTURES / "two_truck.json")
@@ -202,6 +205,34 @@ class TestCli:
         doc = json.loads(out)
         assert doc["fixed_feasible"] and doc["codesign_feasible"]
         assert doc["deltas_pct"]["total"] is not None
+
+    FAILURES = [
+        (NumericalFailure("vanishing pivot element"), "SolverFailure"),
+        (PlanVerificationError(ReplayResult([Violation("SoeBelowZero", "truck T1")])),
+         "PlanVerificationFailed"),
+    ]
+
+    @pytest.mark.parametrize("exc, code", FAILURES)
+    @pytest.mark.parametrize("argv, module", [
+        (["solve", "--scenario", TWO_TRUCK], "fleetcharge.cli"),
+        (["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2"],
+         "fleetcharge.baseline"),
+    ])
+    def test_internal_failure_exit_code(self, argv, module, exc, code,
+                                        monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(f"{module}.solve_scenario", fail)
+        if argv[0] == "solve":
+            argv = [*argv, "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == code
+        assert error["message"] == str(exc)
+        if code == "PlanVerificationFailed":
+            assert error["details"] == ["[SoeBelowZero] truck T1"]
+        assert not (tmp_path / "o" / "plan.json").exists()
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 2
