@@ -7,7 +7,7 @@ overrides and their parent's final LP basis (a small :class:`Basis`
 record, never a basis inverse); each node LP goes through the shared
 :class:`PreparedLP`, which warm-starts a dual simplex from that basis,
 since a child differs from its parent in one column bound. The root LP
-starts cold.
+starts cold, from the slack basis.
 
 A node's priority is its parent's relaxation objective, which lower-bounds
 its subtree; with best-first order the popped priorities are nondecreasing,
@@ -159,6 +159,10 @@ def branch_and_bound(
             if raw_bound >= incumbent_obj - 1e-9 * max(1.0, abs(incumbent_obj)):
                 continue  # fathomed by bound
 
+        if (node_limit is not None and nodes >= node_limit) or (
+                time_limit is not None and time.monotonic() - start > time_limit):
+            return finish(SolveStatus.FEASIBLE, min(proven_bound, incumbent_obj))
+
         result = prep.solve(lo, hi, basis)
         nodes += 1
         if result.status == SolveStatus.INFEASIBLE:
@@ -205,11 +209,6 @@ def branch_and_bound(
             seq += 1
             heapq.heappush(heap, (child_key, -seq, result.objective,
                                   child_lo, child_hi, depth + 1, result.basis))
-
-        if node_limit is not None and nodes >= node_limit:
-            return finish(SolveStatus.FEASIBLE, min(open_bound(), incumbent_obj))
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            return finish(SolveStatus.FEASIBLE, min(open_bound(), incumbent_obj))
 
     if incumbent is None:
         return finish(SolveStatus.INFEASIBLE, math.inf)

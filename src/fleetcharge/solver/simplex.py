@@ -1,25 +1,27 @@
-"""Dense bounded-variable simplex: primal cold start, dual warm start.
+"""Dense bounded-variable simplex: one dual simplex, then primal clean-up.
 
 Variables live between (possibly infinite) bounds and sit nonbasic at a
 bound or free at zero; each row gets one slack column whose bounds encode
-the row sense, so every row is an equality internally. Artificial columns
-are +-unit vectors and are handled implicitly rather than stored.
+the row sense, so every row is an equality internally.
 
-Cold start: a crash basis of slacks and artificials, then two primal
-phases. Phase 1 minimizes the artificials' sum, phase 2 the real objective.
-Pricing is Dantzig (most violating reduced cost) with a permanent switch to
-Bland's least-index rule after a stall, which breaks cycling.
+Every solve runs a bounded dual simplex from a dual-feasible basis. A warm
+start is the final :class:`Basis` of an earlier solve of the same LP under
+other bounds (a branch-and-bound parent): the solve refactorizes it once
+and recomputes the basic values under the new bounds. A cold start is the
+slack basis (B = I): each structural column sits at the finite bound its
+cost prefers, or free at zero, and a cost that is not dual feasible there
+(no finite bound on its cost's side) is zeroed for the dual pass only
+(Koberstein's cost-modification dual phase 1). The leaving row has the
+largest bound violation (ties to the lowest position); the entering column
+comes from the dual ratio test (ties to the largest pivot, then the lowest
+index). A row no column can repair proves the LP infeasible. A basis that
+does not fit, is singular or not dual feasible, or a warm dual loop that
+fails numerically, restarts from the slack basis.
 
-Warm start: given the final :class:`Basis` of an earlier solve of the same
-LP under other bounds (a branch-and-bound parent), the solve refactorizes
-that basis once, recomputes the basic values under the new bounds and runs
-a bounded dual simplex. The leaving row has the largest bound violation
-(ties to the lowest position); the entering column comes from the dual
-ratio test (ties to the largest pivot, then the lowest index). A row no
-column can repair proves the LP infeasible. A primal phase 2 then cleans
-up; it stops at once when the basis is already dual feasible. A basis that
-does not fit, is singular or not dual feasible, or a dual loop that fails
-numerically, falls back to the cold start.
+A primal simplex on the true costs then cleans up: Dantzig pricing (most
+violating reduced cost) with a permanent switch to Bland's least-index rule
+after a stall, which breaks cycling. It stops at once when the basis is
+already dual feasible, and it is the pass that detects unboundedness.
 
 The basis inverse is updated by elementary row operations and refactorized
 from scratch periodically. Rows and the cost vector are rescaled to unit
@@ -47,8 +49,8 @@ FREE = 3
 
 TOL_DUAL = 1e-9
 TOL_PIVOT = 1e-10
-TOL_PHASE1 = 1e-7
 TOL_PRIMAL = 1e-9  # bound violation the dual simplex still repairs
+TOL_INFEASIBLE = 1e-7  # violation an unrepairable row must show to prove infeasibility
 TOL_WARM_DUAL = 1e-7  # reduced-cost slip a warm basis may carry
 REFACTOR_EVERY = 96
 STALL_LIMIT = 400
@@ -91,7 +93,7 @@ class PreparedLP:
         c = np.asarray(model.objective, dtype=float)
         self.cost_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
 
-        # Real columns: structural then one slack per row.
+        # Columns: structural then one slack per row.
         self.n_real = n + m
         self.A_real = np.hstack([A, np.eye(m)]) if m else np.zeros((0, n))
         self.AT_real = np.ascontiguousarray(self.A_real.T)
@@ -106,7 +108,7 @@ class PreparedLP:
 
         ``basis``, the ``Solution.basis`` of an earlier solve of this LP,
         starts the dual simplex from it; an unusable basis falls back to
-        the cold start, so the result never depends on its quality.
+        the slack basis, so the result never depends on its quality.
         """
         n, m = self.n, self.m
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
@@ -120,16 +122,15 @@ class PreparedLP:
         if basis is not None:
             try:
                 state = _SimplexState(self, lo, hi, basis)
-                feasible = state.run_dual()
+                feasible = state.run_dual(state.dual_costs)
             except NumericalFailure:
-                state = None  # unusable basis: start cold below
+                state = None  # unusable basis: restart from the slack basis
         if state is None:
             state = _SimplexState(self, lo, hi)
-            feasible = state.run_phase1() <= TOL_PHASE1
+            feasible = state.run_dual(state.dual_costs)
         if not feasible:
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0)
-        status = state.run_phase2()
-        if status == SolveStatus.UNBOUNDED:
+        if state.run_primal() == SolveStatus.UNBOUNDED:
             return Solution(status=SolveStatus.UNBOUNDED, best_bound=-INF)
 
         x = state.values()[:n]
@@ -141,7 +142,7 @@ class PreparedLP:
             objective=objective,
             best_bound=objective,
             gap=0.0,
-            basis=Basis(state.basis, state.col_status, state.art_signs),
+            basis=Basis(state.basis, state.col_status),
         )
 
     def _solve_unconstrained(self, lo, hi) -> Solution:
@@ -166,51 +167,34 @@ class _SimplexState:
         self.prep = prep
         self.m, self.n = prep.m, prep.n
         self.n_real = prep.n_real
-        self.width = self.n_real + self.m  # artificials appended implicitly
         self.b = prep.b
 
-        self.lower = np.concatenate([lo, prep.slack_lower, np.zeros(self.m)])
-        self.upper = np.concatenate([hi, prep.slack_upper, np.full(self.m, INF)])
+        self.lower = np.concatenate([lo, prep.slack_lower])
+        self.upper = np.concatenate([hi, prep.slack_upper])
         self._outer_buf = np.empty((self.m, self.m))
         if start is None:
-            self._crash()
+            self._slack_start()
         else:
             self._load(start)
 
-    def _crash(self) -> None:
-        """Crash basis: a row whose residual fits inside its slack bounds
-        starts with the slack basic; only the rest need artificials."""
-        lo, hi = self.lower[:self.n_real], self.upper[:self.n_real]
-        self.col_status = np.full(self.width, AT_LOWER, dtype=np.int8)
-        self.col_status[:self.n_real] = np.where(
-            np.isfinite(lo), AT_LOWER, np.where(np.isfinite(hi), AT_UPPER, FREE))
-        self.basis = np.empty(0, dtype=int)
+    def _slack_start(self) -> None:
+        """Slack basis (B = I) with every structural column at the bound
+        its cost prefers, which is dual feasible once the costs of columns
+        without that bound are zeroed in ``dual_costs``."""
+        n, lo, hi = self.n, self.lower[:self.n], self.upper[:self.n]
+        c = self.prep.c_real
+        at_hi = np.isfinite(hi) & ((c[:n] < 0) | ~np.isfinite(lo))
+        self.col_status = np.full(self.n_real, BASIC, dtype=np.int8)
+        self.col_status[:n] = np.where(
+            at_hi, AT_UPPER, np.where(np.isfinite(lo), AT_LOWER, FREE))
+        self.basis = np.arange(n, self.n_real)
+        self.B_inv = np.eye(self.m)
+        self.x_B = self._residual()
 
-        residual = self._residual()
-        self.art_signs = np.ones(self.m)
-        basis = np.empty(self.m, dtype=int)
-        diag = np.empty(self.m)
-        x_B = np.empty(self.m)
-        n = self.n
-        for i in range(self.m):
-            r = residual[i]
-            slack = n + i
-            if self.lower[slack] - 1e-12 <= r <= self.upper[slack] + 1e-12:
-                basis[i] = slack
-                diag[i] = 1.0
-                x_B[i] = r
-                self.col_status[slack] = BASIC
-                # This row's artificial is never needed; pin it.
-                self.upper[self.n_real + i] = 0.0
-            else:
-                basis[i] = self.n_real + i
-                self.art_signs[i] = 1.0 if r >= 0 else -1.0
-                diag[i] = self.art_signs[i]
-                x_B[i] = abs(r)
-                self.col_status[self.n_real + i] = BASIC
-        self.basis = basis
-        self.B_inv = np.diag(diag)
-        self.x_B = x_B
+        status = self.col_status[:n]
+        self.dual_costs = c.copy()
+        self.dual_costs[:n][((c[:n] > 0) & (status != AT_LOWER))
+                            | ((c[:n] < 0) & (status != AT_UPPER))] = 0.0
 
     def _load(self, start: Basis) -> None:
         """Adopt a basis from an earlier solve under the current bounds.
@@ -219,17 +203,14 @@ class _SimplexState:
         LP or its basis matrix is singular or ill-conditioned.
         """
         basic, status = np.asarray(start.basic), np.asarray(start.status)
-        art_signs = np.asarray(start.art_signs, dtype=float)
         if (basic.dtype.kind not in "iu" or basic.shape != (self.m,)
-                or status.shape != (self.width,)
-                or art_signs.shape != (self.m,) or np.any(np.abs(art_signs) != 1.0)
-                or basic.min() < 0 or basic.max() >= self.width
+                or status.shape != (self.n_real,)
+                or basic.min() < 0 or basic.max() >= self.n_real
                 or np.count_nonzero(status == BASIC) != self.m
                 or np.any(status[basic] != BASIC)):
             raise NumericalFailure("warm-start basis does not fit this LP")
         self.basis = basic.astype(int)
-        self.art_signs = art_signs.copy()
-        self.upper[self.n_real:] = 0.0  # artificials stay pinned at zero
+        self.dual_costs = self.prep.c_real
 
         # Nonbasic columns sit at a finite bound of the new box, keeping
         # their old side where it exists, or free at zero.
@@ -248,54 +229,35 @@ class _SimplexState:
         if not error <= 1e-7 * (1.0 + np.abs(residual).max()):
             raise NumericalFailure("warm-start basis is ill-conditioned")
 
-    # -- column access (artificials are implicit +-unit vectors) ------------
-
     def _ftran(self, j: int) -> np.ndarray:
         """B_inv times column j."""
-        if j < self.n_real:
-            return self.B_inv @ self.prep.A_real[:, j]
-        i = j - self.n_real
-        return self.art_signs[i] * self.B_inv[:, i]
+        return self.B_inv @ self.prep.A_real[:, j]
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         y = c[self.basis] @ self.B_inv  # = B_inv.T @ c_B, cache-friendly
-        z = np.empty(self.width)
-        z[:self.n_real] = c[:self.n_real] - self.prep.AT_real @ y
-        z[self.n_real:] = c[self.n_real:] - self.art_signs * y
-        return z
+        return c - self.prep.AT_real @ y
 
     # -- values --------------------------------------------------------------
 
     def _nonbasic_values(self) -> np.ndarray:
         x = np.zeros(self.n_real)
-        status = self.col_status[:self.n_real]
-        at_lo = status == AT_LOWER
-        at_hi = status == AT_UPPER
-        x[at_lo] = self.lower[:self.n_real][at_lo]
-        x[at_hi] = self.upper[:self.n_real][at_hi]
-        x[self.basis[self.basis < self.n_real]] = 0.0
+        at_lo = self.col_status == AT_LOWER
+        at_hi = self.col_status == AT_UPPER
+        x[at_lo] = self.lower[at_lo]
+        x[at_hi] = self.upper[at_hi]
         return x
 
     def _residual(self) -> np.ndarray:
-        """b minus the nonbasic columns' share; nonbasic artificials sit at
-        zero, so only real columns count."""
+        """b minus the nonbasic columns' share."""
         return self.b - self.prep.A_real @ self._nonbasic_values()
 
     def values(self) -> np.ndarray:
-        x = np.zeros(self.width)
-        x[:self.n_real] = self._nonbasic_values()
+        x = self._nonbasic_values()
         x[self.basis] = self.x_B
         return x
 
     def _basis_matrix(self) -> np.ndarray:
-        art = self.basis >= self.n_real
-        B = self.prep.A_real[:, np.where(art, 0, self.basis)]
-        if art.any():
-            pos = np.flatnonzero(art)
-            rows = self.basis[pos] - self.n_real
-            B[:, pos] = 0.0
-            B[rows, pos] = self.art_signs[rows]
-        return B
+        return self.prep.A_real[:, self.basis]
 
     def _refactor(self) -> None:
         try:
@@ -304,67 +266,32 @@ class _SimplexState:
             raise NumericalFailure("singular basis during refactorization") from exc
         self.x_B = self.B_inv @ self._residual()
 
-    # -- phases ---------------------------------------------------------------
+    # -- passes ---------------------------------------------------------------
 
-    def run_phase1(self) -> float:
-        c = np.zeros(self.width)
-        c[self.n_real:] = 1.0
-        status = self._iterate(c, allow_unbounded=False)
-        if status != SolveStatus.OPTIMAL:
-            raise NumericalFailure("phase 1 did not reach an optimum")
-        infeasibility = float(c[self.basis] @ self.x_B)
-        if infeasibility <= TOL_PHASE1:
-            self._expel_artificials()
-        return infeasibility
+    def run_primal(self) -> SolveStatus:
+        """Primal simplex on the true costs from a primal-feasible basis."""
+        return self._iterate(self.prep.c_real)
 
-    def _expel_artificials(self) -> None:
-        """Pivot zero-valued artificials out; pin the redundant-row ones."""
-        for pos in range(self.m):
-            col = self.basis[pos]
-            if col < self.n_real:
-                continue
-            row = self.B_inv[pos] @ self.prep.A_real
-            nonbasic = self.col_status[:self.n_real] != BASIC
-            candidates = np.where((np.abs(row) > 1e-7) & nonbasic)[0]
-            if len(candidates) == 0:
-                continue  # redundant row; artificial stays pinned at zero
-            enter = int(candidates[np.argmax(np.abs(row[candidates]))])
-            x = self.values()
-            self._pivot(pos, enter, float(x[enter]), d=self._ftran(enter))
-        # No artificial may move again.
-        self.upper[self.n_real:] = 0.0
-        self.lower[self.n_real:] = 0.0
-
-    def _phase2_costs(self) -> np.ndarray:
-        c = np.zeros(self.width)
-        c[:self.n_real] = self.prep.c_real
-        return c
-
-    def run_phase2(self) -> SolveStatus:
-        return self._iterate(self._phase2_costs(), allow_unbounded=True)
-
-    def run_dual(self) -> bool:
-        """Bounded dual simplex from a dual-feasible basis to a primal-
-        feasible one; False when a row proves the LP infeasible.
+    def run_dual(self, c: np.ndarray) -> bool:
+        """Bounded dual simplex on costs ``c`` from a dual-feasible basis to
+        a primal-feasible one; False when a row proves the LP infeasible.
 
         Raises :class:`NumericalFailure` when the basis is not dual feasible
-        or the loop cannot finish; the caller then starts cold.
+        or the loop cannot finish.
         """
-        n_real = self.n_real
-        c = self._phase2_costs()
-        status = self.col_status[:n_real]
-        movable = (self.upper - self.lower)[:n_real] > 1e-15
-        z = self._reduced_costs(c)[:n_real]
+        status = self.col_status
+        movable = (self.upper - self.lower) > 1e-15
+        z = self._reduced_costs(c)
         slip = np.where(status == AT_LOWER, -z, np.where(status == AT_UPPER, z,
                         np.where(status == FREE, np.abs(z), 0.0)))
         if np.any(movable & (slip > TOL_WARM_DUAL)):
-            raise NumericalFailure("warm-start basis is not dual feasible")
+            raise NumericalFailure("start basis is not dual feasible")
 
-        max_iters = max(1000, self.m + self.width)
+        max_iters = max(1000, 3 * self.n_real)
         for iteration in range(1, max_iters + 1):
             if iteration % REFACTOR_EVERY == 0:
                 self._refactor()
-                z = self._reduced_costs(c)[:n_real]
+                z = self._reduced_costs(c)
             lo_b, hi_b = self.lower[self.basis], self.upper[self.basis]
             below, above = lo_b - self.x_B, self.x_B - hi_b
             violation = np.maximum(below, above)
@@ -383,7 +310,7 @@ class _SimplexState:
                 | ((status == AT_UPPER) & (push > TOL_PIVOT))
                 | ((status == FREE) & (np.abs(push) > TOL_PIVOT)))
             if not eligible.any():
-                if violation[leave_pos] <= TOL_PHASE1:
+                if violation[leave_pos] <= TOL_INFEASIBLE:
                     raise NumericalFailure("near-feasible row has no pivot")
                 return False
 
@@ -408,20 +335,18 @@ class _SimplexState:
             theta = z[enter] / alpha[enter]
             z -= theta * alpha
             z[enter] = 0.0
-            if leave_col < n_real:
-                z[leave_col] = -theta
+            z[leave_col] = -theta
         raise NumericalFailure(
             f"dual simplex exceeded {max_iters} iterations without converging")
 
     # -- core loop --------------------------------------------------------------
 
-    def _iterate(self, c: np.ndarray, allow_unbounded: bool) -> SolveStatus:
+    def _iterate(self, c: np.ndarray) -> SolveStatus:
         m = self.m
-        max_iters = max(20000, 60 * (m + self.width))
+        max_iters = max(20000, 60 * (m + self.n_real))
         use_bland = False
         stall = 0
-        # Bounds of real columns never change inside a phase; artificials
-        # are excluded from entering outright.
+        # Bounds never change inside a pass; fixed columns never enter.
         fixed = (self.upper - self.lower) <= 1e-15
 
         for iteration in range(1, max_iters + 1):
@@ -430,14 +355,13 @@ class _SimplexState:
 
             z = self._reduced_costs(c)
 
-            viol = np.zeros(self.width)
+            viol = np.zeros(self.n_real)
             at_lo = (self.col_status == AT_LOWER) & ~fixed
             at_hi = (self.col_status == AT_UPPER) & ~fixed
             free = self.col_status == FREE
             viol[at_lo] = -z[at_lo]
             viol[at_hi] = z[at_hi]
             viol[free] = np.abs(z[free])
-            viol[self.n_real:] = 0.0  # artificials never re-enter
 
             eligible = viol > TOL_DUAL
             if not eligible.any():
@@ -474,9 +398,7 @@ class _SimplexState:
             t_rows = float(lim.min()) if m else INF
 
             if min(t_rows, t_enter) == INF:
-                if allow_unbounded:
-                    return SolveStatus.UNBOUNDED
-                raise NumericalFailure("unbounded ray in phase 1")
+                return SolveStatus.UNBOUNDED
 
             if t_enter <= t_rows:
                 # Bound flip: the entering column crosses its own box first.
@@ -513,8 +435,6 @@ class _SimplexState:
             self.col_status[leave_col] = AT_LOWER
         else:
             self.col_status[leave_col] = AT_UPPER
-        if leave_col >= self.n_real:
-            self.upper[leave_col] = 0.0  # artificial out: pin it
 
         self.basis[leave_pos] = enter
         self.col_status[enter] = BASIC

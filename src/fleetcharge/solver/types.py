@@ -25,15 +25,14 @@ class NumericalFailure(RuntimeError):
 class Basis:
     """A simplex basis, small enough to keep on every open search node.
 
-    ``basic`` holds the column index basic in each row position, ``status``
-    every column's status code (real columns, then one artificial per row),
-    and ``art_signs`` the sign of each row's artificial unit column. The
-    arrays are never written after construction, so siblings may share one.
+    ``basic`` holds the column index basic in each row position and
+    ``status`` every column's status code (structural columns, then one
+    slack per row). The arrays are never written after construction, so
+    siblings may share one.
     """
 
     basic: np.ndarray
     status: np.ndarray
-    art_signs: np.ndarray
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""HiGHS, through ``scipy.optimize.milp``, as an independent MILP reference.
+"""HiGHS, through ``scipy.optimize``, as an independent LP and MILP reference.
 
 scipy is only a test extra, so test modules import this one after
 ``pytest.importorskip("scipy")``. The adapter reads a ``LinearModel`` field
@@ -10,21 +10,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
-from fleetcharge.model import GE, LE, LinearModel
+from fleetcharge.model import EQ, GE, LE, LinearModel
 
 MIP_REL_GAP = 1e-9  # far below any gap under test, so this is the optimum
+
+
+def _matrix(model: LinearModel) -> csr_array:
+    entries = [(i, j, a) for i, row in enumerate(model.rows) for j, a in row.coeffs]
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    # Repeated (row, column) entries add up, as in the in-repo simplex.
+    return csr_array((vals, (rows, cols)), shape=(model.num_rows, model.num_cols))
 
 
 def highs_solve(model: LinearModel, time_limit: float = 60.0):
     """(objective, values) of an optimal point, or (None, None) when HiGHS
     proves the model infeasible. Any other outcome fails loudly."""
-    entries = [(i, j, a) for i, row in enumerate(model.rows) for j, a in row.coeffs]
-    rows, cols, vals = zip(*entries) if entries else ((), (), ())
-    # Repeated (row, column) entries add up, as in the in-repo simplex.
-    matrix = csr_array((vals, (rows, cols)), shape=(model.num_rows, model.num_cols))
+    matrix = _matrix(model)
     row_lo = [-math.inf if row.sense == LE else row.rhs for row in model.rows]
     row_hi = [math.inf if row.sense == GE else row.rhs for row in model.rows]
     result = milp(
@@ -39,3 +43,33 @@ def highs_solve(model: LinearModel, time_limit: float = 60.0):
     if result.status != 0:
         raise RuntimeError(f"HiGHS did not finish: {result.message}")
     return float(result.fun) + model.objective_offset, np.asarray(result.x)
+
+
+def highs_lp(model: LinearModel):
+    """(status, objective) of the LP with integrality ignored, from
+    ``scipy.optimize.linprog``: status is "optimal", "infeasible" or
+    "unbounded", and the objective is None unless optimal. Any other
+    outcome fails loudly."""
+    dense = _matrix(model).toarray()
+    rhs = np.array([row.rhs for row in model.rows])
+    sense = np.array([row.sense for row in model.rows])
+    sign = np.where(sense == GE, -1.0, 1.0)  # GE rows become LE rows
+    ub, eq = sense != EQ, sense == EQ
+    result = linprog(
+        np.asarray(model.objective, dtype=float),
+        A_ub=(sign[:, None] * dense)[ub] if ub.any() else None,
+        b_ub=(sign * rhs)[ub] if ub.any() else None,
+        A_eq=dense[eq] if eq.any() else None,
+        b_eq=rhs[eq] if eq.any() else None,
+        bounds=list(zip(model.lower, model.upper)),
+        method="highs",
+        # Presolve can call an unbounded LP infeasible (random_mixed_bounds_lp
+        # seed 260); the simplex without it tells the two apart.
+        options={"presolve": False},
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(result.status)
+    if status is None:
+        raise RuntimeError(f"HiGHS did not finish: {result.message}")
+    if status != "optimal":
+        return status, None
+    return status, float(result.fun) + model.objective_offset

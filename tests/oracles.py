@@ -193,6 +193,40 @@ def random_lp(seed: int, size: int = 8) -> LinearModel:
     return model
 
 
+def random_mixed_bounds_lp(seed: int, size: int = 8) -> LinearModel:
+    """A dense random LP over every column kind: free, upper-only,
+    lower-only, boxed and fixed, with costs of both signs and mixed senses.
+
+    Rows are built around a point inside the box, and inequality rows are
+    loosened or tightened at random, so the LP may be optimal, infeasible
+    or unbounded.
+    """
+    rng = random.Random(seed)
+    model = LinearModel()
+    point = []
+    for j in range(size):
+        kind = rng.choice(["free", "upper", "lower", "boxed", "fixed"])
+        lo = float(rng.randrange(-5, 3))
+        hi = lo if kind == "fixed" else lo + rng.randrange(1, 7)
+        point.append(rng.uniform(lo, hi))
+        if kind in ("free", "upper"):
+            lo = -math.inf
+        if kind in ("free", "lower"):
+            hi = math.inf
+        model.add_column(f"x{j}", lo, hi, objective=rng.randrange(-9, 10))
+    for i in range(size):
+        coeffs = [(j, rng.randrange(-5, 6)) for j in range(size)
+                  if rng.random() < 0.7]
+        if not coeffs:
+            coeffs = [(rng.randrange(size), 1)]
+        sense = rng.choice([LE, LE, GE, EQ])
+        value = sum(c * point[j] for j, c in coeffs)
+        shift = rng.uniform(-1, 4)
+        rhs = value + shift if sense == LE else value - shift if sense == GE else value
+        model.add_row(f"r{i}", coeffs, sense, round(rhs, 3))
+    return model
+
+
 def random_binary_milp(seed: int) -> LinearModel:
     """Pure-binary MILP, <=12 binaries and <=10 rows, mostly feasible."""
     rng = random.Random(seed)

@@ -1,5 +1,7 @@
 """Branch-and-bound and the brute-force enumeration oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,11 +87,15 @@ class TestBranchAndBound:
     def test_node_limit_reports_feasible(self, depot_scenario):
         import fleetcharge as fc
 
-        model = fc.build_problem(depot_scenario).model
-        sol = branch_and_bound(model, rel_gap_target=0.0, node_limit=3)
-        assert sol.status == SolveStatus.FEASIBLE
-        assert sol.node_count <= 3
-        assert sol.gap is None or sol.gap >= 0
+        # At slack 0 the search meets nodes that end without branching
+        # (infeasible, fathomed or integral); the limit must hold there too.
+        scenario = fc.validate_scenario(replace(depot_scenario, slack_blocks=0))
+        model = fc.build_problem(scenario).model
+        for limit in (3, 7, 25):
+            sol = branch_and_bound(model, rel_gap_target=0.0, node_limit=limit)
+            assert sol.status == SolveStatus.FEASIBLE
+            assert sol.node_count <= limit
+            assert sol.gap is None or sol.gap >= 0
 
     def test_trace_and_determinism(self):
         model = random_binary_milp(42)

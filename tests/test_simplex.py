@@ -1,5 +1,5 @@
-"""LP solver: textbook cases, the exact-arithmetic oracle, warm starts,
-determinism."""
+"""LP solver: textbook cases, the exact-arithmetic oracle, HiGHS, warm
+starts, determinism."""
 
 import math
 from dataclasses import replace
@@ -11,7 +11,14 @@ from fleetcharge.model import EQ, GE, LE, LinearModel
 from fleetcharge.solver import Basis, PreparedLP, SolveStatus, check_solution, solve_lp
 from fleetcharge.solver import simplex
 
-from oracles import INFEASIBLE, OPTIMAL, lp_to_exact_inputs, random_lp, solve_lp_exact
+from oracles import (
+    INFEASIBLE,
+    OPTIMAL,
+    lp_to_exact_inputs,
+    random_lp,
+    random_mixed_bounds_lp,
+    solve_lp_exact,
+)
 
 INF = float("inf")
 
@@ -111,11 +118,48 @@ class TestExactOracle:
                 assert check_solution(model, sol.values) == []
 
 
+class TestAgainstHiGHS:
+    """Random LPs with free, upper-only, boxed and fixed columns and costs
+    of both signs, against HiGHS. They reach what zero-lower-bound LPs do
+    not: zeroed costs, FREE and AT_UPPER starts and primal clean-up."""
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_linprog(self, seed):
+        pytest.importorskip("scipy")
+        from highs_reference import highs_lp
+
+        model = random_mixed_bounds_lp(seed)
+        mine = solve_lp(model)
+        status, objective = highs_lp(model)
+        assert mine.status.value == status
+        if status == "optimal":
+            assert mine.objective == pytest.approx(objective, rel=1e-9, abs=1e-7)
+            assert check_solution(model, mine.values) == []
+
+    def test_seeds_reach_every_start_case(self):
+        zeroed = free = at_upper = cleaned_up = 0
+        for seed in self.SEEDS:
+            model = random_mixed_bounds_lp(seed)
+            prep = PreparedLP(model)
+            state = simplex._SimplexState(
+                prep, np.array(model.lower), np.array(model.upper))
+            zeroed += np.any(state.dual_costs != prep.c_real)
+            free += np.any(state.col_status == simplex.FREE)
+            at_upper += np.any(state.col_status == simplex.AT_UPPER)
+            if state.run_dual(state.dual_costs):
+                before = state.col_status.copy()
+                state.run_primal()
+                cleaned_up += not np.array_equal(before, state.col_status)
+        assert min(zeroed, free, at_upper, cleaned_up) >= 10
+
+
 def _no_cold_start(monkeypatch):
-    """Make any fall back to the cold two-phase path fail the test."""
-    def crash(self):
+    """Make any fall back to the slack-basis start fail the test."""
+    def slack_start(self):
         raise AssertionError("warm solve fell back to the cold start")
-    monkeypatch.setattr(simplex._SimplexState, "_crash", crash)
+    monkeypatch.setattr(simplex._SimplexState, "_slack_start", slack_start)
 
 
 class TestWarmStart:
@@ -180,11 +224,11 @@ class TestWarmStart:
         state = simplex._SimplexState(
             prep, np.array(lower, dtype=float), np.array(upper, dtype=float),
             parent.basis)
-        if not state.run_dual():
+        if not state.run_dual(prep.c_real):
             return  # proven infeasible; covered against the oracle above
-        z = state._reduced_costs(state._phase2_costs())[:prep.n_real]
-        status = state.col_status[:prep.n_real]
-        movable = state.upper[:prep.n_real] > state.lower[:prep.n_real]
+        z = state._reduced_costs(prep.c_real)
+        status = state.col_status
+        movable = state.upper > state.lower
         assert np.all(z[movable & (status == simplex.AT_LOWER)] >= -1e-9)
         assert np.all(z[movable & (status == simplex.AT_UPPER)] <= 1e-9)
         assert np.all(np.abs(z[status == simplex.FREE]) <= 1e-9)
@@ -208,20 +252,16 @@ class TestWarmStart:
              ([(0, 2.0), (1, 2.0), (2, 1.0)], LE, 5.0)])
         prep = PreparedLP(model)
         cold = prep.solve()
-        width = prep.n_real + prep.m
+        width = prep.n_real
         status = np.full(width, simplex.AT_LOWER, dtype=np.int8)
         status[[0, 1]] = simplex.BASIC
-        signs = np.ones(prep.m)
-        slack_status = np.full(width, simplex.AT_LOWER, dtype=np.int8)
-        slack_status[[3, 4]] = simplex.BASIC
         garbage = [
-            Basis(np.array([0, 1]), status, signs),  # singular
-            Basis(np.array([0, 0]), status, signs),  # repeated column
-            Basis(np.array([0]), status, signs),  # wrong length
-            Basis(np.array([0, width]), status, signs),  # out of range
-            Basis(np.array([0.0, 1.0]), status, signs),  # not indices
-            Basis(np.array([2, 3]), status, signs),  # statuses disagree
-            Basis(np.array([3, 4]), slack_status, np.zeros(prep.m)),  # signs not +-1
+            Basis(np.array([0, 1]), status),  # singular
+            Basis(np.array([0, 0]), status),  # repeated column
+            Basis(np.array([0]), status),  # wrong length
+            Basis(np.array([0, width]), status),  # out of range
+            Basis(np.array([0.0, 1.0]), status),  # not indices
+            Basis(np.array([2, 3]), status),  # statuses disagree
         ]
         for basis in garbage:
             warm = prep.solve(basis=basis)
@@ -239,8 +279,7 @@ class TestWarmStart:
                  if abs(root.values[j] - round(root.values[j])) > 1e-6)
         upper = np.array(model.upper)
         upper[j] = math.floor(root.values[j])
-        record = [a.copy() for a in (root.basis.basic, root.basis.status,
-                                     root.basis.art_signs)]
+        record = [a.copy() for a in (root.basis.basic, root.basis.status)]
         a = prep.solve(model.lower, upper, basis=root.basis)
         b = prep.solve(model.lower, upper, basis=root.basis)
         assert a.status == b.status == SolveStatus.OPTIMAL
@@ -249,8 +288,7 @@ class TestWarmStart:
         assert np.array_equal(a.basis.basic, b.basis.basic)
         assert np.array_equal(a.basis.status, b.basis.status)
         # The parent's record is shared by both children and never written.
-        for kept, now in zip(record, (root.basis.basic, root.basis.status,
-                                      root.basis.art_signs)):
+        for kept, now in zip(record, (root.basis.basic, root.basis.status)):
             assert np.array_equal(kept, now)
         cold = prep.solve(model.lower, upper)
         assert a.objective == pytest.approx(cold.objective, rel=1e-9)
@@ -266,39 +304,44 @@ class TestSetUp:
         prep = PreparedLP(model)
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper))
-        artificial = state.basis >= prep.n_real
-        assert artificial.any() and not artificial.all()  # crash: slacks and artificials
-        for stage in ("crash", "phase 1"):
-            if stage == "phase 1":
-                state.run_phase1()  # structural columns enter
-            reference = np.zeros((prep.m, prep.m))
-            for k, j in enumerate(state.basis):
-                if j < prep.n_real:
-                    reference[:, k] = prep.A_real[:, j]
-                else:
-                    reference[j - prep.n_real, k] = state.art_signs[j - prep.n_real]
-            assert np.array_equal(state._basis_matrix(), reference), stage
+        # The cold start is the slack basis: B = I.
+        assert np.array_equal(state.basis, np.arange(prep.n, prep.n_real))
+        assert np.array_equal(state._basis_matrix(), np.eye(prep.m))
+        assert np.array_equal(state.B_inv, np.eye(prep.m))
+        assert state.run_dual(state.dual_costs)
+        assert np.any(state.basis < prep.n)  # structural columns entered
+        reference = np.zeros((prep.m, prep.m))
+        for k, j in enumerate(state.basis):
+            reference[:, k] = prep.A_real[:, j]
+        assert np.array_equal(state._basis_matrix(), reference)
 
     def test_initial_statuses_match_column_loop(self):
         model = simple_model(
-            [1.0, 1.0, 1.0, 1.0], [(-INF, INF), (-INF, 5), (0, INF), (2, 3)],
-            [([(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], GE, 1.0)])
+            [1.0, 1.0, 1.0, 1.0, -1.0, -1.0],
+            [(-INF, INF), (-INF, 5), (0, INF), (2, 3), (0, 4), (0, INF)],
+            [([(j, 1.0) for j in range(6)], GE, 1.0)])
         prep = PreparedLP(model)
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper))
-        expected = []
+        expected, kept = [], []
         for j in range(prep.n_real):
+            lo, hi, c = state.lower[j], state.upper[j], prep.c_real[j]
             if j in state.basis:
                 expected.append(simplex.BASIC)
-            elif np.isfinite(state.lower[j]):
-                expected.append(simplex.AT_LOWER)
-            elif np.isfinite(state.upper[j]):
+            elif np.isfinite(hi) and (c < 0 or not np.isfinite(lo)):
                 expected.append(simplex.AT_UPPER)
+            elif np.isfinite(lo):
+                expected.append(simplex.AT_LOWER)
             else:
                 expected.append(simplex.FREE)
-        assert state.col_status[:prep.n_real].tolist() == expected
-        assert expected[:4] == [simplex.FREE, simplex.AT_UPPER,
-                                simplex.AT_LOWER, simplex.AT_LOWER]
+            # A cost survives the dual pass only at the bound it prefers.
+            kept.append(c == 0 or (c > 0 and expected[-1] == simplex.AT_LOWER)
+                        or (c < 0 and expected[-1] == simplex.AT_UPPER))
+        assert state.col_status.tolist() == expected
+        assert expected[:6] == [simplex.FREE, simplex.AT_UPPER, simplex.AT_LOWER,
+                                simplex.AT_LOWER, simplex.AT_UPPER, simplex.AT_LOWER]
+        assert np.array_equal(state.dual_costs, np.where(kept, prep.c_real, 0.0))
+        assert kept[:6] == [False, False, True, True, True, False]
 
 
 class TestDeterminism:
