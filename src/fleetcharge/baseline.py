@@ -7,7 +7,6 @@ definition; headline savings against them are scenario-dependent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -21,6 +20,7 @@ from .domain import (
     validate_scenario,
 )
 from .run import SolveOutcome, solve_scenario
+from .scenario_io import load_design
 from .validator import PlanReport
 
 __all__ = [
@@ -130,12 +130,7 @@ def rule_based_design(scenario: Scenario, policy) -> dict[str, dict[int, int]]:
         if counts is None:
             if policy.path is None:
                 raise ValueError("explicit design needs counts or a file path")
-            with open(policy.path) as fh:
-                raw = json.load(fh)
-            counts = {
-                str(loc): {int(tid): int(n) for tid, n in per.items()}
-                for loc, per in raw.items()
-            }
+            counts = load_design(policy.path)
         for loc, per in counts.items():
             for tid, n in per.items():
                 if n < 0:
@@ -216,8 +211,6 @@ def compare_designs(
     scenario: Scenario,
     fixed_counts: dict[str, dict[int, int]],
     rel_gap: float = 1e-2,
-    node_limit: int | None = None,
-    time_limit: float | None = None,
 ) -> DesignComparison:
     """Solve co-design and fixed variants with identical settings.
 
@@ -230,8 +223,8 @@ def compare_designs(
     fixed_scenario = validate_scenario(replace(
         scenario, design_mode=FIXED_INFRASTRUCTURE, fixed_counts=fixed_counts))
 
-    codesign = solve_scenario(codesign_scenario, rel_gap, node_limit, time_limit)
-    fixed = solve_scenario(fixed_scenario, rel_gap, node_limit, time_limit)
+    codesign = solve_scenario(codesign_scenario, rel_gap)
+    fixed = solve_scenario(fixed_scenario, rel_gap)
 
     deltas = None
     if codesign.feasible and fixed.feasible:

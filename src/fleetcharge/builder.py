@@ -46,7 +46,6 @@ __all__ = [
     "energy_consumption",
     "build_problem",
     "objective_breakdown",
-    "plan_to_solution_values",
 ]
 
 WINDOW_EMPTY = "WindowEmpty"
@@ -495,74 +494,6 @@ def build_problem(
     _set_objective(model, scenario, cat, table, amortize_ratio)
     return BuildResult(model=model, catalog=cat,
                        diagnostics=_diagnostics(scenario, table))
-
-
-def plan_to_solution_values(
-    scenario: Scenario, cat: VariableCatalog, model: LinearModel, plan
-) -> list[float]:
-    """Rebuild a full column assignment from a decoded plan.
-
-    Used to hand a known-feasible plan (for instance the optimum of a
-    scenario with less departure slack, whose feasible set is contained in
-    this one) to the solver as a starting incumbent. Continuous columns are
-    set to the canonical values implied by the events; the solver verifies
-    feasibility before trusting the result.
-    """
-    values = [0.0] * model.num_cols
-    tau = scenario.time_grid.block_duration_hours
-
-    events_by_leg: dict[tuple[str, int, int], list] = {}
-    for event in plan.events:
-        events_by_leg.setdefault(
-            (event.truck_id, event.day, event.leg_index), []).append(event)
-
-    for (truck_id, day, leg_index, type_id, block), col in cat.y.items():
-        for event in events_by_leg.get((truck_id, day, leg_index), []):
-            if event.charger_type_id == type_id and event.block == block:
-                values[col] = 1.0
-
-    for (location, type_id), col in cat.x.items():
-        values[col] = float(plan.charger_counts.get(location, {}).get(type_id, 0))
-    for location, col in cat.x_total.items():
-        values[col] = float(sum(plan.charger_counts.get(location, {}).values()))
-    for (truck_id, day), col in cat.blocks_used.items():
-        values[col] = float(sum(
-            len(evts) for key, evts in events_by_leg.items()
-            if key[0] == truck_id and key[1] == day))
-
-    grid = scenario.time_grid
-    for (truck_id, day), legs in tours(scenario).items():
-        truck = scenario.truck(truck_id)
-        soe = truck.initial_soe_kwh
-        prev_dep = float(grid.day_start(day))
-        prev_travel = 0
-        for leg in legs:
-            key = (truck_id, day, leg.leg_index)
-            charged = sum(
-                tau * scenario.charger(e.charger_type_id).rated_power_kw
-                for e in events_by_leg.get(key, []))
-            values[cat.e_dep[key]] = soe
-            soe = soe + charged - energy_consumption(leg, truck)
-            values[cat.e_arr[key]] = soe
-            floor_block = prev_dep + prev_travel if leg.leg_index > 1 \
-                else float(grid.day_start(day))
-            last = max((e.block for e in events_by_leg.get(key, [])), default=None)
-            dep_act = floor_block if last is None else max(floor_block, last + 1.0)
-            values[cat.dep_act[key]] = dep_act
-            prev_dep = dep_act
-            prev_travel = leg.travel_blocks
-
-    price = scenario.price_schedule.peak_price_per_kw
-    draw: dict[tuple[str, int], float] = {}
-    for event in plan.events:
-        power = scenario.charger(event.charger_type_id).rated_power_kw
-        k = (event.location_id, event.block)
-        draw[k] = draw.get(k, 0.0) + power
-    for location, col in cat.c_peak.items():
-        peak_kw = max((kw for (loc, _), kw in draw.items() if loc == location),
-                      default=0.0)
-        values[col] = max(price * peak_kw, cat.peak_floor.get(location, 0.0))
-    return values
 
 
 def objective_breakdown(

@@ -24,7 +24,7 @@ from .domain import (
 )
 from .generator import generate_synthetic
 from .run import PlanVerificationError, solve_scenario
-from .scenario_io import load_scenario, save_scenario
+from .scenario_io import load_design, load_scenario, save_scenario
 from .solver import NumericalFailure, SolveStatus
 from .sweep import SweepSpec, default_amortize_ratio, run_sweep
 from .validator import write_plan_json, write_power_curves_csv
@@ -59,13 +59,6 @@ def _float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
-
-
-def _load_fixed_counts(path: str) -> dict[str, dict[int, int]]:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return {str(loc): {int(t): int(n) for t, n in per.items()}
-            for loc, per in raw.items()}
 
 
 def _apply_overrides(scenario, args, design: str, fixed_counts):
@@ -103,7 +96,7 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
-        fixed_counts = _load_fixed_counts(args.fixed_file) if args.fixed_file else None
+        fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
         if args.design == FIXED_INFRASTRUCTURE and fixed_counts is None:
             raise ValueError("--design fixed requires --fixed-file")
         scenario = _apply_overrides(scenario, args, args.design, fixed_counts)
@@ -157,7 +150,7 @@ def cmd_sweep(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         designs = [d.strip() for d in args.design.split(",") if d.strip()]
-        fixed_counts = _load_fixed_counts(args.fixed_file) if args.fixed_file else None
+        fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
         spec = SweepSpec(
             alphas=_float_list(args.alpha),
             slack_minutes=_int_list(args.slack_min),

@@ -240,25 +240,17 @@ def tours(scenario: Scenario) -> dict[tuple[str, int], list[TripLeg]]:
     return dict(sorted(grouped.items()))
 
 
-def _quantize_leg(
-    leg: TripLeg, grid: TimeGrid, rounding_mode: str
-) -> TripLeg:
+def _quantize_leg(leg: TripLeg, grid: TimeGrid) -> TripLeg:
     if leg.departure_clock_min is None or leg.arrival_clock_min is None:
         return leg
     block_min = grid.block_minutes
     day_start = grid.day_start(leg.day)
-    # Guard against float noise in the division; block_min may be
-    # non-integral for grids finer than one minute per block.
-    dep_ratio = leg.departure_clock_min / block_min
-    arr_ratio = leg.arrival_clock_min / block_min
-    if rounding_mode == "nearest":
-        dep_block = int(round(dep_ratio))
-        arr_block = int(round(arr_ratio))
-    else:
-        # Conservative: departures floor, arrivals ceil, so no other leg's
-        # charging window gets longer than the clock times allow.
-        dep_block = int(math.floor(dep_ratio + 1e-9))
-        arr_block = int(math.ceil(arr_ratio - 1e-9))
+    # Departures floor, arrivals ceil, so no other leg's charging window
+    # gets longer than the clock times allow. The 1e-9 guards against
+    # float noise; block_min may be non-integral for grids finer than one
+    # minute per block.
+    dep_block = int(math.floor(leg.departure_clock_min / block_min + 1e-9))
+    arr_block = int(math.ceil(leg.arrival_clock_min / block_min - 1e-9))
     travel_min = leg.arrival_clock_min - leg.departure_clock_min
     travel = int(math.ceil(travel_min / block_min - 1e-9))
     return replace(
@@ -269,20 +261,15 @@ def _quantize_leg(
     )
 
 
-def quantize_times(scenario: Scenario, rounding_mode: str = "conservative") -> Scenario:
+def quantize_times(scenario: Scenario) -> Scenario:
     """Align every leg's times to grid blocks.
 
     Legs that carry clock minutes get their block fields re-derived from
-    them (floor for departures, ceil for arrivals and travel durations in
-    the default conservative mode); legs without clock fields are already
-    block-native and pass through. Total function, idempotent.
+    them: departures round down, arrivals and travel durations round up.
+    Legs without clock fields are already block-native and pass through.
+    Total function, idempotent.
     """
-    if rounding_mode not in ("conservative", "nearest"):
-        raise ValueError(f"unknown rounding_mode {rounding_mode!r}")
-    legs = tuple(
-        _quantize_leg(leg, scenario.time_grid, rounding_mode)
-        for leg in scenario.legs
-    )
+    legs = tuple(_quantize_leg(leg, scenario.time_grid) for leg in scenario.legs)
     return replace(scenario, legs=legs)
 
 
@@ -463,7 +450,7 @@ def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
             if not (day_lo <= leg.scheduled_arrival_block <= day_hi):
                 issues.append(ValidationIssue(
                     TIME_OFF_GRID, f"{tag}: arrival block outside its day"))
-        quantized = _quantize_leg(leg, grid, "conservative")
+        quantized = _quantize_leg(leg, grid)
         if (quantized.scheduled_departure_block != leg.scheduled_departure_block
                 or quantized.scheduled_arrival_block != leg.scheduled_arrival_block):
             issues.append(ValidationIssue(

@@ -25,6 +25,8 @@ from .domain import (
 __all__ = ["default_charger_catalog", "default_price_profile", "generate_synthetic"]
 
 AVERAGE_SPEED_KMH = 60.0
+PEAK_PRICE_PER_KW = 25.0
+SLACK_BLOCKS = 1  # departure slack of every generated scenario
 
 
 def default_charger_catalog() -> tuple[ChargerType, ...]:
@@ -70,15 +72,15 @@ def generate_synthetic(
     n_days: int = 2,
     tightness: float = 0.5,
     block_minutes: int = 15,
-    alpha: float = 1.0,
-    slack_minutes: int | None = None,
-    peak_price_per_kw: float = 25.0,
 ) -> Scenario:
     """Build a validated scenario with one depot and ``n_locations - 1`` stops.
 
     ``tightness`` in [0, 1] scales the idle time parked at retailers, i.e.
     the width of mid-tour charging windows: 0 keeps them at the minimum
-    width, 1 at the maximum. Deterministic per (seed, parameters).
+    width, 1 at the maximum. The scenario has peak weight 1, one block of
+    departure slack and a peak price of 25 per kW; ``dataclasses.replace``
+    plus ``validate_scenario`` varies them. Deterministic per (seed,
+    parameters).
     """
     if n_trucks <= 0 or n_locations < 2 or n_days <= 0:
         raise ValueError("need at least one truck, two locations, one day")
@@ -87,7 +89,6 @@ def generate_synthetic(
 
     rng = random.Random(seed)
     grid = TimeGrid.from_minutes(block_minutes, n_days)
-    slack_blocks = 1 if slack_minutes is None else grid.slack_blocks(slack_minutes)
 
     depot = "DEPOT"
     retailers = [f"R{i:02d}" for i in range(1, n_locations)]
@@ -162,7 +163,7 @@ def generate_synthetic(
             tuple(round(p * TYPE_PRICE_MARKUP[i], 6) for p in profile)
             for i in range(len(catalog))
         ),
-        peak_price_per_kw=peak_price_per_kw,
+        peak_price_per_kw=PEAK_PRICE_PER_KW,
     )
 
     scenario = Scenario(
@@ -172,8 +173,7 @@ def generate_synthetic(
         charger_catalog=catalog,
         location_ids=locations,
         price_schedule=prices,
-        alpha=alpha,
-        slack_blocks=slack_blocks,
+        slack_blocks=SLACK_BLOCKS,
         name=f"synthetic-depot-seed{seed}",
     )
     return validate_scenario(quantize_times(scenario))

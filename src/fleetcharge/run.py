@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builder import BuildResult, build_problem, plan_to_solution_values
+from .builder import BuildResult, build_problem
 from .domain import Scenario
 from .solver import Solution, SolveStatus, branch_and_bound
 from .validator import PlanReport, ReplayResult, decode_plan, replay
@@ -47,15 +47,11 @@ def solve_scenario(
     time_limit: float | None = None,
     amortize_objective_ratio: float | None = None,
     trace: list[str] | None = None,
-    initial_plan: PlanReport | None = None,
 ) -> SolveOutcome:
     """Solve one scenario end to end and verify the plan before returning.
 
     Scenarios the structural scan proves unreachable short-circuit to
     INFEASIBLE without a solver run; the diagnostics say why.
-    ``initial_plan`` seeds the search with a known plan (for example from a
-    tighter-slack variant of the same scenario, whose schedules remain
-    feasible here); an unusable seed is silently ignored.
     """
     build = build_problem(scenario, amortize_ratio=amortize_objective_ratio)
     if build.guaranteed_infeasible:
@@ -64,17 +60,12 @@ def solve_scenario(
             build=build,
             plan=None,
         )
-    seed_values = None
-    if initial_plan is not None:
-        seed_values = plan_to_solution_values(
-            scenario, build.catalog, build.model, initial_plan)
     solution = branch_and_bound(
         build.model,
         rel_gap_target=rel_gap,
         node_limit=node_limit,
         time_limit=time_limit,
         trace=trace,
-        initial_incumbent=seed_values,
     )
     if not solution.is_feasible:
         return SolveOutcome(solution=solution, build=build, plan=None)

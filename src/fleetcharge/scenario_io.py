@@ -29,6 +29,7 @@ from .domain import (
 
 __all__ = [
     "load_scenario",
+    "load_design",
     "scenario_from_dict",
     "scenario_to_dict",
     "save_scenario",
@@ -70,14 +71,22 @@ def _expand_price_row(row: list[float], grid: TimeGrid, label: str) -> tuple[flo
         f"{grid.blocks_per_day} (daily) or {grid.total_blocks} (full period)")
 
 
-def scenario_from_dict(
-    doc: dict[str, Any],
-    quantize: bool = True,
-    validate: bool = True,
-    check_schema: bool = True,
-) -> Scenario:
-    if check_schema:
-        validate_against_schema(doc, "scenario")
+def _design_counts(raw: dict[str, Any]) -> dict[str, dict[int, int]]:
+    """Charger counts from the design format ``{location: {type_id: count}}``."""
+    return {str(loc): {int(tid): int(n) for tid, n in per.items()}
+            for loc, per in raw.items()}
+
+
+def load_design(path: str | Path) -> dict[str, dict[int, int]]:
+    """Read a design file (``{location: {type_id: count}}`` JSON)."""
+    with open(path) as fh:
+        return _design_counts(json.load(fh))
+
+
+def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
+    """Schema-check, build and quantize a scenario; ``validate=False`` skips
+    the invariant check so the caller can list every issue itself."""
+    validate_against_schema(doc, "scenario")
 
     grid = TimeGrid.from_minutes(
         int(doc["time_grid"]["block_minutes"]), int(doc["time_grid"]["num_days"])
@@ -148,10 +157,7 @@ def scenario_from_dict(
     params = doc.get("params", {})
     fixed_counts = None
     if params.get("fixed_counts") is not None:
-        fixed_counts = {
-            str(loc): {int(tid): int(n) for tid, n in counts.items()}
-            for loc, counts in params["fixed_counts"].items()
-        }
+        fixed_counts = _design_counts(params["fixed_counts"])
     scenario = Scenario(
         time_grid=grid,
         trucks=trucks,
@@ -166,17 +172,14 @@ def scenario_from_dict(
         window_mode=str(params.get("window_mode", WINDOW_PREVIOUS_ARRIVAL)),
         name=str(doc.get("name", "")),
     )
-    if quantize:
-        scenario = quantize_times(scenario)
-    if validate:
-        scenario = validate_scenario(scenario)
-    return scenario
+    scenario = quantize_times(scenario)
+    return validate_scenario(scenario) if validate else scenario
 
 
-def load_scenario(path: str | Path, quantize: bool = True, validate: bool = True) -> Scenario:
+def load_scenario(path: str | Path, validate: bool = True) -> Scenario:
     with open(path) as fh:
         doc = json.load(fh)
-    return scenario_from_dict(doc, quantize=quantize, validate=validate)
+    return scenario_from_dict(doc, validate=validate)
 
 
 def _leg_clock_fields(leg: TripLeg, grid: TimeGrid) -> tuple[str, str]:

@@ -62,7 +62,6 @@ def branch_and_bound(
     node_limit: int | None = None,
     time_limit: float | None = None,
     trace: list[str] | None = None,
-    initial_incumbent=None,
 ) -> Solution:
     """Minimize the model to a proven relative gap.
 
@@ -71,10 +70,6 @@ def branch_and_bound(
     integer-feasible point exists, UNBOUNDED from the root relaxation.
     Deterministic: identical model and configuration give the identical
     node sequence and solution.
-
-    ``initial_incumbent`` is an optional starting assignment (a column
-    vector); it is used for pruning only after passing the independent
-    feasibility re-check, and never affects exactness.
     """
     start = time.monotonic()
     prep = PreparedLP(model)
@@ -82,11 +77,6 @@ def branch_and_bound(
 
     incumbent: np.ndarray | None = None
     incumbent_obj = math.inf
-    if initial_incumbent is not None:
-        candidate = np.asarray(initial_incumbent, dtype=float)
-        if len(candidate) == model.num_cols and not check_solution(model, candidate):
-            incumbent = candidate
-            incumbent_obj = model.objective_value(candidate)
     proven_bound = -math.inf
     nodes = 0
     seq = 0

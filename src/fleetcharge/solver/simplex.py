@@ -52,6 +52,7 @@ TOL_PIVOT = 1e-10
 TOL_PRIMAL = 1e-9  # bound violation the dual simplex still repairs
 TOL_INFEASIBLE = 1e-7  # violation an unrepairable row must show to prove infeasibility
 TOL_WARM_DUAL = 1e-7  # reduced-cost slip a warm basis may carry
+TOL_CHECK = 1e-6  # violation check_solution reports (rows: times max |coef|)
 REFACTOR_EVERY = 96
 STALL_LIMIT = 400
 
@@ -458,12 +459,12 @@ def solve_lp(model: LinearModel, lower=None, upper=None) -> Solution:
     return PreparedLP(model).solve(lower, upper)
 
 
-def check_solution(model: LinearModel, values, tol: float = 1e-6) -> list[str]:
+def check_solution(model: LinearModel, values) -> list[str]:
     """Independent row-by-row and bound re-check; returns violation messages."""
     x = np.asarray(values, dtype=float)
     problems = []
     for j in range(model.num_cols):
-        if x[j] < model.lower[j] - tol or x[j] > model.upper[j] + tol:
+        if x[j] < model.lower[j] - TOL_CHECK or x[j] > model.upper[j] + TOL_CHECK:
             problems.append(
                 f"column {model.col_names[j]} = {x[j]} outside "
                 f"[{model.lower[j]}, {model.upper[j]}]")
@@ -472,10 +473,10 @@ def check_solution(model: LinearModel, values, tol: float = 1e-6) -> list[str]:
     for row in model.rows:
         lhs = sum(coef * x[j] for j, coef in row.coeffs)
         scale = max(1.0, max((abs(coef) for _, coef in row.coeffs), default=1.0))
-        if row.sense == LE and lhs > row.rhs + tol * scale:
+        if row.sense == LE and lhs > row.rhs + TOL_CHECK * scale:
             problems.append(f"row {row.name}: {lhs} > {row.rhs}")
-        elif row.sense == GE and lhs < row.rhs - tol * scale:
+        elif row.sense == GE and lhs < row.rhs - TOL_CHECK * scale:
             problems.append(f"row {row.name}: {lhs} < {row.rhs}")
-        elif row.sense == EQ and abs(lhs - row.rhs) > tol * scale:
+        elif row.sense == EQ and abs(lhs - row.rhs) > TOL_CHECK * scale:
             problems.append(f"row {row.name}: {lhs} != {row.rhs}")
     return problems

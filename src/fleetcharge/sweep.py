@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,11 +21,12 @@ from .validator import _location_peak_kw, write_plan_json
 __all__ = ["SweepSpec", "SweepCell", "run_sweep", "default_amortize_ratio"]
 
 SMOOTH_WINDOW = 4  # centered moving average width, in blocks
+SERVICE_YEARS = 10.0  # charger service life that capital is prorated over
 
 
-def default_amortize_ratio(scenario: Scenario, service_years: float = 10.0) -> float:
+def default_amortize_ratio(scenario: Scenario) -> float:
     """Reporting convention: capital prorated to the analysis period."""
-    return scenario.time_grid.num_days / (service_years * 365.0)
+    return scenario.time_grid.num_days / (SERVICE_YEARS * 365.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +48,6 @@ class SweepSpec:
     rel_gap: float = 1e-2
     node_limit: int | None = None
     time_limit: float | None = None
-    amortize_ratio: float | None = None  # None: derive from the scenario
     out_dir: str | Path = "sweep_out"
 
     def __post_init__(self) -> None:
@@ -105,8 +106,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()
-    ratio = spec.amortize_ratio if spec.amortize_ratio is not None \
-        else default_amortize_ratio(scenario)
+    ratio = default_amortize_ratio(scenario)
 
     def evaluate(cell: SweepCell) -> tuple[SweepCell, SolveOutcome | None, str | None]:
         try:
@@ -141,7 +141,9 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
 
         solution = outcome.solution
         entry["status"] = solution.status.value
-        entry["gap"] = solution.gap
+        # No incumbent leaves an infinite gap, which JSON cannot hold.
+        entry["gap"] = solution.gap if solution.gap is not None \
+            and math.isfinite(solution.gap) else None
         entry["objective"] = solution.objective
         if outcome.plan is None:
             cost_rows.append(

@@ -1,9 +1,7 @@
 """Shared fixtures: bundled scenarios and a memoized solve service.
 
 Solves of the depot fixture dominate the suite's runtime, so they are
-cached per (alpha, slack, design) for the whole session, and new cells are
-seeded from any cached plan that is still feasible (identical design with
-no more slack), which usually lets the solver prove optimality at the root.
+cached per (alpha, slack, design) for the whole session.
 """
 
 from __future__ import annotations
@@ -62,26 +60,9 @@ class SolveLab:
                rel_gap)
         if key in self.cache:
             return self.cache[key]
-        seed_plan = self._seed_for(scenario)
-        outcome = fc.solve_scenario(
-            scenario, rel_gap=rel_gap, initial_plan=seed_plan)
+        outcome = fc.solve_scenario(scenario, rel_gap=rel_gap)
         self.cache[key] = outcome
         return outcome
-
-    def _seed_for(self, scenario: fc.Scenario):
-        candidates = [
-            outcome.plan
-            for (alpha, slack, design, fixed, gap), outcome in self.cache.items()
-            if outcome.plan is not None
-            and design == scenario.design_mode
-            and slack <= scenario.slack_blocks
-        ]
-        if not candidates:
-            return None
-        # Deterministic preference: the plan from the loosest compatible cell.
-        return sorted(
-            candidates,
-            key=lambda plan: (-plan.slack_blocks, plan.alpha))[0]
 
 
 @pytest.fixture(scope="session")

@@ -97,19 +97,14 @@ class TestQuantize:
         dep=st.integers(min_value=0, max_value=1200),
         duration=st.integers(min_value=1, max_value=200),
         block_minutes=st.sampled_from([5, 10, 15, 20, 30, 60]),
-        mode=st.sampled_from(["conservative", "nearest"]),
     )
-    def test_idempotent(self, dep, duration, block_minutes, mode):
+    def test_idempotent(self, dep, duration, block_minutes):
         grid = TimeGrid.from_minutes(block_minutes, 1)
         leg = make_leg(dep_min=dep, arr_min=dep + duration)
         scenario = replace(minimal_scenario(legs=[leg]), time_grid=grid)
-        once = fc.quantize_times(scenario, mode)
-        twice = fc.quantize_times(once, mode)
+        once = fc.quantize_times(scenario)
+        twice = fc.quantize_times(once)
         assert once == twice
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            fc.quantize_times(minimal_scenario(), "bankers")
 
 
 class TestValidation:

@@ -54,8 +54,6 @@ class TestStructure:
             generate_synthetic(seed=1, n_locations=1)
         with pytest.raises(ValueError):
             generate_synthetic(seed=1, tightness=1.5)
-        with pytest.raises(ValueError):
-            generate_synthetic(seed=1, slack_minutes=10)  # not whole blocks
 
 
 class TestTightness:

@@ -118,18 +118,6 @@ class TestBranchAndBound:
                 incumbents.append(float(tail))
         assert incumbents == sorted(incumbents, reverse=True)
 
-    def test_initial_incumbent_respected(self):
-        model = binary_cover_model()
-        seeded = branch_and_bound(
-            model, rel_gap_target=0.0, initial_incumbent=[0.0, 1.0])
-        assert seeded.objective == pytest.approx(1.0)  # still finds the optimum
-
-    def test_invalid_initial_incumbent_ignored(self):
-        model = binary_cover_model()
-        sol = branch_and_bound(
-            model, rel_gap_target=0.0, initial_incumbent=[0.0, 0.0])
-        assert sol.objective == pytest.approx(1.0)
-
 
 class TestBruteForce:
     def test_no_integers_is_single_lp(self):

@@ -441,27 +441,3 @@ class TestModelFingerprint:
             found[(design, slack, strengthen)] = model_fingerprint(build.model)
         assert found == GOLDEN_FINGERPRINTS
 
-
-class TestPlanReconstruction:
-    def test_solution_values_from_plan_are_feasible(
-            self, two_truck_scenario, two_truck_outcome):
-        from fleetcharge.builder import plan_to_solution_values
-        from fleetcharge.solver import check_solution
-
-        build = two_truck_outcome.build
-        values = plan_to_solution_values(
-            two_truck_scenario, build.catalog, build.model,
-            two_truck_outcome.plan)
-        assert check_solution(build.model, values) == []
-        assert build.model.objective_value(values) == pytest.approx(
-            two_truck_outcome.solution.objective, abs=1e-6)
-
-    def test_reconstruction_seeds_wider_slack(self, two_truck_scenario):
-        from dataclasses import replace
-
-        base = fc.solve_scenario(two_truck_scenario, rel_gap=1e-6)
-        wider = fc.validate_scenario(replace(two_truck_scenario, slack_blocks=2))
-        seeded = fc.solve_scenario(wider, rel_gap=1e-6, initial_plan=base.plan)
-        assert seeded.solution.status == fc.SolveStatus.OPTIMAL
-        # Feasible sets nest, so the optimum cannot get worse with slack.
-        assert seeded.solution.objective <= base.solution.objective + 1e-6

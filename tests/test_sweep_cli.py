@@ -178,6 +178,23 @@ class TestCli:
         assert (out / "summary.json").exists()
         assert len(list(out.glob("plan_*.json"))) == 4
 
+    def test_sweep_limit_without_incumbent_writes_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--scenario", str(FIXTURES / "depot_fixture.json"),
+                     "--alpha", "1", "--slack-min", "0", "--design", "codesign",
+                     "--node-limit", "1", "--out", str(out)])
+        assert code == 3
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert len(summary["cells"]) == len(summary["failures"]) == 1
+        for entry in summary["cells"] + summary["failures"]:
+            assert entry["status"] == "feasible"
+            assert entry["gap"] is None
+            assert entry["objective"] is None
+
     def test_sweep_bad_slack(self, tmp_path, capsys):
         code = main(["sweep", "--scenario", TWO_TRUCK, "--alpha", "1",
                      "--slack-min", "10", "--design", "codesign",
