@@ -16,7 +16,6 @@ from .builder import (
     VariableCatalog,
     build_problem,
     energy_consumption,
-    objective_breakdown,
 )
 from .domain import (
     CODESIGN,
@@ -47,7 +46,6 @@ from .solver import (
     Solution,
     SolveStatus,
     branch_and_bound,
-    solve_lp,
 )
 from .sweep import SweepSpec, default_amortize_ratio, run_sweep
 from .validator import (
@@ -95,7 +93,6 @@ __all__ = [
     "generate_synthetic",
     "load_scenario",
     "location_peaks_kw",
-    "objective_breakdown",
     "parse_policy",
     "quantize_times",
     "recompute_costs",
@@ -106,7 +103,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_issues",
     "scenario_to_dict",
-    "solve_lp",
     "solve_scenario",
     "tours",
     "validate_scenario",

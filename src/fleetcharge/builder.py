@@ -45,7 +45,6 @@ __all__ = [
     "VariableCatalog",
     "energy_consumption",
     "build_problem",
-    "objective_breakdown",
 ]
 
 WINDOW_EMPTY = "WindowEmpty"
@@ -494,34 +493,3 @@ def build_problem(
     _set_objective(model, scenario, cat, table, amortize_ratio)
     return BuildResult(model=model, catalog=cat,
                        diagnostics=_diagnostics(scenario, table))
-
-
-def objective_breakdown(
-    scenario: Scenario, cat: VariableCatalog, values, model: LinearModel
-) -> dict[str, float]:
-    """Split a solution's objective into energy/infrastructure/peak parts.
-
-    This is the model-side decomposition (it reads objective coefficients);
-    the validator recomputes the same quantities independently.
-    """
-    tau = scenario.time_grid.block_duration_hours
-    prices = scenario.price_schedule.energy_price_per_kwh
-    energy = 0.0
-    for (truck_id, day, leg_index, type_id, block), col in cat.y.items():
-        charger = scenario.charger(type_id)
-        energy += float(values[col]) * tau \
-            * (charger.rated_power_kw / charger.efficiency) \
-            * prices[scenario.charger_index(type_id)][block]
-    if scenario.design_mode == CODESIGN:
-        infra = sum(
-            scenario.charger(type_id).capital_cost * float(values[col])
-            for (loc, type_id), col in cat.x.items())
-    else:
-        infra = model.objective_offset
-    peak = scenario.alpha * sum(values[col] for col in cat.c_peak.values())
-    return {
-        "energy": energy,
-        "infrastructure": float(infra),
-        "peak": float(peak),
-        "total": energy + float(infra) + float(peak),
-    }

@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import jsonschema
+
 from .baseline import compare_designs, parse_policy, rule_based_design
 from .domain import (
     CODESIGN,
@@ -35,12 +37,26 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_FAILURE = 4
 
+# Bad input files and arguments; each is reported as a ConfigError.
+CONFIG_ERRORS = (ValueError, ScenarioValidationError, OSError,
+                 jsonschema.ValidationError)
+
 
 def _error_report(code: str, message: str, details=None) -> None:
     doc = {"error": {"code": code, "message": message}}
     if details:
         doc["error"]["details"] = details
     print(json.dumps(doc, indent=2), file=sys.stderr)
+
+
+def _config_report(exc: Exception) -> int:
+    """Report bad input as a ConfigError; a schema failure names its path."""
+    message = str(exc)
+    if isinstance(exc, jsonschema.ValidationError):
+        where = "/".join(str(part) for part in exc.absolute_path) or "document"
+        message = f"schema violation at {where}: {exc.message}"
+    _error_report("ConfigError", message)
+    return EXIT_USAGE
 
 
 def _failure_report(exc: Exception) -> int:
@@ -100,9 +116,8 @@ def cmd_solve(args) -> int:
         if args.design == FIXED_INFRASTRUCTURE and fixed_counts is None:
             raise ValueError("--design fixed requires --fixed-file")
         scenario = _apply_overrides(scenario, args, args.design, fixed_counts)
-    except (ValueError, ScenarioValidationError, OSError) as exc:
-        _error_report("ConfigError", str(exc))
-        return EXIT_USAGE
+    except CONFIG_ERRORS as exc:
+        return _config_report(exc)
 
     ratio = default_amortize_ratio(scenario)
     trace: list[str] | None = [] if args.trace else None
@@ -161,15 +176,13 @@ def cmd_sweep(args) -> int:
             time_limit=args.time_limit,
             out_dir=args.out,
         )
-    except (ValueError, ScenarioValidationError, OSError) as exc:
-        _error_report("ConfigError", str(exc))
-        return EXIT_USAGE
+    except CONFIG_ERRORS as exc:
+        return _config_report(exc)
 
     try:
         summary = run_sweep(scenario, spec)
     except ValueError as exc:
-        _error_report("ConfigError", str(exc))
-        return EXIT_USAGE
+        return _config_report(exc)
     statuses = [cell.get("status") for cell in summary["cells"]]
     print(f"sweep complete: {len(statuses)} cells -> {Path(args.out)}")
     for cell in summary["cells"]:
@@ -190,9 +203,8 @@ def cmd_compare(args) -> int:
         if args.slack_min is not None or args.alpha is not None:
             scenario = _apply_overrides(
                 scenario, args, scenario.design_mode, scenario.fixed_counts)
-    except (ValueError, ScenarioValidationError, OSError) as exc:
-        _error_report("ConfigError", str(exc))
-        return EXIT_USAGE
+    except CONFIG_ERRORS as exc:
+        return _config_report(exc)
 
     try:
         comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
@@ -222,8 +234,7 @@ def cmd_generate(args) -> int:
             block_minutes=args.tau_min,
         )
     except (ValueError, ScenarioValidationError) as exc:
-        _error_report("ConfigError", str(exc))
-        return EXIT_USAGE
+        return _config_report(exc)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out)

@@ -72,15 +72,22 @@ def _expand_price_row(row: list[float], grid: TimeGrid, label: str) -> tuple[flo
 
 
 def _design_counts(raw: dict[str, Any]) -> dict[str, dict[int, int]]:
-    """Charger counts from the design format ``{location: {type_id: count}}``."""
+    """Charger counts from the schema-checked design format
+    ``{location: {type_id: count}}``."""
     return {str(loc): {int(tid): int(n) for tid, n in per.items()}
             for loc, per in raw.items()}
 
 
 def load_design(path: str | Path) -> dict[str, dict[int, int]]:
-    """Read a design file (``{location: {type_id: count}}`` JSON)."""
+    """Read a design file (``{location: {type_id: count}}`` JSON).
+
+    Raises ``jsonschema.ValidationError`` when the file breaks the bundled
+    ``explicit_design`` schema, e.g. a fractional or negative count.
+    """
     with open(path) as fh:
-        return _design_counts(json.load(fh))
+        doc = json.load(fh)
+    validate_against_schema(doc, "explicit_design")
+    return _design_counts(doc)
 
 
 def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:

@@ -1,7 +1,7 @@
 """Exact MILP solving: LP simplex and branch-and-bound."""
 
 from .branch_bound import DEFAULT_REL_GAP, INTEGRALITY_TOL, branch_and_bound
-from .simplex import PreparedLP, check_solution, solve_lp
+from .simplex import PreparedLP, check_solution
 from .types import Basis, NumericalFailure, Solution, SolveStatus, relative_gap
 
 __all__ = [
@@ -15,5 +15,4 @@ __all__ = [
     "branch_and_bound",
     "check_solution",
     "relative_gap",
-    "solve_lp",
 ]

@@ -38,22 +38,19 @@ DEFAULT_REL_GAP = 1e-2  # the usual sub-1% reporting convention
 
 
 def _most_fractional(
-    values: np.ndarray, int_cols: list[int], priorities: list[int]
+    values: np.ndarray, int_cols: np.ndarray, priorities: np.ndarray
 ) -> int | None:
     """Branch column: highest priority class, then most fractional, then
     lowest index. Settling structural columns first stops the relaxation
     from re-smearing schedule columns after every branch."""
-    best_col = None
-    best_key = None
-    for j in int_cols:
-        frac = abs(values[j] - round(values[j]))
-        if frac <= INTEGRALITY_TOL:
-            continue
-        key = (priorities[j], frac)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_col = j
-    return best_col
+    v = values[int_cols]
+    frac = np.abs(v - np.round(v))
+    fractional = frac > INTEGRALITY_TOL
+    if not fractional.any():
+        return None
+    cand, frac = int_cols[fractional], frac[fractional]
+    top = priorities[cand] == priorities[cand].max()
+    return int(cand[top][np.argmax(frac[top])])  # argmax: first, lowest index
 
 
 def branch_and_bound(
@@ -73,7 +70,8 @@ def branch_and_bound(
     """
     start = time.monotonic()
     prep = PreparedLP(model)
-    int_cols = model.integer_cols
+    int_cols = np.array(model.integer_cols, dtype=int)
+    priorities = np.array(model.branch_priority, dtype=int)
 
     incumbent: np.ndarray | None = None
     incumbent_obj = math.inf
@@ -172,8 +170,7 @@ def branch_and_bound(
                 - 1e-9 * max(1.0, abs(incumbent_obj)):
             continue  # fathomed after solving
 
-        branch_col = _most_fractional(result.values, int_cols,
-                                       model.branch_priority)
+        branch_col = _most_fractional(result.values, int_cols, priorities)
         if branch_col is None:
             candidate = _polish(prep, model, int_cols, lo, hi, result)
             if candidate[1] < incumbent_obj:
@@ -209,22 +206,20 @@ def branch_and_bound(
 def _polish(
     prep: PreparedLP,
     model: LinearModel,
-    int_cols: list[int],
+    int_cols: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     relaxed: Solution,
 ) -> tuple[np.ndarray, float]:
     """Fix integers at rounded values and re-solve for exact continuous parts."""
     values = relaxed.values
+    # Adding 0.0 turns np.round's -0.0 into the 0.0 that round() gives.
+    rounded = np.round(values[int_cols]) + 0.0
     lo2, hi2 = lo.copy(), hi.copy()
-    for j in int_cols:
-        v = float(round(values[j]))
-        lo2[j] = v
-        hi2[j] = v
+    lo2[int_cols] = hi2[int_cols] = rounded
     refined = prep.solve(lo2, hi2, relaxed.basis)
     if refined.status == SolveStatus.OPTIMAL:
         return refined.values, refined.objective
     snapped = values.copy()
-    for j in int_cols:
-        snapped[j] = round(snapped[j])
+    snapped[int_cols] = rounded
     return snapped, model.objective_value(snapped)

@@ -1,4 +1,4 @@
-"""Dense bounded-variable simplex: one dual simplex, then primal clean-up.
+"""Bounded-variable simplex: one dual simplex, then primal clean-up.
 
 Variables live between (possibly infinite) bounds and sit nonbasic at a
 bound or free at zero; each row gets one slack column whose bounds encode
@@ -23,12 +23,29 @@ violating reduced cost) with a permanent switch to Bland's least-index rule
 after a stall, which breaks cycling. It stops at once when the basis is
 already dual feasible, and it is the pass that detects unboundedness.
 
-The basis inverse is updated by elementary row operations and refactorized
-from scratch periodically. Rows and the cost vector are rescaled to unit
-magnitude so absolute tolerances are meaningful across problems; the
-reported objective is recomputed from unscaled data.
+Most basic columns are slacks, so the basis inverse is built from its
+structural kernel (Suhl & Suhl 1990; Koberstein 2005). With S the k basic
+structural columns and R_k the k rows whose slack is nonbasic, order the
+rows R_k first and the basic slacks' rows R_s after:
 
-Desk-scale instances only: everything is dense numpy, nothing is sparse.
+    B = [ K          0 ]        B^-1 = [ K^-1              0 ]
+        [ A[R_s, S]  I ]               [ -A[R_s, S] K^-1   I ]
+
+with K = A[R_k, S]. A refactorization inverts only the k x k kernel K and
+assembles the dense B^-1 from these blocks: its columns are unit vectors
+on R_s and carry K^-1 on R_k. Between refactorizations B^-1 takes
+elementary row operations, and every per-pivot step touches only
+nonzeros: a column ``B^-1 a_j`` reads a_j's stored row support, the dual
+pivot row reads only the rows of A where the pivot row of B^-1 is
+nonzero, and the rank-one update rewrites only the entries of B^-1 where
+both the entering column and the pivot row are nonzero. Slack columns
+are never stored; they are the implicit identity after A, and the
+reduced costs and residuals read A plus that identity.
+
+Rows and the cost vector are rescaled to unit magnitude so absolute
+tolerances are meaningful across problems; the reported objective is
+recomputed from unscaled data. A is a dense numpy array, so the memory
+is O(mn); the kernel is inverted densely, without LU updates.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ import numpy as np
 from ..model import EQ, GE, LE, LinearModel
 from .types import Basis, NumericalFailure, Solution, SolveStatus
 
-__all__ = ["PreparedLP", "solve_lp", "check_solution"]
+__all__ = ["PreparedLP", "check_solution"]
 
 INF = float("inf")
 
@@ -58,7 +75,12 @@ STALL_LIMIT = 400
 
 
 class PreparedLP:
-    """A model converted once to dense arrays, solvable under many bounds.
+    """A model converted once to arrays, solvable under many bounds.
+
+    Holds the row-scaled m x n structural matrix ``A`` (slack columns are
+    the implicit identity after it), each column's row support and values,
+    the scaled right-hand side, the slack bounds that encode the row senses
+    and the scaled costs over all n + m columns.
 
     Branch-and-bound reuses a single instance across nodes, passing
     per-node structural bounds and the parent's basis to :meth:`solve`. Instances are immutable
@@ -70,20 +92,18 @@ class PreparedLP:
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
 
+        rows = model.rows
+        lengths = [len(row.coeffs) for row in rows]
+        coeffs = np.array([jc for row in rows for jc in row.coeffs],
+                          dtype=float).reshape(-1, 2)
         A = np.zeros((m, n))
-        b = np.zeros(m)
-        slack_lower = np.zeros(m)
-        slack_upper = np.zeros(m)
-        for i, row in enumerate(model.rows):
-            for j, coef in row.coeffs:
-                A[i, j] += coef
-            b[i] = row.rhs
-            if row.sense == LE:
-                slack_lower[i], slack_upper[i] = 0.0, INF
-            elif row.sense == GE:
-                slack_lower[i], slack_upper[i] = -INF, 0.0
-            else:
-                slack_lower[i], slack_upper[i] = 0.0, 0.0
+        # Unbuffered and in order: duplicates add up as a coefficient loop would.
+        np.add.at(A, (np.repeat(np.arange(m), lengths), coeffs[:, 0].astype(int)),
+                  coeffs[:, 1])
+        b = np.array([row.rhs for row in rows], dtype=float)
+        senses = np.array([row.sense for row in rows], dtype=object)
+        slack_lower = np.where(senses == GE, -INF, 0.0)
+        slack_upper = np.where(senses == LE, INF, 0.0)
 
         # Row equilibration keeps |a| near one so absolute tolerances behave.
         row_scale = np.abs(A).max(axis=1, initial=0.0)
@@ -96,8 +116,11 @@ class PreparedLP:
 
         # Columns: structural then one slack per row.
         self.n_real = n + m
-        self.A_real = np.hstack([A, np.eye(m)]) if m else np.zeros((0, n))
-        self.AT_real = np.ascontiguousarray(self.A_real.T)
+        self.A = A
+        col_of, row_of = np.nonzero(A.T)  # column-major: grouped by column
+        splits = np.cumsum(np.bincount(col_of, minlength=n))[:-1]
+        self.col_rows = np.split(row_of, splits)
+        self.col_vals = np.split(A.T[col_of, row_of], splits)
         self.b = b
         self.slack_lower = slack_lower
         self.slack_upper = slack_upper
@@ -172,7 +195,6 @@ class _SimplexState:
 
         self.lower = np.concatenate([lo, prep.slack_lower])
         self.upper = np.concatenate([hi, prep.slack_upper])
-        self._outer_buf = np.empty((self.m, self.m))
         if start is None:
             self._slack_start()
         else:
@@ -226,17 +248,25 @@ class _SimplexState:
 
         self._refactor()
         residual = self._residual()
-        error = np.abs(self._basis_matrix() @ self.x_B - residual).max()
+        error = np.abs(self._basis_times(self.x_B) - residual).max()
         if not error <= 1e-7 * (1.0 + np.abs(residual).max()):
             raise NumericalFailure("warm-start basis is ill-conditioned")
 
     def _ftran(self, j: int) -> np.ndarray:
-        """B_inv times column j."""
-        return self.B_inv @ self.prep.A_real[:, j]
+        """B_inv times column j, read from the column's row support."""
+        if j >= self.n:
+            return self.B_inv[:, j - self.n].copy()
+        return self.B_inv[:, self.prep.col_rows[j]] @ self.prep.col_vals[j]
+
+    def _row_times_A(self, v: np.ndarray) -> np.ndarray:
+        """The row vector v times [A | I], reading only v's nonzero rows."""
+        nz = np.flatnonzero(v)
+        return np.concatenate([v[nz] @ self.prep.A[nz], v])
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        y = c[self.basis] @ self.B_inv  # = B_inv.T @ c_B, cache-friendly
-        return c - self.prep.AT_real @ y
+        c_B = c[self.basis]
+        priced = np.flatnonzero(c_B)
+        return c - self._row_times_A(c_B[priced] @ self.B_inv[priced])
 
     # -- values --------------------------------------------------------------
 
@@ -250,22 +280,52 @@ class _SimplexState:
 
     def _residual(self) -> np.ndarray:
         """b minus the nonbasic columns' share."""
-        return self.b - self.prep.A_real @ self._nonbasic_values()
+        x = self._nonbasic_values()
+        return self.b - self.prep.A @ x[:self.n] - x[self.n:]
 
     def values(self) -> np.ndarray:
         x = self._nonbasic_values()
         x[self.basis] = self.x_B
         return x
 
-    def _basis_matrix(self) -> np.ndarray:
-        return self.prep.A_real[:, self.basis]
+    def _basis_times(self, v: np.ndarray) -> np.ndarray:
+        """B times a vector over the basis positions."""
+        structural = self.basis < self.n
+        out = self.prep.A[:, self.basis[structural]] @ v[structural]
+        out[self.basis[~structural] - self.n] += v[~structural]
+        return out
 
     def _refactor(self) -> None:
+        """Rebuild B_inv and x_B from the k x k kernel (module docstring).
+
+        Raises :class:`NumericalFailure` when the basic slacks do not leave
+        exactly k kernel rows or the kernel is singular.
+        """
+        m, n = self.m, self.n
+        structural = self.basis < n
+        struct_pos = np.flatnonzero(structural)
+        slack_pos = np.flatnonzero(~structural)
+        slack_rows = self.basis[slack_pos] - n
+        in_kernel = np.ones(m, dtype=bool)
+        in_kernel[slack_rows] = False
+        kernel_rows = np.flatnonzero(in_kernel)
+        if kernel_rows.size != struct_pos.size:
+            raise NumericalFailure("basis repeats a slack column")
+        A_S = self.prep.A[:, self.basis[struct_pos]]
         try:
-            self.B_inv = np.linalg.inv(self._basis_matrix())
+            K_inv = np.linalg.inv(A_S[kernel_rows])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis during refactorization") from exc
-        self.x_B = self.B_inv @ self._residual()
+        coupling = A_S[slack_rows]  # A[R_s, S]
+        self.B_inv = np.zeros((m, m))
+        self.B_inv[np.ix_(struct_pos, kernel_rows)] = K_inv
+        self.B_inv[np.ix_(slack_pos, kernel_rows)] = -coupling @ K_inv
+        self.B_inv[slack_pos, slack_rows] = 1.0
+
+        residual = self._residual()
+        self.x_B = np.empty(m)
+        self.x_B[struct_pos] = K_inv @ residual[kernel_rows]
+        self.x_B[slack_pos] = residual[slack_rows] - coupling @ self.x_B[struct_pos]
 
     # -- passes ---------------------------------------------------------------
 
@@ -304,7 +364,7 @@ class _SimplexState:
 
             # x_r = beta_r - sum_j alpha_j (x_j - x_j now) over nonbasic j;
             # a column qualifies when its feasible move pushes x_r to target.
-            alpha = self.B_inv[leave_pos] @ self.prep.A_real
+            alpha = self._row_times_A(self.B_inv[leave_pos])
             push = alpha if to_lower else -alpha
             eligible = movable & (
                 ((status == AT_LOWER) & (push < -TOL_PIVOT))
@@ -441,22 +501,14 @@ class _SimplexState:
         self.col_status[enter] = BASIC
         self.x_B[leave_pos] = enter_value
 
-        # Rank-one basis-inverse update; the pivot row is restored afterward
-        # because the full outer product zeroes it out exactly.
+        # Rank-one basis-inverse update on the entries where both d and the
+        # pivot row are nonzero (the others would lose a product with a
+        # zero); the pivot row is restored afterward because the outer
+        # product zeroes it out exactly.
         piv_row = self.B_inv[leave_pos] / pivot
-        np.multiply(d[:, None], piv_row[None, :], out=self._outer_buf)
-        self.B_inv -= self._outer_buf
+        rows, cols = np.flatnonzero(d)[:, None], np.flatnonzero(piv_row)
+        self.B_inv[rows, cols] -= d[rows] * piv_row[cols]
         self.B_inv[leave_pos] = piv_row
-
-
-def solve_lp(model: LinearModel, lower=None, upper=None) -> Solution:
-    """LP solve with integrality relaxed (marks ignored).
-
-    Deterministic: identical input produces the identical pivot sequence
-    and solution. Raises :class:`NumericalFailure` when the iteration
-    budget is exhausted.
-    """
-    return PreparedLP(model).solve(lower, upper)
 
 
 def check_solution(model: LinearModel, values) -> list[str]:

@@ -6,6 +6,10 @@ program, and deterministic random-instance generators share no code with
 the implementation under test. The brute-force enumeration oracle tries
 every integer assignment; it borrows only the package's cold-start LP
 solve for the continuous part, never branch-and-bound or a warm start.
+
+Two small helpers that only tests call live here too: ``solve_lp`` (one
+cold LP solve of a model) and ``objective_breakdown`` (the model-side
+split of an objective that the validator recomputes independently).
 """
 
 from __future__ import annotations
@@ -17,12 +21,55 @@ from fractions import Fraction
 
 import numpy as np
 
+from fleetcharge.builder import VariableCatalog
+from fleetcharge.domain import CODESIGN, Scenario
 from fleetcharge.model import EQ, GE, LE, LinearModel
 from fleetcharge.solver import PreparedLP, Solution, SolveStatus
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+
+def solve_lp(model: LinearModel, lower=None, upper=None) -> Solution:
+    """LP solve with integrality relaxed (marks ignored), from the slack basis.
+
+    Deterministic: identical input produces the identical pivot sequence
+    and solution. Raises :class:`NumericalFailure` when the iteration
+    budget is exhausted.
+    """
+    return PreparedLP(model).solve(lower, upper)
+
+
+def objective_breakdown(
+    scenario: Scenario, cat: VariableCatalog, values, model: LinearModel
+) -> dict[str, float]:
+    """Split a solution's objective into energy/infrastructure/peak parts.
+
+    This is the model-side decomposition (it reads objective coefficients);
+    the validator recomputes the same quantities independently.
+    """
+    tau = scenario.time_grid.block_duration_hours
+    prices = scenario.price_schedule.energy_price_per_kwh
+    energy = 0.0
+    for (truck_id, day, leg_index, type_id, block), col in cat.y.items():
+        charger = scenario.charger(type_id)
+        energy += float(values[col]) * tau \
+            * (charger.rated_power_kw / charger.efficiency) \
+            * prices[scenario.charger_index(type_id)][block]
+    if scenario.design_mode == CODESIGN:
+        infra = sum(
+            scenario.charger(type_id).capital_cost * float(values[col])
+            for (loc, type_id), col in cat.x.items())
+    else:
+        infra = model.objective_offset
+    peak = scenario.alpha * sum(values[col] for col in cat.c_peak.values())
+    return {
+        "energy": energy,
+        "infrastructure": float(infra),
+        "peak": float(peak),
+        "total": energy + float(infra) + float(peak),
+    }
 
 
 def solve_lp_exact(c, rows, senses, rhs):

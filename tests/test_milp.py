@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from fleetcharge.model import GE, LE, LinearModel
-from fleetcharge.solver import SolveStatus, branch_and_bound, solve_lp
+from fleetcharge.solver import INTEGRALITY_TOL, Solution, SolveStatus, branch_and_bound
+from fleetcharge.solver import branch_bound as bb
 
 from oracles import (
     TooLarge,
     brute_force_enumerate,
     knapsack_best_value,
     random_binary_milp,
+    solve_lp,
 )
 
 INF = float("inf")
@@ -117,6 +119,68 @@ class TestBranchAndBound:
             if tail != "-":
                 incumbents.append(float(tail))
         assert incumbents == sorted(incumbents, reverse=True)
+
+
+def most_fractional_loop(values, int_cols, priorities):
+    """The per-column loop the vectorized branching rule replaced."""
+    best_col, best_key = None, None
+    for j in int_cols:
+        frac = abs(values[j] - round(values[j]))
+        if frac <= INTEGRALITY_TOL:
+            continue
+        key = (priorities[j], frac)
+        if best_key is None or key > best_key:
+            best_key, best_col = key, j
+    return best_col
+
+
+class TestVectorizedRounding:
+    """The numpy branching rule and polish rounding against the loops
+    they replaced: same column, bit-identical bounds."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_most_fractional_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        # Halves, near-integers and exact ties across priority classes.
+        values = rng.choice([0.5, 1.5, -0.5, 2.0, 3.0000001, 0.25, -1.75], n)
+        noisy = rng.random(n) < 0.3
+        values[noisy] = rng.uniform(-5, 5, np.count_nonzero(noisy))
+        int_cols = np.sort(rng.choice(n, size=25, replace=False))
+        priorities = rng.integers(0, 3, n)
+        assert bb._most_fractional(values, int_cols, priorities) == \
+            most_fractional_loop(values, int_cols.tolist(), priorities.tolist())
+
+    def test_integral_values_do_not_branch(self):
+        values = np.array([1.0, -2.0, 0.0000001, 3.5])
+        priorities = np.zeros(4, dtype=int)
+        assert bb._most_fractional(values, np.array([0, 1, 2]), priorities) is None
+        assert bb._most_fractional(values, np.array([], dtype=int), priorities) is None
+
+    def test_polish_rounding_matches_loop(self):
+        values = np.array([-0.3, -0.5, 0.5, 1.5, 2.4999, -1.5000001, 7.25, 0.7])
+        int_cols = np.array([0, 1, 2, 3, 4, 5, 7])
+        model = LinearModel()
+        for j in range(len(values)):
+            model.add_column(f"x{j}", -10, 10, objective=1.0)
+        seen = []
+
+        class FailingLP:  # records the fixed bounds, then sends polish to its fallback
+            def solve(self, lo, hi, basis):
+                seen.append((lo, hi))
+                return Solution(status=SolveStatus.INFEASIBLE)
+
+        lo, hi = np.full(8, -10.0), np.full(8, 10.0)
+        snapped, objective = bb._polish(FailingLP(), model, int_cols, lo, hi,
+                                        Solution(SolveStatus.OPTIMAL, values=values))
+        expected_lo, expected_hi, expected = lo.copy(), hi.copy(), values.copy()
+        for j in int_cols:  # the loops _polish replaced
+            expected_lo[j] = expected_hi[j] = float(round(values[j]))
+            expected[j] = round(expected[j])
+        for got, want in zip((*seen[0], snapped), (expected_lo, expected_hi, expected)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))  # no -0.0
+        assert objective == model.objective_value(expected)
 
 
 class TestBruteForce:

@@ -11,11 +11,11 @@ from dataclasses import replace
 import pytest
 
 import fleetcharge as fc
-from fleetcharge.builder import build_problem, energy_consumption, objective_breakdown
+from fleetcharge.builder import build_problem, energy_consumption
 from fleetcharge.model import LE
 from fleetcharge.solver import SolveStatus, branch_and_bound
 
-from oracles import brute_force_enumerate
+from oracles import brute_force_enumerate, objective_breakdown
 from test_domain import make_leg, minimal_scenario
 
 

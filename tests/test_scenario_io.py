@@ -8,6 +8,7 @@ import pytest
 
 import fleetcharge as fc
 from fleetcharge.scenario_io import (
+    load_design,
     load_schema,
     scenario_from_dict,
     scenario_to_dict,
@@ -44,6 +45,21 @@ class TestSchemas:
         for name in ("scenario", "plan_report", "explicit_design"):
             schema = load_schema(name)
             jsonschema.Draft202012Validator.check_schema(schema)
+
+
+class TestDesignFiles:
+    def test_integral_counts_load(self, tmp_path):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"DC": {"1": 2, "2": 0}, "R1": {}}))
+        assert load_design(path) == {"DC": {1: 2, 2: 0}, "R1": {}}
+
+    @pytest.mark.parametrize("counts", [
+        {"DC": {"1": 2.7}}, {"DC": {"1": -1}}, {"DC": {"x": 1}}, {"DC": 3}])
+    def test_schema_rejects_bad_counts(self, counts, tmp_path):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(counts))
+        with pytest.raises(jsonschema.ValidationError):
+            load_design(path)
 
 
 class TestRoundTrip:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from fleetcharge.model import EQ, GE, LE, LinearModel
-from fleetcharge.solver import Basis, PreparedLP, SolveStatus, check_solution, solve_lp
+from fleetcharge.solver import (
+    Basis,
+    PreparedLP,
+    SolveStatus,
+    branch_and_bound,
+    check_solution,
+)
 from fleetcharge.solver import simplex
 
 from oracles import (
@@ -17,6 +23,7 @@ from oracles import (
     lp_to_exact_inputs,
     random_lp,
     random_mixed_bounds_lp,
+    solve_lp,
     solve_lp_exact,
 )
 
@@ -306,14 +313,36 @@ class TestSetUp:
             prep, np.array(model.lower), np.array(model.upper))
         # The cold start is the slack basis: B = I.
         assert np.array_equal(state.basis, np.arange(prep.n, prep.n_real))
-        assert np.array_equal(state._basis_matrix(), np.eye(prep.m))
         assert np.array_equal(state.B_inv, np.eye(prep.m))
         assert state.run_dual(state.dual_costs)
         assert np.any(state.basis < prep.n)  # structural columns entered
+        full = np.hstack([prep.A, np.eye(prep.m)])  # [A | I], slacks explicit
         reference = np.zeros((prep.m, prep.m))
         for k, j in enumerate(state.basis):
-            reference[:, k] = prep.A_real[:, j]
-        assert np.array_equal(state._basis_matrix(), reference)
+            reference[:, k] = full[:, j]
+        v = np.random.default_rng(0).standard_normal(prep.m)
+        assert np.allclose(state._basis_times(v), reference @ v, rtol=0, atol=1e-12)
+        state._refactor()
+        assert np.allclose(state.B_inv @ reference, np.eye(prep.m), rtol=0, atol=1e-9)
+
+    def test_scaled_matrix_matches_coefficient_loop(self, depot_scenario):
+        import fleetcharge as fc
+
+        model = fc.build_problem(depot_scenario).model
+        # A repeated column in one row adds up, as in the builder's sums.
+        model.add_row("twice", [(0, 1.5), (3, -2.0), (0, 0.25)], LE, 4.0)
+        prep = PreparedLP(model)
+        A = np.zeros((model.num_rows, model.num_cols))
+        for i, row in enumerate(model.rows):
+            for j, coef in row.coeffs:
+                A[i, j] += coef
+        scale = np.abs(A).max(axis=1)
+        scale[scale == 0] = 1.0
+        assert np.array_equal(prep.A, A / scale[:, None])
+        assert np.array_equal(prep.b, [row.rhs for row in model.rows] / scale)
+        for j in range(model.num_cols):
+            assert np.array_equal(prep.col_rows[j], np.flatnonzero(prep.A[:, j]))
+            assert np.array_equal(prep.col_vals[j], prep.A[prep.col_rows[j], j])
 
     def test_initial_statuses_match_column_loop(self):
         model = simple_model(
@@ -342,6 +371,141 @@ class TestSetUp:
                                 simplex.AT_LOWER, simplex.AT_UPPER, simplex.AT_LOWER]
         assert np.array_equal(state.dual_costs, np.where(kept, prep.c_real, 0.0))
         assert kept[:6] == [False, False, True, True, True, False]
+
+
+def dense_random_model(seed, m=6, n=9):
+    """Every coefficient nonzero, so any kernel of distinct columns is
+    nonsingular with probability one."""
+    rng = np.random.default_rng(seed)
+    model = LinearModel()
+    for j in range(n):
+        model.add_column(f"x{j}", 0.0, 10.0, objective=float(rng.uniform(-1, 1)))
+    senses = [LE, GE, EQ]
+    for i in range(m):
+        coeffs = [(j, float(rng.uniform(0.5, 2.0) * rng.choice([-1, 1])))
+                  for j in range(n)]
+        model.add_row(f"r{i}", coeffs, senses[i % 3], float(rng.uniform(1, 5)))
+    return model
+
+
+def basis_record(prep, basic):
+    status = np.full(prep.n_real, simplex.AT_LOWER, dtype=np.int8)
+    status[basic] = simplex.BASIC
+    return Basis(np.asarray(basic), status)
+
+
+class TestKernelFactorization:
+    """B^-1 assembled from the k x k structural kernel and the sparse
+    per-pivot steps against dense linear algebra on the full basis."""
+
+    @pytest.mark.parametrize("k", [0, 3, 6])  # all slacks, mixed, m structural
+    @pytest.mark.parametrize("seed", range(4))
+    def test_assembled_inverse_matches_dense_inverse(self, seed, k):
+        model = dense_random_model(seed)
+        prep = PreparedLP(model)
+        rng = np.random.default_rng(100 + seed)
+        structural = rng.choice(prep.n, size=k, replace=False)
+        slack_rows = rng.choice(prep.m, size=prep.m - k, replace=False)
+        basic = rng.permutation(np.concatenate([structural, prep.n + slack_rows]))
+        state = simplex._SimplexState(
+            prep, np.array(model.lower), np.array(model.upper),
+            basis_record(prep, basic))
+        full = np.hstack([prep.A, np.eye(prep.m)])
+        B = full[:, basic]
+        assert np.allclose(state.B_inv, np.linalg.inv(B), rtol=0, atol=1e-10)
+        assert np.allclose(B @ state.x_B, state._residual(), rtol=0, atol=1e-10)
+
+    def test_singular_kernel_raises_and_warm_start_falls_back(self, monkeypatch):
+        # Rows 0 and 1 scale to the same x0, x1 coefficients, so with the
+        # slack of row 2 basic the kernel {rows 0, 1} x {x0, x1} is singular.
+        model = simple_model(
+            [1.0, 1.0, 0.0], [(0, 4), (0, 4), (0, 4)],
+            [([(0, 1.0), (1, 1.0), (2, 1.0)], GE, 1.0),
+             ([(0, 2.0), (1, 2.0), (2, 1.0)], LE, 5.0),
+             ([(0, 1.0), (2, 1.0)], LE, 6.0)])
+        prep = PreparedLP(model)
+        singular = basis_record(prep, [0, prep.n + 2, 1])
+        with pytest.raises(simplex.NumericalFailure, match="singular"):
+            simplex._SimplexState(prep, np.array(model.lower),
+                                  np.array(model.upper), singular)
+        cold = prep.solve()
+        starts = []
+        slack_start = simplex._SimplexState._slack_start
+        monkeypatch.setattr(simplex._SimplexState, "_slack_start",
+                            lambda self: starts.append(1) or slack_start(self))
+        warm = prep.solve(basis=singular)
+        assert starts == [1]  # fell back cold exactly once
+        assert warm.status == cold.status
+        assert np.array_equal(warm.values, cold.values)
+
+    def test_repeated_slack_is_a_count_mismatch(self):
+        model = dense_random_model(0, m=3, n=4)
+        prep = PreparedLP(model)
+        status = np.full(prep.n_real, simplex.AT_LOWER, dtype=np.int8)
+        status[[0, prep.n, prep.n + 1]] = simplex.BASIC
+        repeated = Basis(np.array([0, prep.n, prep.n]), status)
+        with pytest.raises(simplex.NumericalFailure, match="repeats a slack"):
+            simplex._SimplexState(prep, np.array(model.lower),
+                                  np.array(model.upper), repeated)
+
+    def test_restricted_rank_one_update_equals_dense(self, depot_scenario):
+        import fleetcharge as fc
+
+        model = fc.build_problem(depot_scenario).model
+        prep = PreparedLP(model)
+        lo, hi = np.array(model.lower), np.array(model.upper)
+        root = prep.solve()
+        state = simplex._SimplexState(prep, lo, hi, root.basis)
+        checked = 0
+        for enter in np.flatnonzero(state.col_status != simplex.BASIC)[:40]:
+            d = state._ftran(int(enter))
+            leave_pos = int(np.argmax(np.abs(d)))
+            if abs(d[leave_pos]) < 1e-6:
+                continue
+            piv_row = state.B_inv[leave_pos] / d[leave_pos]
+            dense = state.B_inv - np.multiply.outer(d, piv_row)
+            dense[leave_pos] = piv_row
+            assert np.count_nonzero(piv_row) < prep.m  # the restriction skips work
+            trial = simplex._SimplexState(prep, lo, hi, root.basis)
+            trial._pivot(leave_pos, int(enter), 0.0, d=d)
+            assert np.array_equal(trial.B_inv, dense)
+            checked += 1
+        assert checked >= 10
+
+    def test_sparse_pivot_row_and_costs_match_dense(self, depot_scenario):
+        import fleetcharge as fc
+
+        model = fc.build_problem(depot_scenario).model
+        prep = PreparedLP(model)
+        root = prep.solve()
+        state = simplex._SimplexState(
+            prep, np.array(model.lower), np.array(model.upper), root.basis)
+        full = np.hstack([prep.A, np.eye(prep.m)])
+        for r in range(0, prep.m, 7):
+            assert np.allclose(state._row_times_A(state.B_inv[r]),
+                               state.B_inv[r] @ full, rtol=0, atol=1e-12)
+        for j in range(0, prep.n_real, 5):
+            assert np.allclose(state._ftran(j), state.B_inv @ full[:, j],
+                               rtol=0, atol=1e-12)
+        y = prep.c_real[state.basis] @ state.B_inv
+        assert np.allclose(state._reduced_costs(prep.c_real),
+                           prep.c_real - y @ full, rtol=0, atol=1e-12)
+
+    def test_no_full_basis_inversion(self, depot_scenario, monkeypatch):
+        import fleetcharge as fc
+
+        model = fc.build_problem(depot_scenario).model
+        shapes = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            shapes.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        assert branch_and_bound(model).status == SolveStatus.OPTIMAL
+        assert shapes  # the guard saw the refactorizations
+        assert max(shape[0] for shape in shapes) < model.num_rows
 
 
 class TestDeterminism:

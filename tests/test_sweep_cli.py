@@ -251,6 +251,46 @@ class TestCli:
             assert error["details"] == ["[SoeBelowZero] truck T1"]
         assert not (tmp_path / "o" / "plan.json").exists()
 
+    @staticmethod
+    def config_error(capsys) -> str:
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "ConfigError"
+        return error["message"]
+
+    @pytest.mark.parametrize("count", [2.7, -1])
+    def test_solve_rejects_bad_design_file(self, count, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"DC": {"1": count}}))
+        code = main(["solve", "--scenario", TWO_TRUCK, "--design", "fixed",
+                     "--fixed-file", str(design), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "DC/1" in self.config_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_rejects_bad_explicit_design(self, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"DC": {"1": 2.7}}))
+        code = main(["compare", "--scenario", REMOTE,
+                     "--policy", f"explicit:{design}"])
+        assert code == 2
+        assert "DC/1" in self.config_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--design", "fixed"],
+        ["sweep", "--alpha", "1", "--slack-min", "0", "--design", "fixed"],
+        ["compare", "--policy", "main-depot-only:2:2"],
+    ], ids=["solve", "sweep", "compare"])
+    def test_scenario_schema_failure_is_a_config_error(self, argv, tmp_path, capsys):
+        doc = json.loads(Path(TWO_TRUCK).read_text())
+        doc["params"]["fixed_counts"] = {"DC": {"1": 2.5}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([argv[0], "--scenario", str(bad), *argv[1:],
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "params/fixed_counts/DC/1" in self.config_error(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 2
         capsys.readouterr()

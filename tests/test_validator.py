@@ -18,6 +18,7 @@ from fleetcharge.validator import (
     write_power_curves_csv,
 )
 
+from oracles import objective_breakdown
 from test_domain import make_leg, minimal_scenario
 
 
@@ -145,8 +146,6 @@ class TestRecompute:
 
     def test_breakdown_matches_model_decomposition(
             self, two_truck_scenario, two_truck_outcome):
-        from fleetcharge.builder import objective_breakdown
-
         model_side = objective_breakdown(
             two_truck_scenario, two_truck_outcome.build.catalog,
             two_truck_outcome.solution.values, two_truck_outcome.build.model)
