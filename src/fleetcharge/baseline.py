@@ -8,7 +8,7 @@ definition; headline savings against them are scenario-dependent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .builder import energy_consumption
 from .domain import (
@@ -16,6 +16,7 @@ from .domain import (
     FIXED_INFRASTRUCTURE,
     Scenario,
     charging_windows,
+    scenario_variant,
     tours,
     validate_scenario,
 )
@@ -218,10 +219,9 @@ def compare_designs(
     when both designs are feasible; an infeasible fixed design is itself the
     reported finding.
     """
-    codesign_scenario = validate_scenario(replace(
-        scenario, design_mode=CODESIGN, fixed_counts=None))
-    fixed_scenario = validate_scenario(replace(
-        scenario, design_mode=FIXED_INFRASTRUCTURE, fixed_counts=fixed_counts))
+    codesign_scenario = validate_scenario(scenario_variant(scenario, CODESIGN))
+    fixed_scenario = validate_scenario(
+        scenario_variant(scenario, FIXED_INFRASTRUCTURE, fixed_counts))
 
     codesign = solve_scenario(codesign_scenario, rel_gap)
     fixed = solve_scenario(fixed_scenario, rel_gap)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -22,6 +21,7 @@ from .domain import (
     FIXED_INFRASTRUCTURE,
     ScenarioValidationError,
     scenario_issues,
+    scenario_variant,
     validate_scenario,
 )
 from .generator import generate_synthetic
@@ -77,19 +77,6 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def _apply_overrides(scenario, args, design: str, fixed_counts):
-    updates = {}
-    if getattr(args, "alpha", None) is not None:
-        updates["alpha"] = args.alpha
-    if getattr(args, "slack_min", None) is not None:
-        updates["slack_blocks"] = scenario.time_grid.slack_blocks(args.slack_min)
-    if getattr(args, "window_mode", None):
-        updates["window_mode"] = args.window_mode
-    updates["design_mode"] = design
-    updates["fixed_counts"] = fixed_counts if design == FIXED_INFRASTRUCTURE else None
-    return validate_scenario(replace(scenario, **updates))
-
-
 def cmd_validate(args) -> int:
     try:
         scenario = load_scenario(args.scenario, validate=False)
@@ -115,7 +102,8 @@ def cmd_solve(args) -> int:
         fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
         if args.design == FIXED_INFRASTRUCTURE and fixed_counts is None:
             raise ValueError("--design fixed requires --fixed-file")
-        scenario = _apply_overrides(scenario, args, args.design, fixed_counts)
+        scenario = validate_scenario(scenario_variant(
+            scenario, args.design, fixed_counts, args.alpha, args.slack_min))
     except CONFIG_ERRORS as exc:
         return _config_report(exc)
 
@@ -201,8 +189,9 @@ def cmd_compare(args) -> int:
         policy = parse_policy(args.policy)
         fixed_counts = rule_based_design(scenario, policy)
         if args.slack_min is not None or args.alpha is not None:
-            scenario = _apply_overrides(
-                scenario, args, scenario.design_mode, scenario.fixed_counts)
+            scenario = validate_scenario(scenario_variant(
+                scenario, scenario.design_mode, scenario.fixed_counts,
+                args.alpha, args.slack_min))
     except CONFIG_ERRORS as exc:
         return _config_report(exc)
 
@@ -266,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=CODESIGN)
     p_solve.add_argument("--fixed-file", default=None,
                          help="explicit design JSON for --design fixed")
-    p_solve.add_argument("--window-mode", default=None,
-                         choices=["previous_arrival", "same_leg_arrival"])
     p_solve.add_argument("--gap", type=float, default=0.01)
     p_solve.add_argument("--node-limit", type=int, default=None)
     p_solve.add_argument("--time-limit", type=float, default=None)

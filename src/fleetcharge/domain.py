@@ -19,8 +19,6 @@ from typing import Mapping
 __all__ = [
     "CODESIGN",
     "FIXED_INFRASTRUCTURE",
-    "WINDOW_PREVIOUS_ARRIVAL",
-    "WINDOW_SAME_LEG_ARRIVAL",
     "TimeGrid",
     "ChargerType",
     "Truck",
@@ -31,6 +29,7 @@ __all__ = [
     "ScenarioValidationError",
     "scenario_issues",
     "validate_scenario",
+    "scenario_variant",
     "quantize_times",
     "tours",
     "charging_windows",
@@ -40,12 +39,6 @@ __all__ = [
 # Design-mode identifiers.
 CODESIGN = "codesign"
 FIXED_INFRASTRUCTURE = "fixed"
-
-# Charging-window conventions: the window for a leg either opens at the
-# previous leg's scheduled arrival (default, physically meaningful) or at
-# the same leg's scheduled arrival (compatibility switch).
-WINDOW_PREVIOUS_ARRIVAL = "previous_arrival"
-WINDOW_SAME_LEG_ARRIVAL = "same_leg_arrival"
 
 # Issue codes used by scenario validation.
 CHAIN_BROKEN = "ChainBroken"
@@ -203,7 +196,6 @@ class Scenario:
     slack_blocks: int = 0
     design_mode: str = CODESIGN
     fixed_counts: Mapping[str, Mapping[int, int]] | None = None
-    window_mode: str = WINDOW_PREVIOUS_ARRIVAL
     name: str = ""
 
     def truck(self, truck_id: str) -> Truck:
@@ -276,11 +268,11 @@ def quantize_times(scenario: Scenario) -> Scenario:
 def charging_windows(scenario: Scenario) -> dict[tuple[str, int, int], range]:
     """Blocks during which each leg may charge, keyed by (truck, day, leg).
 
-    In the default mode a leg's window opens at the previous leg's scheduled
-    arrival (day start for the first leg) and closes ``slack_blocks - 1``
-    after the scheduled departure; charging occupies whole blocks, so a leg
-    that charges in the window's last block departs exactly at
-    scheduled departure + slack. Windows are clipped to the leg's day.
+    A leg's window opens at the previous leg's scheduled arrival (day start
+    for the first leg) and closes ``slack_blocks - 1`` after the scheduled
+    departure; charging occupies whole blocks, so a leg that charges in the
+    window's last block departs exactly at scheduled departure + slack.
+    Windows are clipped to the leg's day.
     An empty range means the leg cannot charge.
     """
     grid = scenario.time_grid
@@ -289,19 +281,12 @@ def charging_windows(scenario: Scenario) -> dict[tuple[str, int, int], range]:
     for (truck_id, day), legs in tours(scenario).items():
         day_start = grid.day_start(day)
         day_end = grid.day_end(day)
-        for pos, leg in enumerate(legs):
-            if scenario.window_mode == WINDOW_SAME_LEG_ARRIVAL:
-                open_block = leg.scheduled_arrival_block
-            elif pos == 0:
-                open_block = day_start
-            else:
-                open_block = legs[pos - 1].scheduled_arrival_block
-            open_block = max(open_block, day_start)
+        opens = [day_start] + [max(prev.scheduled_arrival_block, day_start)
+                               for prev in legs[:-1]]
+        for leg, open_block in zip(legs, opens):
             close_block = min(leg.scheduled_departure_block + beta - 1, day_end)
-            if close_block < open_block:
-                windows[(truck_id, day, leg.leg_index)] = range(open_block, open_block)
-            else:
-                windows[(truck_id, day, leg.leg_index)] = range(open_block, close_block + 1)
+            windows[(truck_id, day, leg.leg_index)] = range(
+                open_block, max(close_block + 1, open_block))
     return windows
 
 
@@ -399,9 +384,6 @@ def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
     if scenario.design_mode not in (CODESIGN, FIXED_INFRASTRUCTURE):
         issues.append(ValidationIssue(
             UNKNOWN_REFERENCE, f"unknown design_mode {scenario.design_mode!r}"))
-    if scenario.window_mode not in (WINDOW_PREVIOUS_ARRIVAL, WINDOW_SAME_LEG_ARRIVAL):
-        issues.append(ValidationIssue(
-            UNKNOWN_REFERENCE, f"unknown window_mode {scenario.window_mode!r}"))
     if scenario.design_mode == FIXED_INFRASTRUCTURE:
         for loc, counts in (scenario.fixed_counts or {}).items():
             if loc not in scenario.location_ids:
@@ -498,3 +480,16 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if errors:
         raise ScenarioValidationError(errors)
     return scenario
+
+
+def scenario_variant(scenario: Scenario, design: str, fixed_counts=None,
+                     alpha: float | None = None, slack_minutes=None) -> Scenario:
+    """The scenario under ``design`` (``fixed_counts`` only for the fixed design)
+    and, if given, another alpha and slack; validate it before use."""
+    updates = {"design_mode": design,
+               "fixed_counts": fixed_counts if design == FIXED_INFRASTRUCTURE else None}
+    if alpha is not None:
+        updates["alpha"] = alpha
+    if slack_minutes is not None:
+        updates["slack_blocks"] = scenario.time_grid.slack_blocks(slack_minutes)
+    return replace(scenario, **updates)

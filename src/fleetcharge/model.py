@@ -1,9 +1,13 @@
 """Solver-agnostic mixed-integer linear model container.
 
 A :class:`LinearModel` is plain data: column bounds with integrality marks,
-rows as (sparse coefficient list, relation, rhs), and a linear objective
-with a constant offset. Rows and columns are appended in a deterministic
-order by the builder, so two builds of the same scenario are identical.
+a linear objective with a constant offset, and CSR row lists. Row ``i``
+(``row_names[i]``) has the coefficients ``row_vals[k]`` on the columns
+``row_cols[k]`` for ``row_start[i] <= k < row_start[i + 1]`` (a repeated
+column adds up), the relation ``senses[i]`` and the right-hand side
+``rhs[i]``; the ``rows`` view rebuilds ``Row`` tuples on each read. Rows
+and columns are appended in a deterministic order by the builder, so two
+builds of the same scenario are identical.
 """
 
 from __future__ import annotations
@@ -36,7 +40,12 @@ class LinearModel:
     integer: list[bool] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
     objective_offset: float = 0.0
-    rows: list[Row] = field(default_factory=list)
+    row_names: list[str] = field(default_factory=list)
+    row_start: list[int] = field(default_factory=lambda: [0])  # num_rows + 1 offsets
+    row_cols: list[int] = field(default_factory=list)
+    row_vals: list[float] = field(default_factory=list)
+    senses: list[str] = field(default_factory=list)
+    rhs: list[float] = field(default_factory=list)
     # Higher values branch first; structural design columns outrank
     # per-block scheduling columns.
     branch_priority: list[int] = field(default_factory=list)
@@ -47,7 +56,14 @@ class LinearModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
+
+    @property
+    def rows(self) -> list[Row]:
+        """The rows as ``Row`` tuples, rebuilt from the CSR lists on each read."""
+        rows = zip(self.row_names, self.row_start, self.row_start[1:], self.senses, self.rhs)
+        return [Row(name, tuple(zip(self.row_cols[lo:hi], self.row_vals[lo:hi])), sense, rhs)
+                for name, lo, hi, sense, rhs in rows]
 
     @property
     def integer_cols(self) -> list[int]:
@@ -81,12 +97,18 @@ class LinearModel:
     ) -> int:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"row {name}: unknown sense {sense!r}")
-        n = self.num_cols
-        for j, _ in coeffs:
-            if not (0 <= j < n):
+        cols = [int(j) for j, _ in coeffs]
+        for j in cols:
+            if not (0 <= j < self.num_cols):
                 raise ValueError(f"row {name}: column index {j} out of range")
-        self.rows.append(Row(name, tuple(coeffs), sense, float(rhs)))
-        return len(self.rows) - 1
+        vals = [float(a) for _, a in coeffs]
+        self.row_names.append(name)
+        self.row_cols += cols
+        self.row_vals += vals
+        self.row_start.append(len(self.row_cols))
+        self.senses.append(sense)
+        self.rhs.append(float(rhs))
+        return len(self.row_names) - 1
 
     def set_objective(self, col: int, coefficient: float) -> None:
         self.objective[col] = float(coefficient)
@@ -117,10 +139,11 @@ class LinearModel:
         for i in range(0, max(len(parts), 1), 6):
             lines.append("   " + " ".join(parts[i:i + 6]))
         lines.append("Subject To")
-        sense_text = {LE: "<=", GE: ">=", EQ: "="}
-        for row in self.rows:
-            body = " ".join(term(c, self.col_names[j]) for j, c in row.coeffs)
-            lines.append(f" {row.name}: {body} {sense_text[row.sense]} {row.rhs:.12g}")
+        for name, lo, hi, sense, rhs in zip(self.row_names, self.row_start,
+                                            self.row_start[1:], self.senses, self.rhs):
+            body = " ".join(term(c, self.col_names[j])
+                            for j, c in zip(self.row_cols[lo:hi], self.row_vals[lo:hi]))
+            lines.append(f" {name}: {body} {sense} {rhs:.12g}")  # senses are LP symbols
         lines.append("Bounds")
         for j, name in enumerate(self.col_names):
             lo, hi = self.lower[j], self.upper[j]

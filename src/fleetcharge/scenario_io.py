@@ -16,7 +16,6 @@ import jsonschema
 
 from .domain import (
     CODESIGN,
-    WINDOW_PREVIOUS_ARRIVAL,
     ChargerType,
     PriceSchedule,
     Scenario,
@@ -176,7 +175,6 @@ def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
         slack_blocks=grid.slack_blocks(int(params.get("slack_minutes", 0))),
         design_mode=str(params.get("design_mode", CODESIGN)),
         fixed_counts=fixed_counts,
-        window_mode=str(params.get("window_mode", WINDOW_PREVIOUS_ARRIVAL)),
         name=str(doc.get("name", "")),
     )
     scenario = quantize_times(scenario)
@@ -234,7 +232,6 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "alpha": scenario.alpha,
         "slack_minutes": int(round(scenario.slack_blocks * block_minutes)),
         "design_mode": scenario.design_mode,
-        "window_mode": scenario.window_mode,
     }
     if scenario.fixed_counts is not None:
         params["fixed_counts"] = {

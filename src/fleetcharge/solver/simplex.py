@@ -77,14 +77,15 @@ STALL_LIMIT = 400
 class PreparedLP:
     """A model converted once to arrays, solvable under many bounds.
 
-    Holds the row-scaled m x n structural matrix ``A`` (slack columns are
-    the implicit identity after it), each column's row support and values,
-    the scaled right-hand side, the slack bounds that encode the row senses
-    and the scaled costs over all n + m columns.
+    Holds the row-scaled m x n structural matrix ``A``, filled from the
+    model's CSR rows (slack columns are the implicit identity after it),
+    each column's row support and values, the scaled right-hand side, the
+    slack bounds that encode the row senses and the scaled costs over all
+    n + m columns.
 
-    Branch-and-bound reuses a single instance across nodes, passing
-    per-node structural bounds and the parent's basis to :meth:`solve`. Instances are immutable
-    after construction, so concurrent solves are safe.
+    Branch-and-bound reuses a single instance across nodes, passing per-node
+    structural bounds and the parent's basis to :meth:`solve`. Instances are
+    immutable after construction, so concurrent solves are safe.
     """
 
     def __init__(self, model: LinearModel):
@@ -92,16 +93,12 @@ class PreparedLP:
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
 
-        rows = model.rows
-        lengths = [len(row.coeffs) for row in rows]
-        coeffs = np.array([jc for row in rows for jc in row.coeffs],
-                          dtype=float).reshape(-1, 2)
         A = np.zeros((m, n))
         # Unbuffered and in order: duplicates add up as a coefficient loop would.
-        np.add.at(A, (np.repeat(np.arange(m), lengths), coeffs[:, 0].astype(int)),
-                  coeffs[:, 1])
-        b = np.array([row.rhs for row in rows], dtype=float)
-        senses = np.array([row.sense for row in rows], dtype=object)
+        np.add.at(A, (_row_of_entry(model), np.asarray(model.row_cols, dtype=int)),
+                  np.asarray(model.row_vals, dtype=float))
+        b = np.array(model.rhs, dtype=float)
+        senses = np.array(model.senses, dtype=object)
         slack_lower = np.where(senses == GE, -INF, 0.0)
         slack_upper = np.where(senses == LE, INF, 0.0)
 
@@ -511,8 +508,13 @@ class _SimplexState:
         self.B_inv[leave_pos] = piv_row
 
 
+def _row_of_entry(model: LinearModel) -> np.ndarray:
+    """The row index of each stored coefficient, in storage order."""
+    return np.repeat(np.arange(model.num_rows), np.diff(model.row_start))
+
+
 def check_solution(model: LinearModel, values) -> list[str]:
-    """Independent row-by-row and bound re-check; returns violation messages."""
+    """Independent bound, integrality and row re-check; returns violation messages."""
     x = np.asarray(values, dtype=float)
     problems = []
     for j in range(model.num_cols):
@@ -522,13 +524,21 @@ def check_solution(model: LinearModel, values) -> list[str]:
                 f"[{model.lower[j]}, {model.upper[j]}]")
         if model.integer[j] and abs(x[j] - round(x[j])) > 1e-6:
             problems.append(f"column {model.col_names[j]} = {x[j]} not integral")
-    for row in model.rows:
-        lhs = sum(coef * x[j] for j, coef in row.coeffs)
-        scale = max(1.0, max((abs(coef) for _, coef in row.coeffs), default=1.0))
-        if row.sense == LE and lhs > row.rhs + TOL_CHECK * scale:
-            problems.append(f"row {row.name}: {lhs} > {row.rhs}")
-        elif row.sense == GE and lhs < row.rhs - TOL_CHECK * scale:
-            problems.append(f"row {row.name}: {lhs} < {row.rhs}")
-        elif row.sense == EQ and abs(lhs - row.rhs) > TOL_CHECK * scale:
-            problems.append(f"row {row.name}: {lhs} != {row.rhs}")
+    row_of = _row_of_entry(model)
+    vals = np.asarray(model.row_vals, dtype=float)
+    # bincount adds each row's products one by one in storage order, so
+    # every left-hand side is the sum a coefficient loop would give.
+    lhs = np.bincount(row_of, weights=vals * x[model.row_cols], minlength=model.num_rows)
+    tol = np.ones(model.num_rows)
+    np.maximum.at(tol, row_of, np.abs(vals))
+    tol *= TOL_CHECK
+    rhs, senses = np.array(model.rhs), np.array(model.senses, dtype=object)
+    bad = ((senses == LE) & (lhs > rhs + tol)) | ((senses == GE) & (lhs < rhs - tol)) \
+        | ((senses == EQ) & (np.abs(lhs - rhs) > tol))
+    relation = {LE: ">", GE: "<", EQ: "!="}
+    for i in np.flatnonzero(bad):
+        # An empty row's left-hand side prints as the integer 0.
+        value = lhs[i] if model.row_start[i + 1] > model.row_start[i] else 0
+        problems.append(f"row {model.row_names[i]}: {value} "
+                        f"{relation[model.senses[i]]} {model.rhs[i]}")
     return problems

@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario, validate_scenario
+from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
+from .domain import scenario_variant, validate_scenario
 from .run import SolveOutcome, solve_scenario
 from .validator import _location_peak_kw, write_plan_json
 
@@ -67,17 +68,6 @@ class SweepSpec:
         ]
 
 
-def _cell_scenario(scenario: Scenario, spec: SweepSpec, cell: SweepCell) -> Scenario:
-    variant = replace(
-        scenario,
-        alpha=cell.alpha,
-        slack_blocks=scenario.time_grid.slack_blocks(cell.slack_minutes),
-        design_mode=cell.design,
-        fixed_counts=spec.fixed_counts if cell.design == FIXED_INFRASTRUCTURE else None,
-    )
-    return validate_scenario(variant)
-
-
 def _smooth(values: list[float], window: int = SMOOTH_WINDOW) -> list[float]:
     """Centered moving average; edges truncate to the available blocks."""
     half_lo = window // 2
@@ -110,7 +100,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
 
     def evaluate(cell: SweepCell) -> tuple[SweepCell, SolveOutcome | None, str | None]:
         try:
-            variant = _cell_scenario(scenario, spec, cell)
+            variant = validate_scenario(scenario_variant(
+                scenario, cell.design, spec.fixed_counts, cell.alpha, cell.slack_minutes))
             outcome = solve_scenario(
                 variant, rel_gap=spec.rel_gap,
                 node_limit=spec.node_limit, time_limit=spec.time_limit)

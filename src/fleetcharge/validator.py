@@ -107,7 +107,6 @@ class PlanReport:
     power_by_type: dict[str, dict[int, list[float]]]
     solver_info: dict
     scenario_name: str = ""
-    window_mode: str = ""
 
 
 def decode_plan(
@@ -184,7 +183,6 @@ def decode_plan(
             "wall_time_s": solution.wall_time,
         },
         scenario_name=scenario.name,
-        window_mode=scenario.window_mode,
     )
 
 
@@ -431,8 +429,6 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
     }
     if plan.scenario_name:
         doc["scenario_name"] = plan.scenario_name
-    if plan.window_mode:
-        doc["window_mode"] = plan.window_mode
     if amortize_ratio is not None:
         infra = plan.costs.infrastructure * amortize_ratio
         doc["costs_amortized"] = {

@@ -19,23 +19,25 @@ MIP_REL_GAP = 1e-9  # far below any gap under test, so this is the optimum
 
 
 def _matrix(model: LinearModel) -> csr_array:
-    entries = [(i, j, a) for i, row in enumerate(model.rows) for j, a in row.coeffs]
-    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    rows = np.repeat(np.arange(model.num_rows), np.diff(model.row_start))
     # Repeated (row, column) entries add up, as in the in-repo simplex.
-    return csr_array((vals, (rows, cols)), shape=(model.num_rows, model.num_cols))
+    return csr_array((np.asarray(model.row_vals, dtype=float),
+                      (rows, np.asarray(model.row_cols, dtype=int))),
+                     shape=(model.num_rows, model.num_cols))
 
 
 def highs_solve(model: LinearModel, time_limit: float = 60.0):
     """(objective, values) of an optimal point, or (None, None) when HiGHS
     proves the model infeasible. Any other outcome fails loudly."""
     matrix = _matrix(model)
-    row_lo = [-math.inf if row.sense == LE else row.rhs for row in model.rows]
-    row_hi = [math.inf if row.sense == GE else row.rhs for row in model.rows]
+    rhs, sense = np.array(model.rhs, dtype=float), np.array(model.senses, dtype=object)
+    row_lo = np.where(sense == LE, -math.inf, rhs)
+    row_hi = np.where(sense == GE, math.inf, rhs)
     result = milp(
         c=np.asarray(model.objective, dtype=float),
         integrality=np.asarray(model.integer, dtype=int),
         bounds=Bounds(model.lower, model.upper),
-        constraints=[LinearConstraint(matrix, row_lo, row_hi)] if model.rows else [],
+        constraints=[LinearConstraint(matrix, row_lo, row_hi)] if model.num_rows else [],
         options={"mip_rel_gap": MIP_REL_GAP, "time_limit": time_limit},
     )
     if result.status == 2:
@@ -51,8 +53,7 @@ def highs_lp(model: LinearModel):
     "unbounded", and the objective is None unless optimal. Any other
     outcome fails loudly."""
     dense = _matrix(model).toarray()
-    rhs = np.array([row.rhs for row in model.rows])
-    sense = np.array([row.sense for row in model.rows])
+    rhs, sense = np.array(model.rhs, dtype=float), np.array(model.senses, dtype=object)
     sign = np.where(sense == GE, -1.0, 1.0)  # GE rows become LE rows
     ub, eq = sense != EQ, sense == EQ
     result = linprog(

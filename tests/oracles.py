@@ -25,6 +25,7 @@ from fleetcharge.builder import VariableCatalog
 from fleetcharge.domain import CODESIGN, Scenario
 from fleetcharge.model import EQ, GE, LE, LinearModel
 from fleetcharge.solver import PreparedLP, Solution, SolveStatus
+from fleetcharge.solver.simplex import TOL_CHECK
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -182,6 +183,43 @@ def solve_lp_exact(c, rows, senses, rhs):
     return OPTIMAL, objective
 
 
+def dense_matrix(model: LinearModel) -> np.ndarray:
+    """The model's m x n coefficient matrix by a plain loop over its CSR
+    lists; repeated (row, column) entries add up in storage order."""
+    A = np.zeros((model.num_rows, model.num_cols))
+    for i in range(model.num_rows):
+        for k in range(model.row_start[i], model.row_start[i + 1]):
+            A[i, model.row_cols[k]] += model.row_vals[k]
+    return A
+
+
+def check_solution_by_rows(model: LinearModel, values) -> list[str]:
+    """Row-by-row reference for the vectorized ``check_solution``, reading
+    the CSR lists one row at a time; both must return the same messages."""
+    x = np.asarray(values, dtype=float)
+    problems = []
+    for j in range(model.num_cols):
+        if x[j] < model.lower[j] - TOL_CHECK or x[j] > model.upper[j] + TOL_CHECK:
+            problems.append(
+                f"column {model.col_names[j]} = {x[j]} outside "
+                f"[{model.lower[j]}, {model.upper[j]}]")
+        if model.integer[j] and abs(x[j] - round(x[j])) > 1e-6:
+            problems.append(f"column {model.col_names[j]} = {x[j]} not integral")
+    for i, name in enumerate(model.row_names):
+        lo, hi = model.row_start[i], model.row_start[i + 1]
+        coeffs = list(zip(model.row_cols[lo:hi], model.row_vals[lo:hi]))
+        sense, rhs = model.senses[i], model.rhs[i]
+        lhs = sum(coef * x[j] for j, coef in coeffs)
+        scale = max(1.0, max((abs(coef) for _, coef in coeffs), default=1.0))
+        if sense == LE and lhs > rhs + TOL_CHECK * scale:
+            problems.append(f"row {name}: {lhs} > {rhs}")
+        elif sense == GE and lhs < rhs - TOL_CHECK * scale:
+            problems.append(f"row {name}: {lhs} < {rhs}")
+        elif sense == EQ and abs(lhs - rhs) > TOL_CHECK * scale:
+            problems.append(f"row {name}: {lhs} != {rhs}")
+    return problems
+
+
 def lp_to_exact_inputs(model: LinearModel):
     """Convert a LinearModel with lower bounds 0 into oracle inputs.
 
@@ -190,16 +228,9 @@ def lp_to_exact_inputs(model: LinearModel):
     """
     n = model.num_cols
     assert all(lo == 0 for lo in model.lower), "oracle expects zero lower bounds"
-    rows = []
-    senses = []
-    rhs = []
-    for row in model.rows:
-        dense = [0.0] * n
-        for j, coef in row.coeffs:
-            dense[j] += coef
-        rows.append(dense)
-        senses.append(row.sense)
-        rhs.append(row.rhs)
+    rows = dense_matrix(model).tolist()
+    senses = list(model.senses)
+    rhs = list(model.rhs)
     for j in range(n):
         if model.upper[j] != float("inf"):
             dense = [0.0] * n
@@ -341,14 +372,8 @@ def _integer_ranges(model: LinearModel, max_binaries: int, max_assignments: int)
 def _pure_integer_best(model: LinearModel, int_cols, ranges) -> Solution:
     """All columns integer: vectorized feasibility scan, no LP needed."""
     n = model.num_cols
-    A = np.zeros((model.num_rows, n))
-    senses = []
-    rhs = np.zeros(model.num_rows)
-    for i, row in enumerate(model.rows):
-        for j, coef in row.coeffs:
-            A[i, j] += coef
-        senses.append(row.sense)
-        rhs[i] = row.rhs
+    A = dense_matrix(model)
+    rhs = np.array(model.rhs, dtype=float)
     c = np.asarray(model.objective, dtype=float)
 
     best_obj = math.inf
@@ -362,7 +387,7 @@ def _pure_integer_best(model: LinearModel, int_cols, ranges) -> Solution:
         X[:, int_cols] = np.asarray(batch, dtype=float)
         lhs = X @ A.T
         ok = np.ones(len(batch), dtype=bool)
-        for i, sense in enumerate(senses):
+        for i, sense in enumerate(model.senses):
             tol = FEAS_TOL * max(1.0, abs(rhs[i]))
             if sense == LE:
                 ok &= lhs[:, i] <= rhs[i] + tol

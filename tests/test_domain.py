@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import fleetcharge as fc
 from fleetcharge.domain import (
-    WINDOW_SAME_LEG_ARRIVAL,
     TimeGrid,
     charging_windows,
     empty_window_legs,
@@ -188,14 +187,6 @@ class TestChargingWindows:
         scenario = self.two_leg_scenario()
         windows = charging_windows(scenario)
         assert windows[("T1", 0, 2)].start == scenario.legs[0].scheduled_arrival_block
-
-    def test_same_leg_arrival_mode(self):
-        scenario = replace(self.two_leg_scenario(),
-                           window_mode=WINDOW_SAME_LEG_ARRIVAL)
-        windows = charging_windows(scenario)
-        assert windows[("T1", 0, 2)].start == scenario.legs[1].scheduled_arrival_block
-        # Arrival after departure makes the literal window empty.
-        assert len(windows[("T1", 0, 2)]) == 0
 
     def test_empty_window_reported_not_hidden(self, remote_scenario):
         tight = fc.validate_scenario(replace(remote_scenario, slack_blocks=0))

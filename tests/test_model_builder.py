@@ -12,7 +12,7 @@ import pytest
 
 import fleetcharge as fc
 from fleetcharge.builder import build_problem, energy_consumption
-from fleetcharge.model import LE
+from fleetcharge.model import EQ, GE, LE, LinearModel, Row
 from fleetcharge.solver import SolveStatus, branch_and_bound
 
 from oracles import brute_force_enumerate, objective_breakdown
@@ -259,7 +259,12 @@ class TestCapacityConstraints:
         per_block: dict = {}
         for (_, _, _, _, block), col in build.catalog.y.items():
             per_block.setdefault(block, set()).add((col, 1.0))
-        rows = {(frozenset(r.coeffs), r.sense, r.rhs) for r in build.model.rows}
+        model = build.model
+        rows = {
+            (frozenset(zip(model.row_cols[lo:hi], model.row_vals[lo:hi])), sense, rhs)
+            for lo, hi, sense, rhs in zip(model.row_start, model.row_start[1:],
+                                          model.senses, model.rhs)
+        }
         assert per_block and all(
             (frozenset(cols), LE, 1.0) in rows for cols in per_block.values())
         brute = brute_force_enumerate(build.model)
@@ -441,3 +446,66 @@ class TestModelFingerprint:
             found[(design, slack, strengthen)] = model_fingerprint(build.model)
         assert found == GOLDEN_FINGERPRINTS
 
+
+
+# (design, slack blocks) -> sha256 of the depot fixture's to_lp_format() text,
+# taken while rows were still stored as Row tuples.
+GOLDEN_LP_TEXT = {
+    ("codesign", 0): "0e19267f1e9f0526543f8f91ec24dbd19f5e14b7a2fe158919c2fabd83c63639",
+    ("codesign", 1): "1de6427814fa0b4a0ad854371511a4dda95bfb80c2c89d64a242c0ab21efa1d4",
+    ("fixed", 0): "ed17d8ce0dc0c08fa92ce692bccd761ad7db7c60cc7204ba0de1bd8621e07c6f",
+    ("fixed", 1): "fe6767348c23577556a551a47c2e7944079e4e4a52ef0ace26d14a16223f232f",
+}
+
+
+class TestRowStore:
+    def test_depot_lp_text_matches_golden(self, depot_scenario):
+        from fleetcharge.baseline import MainDepotOnly, rule_based_design
+
+        fixed_counts = rule_based_design(depot_scenario, MainDepotOnly(2, 2))
+        found = {}
+        for design, slack in GOLDEN_LP_TEXT:
+            scenario = fc.validate_scenario(replace(
+                depot_scenario, slack_blocks=slack, design_mode=design,
+                fixed_counts=fixed_counts if design == fc.FIXED_INFRASTRUCTURE
+                else None))
+            text = build_problem(scenario).model.to_lp_format()
+            found[(design, slack)] = hashlib.sha256(text.encode()).hexdigest()
+        assert found == GOLDEN_LP_TEXT
+
+    @staticmethod
+    def row_lists(model):
+        return [list(part) for part in (model.row_names, model.row_start,
+                                        model.row_cols, model.row_vals,
+                                        model.senses, model.rhs)]
+
+    @pytest.mark.parametrize("coeffs, sense", [
+        ([(0, 1.0), (2, 1.0)], LE),  # column 2 does not exist
+        ([(1, 1.0), (-1, 2.0)], GE),
+        ([(0, 1.0)], "<"),
+    ], ids=["past-end", "negative", "sense"])
+    def test_rejected_row_leaves_the_store_unchanged(self, coeffs, sense):
+        model = LinearModel()
+        model.add_column("x")
+        model.add_column("y")
+        model.add_row("kept", [(1, 2.0), (0, -1.0), (1, 0.5)], EQ, 4.0)
+        before = self.row_lists(model)
+        with pytest.raises(ValueError):
+            model.add_row("bad", coeffs, sense, 1.0)
+        assert self.row_lists(model) == before
+        assert model.num_rows == 1
+
+    def test_rows_view_rebuilds_each_row(self):
+        model = LinearModel()
+        model.add_column("x")
+        model.add_column("y")
+        model.add_row("a", [(1, 2), (0, -1.5), (1, 0.5)], EQ, 4)
+        model.add_row("empty", [], GE, -1.0)
+        model.add_row("b", [(0, 3.0)], LE, 2.5)
+        assert model.row_start == [0, 3, 3, 4]
+        assert model.rows == [
+            Row("a", ((1, 2.0), (0, -1.5), (1, 0.5)), EQ, 4.0),
+            Row("empty", (), GE, -1.0),
+            Row("b", ((0, 3.0),), LE, 2.5),
+        ]
+        assert [type(a) for _, a in model.rows[0].coeffs] == [float] * 3

@@ -20,6 +20,8 @@ from fleetcharge.solver import simplex
 from oracles import (
     INFEASIBLE,
     OPTIMAL,
+    check_solution_by_rows,
+    dense_matrix,
     lp_to_exact_inputs,
     random_lp,
     random_mixed_bounds_lp,
@@ -332,14 +334,11 @@ class TestSetUp:
         # A repeated column in one row adds up, as in the builder's sums.
         model.add_row("twice", [(0, 1.5), (3, -2.0), (0, 0.25)], LE, 4.0)
         prep = PreparedLP(model)
-        A = np.zeros((model.num_rows, model.num_cols))
-        for i, row in enumerate(model.rows):
-            for j, coef in row.coeffs:
-                A[i, j] += coef
+        A = dense_matrix(model)
         scale = np.abs(A).max(axis=1)
         scale[scale == 0] = 1.0
         assert np.array_equal(prep.A, A / scale[:, None])
-        assert np.array_equal(prep.b, [row.rhs for row in model.rows] / scale)
+        assert np.array_equal(prep.b, model.rhs / scale)
         for j in range(model.num_cols):
             assert np.array_equal(prep.col_rows[j], np.flatnonzero(prep.A[:, j]))
             assert np.array_equal(prep.col_vals[j], prep.A[prep.col_rows[j], j])
@@ -531,3 +530,36 @@ class TestCheckSolution:
         model.add_column("y", 0, 1, integer=True)
         assert check_solution(model, [0.4])
         assert check_solution(model, [1.0]) == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vectorized_rows_match_row_loop(self, seed):
+        """The same messages as a row-by-row loop: every sense, a repeated
+        column, empty rows, and points on both sides of each tolerance."""
+        rng = np.random.default_rng(seed)
+        n = 5
+        model = LinearModel()
+        for j in range(n):
+            model.add_column(f"x{j}", -10.0, 10.0, integer=j == 0)
+        x0 = rng.uniform(-4.0, 4.0, n)
+        for i in range(12):
+            cols = rng.choice(n, size=3, replace=False).tolist()
+            if i % 4 == 3:
+                cols.append(cols[0])  # a repeated column adds up
+            vals = (rng.uniform(-1.0, 1.0, len(cols)) * 10.0 ** rng.integers(-1, 3)).tolist()
+            lhs = sum(a * x0[j] for j, a in zip(cols, vals))
+            tol = simplex.TOL_CHECK * max(1.0, *map(abs, vals))
+            offset = tol * rng.choice([-3.0, -0.5, 0.0, 0.5, 3.0])
+            model.add_row(f"r{i}", list(zip(cols, vals)), (LE, GE, EQ)[i % 3],
+                          float(lhs + offset))
+        model.add_row("empty_ok", [], GE, -1.0)
+        model.add_row("empty_bad", [], LE, -1.0)
+
+        found = []
+        for scale in (0.0, 1e-8, 1e-7, 1e-6, 1e-4, 1.0, 30.0):
+            x = x0 + scale * rng.normal(size=n)
+            vectorized = check_solution(model, x)
+            assert vectorized == check_solution_by_rows(model, x)
+            found += vectorized
+        assert "row empty_bad: 0 > -1.0" in found
+        for relation in (" > ", " < ", " != ", "outside", "not integral"):
+            assert any(relation in message for message in found), relation

@@ -149,6 +149,7 @@ class TestCli:
         assert plan["solver"]["status"] == "optimal"
         assert (out / "power_curves.csv").exists()
         assert (out / "model.lp").read_text().startswith("Minimize")
+        assert "window_mode" not in plan
         scenario = fc.load_scenario(TWO_TRUCK)
         assert plan["costs"]["total"] == pytest.approx(41218.3673, abs=1e-3)
         assert "status=optimal" in capsys.readouterr().out
@@ -289,6 +290,22 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "params/fixed_counts/DC/1" in self.config_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_same_leg_arrival_window_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads(Path(TWO_TRUCK).read_text())
+        doc["params"]["window_mode"] = "same_leg_arrival"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "params/window_mode" in self.config_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_window_mode_flag_is_gone(self, tmp_path, capsys):
+        assert main(["solve", "--scenario", TWO_TRUCK, "--window-mode",
+                     "previous_arrival", "--out", str(tmp_path / "o")]) == 2
+        assert "--window-mode" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_usage_error(self, capsys):
