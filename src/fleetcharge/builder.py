@@ -326,11 +326,24 @@ def _add_strengthening_rows(
     needs a charger of some type, its peak is at least one charger's rated
     power, and the installed power times the span of those windows must
     cover the energy (a Hall-style condition per window close).
+
+    Fast-charger cover (co-design only): a tour prefix with a D-kWh
+    shortfall over W window blocks buys at least D, one charger per block.
+    If only the usable types F with block-duration x power x W >= D can do
+    that, at least one block uses a type in F, so some window location of
+    the prefix builds one (a cover inequality on the prefix's energy
+    knapsack). When those windows are all at one location, its peak floor
+    rises to the slowest type in F.
     """
     tau = scenario.time_grid.block_duration_hours
+    codesign = scenario.design_mode == CODESIGN
+    peak_price = scenario.price_schedule.peak_price_per_kw
     # Per (location, day): each tour that so far could only charge there
     # contributes (its window blocks, the energy it must buy there).
     needs: dict[tuple[str, int], list[tuple[set[int], float]]] = {}
+    # Per location: the least power a fast-type block there draws, from
+    # cover rows whose prefix charges only there.
+    fast_power: dict[str, float] = {}
     for (truck_id, day), rows in table.items():
         usable = rows[0].usable
         block_max_kwh = tau * max((c.rated_power_kw for c in usable), default=0.0)
@@ -338,19 +351,35 @@ def _add_strengthening_rows(
         single_location: str | None = None
         broken = False
         blocks: set[int] = set()
+        window_locations: set[str] = set()
+        window_blocks = 0
         best_deficit = 0.0
         for row in rows:
             coeffs += [(col, 1.0) for _, _, col in row.slots]
-            if usable and row.deficit > 1e-9:
-                blocks_needed = math.ceil(row.deficit / block_max_kwh - 1e-9)
-                model.add_row(
-                    f"min_blocks[{row.tag}]", list(coeffs), GE, float(blocks_needed))
             if len(row.window) > 0:
+                window_blocks += len(row.window)
+                window_locations.add(row.leg.origin_id)
                 if single_location is None:
                     single_location = row.leg.origin_id
                 broken = broken or row.leg.origin_id != single_location
                 if not broken:
                     blocks.update(row.window)
+            if usable and row.deficit > 1e-9:
+                blocks_needed = math.ceil(row.deficit / block_max_kwh - 1e-9)
+                model.add_row(
+                    f"min_blocks[{row.tag}]", list(coeffs), GE, float(blocks_needed))
+                fast = [c for c in usable
+                        if tau * c.rated_power_kw * window_blocks >= row.deficit - 1e-9]
+                if codesign and 0 < len(fast) < len(usable):
+                    model.add_row(
+                        f"fast_required[{row.tag}]",
+                        [(cat.x[(location, c.id)], 1.0)
+                         for location in sorted(window_locations) for c in fast],
+                        GE, 1.0)
+                    if not broken:
+                        fast_power[single_location] = max(
+                            fast_power.get(single_location, 0.0),
+                            min(c.rated_power_kw for c in fast))
             if not broken and single_location is not None:
                 best_deficit = max(best_deficit, row.deficit)
         count_col = cat.blocks_used.get((truck_id, day))
@@ -361,7 +390,7 @@ def _add_strengthening_rows(
             needs.setdefault((single_location, day), []).append(
                 (blocks, best_deficit))
 
-    if scenario.design_mode != CODESIGN:
+    if not codesign:
         return
     for location in sorted(cat.x_total):
         coeffs = [(cat.x_total[location], 1.0)]
@@ -369,14 +398,15 @@ def _add_strengthening_rows(
         model.add_row(f"count_total[{location}]", coeffs, EQ, 0.0)
     min_power = min((c.rated_power_kw for c in scenario.charger_catalog),
                     default=0.0)
-    peak_price = scenario.price_schedule.peak_price_per_kw
     for location in sorted({location for location, _ in needs}):
         coeffs = [(cat.x[(location, c.id)], 1.0) for c in scenario.charger_catalog]
         model.add_row(f"charger_required[{location}]", coeffs, GE, 1.0)
         # Any integer schedule that charges here at all peaks at no less
-        # than one charger's rated power; the relaxation otherwise fakes a
-        # lower peak by spreading fractional blocks.
-        cat.peak_floor[location] = float(peak_price * min_power)
+        # than one charger's rated power (a fast one's, when a cover row
+        # demands it); the relaxation otherwise fakes a lower peak by
+        # spreading fractional blocks.
+        power = max(min_power, fast_power.get(location, 0.0))
+        cat.peak_floor[location] = float(peak_price * power)
         model.add_row(f"peak_floor[{location}]", [(cat.c_peak[location], 1.0)],
                       GE, cat.peak_floor[location])
     for (location, day), entries in sorted(needs.items()):

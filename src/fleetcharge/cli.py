@@ -192,6 +192,10 @@ def cmd_compare(args) -> int:
             scenario = validate_scenario(scenario_variant(
                 scenario, scenario.design_mode, scenario.fixed_counts,
                 args.alpha, args.slack_min))
+        # compare_designs validates this variant again; a design naming an
+        # unknown location must fail here, as a ConfigError.
+        validate_scenario(scenario_variant(
+            scenario, FIXED_INFRASTRUCTURE, fixed_counts))
     except CONFIG_ERRORS as exc:
         return _config_report(exc)
 

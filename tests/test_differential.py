@@ -3,7 +3,8 @@
 Needs scipy (the ``test`` extra); the module is skipped without it. Each
 case builds a ``generate_synthetic`` scenario, solves it end to end with
 the warm-started in-repo branch-and-bound and compares the objective with
-HiGHS on the same model.
+HiGHS on the same model. HiGHS must also give the same optimum on the
+plain formulation, so no strengthening row cuts off an integer optimum.
 """
 
 from dataclasses import replace
@@ -34,10 +35,13 @@ def test_branch_and_bound_matches_highs(trucks, slack_minutes, design):
     ))
     outcome = fc.solve_scenario(scenario, rel_gap=REL_GAP)
     reference, point = highs_solve(outcome.build.model)
+    plain, _ = highs_solve(fc.build_problem(scenario, strengthen=False).model)
 
     if reference is None:
+        assert plain is None
         assert outcome.solution.status == SolveStatus.INFEASIBLE
         return
+    assert reference == pytest.approx(plain, rel=1e-8)
     assert check_solution(outcome.build.model, point) == []
     assert outcome.solution.status == SolveStatus.OPTIMAL
     ours = outcome.solution.objective
@@ -45,3 +49,25 @@ def test_branch_and_bound_matches_highs(trucks, slack_minutes, design):
     assert ours >= reference - 1e-6 * abs(reference)
     assert ours - reference <= REL_GAP * abs(ours)
     assert fc.replay(scenario, outcome.plan).clean
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0])
+@pytest.mark.parametrize("locations", [3, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_fast_charger_cover_keeps_the_optimum(seed, locations, alpha):
+    """Five-truck co-design cells at slack 0, where the builder writes
+    fast-charger cover rows and raises the peak floor."""
+    base = fc.generate_synthetic(seed, n_trucks=5, n_locations=locations, n_days=1)
+    scenario = fc.validate_scenario(replace(
+        base, alpha=alpha, slack_blocks=0, design_mode=fc.CODESIGN,
+        fixed_counts=None))
+    outcome = fc.solve_scenario(scenario, rel_gap=1e-6)
+    model = outcome.build.model
+    assert any(name.startswith("fast_required[") for name in model.row_names)
+
+    reference, point = highs_solve(model)
+    plain, _ = highs_solve(fc.build_problem(scenario, strengthen=False).model)
+    assert reference == pytest.approx(plain, rel=1e-8)
+    assert check_solution(model, point) == []
+    assert outcome.solution.status == SolveStatus.OPTIMAL
+    assert outcome.solution.objective == pytest.approx(reference, rel=1e-6)

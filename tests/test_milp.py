@@ -91,13 +91,27 @@ class TestBranchAndBound:
 
         # At slack 0 the search meets nodes that end without branching
         # (infeasible, fathomed or integral); the limit must hold there too.
+        # The plain formulation keeps a tree deeper than every limit; the
+        # strengthened one reaches OPTIMAL within 7 nodes.
         scenario = fc.validate_scenario(replace(depot_scenario, slack_blocks=0))
-        model = fc.build_problem(scenario).model
+        model = fc.build_problem(scenario, strengthen=False).model
         for limit in (3, 7, 25):
             sol = branch_and_bound(model, rel_gap_target=0.0, node_limit=limit)
             assert sol.status == SolveStatus.FEASIBLE
             assert sol.node_count <= limit
             assert sol.gap is None or sol.gap >= 0
+
+    def test_five_truck_fleet_at_slack0_is_optimal(self):
+        import fleetcharge as fc
+
+        # Without the fast-charger cover rows the search finds no incumbent
+        # here in thousands of nodes; HiGHS gives this optimum at its root.
+        scenario = fc.validate_scenario(replace(
+            fc.generate_synthetic(1, n_trucks=5), slack_blocks=0))
+        outcome = fc.solve_scenario(scenario, rel_gap=1e-6, node_limit=100)
+        assert outcome.solution.status == SolveStatus.OPTIMAL
+        assert outcome.solution.objective == pytest.approx(54559.5102040816, rel=1e-9)
+        assert outcome.plan is not None
 
     def test_trace_and_determinism(self):
         model = random_binary_milp(42)

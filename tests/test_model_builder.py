@@ -275,6 +275,83 @@ class TestCapacityConstraints:
         assert all(total <= 1.0 + 1e-9 for total in by_block.values())
 
 
+class TestFastChargerCover:
+    """A tour prefix whose windows are too short for the slow type must buy
+    from a fast one: a cover row on the fast types' counts and a peak floor
+    at the fast type's power."""
+
+    SLOW = fc.ChargerType(1, 30.0, 10000.0, 0.98)
+    FAST = fc.ChargerType(2, 60.0, 20000.0, 0.98)
+
+    def build(self, legs, strengthen=True):
+        truck = fc.Truck("T1", 150.0, 0.12, 75.0)
+        scenario = crafted(legs, (self.SLOW, self.FAST), (truck,))
+        return build_problem(scenario, strengthen=strengthen)
+
+    @staticmethod
+    def one_leg(dep_min):
+        # 120 kWh leg with 75 kWh on board: 45 kWh to buy before departure.
+        return [make_leg(dep_min=dep_min, arr_min=dep_min + 60, km=100.0, tons=10.0)]
+
+    @staticmethod
+    def row(model, name):
+        i = model.row_names.index(name)
+        lo, hi = model.row_start[i], model.row_start[i + 1]
+        return (model.row_cols[lo:hi], model.row_vals[lo:hi],
+                model.senses[i], model.rhs[i])
+
+    @staticmethod
+    def cover_rows(model):
+        return [n for n in model.row_names if n.startswith("fast_required[")]
+
+    def test_short_window_requires_fast_type(self):
+        # Four blocks buy 30 kWh at 30 kW but 60 kWh at 60 kW.
+        build = self.build(self.one_leg(60))
+        cat, model = build.catalog, build.model
+        assert self.cover_rows(model) == ["fast_required[T1_d0_l1]"]
+        assert self.row(model, "fast_required[T1_d0_l1]") == \
+            ([cat.x[("DC", 2)]], [1.0], GE, 1.0)
+        assert cat.peak_floor == {"DC": 10.0 * 60.0}
+        assert self.row(model, "peak_floor[DC]") == \
+            ([cat.c_peak["DC"]], [1.0], GE, 600.0)
+
+    def test_long_window_adds_no_row(self):
+        # Eight blocks buy 60 kWh even at 30 kW.
+        build = self.build(self.one_leg(120))
+        assert self.cover_rows(build.model) == []
+        assert build.catalog.peak_floor == {"DC": 10.0 * 30.0}
+
+    def test_fixed_design_adds_no_row(self):
+        truck = fc.Truck("T1", 150.0, 0.12, 75.0)
+        scenario = crafted(self.one_leg(60), (self.SLOW, self.FAST), (truck,),
+                           design_mode=fc.FIXED_INFRASTRUCTURE,
+                           fixed_counts={"DC": {1: 1, 2: 1}})
+        assert self.cover_rows(build_problem(scenario).model) == []
+
+    def test_prefix_over_two_locations(self):
+        legs = [
+            # 60 kWh out of 75: no shortfall yet; four blocks at DC.
+            make_leg(index=1, dep_min=60, arr_min=120, km=50.0, tons=10.0),
+            # 120 kWh more: a 105 kWh shortfall over eight blocks (four at
+            # DC, four at R1), 60 kWh at 30 kW, 120 kWh at 60 kW.
+            make_leg(index=2, origin="R1", dest="DC", dep_min=180,
+                     arr_min=240, km=100.0, tons=10.0),
+        ]
+        build = self.build(legs)
+        cat, model = build.catalog, build.model
+        assert self.cover_rows(model) == ["fast_required[T1_d0_l2]"]
+        assert self.row(model, "fast_required[T1_d0_l2]") == \
+            ([cat.x[("DC", 2)], cat.x[("R1", 2)]], [1.0, 1.0], GE, 1.0)
+        assert cat.peak_floor == {}  # the shortfall is bought at two places
+
+    def test_same_optimum_as_plain(self):
+        legs = self.one_leg(60)
+        brute = brute_force_enumerate(self.build(legs, strengthen=False).model)
+        strong = branch_and_bound(self.build(legs).model, rel_gap_target=0.0)
+        assert brute.status == strong.status == SolveStatus.OPTIMAL
+        assert strong.objective == pytest.approx(brute.objective, abs=1e-6)
+
+
 class TestPeakEpigraph:
     def test_no_charging_zero_peak(self):
         truck = fc.Truck("T1", 150.0, 0.12, 150.0)
@@ -405,7 +482,7 @@ def model_fingerprint(model) -> str:
 
 # (design, slack blocks, strengthen) -> fingerprint of the depot fixture's model.
 GOLDEN_FINGERPRINTS = {
-    ("codesign", 0, True): "c78d080b5a255e42",
+    ("codesign", 0, True): "ecf56bf7a273db49",
     ("codesign", 0, False): "b2d7c8e9b98b56e5",
     ("codesign", 1, True): "410569f5664bf288",
     ("codesign", 1, False): "61be1abbc4bb4ea9",
@@ -446,12 +523,33 @@ class TestModelFingerprint:
             found[(design, slack, strengthen)] = model_fingerprint(build.model)
         assert found == GOLDEN_FINGERPRINTS
 
+    def test_cover_rows_are_the_only_slack0_change(self, depot_scenario):
+        """Without its fast-charger cover rows and with the old peak floor
+        (one slowest charger), the slack-0 co-design model is the one built
+        before those rows existed."""
+        scenario = fc.validate_scenario(replace(depot_scenario, slack_blocks=0))
+        model = build_problem(scenario).model
+        old_floor = scenario.price_schedule.peak_price_per_kw * min(
+            c.rated_power_kw for c in scenario.charger_catalog)
+        kept = LinearModel(
+            col_names=model.col_names, lower=model.lower, upper=model.upper,
+            integer=model.integer, objective=model.objective,
+            objective_offset=model.objective_offset,
+            branch_priority=model.branch_priority)
+        for row in model.rows:
+            if row.name.startswith("fast_required["):
+                continue
+            rhs = old_floor if row.name.startswith("peak_floor[") else row.rhs
+            kept.add_row(row.name, list(row.coeffs), row.sense, rhs)
+        assert kept.num_rows < model.num_rows
+        assert model_fingerprint(kept) == "c78d080b5a255e42"
+
 
 
 # (design, slack blocks) -> sha256 of the depot fixture's to_lp_format() text,
 # taken while rows were still stored as Row tuples.
 GOLDEN_LP_TEXT = {
-    ("codesign", 0): "0e19267f1e9f0526543f8f91ec24dbd19f5e14b7a2fe158919c2fabd83c63639",
+    ("codesign", 0): "41a23fcf2ad4c6689996d94674fe5d5dbbc1bceb138fefd075f68bfb8b61098e",
     ("codesign", 1): "1de6427814fa0b4a0ad854371511a4dda95bfb80c2c89d64a242c0ab21efa1d4",
     ("fixed", 0): "ed17d8ce0dc0c08fa92ce692bccd761ad7db7c60cc7204ba0de1bd8621e07c6f",
     ("fixed", 1): "fe6767348c23577556a551a47c2e7944079e4e4a52ef0ace26d14a16223f232f",

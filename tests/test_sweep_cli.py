@@ -276,6 +276,14 @@ class TestCli:
         assert code == 2
         assert "DC/1" in self.config_error(capsys)
 
+    def test_compare_rejects_design_at_unknown_location(self, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"NOPE": {"1": 2}}))
+        code = main(["compare", "--scenario", REMOTE,
+                     "--policy", f"explicit:{design}"])
+        assert code == 2
+        assert "unknown location 'NOPE'" in self.config_error(capsys)
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--design", "fixed"],
         ["sweep", "--alpha", "1", "--slack-min", "0", "--design", "fixed"],
