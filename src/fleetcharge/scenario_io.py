@@ -274,6 +274,6 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    text = json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -9,6 +9,13 @@ record, never a basis inverse); each node LP goes through the shared
 since a child differs from its parent in one column bound. The root LP
 starts cold, from the slack basis.
 
+Only the most recent LP's basis inverse (its :class:`Factor`) is kept.
+When the next node popped starts from that LP's very basis, as every
+child does when the search dives, the factor is handed to its solve, which
+then skips the refactorization; otherwise it is dropped, so at most one
+m x m inverse is alive between solves and none is stored on the heap or
+returned.
+
 A node's priority is its parent's relaxation objective, which lower-bounds
 its subtree; with best-first order the popped priorities are nondecreasing,
 so the last popped priority is the global proven bound.
@@ -16,7 +23,7 @@ so the last popped priority is the global proven bound.
 When a relaxation comes back integral, the integer columns are fixed at
 their rounded values and the LP re-solved once ("polish"), so incumbents
 carry exactly integral values and an objective consistent with them. The
-polish starts from the node's own basis.
+polish starts from the node's own basis and takes over its factor.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from ..model import LinearModel
 from .simplex import PreparedLP, check_solution
-from .types import NumericalFailure, Solution, SolveStatus, relative_gap
+from .types import Factor, NumericalFailure, Solution, SolveStatus, relative_gap
 
 __all__ = ["branch_and_bound", "INTEGRALITY_TOL", "DEFAULT_REL_GAP"]
 
@@ -131,6 +138,7 @@ def branch_and_bound(
     lower = np.asarray(model.lower, dtype=float)
     upper = np.asarray(model.upper, dtype=float)
     heapq.heappush(heap, (-math.inf, -seq, -math.inf, lower, upper, 0, None))
+    factor = None  # the last LP's basis inverse, for a node that dives from it
 
     def open_bound() -> float:
         # The proven global bound is the raw minimum over open nodes.
@@ -151,7 +159,10 @@ def branch_and_bound(
                 time_limit is not None and time.monotonic() - start > time_limit):
             return finish(SolveStatus.FEASIBLE, min(proven_bound, incumbent_obj))
 
-        result = prep.solve(lo, hi, basis)
+        handed = factor if factor is not None and factor.basis is basis else None
+        factor = None
+        result = prep.solve(lo, hi, basis, handed)
+        factor, result.factor = result.factor, None
         nodes += 1
         if result.status == SolveStatus.INFEASIBLE:
             log(node_id, depth, math.inf)
@@ -172,7 +183,8 @@ def branch_and_bound(
 
         branch_col = _most_fractional(result.values, int_cols, priorities)
         if branch_col is None:
-            candidate = _polish(prep, model, int_cols, lo, hi, result)
+            candidate = _polish(prep, model, int_cols, lo, hi, result, factor)
+            factor = None
             if candidate[1] < incumbent_obj:
                 first = incumbent is None
                 incumbent, incumbent_obj = candidate
@@ -210,14 +222,16 @@ def _polish(
     lo: np.ndarray,
     hi: np.ndarray,
     relaxed: Solution,
+    factor: Factor | None,
 ) -> tuple[np.ndarray, float]:
-    """Fix integers at rounded values and re-solve for exact continuous parts."""
+    """Fix integers at rounded values and re-solve for exact continuous
+    parts, from the relaxation's basis and its ``factor``."""
     values = relaxed.values
     # Adding 0.0 turns np.round's -0.0 into the 0.0 that round() gives.
     rounded = np.round(values[int_cols]) + 0.0
     lo2, hi2 = lo.copy(), hi.copy()
     lo2[int_cols] = hi2[int_cols] = rounded
-    refined = prep.solve(lo2, hi2, relaxed.basis)
+    refined = prep.solve(lo2, hi2, relaxed.basis, factor)
     if refined.status == SolveStatus.OPTIMAL:
         return refined.values, refined.objective
     snapped = values.copy()

@@ -6,11 +6,15 @@ the row sense, so every row is an equality internally.
 
 Every solve runs a bounded dual simplex from a dual-feasible basis. A warm
 start is the final :class:`Basis` of an earlier solve of the same LP under
-other bounds (a branch-and-bound parent): the solve refactorizes it once
-and recomputes the basic values under the new bounds. A cold start is the
-slack basis (B = I): each structural column sits at the finite bound its
-cost prefers, or free at zero, and a cost that is not dual feasible there
-(no finite bound on its cost's side) is zeroed for the dual pass only
+other bounds (a branch-and-bound parent), and the solve recomputes the
+basic values under the new bounds. Handed that solve's final basis inverse
+too (a :class:`Factor`, which branch-and-bound passes on when it dives
+straight into a child), it takes the inverse over with its pivot age and
+refactorizes only when the basic values fail the residual check; without
+one it refactorizes the basis once. A cold start is the slack basis
+(B = I): each structural column sits at the finite bound its cost
+prefers, or free at zero, and a cost that is not dual feasible there (no
+finite bound on its cost's side) is zeroed for the dual pass only
 (Koberstein's cost-modification dual phase 1). The leaving row has the
 largest bound violation (ties to the lowest position); the entering column
 comes from the dual ratio test (ties to the largest pivot, then the lowest
@@ -34,13 +38,14 @@ rows R_k first and the basic slacks' rows R_s after:
 with K = A[R_k, S]. A refactorization inverts only the k x k kernel K and
 assembles the dense B^-1 from these blocks: its columns are unit vectors
 on R_s and carry K^-1 on R_k. Between refactorizations B^-1 takes
-elementary row operations, and every per-pivot step touches only
-nonzeros: a column ``B^-1 a_j`` reads a_j's stored row support, the dual
-pivot row reads only the rows of A where the pivot row of B^-1 is
-nonzero, and the rank-one update rewrites only the entries of B^-1 where
-both the entering column and the pivot row are nonzero. Slack columns
-are never stored; they are the implicit identity after A, and the
-reduced costs and residuals read A plus that identity.
+elementary row operations, and after REFACTOR_EVERY of them, counted
+across the hand-off from one solve to the next, it is rebuilt. Every
+per-pivot step touches only nonzeros: a column ``B^-1 a_j`` reads a_j's
+stored entries, the dual pivot row reads only the rows of A where the
+pivot row of B^-1 is nonzero, and the rank-one update rewrites only the
+entries of B^-1 where both the entering column and the pivot row are
+nonzero. Slack columns are never stored; they are the implicit identity
+after A, and the reduced costs and residuals read A plus that identity.
 
 Rows and the cost vector are rescaled to unit magnitude so absolute
 tolerances are meaningful across problems; the reported objective is
@@ -53,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import EQ, GE, LE, LinearModel
-from .types import Basis, NumericalFailure, Solution, SolveStatus
+from .types import Basis, Factor, NumericalFailure, Solution, SolveStatus
 
 __all__ = ["PreparedLP", "check_solution"]
 
@@ -79,13 +84,16 @@ class PreparedLP:
 
     Holds the row-scaled m x n structural matrix ``A``, filled from the
     model's CSR rows (slack columns are the implicit identity after it),
-    each column's row support and values, the scaled right-hand side, the
-    slack bounds that encode the row senses and the scaled costs over all
-    n + m columns.
+    the same nonzeros by column as flat CSC arrays (column j's rows
+    ``col_rows[col_start[j]:col_start[j + 1]]`` and values ``col_vals``
+    there, rows ascending), the scaled right-hand side, the slack bounds
+    that encode the row senses and the scaled costs over all n + m columns.
 
     Branch-and-bound reuses a single instance across nodes, passing per-node
-    structural bounds and the parent's basis to :meth:`solve`. Instances are
-    immutable after construction, so concurrent solves are safe.
+    structural bounds, the parent's basis and, when it is the last one
+    solved, its factor to :meth:`solve`. Instances hold no per-solve state
+    and are immutable after construction, so the same arguments give the
+    same answer and concurrent solves are safe.
     """
 
     def __init__(self, model: LinearModel):
@@ -93,10 +101,11 @@ class PreparedLP:
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
 
+        row_of = _row_of_entry(model)
+        col_of = np.asarray(model.row_cols, dtype=int)
         A = np.zeros((m, n))
         # Unbuffered and in order: duplicates add up as a coefficient loop would.
-        np.add.at(A, (_row_of_entry(model), np.asarray(model.row_cols, dtype=int)),
-                  np.asarray(model.row_vals, dtype=float))
+        np.add.at(A, (row_of, col_of), np.asarray(model.row_vals, dtype=float))
         b = np.array(model.rhs, dtype=float)
         senses = np.array(model.senses, dtype=object)
         slack_lower = np.where(senses == GE, -INF, 0.0)
@@ -114,22 +123,33 @@ class PreparedLP:
         # Columns: structural then one slack per row.
         self.n_real = n + m
         self.A = A
-        col_of, row_of = np.nonzero(A.T)  # column-major: grouped by column
-        splits = np.cumsum(np.bincount(col_of, minlength=n))[:-1]
-        self.col_rows = np.split(row_of, splits)
-        self.col_vals = np.split(A.T[col_of, row_of], splits)
+        # Each stored (row, column) pair once, in column-major order; the
+        # values come from the summed, scaled A, and sums that cancel drop.
+        col_of, row_of = np.unravel_index(
+            np.unique(np.ravel_multi_index((col_of, row_of), (n, m))), (n, m))
+        vals = A[row_of, col_of]
+        nonzero = vals != 0.0
+        self.col_rows, self.col_vals = row_of[nonzero], vals[nonzero]
+        self.col_start = np.zeros(n + 1, dtype=int)
+        np.cumsum(np.bincount(col_of[nonzero], minlength=n), out=self.col_start[1:])
         self.b = b
         self.slack_lower = slack_lower
         self.slack_upper = slack_upper
         self.c_real = np.zeros(self.n_real)
         self.c_real[:n] = c / self.cost_scale
 
-    def solve(self, lower=None, upper=None, basis: Basis | None = None) -> Solution:
+    def solve(self, lower=None, upper=None, basis: Basis | None = None,
+              factor: Factor | None = None) -> Solution:
         """Solve min c'x under the given structural bounds (default: model's).
 
         ``basis``, the ``Solution.basis`` of an earlier solve of this LP,
         starts the dual simplex from it; an unusable basis falls back to
         the slack basis, so the result never depends on its quality.
+        ``factor``, the ``Solution.factor`` returned with ``basis``, spares
+        the start's refactorization. The solve takes its inverse over and
+        leaves it None; a factor of another basis, a spent one or one that
+        fails the residual check is ignored and the basis refactorized.
+        An OPTIMAL solution carries its own final basis and factor.
         """
         n, m = self.n, self.m
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
@@ -142,7 +162,7 @@ class PreparedLP:
         state = None
         if basis is not None:
             try:
-                state = _SimplexState(self, lo, hi, basis)
+                state = _SimplexState(self, lo, hi, basis, factor)
                 feasible = state.run_dual(state.dual_costs)
             except NumericalFailure:
                 state = None  # unusable basis: restart from the slack basis
@@ -157,13 +177,15 @@ class PreparedLP:
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
         objective = self.model.objective_value(x)
+        final = Basis(state.basis, state.col_status)
         return Solution(
             status=SolveStatus.OPTIMAL,
             values=x,
             objective=objective,
             best_bound=objective,
             gap=0.0,
-            basis=Basis(state.basis, state.col_status),
+            basis=final,
+            factor=Factor(final, state.B_inv, state.age),
         )
 
     def _solve_unconstrained(self, lo, hi) -> Solution:
@@ -182,9 +204,11 @@ class PreparedLP:
 
 
 class _SimplexState:
-    """Mutable per-solve state: bounds, basis, statuses, basis inverse."""
+    """Mutable per-solve state: bounds, basis, statuses, basis inverse and
+    its age, the pivots it has taken since it was last rebuilt."""
 
-    def __init__(self, prep: PreparedLP, lo, hi, start: Basis | None = None):
+    def __init__(self, prep: PreparedLP, lo, hi, start: Basis | None = None,
+                 factor: Factor | None = None):
         self.prep = prep
         self.m, self.n = prep.m, prep.n
         self.n_real = prep.n_real
@@ -195,7 +219,7 @@ class _SimplexState:
         if start is None:
             self._slack_start()
         else:
-            self._load(start)
+            self._load(start, factor)
 
     def _slack_start(self) -> None:
         """Slack basis (B = I) with every structural column at the bound
@@ -209,6 +233,11 @@ class _SimplexState:
             at_hi, AT_UPPER, np.where(np.isfinite(lo), AT_LOWER, FREE))
         self.basis = np.arange(n, self.n_real)
         self.B_inv = np.eye(self.m)
+        # The identity counts as one update old: a cold solve rebuilds after
+        # 95 pivots, then every 96. Root LPs run long, so where the rebuilds
+        # fall sets their roundoff, and with it the last digits of the gaps
+        # that sweeps report.
+        self.age = 1
         self.x_B = self._residual()
 
         status = self.col_status[:n]
@@ -216,8 +245,9 @@ class _SimplexState:
         self.dual_costs[:n][((c[:n] > 0) & (status != AT_LOWER))
                             | ((c[:n] < 0) & (status != AT_UPPER))] = 0.0
 
-    def _load(self, start: Basis) -> None:
-        """Adopt a basis from an earlier solve under the current bounds.
+    def _load(self, start: Basis, factor: Factor | None) -> None:
+        """Adopt a basis from an earlier solve under the current bounds,
+        taking over ``factor``'s inverse when it belongs to ``start``.
 
         Raises :class:`NumericalFailure` when the record does not fit this
         LP or its basis matrix is singular or ill-conditioned.
@@ -243,17 +273,31 @@ class _SimplexState:
         col[at_hi] = AT_UPPER
         self.col_status = col
 
-        self._refactor()
         residual = self._residual()
-        error = np.abs(self._basis_times(self.x_B) - residual).max()
-        if not error <= 1e-7 * (1.0 + np.abs(residual).max()):
+        inverse = None
+        if factor is not None and factor.basis is start:
+            inverse, factor.inverse = factor.inverse, None
+        if inverse is not None:
+            self.B_inv, self.age = inverse, factor.age
+            self.x_B = inverse @ residual
+            if self._solves(residual):
+                return
+        self._refactor()
+        if not self._solves(residual):
             raise NumericalFailure("warm-start basis is ill-conditioned")
 
+    def _solves(self, residual: np.ndarray) -> bool:
+        """Whether B x_B reproduces the residual (NaN fails)."""
+        error = np.abs(self._basis_times(self.x_B) - residual).max()
+        return bool(error <= 1e-7 * (1.0 + np.abs(residual).max()))
+
     def _ftran(self, j: int) -> np.ndarray:
-        """B_inv times column j, read from the column's row support."""
+        """B_inv times column j, read from the column's stored entries."""
         if j >= self.n:
             return self.B_inv[:, j - self.n].copy()
-        return self.B_inv[:, self.prep.col_rows[j]] @ self.prep.col_vals[j]
+        prep = self.prep
+        lo, hi = prep.col_start[j], prep.col_start[j + 1]
+        return self.B_inv[:, prep.col_rows[lo:hi]] @ prep.col_vals[lo:hi]
 
     def _row_times_A(self, v: np.ndarray) -> np.ndarray:
         """The row vector v times [A | I], reading only v's nonzero rows."""
@@ -318,6 +362,7 @@ class _SimplexState:
         self.B_inv[np.ix_(struct_pos, kernel_rows)] = K_inv
         self.B_inv[np.ix_(slack_pos, kernel_rows)] = -coupling @ K_inv
         self.B_inv[slack_pos, slack_rows] = 1.0
+        self.age = 0
 
         residual = self._residual()
         self.x_B = np.empty(m)
@@ -346,8 +391,8 @@ class _SimplexState:
             raise NumericalFailure("start basis is not dual feasible")
 
         max_iters = max(1000, 3 * self.n_real)
-        for iteration in range(1, max_iters + 1):
-            if iteration % REFACTOR_EVERY == 0:
+        for _ in range(max_iters):
+            if self.age >= REFACTOR_EVERY:
                 self._refactor()
                 z = self._reduced_costs(c)
             lo_b, hi_b = self.lower[self.basis], self.upper[self.basis]
@@ -407,8 +452,8 @@ class _SimplexState:
         # Bounds never change inside a pass; fixed columns never enter.
         fixed = (self.upper - self.lower) <= 1e-15
 
-        for iteration in range(1, max_iters + 1):
-            if iteration % REFACTOR_EVERY == 0:
+        for _ in range(max_iters):
+            if self.age >= REFACTOR_EVERY:
                 self._refactor()
 
             z = self._reduced_costs(c)
@@ -506,6 +551,7 @@ class _SimplexState:
         rows, cols = np.flatnonzero(d)[:, None], np.flatnonzero(piv_row)
         self.B_inv[rows, cols] -= d[rows] * piv_row[cols]
         self.B_inv[leave_pos] = piv_row
+        self.age += 1
 
 
 def _row_of_entry(model: LinearModel) -> np.ndarray:

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["SolveStatus", "Solution", "Basis", "NumericalFailure"]
+__all__ = ["SolveStatus", "Solution", "Basis", "Factor", "NumericalFailure"]
 
 
 class SolveStatus(Enum):
@@ -35,6 +35,23 @@ class Basis:
     status: np.ndarray
 
 
+@dataclass(eq=False)
+class Factor:
+    """The explicit basis inverse a solve ended with, for the next solve
+    that starts from the same :class:`Basis` object.
+
+    ``inverse`` is B^-1 over ``basis``'s row positions and ``age`` the
+    pivots it has taken since it was last rebuilt from its kernel. A solve
+    handed a factor takes the array over and updates it in place, setting
+    ``inverse`` to None, so one factor serves one solve and never outlives
+    it as a second m x m array.
+    """
+
+    basis: Basis
+    inverse: np.ndarray | None
+    age: int
+
+
 @dataclass
 class Solution:
     """Outcome of a solve: status, variable values, objective, and bounds.
@@ -43,7 +60,8 @@ class Solution:
     minimization; OPTIMAL implies gap <= the configured tolerance. ``values``
     covers the model's structural columns and is None when no feasible point
     was found. ``basis`` is the final LP basis of an OPTIMAL LP solve, a
-    warm start for a solve of the same model under nearby bounds.
+    warm start for a solve of the same model under nearby bounds, and
+    ``factor`` its basis inverse; a branch-and-bound result carries neither.
     """
 
     status: SolveStatus
@@ -54,6 +72,7 @@ class Solution:
     node_count: int = 0
     wall_time: float = 0.0
     basis: Basis | None = None
+    factor: Factor | None = None
 
     @property
     def is_feasible(self) -> bool:

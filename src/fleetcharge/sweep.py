@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
 from .run import SolveOutcome, solve_scenario
@@ -68,16 +70,22 @@ class SweepSpec:
         ]
 
 
-def _smooth(values: list[float], window: int = SMOOTH_WINDOW) -> list[float]:
-    """Centered moving average; edges truncate to the available blocks."""
+def _smooth(curves: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
+    """Centered moving average of each row; edges average over the
+    available blocks only.
+
+    Each window sums its terms in block order from 0.0; the zeros padded
+    past the edges add exactly nothing.
+    """
     half_lo = window // 2
     half_hi = window - half_lo - 1
-    out = []
-    for t in range(len(values)):
-        lo = max(0, t - half_lo)
-        hi = min(len(values), t + half_hi + 1)
-        out.append(sum(values[lo:hi]) / (hi - lo))
-    return out
+    blocks = curves.shape[1]
+    padded = np.pad(curves, ((0, 0), (half_lo, half_hi)))
+    total = np.zeros(curves.shape)
+    for k in range(window):
+        total += padded[:, k:k + blocks]
+    t = np.arange(blocks)
+    return total / (np.minimum(blocks, t + half_hi + 1) - np.maximum(0, t - half_lo))
 
 
 def _fmt(x: float) -> str:
@@ -182,41 +190,46 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
                curve_rows)
 
     summary["amortize_ratio"] = ratio
+    text = json.dumps(summary, indent=2, sort_keys=True)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return summary
 
 
 def _curve_rows(scenario: Scenario, cell: SweepCell, plan, type_ids) -> list[list]:
-    """Average daily power per location and type, raw and smoothed."""
+    """Average daily power per location and type, raw and smoothed.
+
+    Every sum starts from 0.0 and adds days, types and window terms in
+    order, so each value is what a loop over them gives. The values are
+    Python floats, which ``csv`` writes as their ``repr``.
+    """
     grid = scenario.time_grid
     bpd, days = grid.blocks_per_day, grid.num_days
     rows = []
     for location in scenario.location_ids:
         by_type = plan.power_by_type.get(location, {})
-        daily: dict[int, list[float]] = {}
-        for tid in type_ids:
-            curve = by_type.get(tid, [0.0] * grid.total_blocks)
-            daily[tid] = [
-                sum(curve[d * bpd + t] for d in range(days)) / days
-                for t in range(bpd)
-            ]
-        total = [sum(daily[tid][t] for tid in type_ids) for t in range(bpd)]
-        smooth_by_type = {tid: _smooth(daily[tid]) for tid in type_ids}
-        smooth_total = _smooth(total)
-        max_peak = _location_peak_kw(by_type)
-        installed = sum(
+        curves = np.zeros((len(type_ids), days, bpd))
+        for k, tid in enumerate(type_ids):
+            if tid in by_type:
+                curves[k] = np.reshape(by_type[tid], (days, bpd))
+        daily = np.zeros((len(type_ids), bpd))
+        for d in range(days):
+            daily += curves[:, d]
+        daily /= days
+        total = np.zeros(bpd)
+        for curve in daily:
+            total += curve
+        smooth = _smooth(np.vstack([daily, total]))
+        max_peak = float(_location_peak_kw(by_type))
+        installed = float(sum(
             scenario.charger(tid).rated_power_kw
             * plan.charger_counts.get(location, {}).get(tid, 0)
-            for tid in type_ids)
-        for t in range(bpd):
-            rows.append(
-                [cell.alpha, cell.slack_minutes, cell.design, location, t]
-                + [_fmt(daily[tid][t]) for tid in type_ids]
-                + [_fmt(smooth_by_type[tid][t]) for tid in type_ids]
-                + [_fmt(total[t]), _fmt(smooth_total[t]), _fmt(max_peak),
-                   _fmt(installed)])
+            for tid in type_ids))
+        # Per block: each type raw, each type smoothed, then the totals.
+        per_block = np.vstack([daily, smooth[:-1], total, smooth[-1]]).T.tolist()
+        for t, values in enumerate(per_block):
+            rows.append([cell.alpha, cell.slack_minutes, cell.design, location, t,
+                         *values, max_peak, installed])
     return rows
 
 

@@ -441,9 +441,9 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
 
 def write_plan_json(plan: PlanReport, path: str | Path,
                     amortize_ratio: float | None = None) -> None:
+    text = json.dumps(plan_to_dict(plan, amortize_ratio), indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(plan_to_dict(plan, amortize_ratio), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_power_curves_csv(scenario: Scenario, plan: PlanReport,

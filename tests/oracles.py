@@ -9,13 +9,17 @@ solve for the continuous part, never branch-and-bound or a warm start.
 
 Two small helpers that only tests call live here too: ``solve_lp`` (one
 cold LP solve of a model) and ``objective_breakdown`` (the model-side
-split of an objective that the validator recomputes independently).
+split of an objective that the validator recomputes independently). The
+loop references for vectorized code (``dense_matrix``,
+``check_solution_by_rows``, ``curve_rows_by_loop``) sit beside them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -218,6 +222,56 @@ def check_solution_by_rows(model: LinearModel, values) -> list[str]:
         elif sense == EQ and abs(lhs - rhs) > TOL_CHECK * scale:
             problems.append(f"row {name}: {lhs} != {rhs}")
     return problems
+
+
+def _sum_in_order(values):
+    """Left to right from 0, as ``sum`` adds floats before Python 3.12
+    (which compensates)."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def _smooth_by_loop(values: list[float], window: int = 4) -> list[float]:
+    half_lo = window // 2
+    half_hi = window - half_lo - 1
+    out = []
+    for t in range(len(values)):
+        lo = max(0, t - half_lo)
+        hi = min(len(values), t + half_hi + 1)
+        out.append(_sum_in_order(values[lo:hi]) / (hi - lo))
+    return out
+
+
+def curve_rows_by_loop(scenario: Scenario, cell, plan, type_ids) -> list[list]:
+    """Reference for the sweep's numpy ``_curve_rows``: the per-block loops
+    over days, types and window terms, each value formatted by ``repr``."""
+    grid = scenario.time_grid
+    bpd, days = grid.blocks_per_day, grid.num_days
+    rows = []
+    for location in scenario.location_ids:
+        by_type = plan.power_by_type.get(location, {})
+        daily: dict[int, list[float]] = {}
+        for tid in type_ids:
+            curve = by_type.get(tid, [0.0] * grid.total_blocks)
+            daily[tid] = [
+                _sum_in_order(curve[d * bpd + t] for d in range(days)) / days
+                for t in range(bpd)
+            ]
+        total = [_sum_in_order(daily[tid][t] for tid in type_ids) for t in range(bpd)]
+        smooth_by_type = {tid: _smooth_by_loop(daily[tid]) for tid in type_ids}
+        smooth_total = _smooth_by_loop(total)
+        max_peak = max(map(sum, zip(*by_type.values())), default=0.0)
+        installed = sum(
+            scenario.charger(tid).rated_power_kw
+            * plan.charger_counts.get(location, {}).get(tid, 0)
+            for tid in type_ids)
+        for t in range(bpd):
+            rows.append(
+                [cell.alpha, cell.slack_minutes, cell.design, location, t]
+                + [repr(float(daily[tid][t])) for tid in type_ids]
+                + [repr(float(smooth_by_type[tid][t])) for tid in type_ids]
+                + [repr(float(x)) for x in (total[t], smooth_total[t], max_peak,
+                                            installed)])
+    return rows
 
 
 def lp_to_exact_inputs(model: LinearModel):

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from fleetcharge.model import GE, LE, LinearModel
-from fleetcharge.solver import INTEGRALITY_TOL, Solution, SolveStatus, branch_and_bound
+from fleetcharge.solver import (
+    INTEGRALITY_TOL,
+    PreparedLP,
+    Solution,
+    SolveStatus,
+    branch_and_bound,
+)
 from fleetcharge.solver import branch_bound as bb
+from fleetcharge.solver import simplex
 
 from oracles import (
     TooLarge,
@@ -135,6 +142,65 @@ class TestBranchAndBound:
         assert incumbents == sorted(incumbents, reverse=True)
 
 
+def dive_model(name, depot_scenario):
+    import fleetcharge as fc
+
+    if name == "depot":
+        return fc.build_problem(depot_scenario).model
+    return fc.build_problem(fc.generate_synthetic(1, n_trucks=5)).model
+
+
+class TestFactorHandOff:
+    """Node LPs and polishes that start from the basis the solve just
+    before them returned take over its basis inverse."""
+
+    @pytest.mark.parametrize("name", ["depot", "five_trucks"])
+    def test_inherited_factor_matches_refactorized_solve(self, name, depot_scenario,
+                                                         monkeypatch):
+        model = dive_model(name, depot_scenario)
+        solve = PreparedLP.solve
+        calls, checked = [], []
+
+        def solve_both(self, lower=None, upper=None, basis=None, factor=None):
+            calls.append(factor)
+            if factor is None:
+                return solve(self, lower, upper, basis)
+            rebuilt = solve(self, lower, upper, basis)  # leaves the factor whole
+            inherited = solve(self, lower, upper, basis, factor)
+            assert inherited.status == rebuilt.status
+            if rebuilt.status == SolveStatus.OPTIMAL:
+                assert inherited.objective == pytest.approx(rebuilt.objective, rel=1e-9)
+            checked.append(rebuilt.status)
+            return inherited
+
+        monkeypatch.setattr(PreparedLP, "solve", solve_both)
+        sol = branch_and_bound(model)
+        assert sol.status == SolveStatus.OPTIMAL
+        # Every node LP after the root and every polish dives from the last solve.
+        assert calls[0] is None and len(checked) == len(calls) - 1 >= sol.node_count
+
+    def test_depot_node_lps_never_refactorize(self, depot_scenario, monkeypatch):
+        model = dive_model("depot", depot_scenario)
+        solve, refactor = PreparedLP.solve, simplex._SimplexState._refactor
+        refactors = []  # per LP solve, root first
+
+        def counting_solve(self, *args, **kwargs):
+            refactors.append(0)
+            return solve(self, *args, **kwargs)
+
+        def counting_refactor(self):
+            refactors[-1] += 1
+            return refactor(self)
+
+        monkeypatch.setattr(PreparedLP, "solve", counting_solve)
+        monkeypatch.setattr(simplex._SimplexState, "_refactor", counting_refactor)
+        sol = branch_and_bound(model)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert len(refactors) > 2 and refactors[0] >= 1  # the root pivots past REFACTOR_EVERY
+        assert refactors[1:] == [0] * (len(refactors) - 1)
+        assert sol.basis is None and sol.factor is None
+
+
 def most_fractional_loop(values, int_cols, priorities):
     """The per-column loop the vectorized branching rule replaced."""
     best_col, best_key = None, None
@@ -180,13 +246,13 @@ class TestVectorizedRounding:
         seen = []
 
         class FailingLP:  # records the fixed bounds, then sends polish to its fallback
-            def solve(self, lo, hi, basis):
+            def solve(self, lo, hi, basis, factor):
                 seen.append((lo, hi))
                 return Solution(status=SolveStatus.INFEASIBLE)
 
         lo, hi = np.full(8, -10.0), np.full(8, 10.0)
         snapped, objective = bb._polish(FailingLP(), model, int_cols, lo, hi,
-                                        Solution(SolveStatus.OPTIMAL, values=values))
+                                        Solution(SolveStatus.OPTIMAL, values=values), None)
         expected_lo, expected_hi, expected = lo.copy(), hi.copy(), values.copy()
         for j in int_cols:  # the loops _polish replaced
             expected_lo[j] = expected_hi[j] = float(round(values[j]))

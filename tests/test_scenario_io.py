@@ -77,6 +77,8 @@ class TestRoundTrip:
         path = tmp_path / "s.json"
         fc.save_scenario(depot_scenario, path)
         assert fc.load_scenario(path) == depot_scenario
+        expected = json.dumps(scenario_to_dict(depot_scenario), indent=2, sort_keys=True)
+        assert path.read_bytes() == (expected + "\n").encode()
 
 
 class TestLoaderDetails:

@@ -303,6 +303,92 @@ class TestWarmStart:
         assert a.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+def depot_child(depot_scenario):
+    """The depot model's prepared LP, its root solve and the bounds of the
+    root's down-branch on its first fractional integer column."""
+    import fleetcharge as fc
+
+    model = fc.build_problem(depot_scenario).model
+    prep = PreparedLP(model)
+    root = prep.solve()
+    j = next(j for j in model.integer_cols
+             if abs(root.values[j] - round(root.values[j])) > 1e-6)
+    upper = np.array(model.upper)
+    upper[j] = math.floor(root.values[j])
+    return prep, root, np.array(model.lower), upper
+
+
+def record_calls(monkeypatch, *names):
+    """Log each call of the named _SimplexState methods, in order."""
+    calls = []
+    for name in names:
+        original = getattr(simplex._SimplexState, name)
+
+        def logged(self, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(simplex._SimplexState, name, logged)
+    return calls
+
+
+class TestFactorHandOff:
+    """A solve handed the final basis inverse of the solve that returned
+    its basis skips the refactorization; a factor it cannot trust is
+    rebuilt from the basis."""
+
+    def test_inherited_factor_skips_refactorization(self, depot_scenario, monkeypatch):
+        prep, root, lower, upper = depot_child(depot_scenario)
+        assert root.factor.basis is root.basis and root.factor.inverse.shape == (prep.m,) * 2
+        rebuilt = prep.solve(lower, upper, root.basis)
+        calls = record_calls(monkeypatch, "_refactor")
+        factor = root.factor
+        inherited = prep.solve(lower, upper, root.basis, factor)
+        assert calls == []
+        assert factor.inverse is None  # taken over, so it serves one solve
+        assert inherited.status == rebuilt.status == SolveStatus.OPTIMAL
+        assert inherited.objective == pytest.approx(rebuilt.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("corruption", ["scaled", "nan"])
+    def test_corrupted_factor_is_refactorized(self, depot_scenario, monkeypatch, corruption):
+        prep, root, lower, upper = depot_child(depot_scenario)
+        rebuilt = prep.solve(lower, upper, root.basis)
+        if corruption == "scaled":
+            root.factor.inverse *= 1.01
+        else:
+            root.factor.inverse[0, 0] = np.nan
+        calls = record_calls(monkeypatch, "_refactor")
+        warm = prep.solve(lower, upper, root.basis, root.factor)
+        assert calls[:1] == ["_refactor"]
+        assert warm.status == rebuilt.status
+        assert warm.objective == rebuilt.objective
+        assert np.array_equal(warm.values, rebuilt.values)
+
+    def test_factor_of_another_basis_is_ignored(self, depot_scenario, monkeypatch):
+        prep, root, lower, upper = depot_child(depot_scenario)
+        rebuilt = prep.solve(lower, upper, root.basis)
+        foreign = replace(root.factor, basis=Basis(root.basis.basic.copy(),
+                                                   root.basis.status))
+        calls = record_calls(monkeypatch, "_refactor")
+        warm = prep.solve(lower, upper, root.basis, foreign)
+        assert calls[:1] == ["_refactor"]
+        assert foreign.inverse is not None  # not taken over
+        assert np.array_equal(warm.values, rebuilt.values)
+
+    def test_age_carries_across_the_hand_off(self, depot_scenario, monkeypatch):
+        prep, root, lower, upper = depot_child(depot_scenario)
+        rebuilt = prep.solve(lower, upper, root.basis)
+        root.factor.age = simplex.REFACTOR_EVERY - 1
+        calls = record_calls(monkeypatch, "_refactor", "_pivot")
+        warm = prep.solve(lower, upper, root.basis, root.factor)
+        # The first pivot makes the inherited inverse REFACTOR_EVERY updates
+        # old, so it is rebuilt before the next step, and only then.
+        assert calls[:2] == ["_pivot", "_refactor"]
+        assert calls.count("_refactor") == 1
+        assert warm.factor.age == calls.count("_pivot") - 1
+        assert warm.status == rebuilt.status
+        assert warm.objective == pytest.approx(rebuilt.objective, rel=1e-9)
+
+
 class TestSetUp:
     """The vectorized per-solve set-up against the column loops it replaced."""
 
@@ -331,17 +417,22 @@ class TestSetUp:
         import fleetcharge as fc
 
         model = fc.build_problem(depot_scenario).model
-        # A repeated column in one row adds up, as in the builder's sums.
+        # A repeated column in one row adds up, as in the builder's sums,
+        # and a column whose entries cancel has no entry in that row.
         model.add_row("twice", [(0, 1.5), (3, -2.0), (0, 0.25)], LE, 4.0)
+        model.add_row("cancel", [(1, 2.0), (2, 1.0), (1, -2.0)], GE, 0.0)
         prep = PreparedLP(model)
         A = dense_matrix(model)
         scale = np.abs(A).max(axis=1)
         scale[scale == 0] = 1.0
         assert np.array_equal(prep.A, A / scale[:, None])
         assert np.array_equal(prep.b, model.rhs / scale)
+        assert prep.col_start[0] == 0 and prep.col_start[-1] == prep.col_rows.size
         for j in range(model.num_cols):
-            assert np.array_equal(prep.col_rows[j], np.flatnonzero(prep.A[:, j]))
-            assert np.array_equal(prep.col_vals[j], prep.A[prep.col_rows[j], j])
+            entries = slice(prep.col_start[j], prep.col_start[j + 1])
+            rows = prep.col_rows[entries]
+            assert np.array_equal(rows, np.flatnonzero(prep.A[:, j]))
+            assert np.array_equal(prep.col_vals[entries], prep.A[rows, j])
 
     def test_initial_statuses_match_column_loop(self):
         model = simple_model(

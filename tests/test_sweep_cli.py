@@ -2,16 +2,21 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import fleetcharge as fc
 from fleetcharge.cli import main
 from fleetcharge.run import PlanVerificationError
 from fleetcharge.solver import NumericalFailure
-from fleetcharge.sweep import SweepSpec, default_amortize_ratio, run_sweep
+from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, default_amortize_ratio, run_sweep
 from fleetcharge.validator import ReplayResult, Violation
+
+from oracles import curve_rows_by_loop
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWO_TRUCK = str(FIXTURES / "two_truck.json")
@@ -50,6 +55,8 @@ class TestSweep:
             rel_gap=1e-3, out_dir=tmp_path)
         summary = run_sweep(two_truck_scenario, spec)
         assert len(summary["cells"]) == 8
+        expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "summary.json").read_bytes() == expected.encode()
         plans = sorted(tmp_path.glob("plan_*.json"))
         assert len(plans) == 8
         assert (tmp_path / "infrastructure.csv").exists()
@@ -121,6 +128,57 @@ class TestSweep:
         assert raw_total > 0
         # Smoothing preserves rough mass (edges truncate the window).
         assert smooth_total == pytest.approx(raw_total, rel=0.25)
+
+
+def as_written(rows):
+    """Each value as ``csv`` writes it: strings as they are, the rest by repr."""
+    return [[v if isinstance(v, str) else repr(v) for v in row] for row in rows]
+
+
+def random_plan(scenario, seed):
+    """Curves with roundoff-prone values, exact -0.0 blocks and types or
+    locations that draw nothing."""
+    rng = np.random.default_rng(seed)
+    blocks = scenario.time_grid.total_blocks
+    power, counts = {}, {}
+    for location in scenario.location_ids[1:]:
+        power[location], counts[location] = {}, {}
+        for charger in scenario.charger_catalog[1:]:
+            curve = rng.uniform(0.0, 350.0, blocks) * (rng.random(blocks) < 0.6)
+            curve[rng.random(blocks) < 0.2] = -0.0
+            power[location][charger.id] = curve.tolist()
+            counts[location][charger.id] = int(rng.integers(0, 4))
+    return SimpleNamespace(power_by_type=power, charger_counts=counts)
+
+
+class TestCurveRows:
+    """The numpy power curves against the per-block loops: every value
+    prints the same."""
+
+    CELL = SweepCell(1.0, 0, "codesign")
+
+    def check(self, scenario, plan):
+        type_ids = [c.id for c in scenario.charger_catalog]
+        rows = _curve_rows(scenario, self.CELL, plan, type_ids)
+        reference = curve_rows_by_loop(scenario, self.CELL, plan, type_ids)
+        assert as_written(rows) == as_written(reference)
+        assert all(type(v) is float for row in rows for v in row[5:])
+        return rows
+
+    def test_fixture_plans(self, two_truck_scenario, two_truck_outcome,
+                           depot_scenario, depot_base_outcome):
+        self.check(two_truck_scenario, two_truck_outcome.plan)
+        self.check(depot_scenario, depot_base_outcome.plan)
+
+    @pytest.mark.parametrize("blocks_per_day", [96, 3, 1])  # 3 and 1: below the window
+    @pytest.mark.parametrize("days", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multi_day_grids(self, seed, days, blocks_per_day):
+        scenario = fc.generate_synthetic(1, n_trucks=2, n_locations=3, n_days=days)
+        grid = fc.TimeGrid(24.0 / blocks_per_day, blocks_per_day, days)
+        scenario = replace(scenario, time_grid=grid)
+        rows = self.check(scenario, random_plan(scenario, seed))
+        assert "-0.0" not in {v for row in as_written(rows) for v in row}
 
 
 class TestCli:

@@ -165,6 +165,13 @@ class TestSerialization:
         validate_against_schema(doc, "plan_report")
         assert doc["costs_amortized"]["amortization_ratio"] == pytest.approx(1 / 3650)
 
+    def test_plan_json_is_one_sorted_indented_document(self, two_truck_outcome, tmp_path):
+        path = tmp_path / "plan.json"
+        write_plan_json(two_truck_outcome.plan, path, amortize_ratio=1 / 3650)
+        doc = plan_to_dict(two_truck_outcome.plan, 1 / 3650)
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+
     def test_power_curves_csv(self, two_truck_scenario, two_truck_outcome, tmp_path):
         path = tmp_path / "curves.csv"
         write_power_curves_csv(two_truck_scenario, two_truck_outcome.plan, path)
