@@ -89,7 +89,6 @@ class VariableCatalog:
     e_dep: dict[tuple[str, int, int], int] = field(default_factory=dict)
     e_arr: dict[tuple[str, int, int], int] = field(default_factory=dict)
     c_peak: dict[str, int] = field(default_factory=dict)
-    windows: dict[tuple[str, int, int], range] = field(default_factory=dict)
     peak_floor: dict[str, float] = field(default_factory=dict)
 
 
@@ -514,8 +513,8 @@ def build_problem(
     enumerate assignments use the plain formulation.
     """
     model = LinearModel()
-    cat = VariableCatalog(windows=charging_windows(scenario))
-    table = _leg_table(scenario, cat.windows)
+    cat = VariableCatalog()
+    table = _leg_table(scenario, charging_windows(scenario))
     _add_columns(model, scenario, cat, table, strengthen)
     _add_leg_and_location_rows(model, scenario, cat, table)
     if strengthen:

@@ -132,8 +132,7 @@ def cmd_solve(args) -> int:
 
     if outcome.plan is None:
         _error_report("Infeasible" if outcome.solution.status
-                      in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED)
-                      else "NoIncumbent",
+                      == SolveStatus.INFEASIBLE else "NoIncumbent",
                       f"solver status: {outcome.solution.status.value}")
         return EXIT_LIMIT if outcome.limit_hit else EXIT_INFEASIBLE
 
@@ -176,7 +175,7 @@ def cmd_sweep(args) -> int:
     for cell in summary["cells"]:
         label = f"alpha={cell['alpha']} slack={cell['slack_minutes']} {cell['design']}"
         print(f"  {label}: {cell['status']}")
-    if any(s in ("infeasible", "unbounded", "error") for s in statuses):
+    if any(s in ("infeasible", "error") for s in statuses):
         return EXIT_INFEASIBLE
     if any(s == "feasible" for s in statuses):  # stopped on a limit
         return EXIT_LIMIT
@@ -192,15 +191,9 @@ def cmd_compare(args) -> int:
             scenario = validate_scenario(scenario_variant(
                 scenario, scenario.design_mode, scenario.fixed_counts,
                 args.alpha, args.slack_min))
-        # compare_designs validates this variant again; a design naming an
-        # unknown location must fail here, as a ConfigError.
-        validate_scenario(scenario_variant(
-            scenario, FIXED_INFRASTRUCTURE, fixed_counts))
+        comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
     except CONFIG_ERRORS as exc:
         return _config_report(exc)
-
-    try:
-        comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
     except (NumericalFailure, PlanVerificationError) as exc:
         return _failure_report(exc)
     doc = comparison.to_dict()

@@ -71,9 +71,10 @@ def branch_and_bound(
 
     Returns OPTIMAL once gap <= rel_gap_target is proven, FEASIBLE with the
     achieved gap when a node or time limit interrupts, INFEASIBLE when no
-    integer-feasible point exists, UNBOUNDED from the root relaxation.
-    Deterministic: identical model and configuration give the identical
-    node sequence and solution.
+    integer-feasible point exists. Raises ValueError for a model whose LP
+    may be unbounded (a cost with no finite bound on its side; see
+    :class:`PreparedLP`). Deterministic: identical model and
+    configuration give the identical node sequence and solution.
     """
     start = time.monotonic()
     prep = PreparedLP(model)
@@ -167,9 +168,6 @@ def branch_and_bound(
         if result.status == SolveStatus.INFEASIBLE:
             log(node_id, depth, math.inf)
             continue
-        if result.status == SolveStatus.UNBOUNDED:
-            return Solution(status=SolveStatus.UNBOUNDED, node_count=nodes,
-                            wall_time=time.monotonic() - start)
         log(node_id, depth, result.objective)
         if depth == 0:
             # The root is alone in the tree, so its relaxation is the

@@ -1,10 +1,19 @@
-"""Bounded-variable simplex: one dual simplex, then primal clean-up.
+"""Bounded-variable dual simplex for LPs whose costs are bounded on their side.
 
 Variables live between (possibly infinite) bounds and sit nonbasic at a
 bound or free at zero; each row gets one slack column whose bounds encode
 the row sense, so every row is an equality internally.
 
-Every solve runs a bounded dual simplex from a dual-feasible basis. A warm
+The input class: every cost has a finite bound on the side it favours. A
+column with c > 0 needs a finite lower bound and one with c < 0 a finite
+upper bound; a column free on both sides costs nothing. The fleet models
+are in it (energy, charger capital and the weighted peak cost c >= 0, on
+columns with finite lower bounds), and :class:`PreparedLP` rejects any
+other model. In this class the slack basis is dual feasible and no LP is
+unbounded, so one bounded dual simplex on the true costs solves every LP
+and ends at an optimal basis (Koberstein 2005).
+
+Every solve runs that dual simplex from a dual-feasible basis. A warm
 start is the final :class:`Basis` of an earlier solve of the same LP under
 other bounds (a branch-and-bound parent), and the solve recomputes the
 basic values under the new bounds. Handed that solve's final basis inverse
@@ -12,20 +21,13 @@ too (a :class:`Factor`, which branch-and-bound passes on when it dives
 straight into a child), it takes the inverse over with its pivot age and
 refactorizes only when the basic values fail the residual check; without
 one it refactorizes the basis once. A cold start is the slack basis
-(B = I): each structural column sits at the finite bound its cost
-prefers, or free at zero, and a cost that is not dual feasible there (no
-finite bound on its cost's side) is zeroed for the dual pass only
-(Koberstein's cost-modification dual phase 1). The leaving row has the
-largest bound violation (ties to the lowest position); the entering column
-comes from the dual ratio test (ties to the largest pivot, then the lowest
-index). A row no column can repair proves the LP infeasible. A basis that
-does not fit, is singular or not dual feasible, or a warm dual loop that
-fails numerically, restarts from the slack basis.
-
-A primal simplex on the true costs then cleans up: Dantzig pricing (most
-violating reduced cost) with a permanent switch to Bland's least-index rule
-after a stall, which breaks cycling. It stops at once when the basis is
-already dual feasible, and it is the pass that detects unboundedness.
+(B = I) with each structural column at the finite bound its cost prefers,
+or free at zero. The leaving row has the largest bound violation (ties to
+the lowest position); the entering column comes from the dual ratio test
+(ties to the largest pivot, then the lowest index). A row no column can
+repair proves the LP infeasible. A basis that does not fit, is singular or
+not dual feasible, or a warm dual loop that fails numerically, restarts
+from the slack basis.
 
 Most basic columns are slacks, so the basis inverse is built from its
 structural kernel (Suhl & Suhl 1990; Koberstein 2005). With S the k basic
@@ -69,14 +71,12 @@ AT_LOWER = 1
 AT_UPPER = 2
 FREE = 3
 
-TOL_DUAL = 1e-9
 TOL_PIVOT = 1e-10
 TOL_PRIMAL = 1e-9  # bound violation the dual simplex still repairs
 TOL_INFEASIBLE = 1e-7  # violation an unrepairable row must show to prove infeasibility
 TOL_WARM_DUAL = 1e-7  # reduced-cost slip a warm basis may carry
 TOL_CHECK = 1e-6  # violation check_solution reports (rows: times max |coef|)
 REFACTOR_EVERY = 96
-STALL_LIMIT = 400
 
 
 class PreparedLP:
@@ -94,9 +94,20 @@ class PreparedLP:
     solved, its factor to :meth:`solve`. Instances hold no per-solve state
     and are immutable after construction, so the same arguments give the
     same answer and concurrent solves are safe.
+
+    Raises ValueError naming the first column outside the input class (a
+    cost with no finite bound on its side; see the module docstring).
     """
 
     def __init__(self, model: LinearModel):
+        c = np.asarray(model.objective, dtype=float)
+        uncapped = (((c > 0) & ~np.isfinite(model.lower))
+                    | ((c < 0) & ~np.isfinite(model.upper)))
+        if uncapped.any():
+            j = int(np.argmax(uncapped))
+            side = "lower" if c[j] > 0 else "upper"
+            raise ValueError(f"column {model.col_names[j]} has cost {c[j]:g} "
+                             f"and no finite {side} bound")
         self.model = model
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
@@ -117,7 +128,6 @@ class PreparedLP:
         A /= row_scale[:, None]
         b /= row_scale
 
-        c = np.asarray(model.objective, dtype=float)
         self.cost_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
 
         # Columns: structural then one slack per row.
@@ -149,7 +159,10 @@ class PreparedLP:
         the start's refactorization. The solve takes its inverse over and
         leaves it None; a factor of another basis, a spent one or one that
         fails the residual check is ignored and the basis refactorized.
-        An OPTIMAL solution carries its own final basis and factor.
+        The bounds must keep each cost's favoured side finite, as the
+        model's do and as branching, which only tightens them, keeps them.
+        The result is OPTIMAL, carrying its own final basis and factor, or
+        INFEASIBLE.
         """
         n, m = self.n, self.m
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
@@ -163,16 +176,14 @@ class PreparedLP:
         if basis is not None:
             try:
                 state = _SimplexState(self, lo, hi, basis, factor)
-                feasible = state.run_dual(state.dual_costs)
+                feasible = state.run_dual()
             except NumericalFailure:
                 state = None  # unusable basis: restart from the slack basis
         if state is None:
             state = _SimplexState(self, lo, hi)
-            feasible = state.run_dual(state.dual_costs)
+            feasible = state.run_dual()
         if not feasible:
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0)
-        if state.run_primal() == SolveStatus.UNBOUNDED:
-            return Solution(status=SolveStatus.UNBOUNDED, best_bound=-INF)
 
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
@@ -191,8 +202,6 @@ class PreparedLP:
     def _solve_unconstrained(self, lo, hi) -> Solution:
         c = np.asarray(self.model.objective, dtype=float)
         target = np.where(c > 0, lo, np.where(c < 0, hi, 0.0))
-        if np.any((c != 0) & ~np.isfinite(target)):
-            return Solution(status=SolveStatus.UNBOUNDED, best_bound=-INF)
         fallback = np.where(np.isfinite(lo), lo, np.minimum(hi, 0.0))
         fallback = np.where(np.isfinite(fallback), fallback, 0.0)
         x = np.where(c == 0, fallback, target)
@@ -223,8 +232,7 @@ class _SimplexState:
 
     def _slack_start(self) -> None:
         """Slack basis (B = I) with every structural column at the bound
-        its cost prefers, which is dual feasible once the costs of columns
-        without that bound are zeroed in ``dual_costs``."""
+        its cost prefers, or free at zero: dual feasible for the input class."""
         n, lo, hi = self.n, self.lower[:self.n], self.upper[:self.n]
         c = self.prep.c_real
         at_hi = np.isfinite(hi) & ((c[:n] < 0) | ~np.isfinite(lo))
@@ -239,11 +247,6 @@ class _SimplexState:
         # that sweeps report.
         self.age = 1
         self.x_B = self._residual()
-
-        status = self.col_status[:n]
-        self.dual_costs = c.copy()
-        self.dual_costs[:n][((c[:n] > 0) & (status != AT_LOWER))
-                            | ((c[:n] < 0) & (status != AT_UPPER))] = 0.0
 
     def _load(self, start: Basis, factor: Factor | None) -> None:
         """Adopt a basis from an earlier solve under the current bounds,
@@ -260,7 +263,6 @@ class _SimplexState:
                 or np.any(status[basic] != BASIC)):
             raise NumericalFailure("warm-start basis does not fit this LP")
         self.basis = basic.astype(int)
-        self.dual_costs = self.prep.c_real
 
         # Nonbasic columns sit at a finite bound of the new box, keeping
         # their old side where it exists, or free at zero.
@@ -369,19 +371,16 @@ class _SimplexState:
         self.x_B[struct_pos] = K_inv @ residual[kernel_rows]
         self.x_B[slack_pos] = residual[slack_rows] - coupling @ self.x_B[struct_pos]
 
-    # -- passes ---------------------------------------------------------------
+    # -- dual simplex ---------------------------------------------------------
 
-    def run_primal(self) -> SolveStatus:
-        """Primal simplex on the true costs from a primal-feasible basis."""
-        return self._iterate(self.prep.c_real)
-
-    def run_dual(self, c: np.ndarray) -> bool:
-        """Bounded dual simplex on costs ``c`` from a dual-feasible basis to
-        a primal-feasible one; False when a row proves the LP infeasible.
+    def run_dual(self) -> bool:
+        """Bounded dual simplex on the true costs from a dual-feasible
+        basis to an optimal one; False when a row proves the LP infeasible.
 
         Raises :class:`NumericalFailure` when the basis is not dual feasible
         or the loop cannot finish.
         """
+        c = self.prep.c_real
         status = self.col_status
         movable = (self.upper - self.lower) > 1e-15
         z = self._reduced_costs(c)
@@ -441,91 +440,6 @@ class _SimplexState:
             z[leave_col] = -theta
         raise NumericalFailure(
             f"dual simplex exceeded {max_iters} iterations without converging")
-
-    # -- core loop --------------------------------------------------------------
-
-    def _iterate(self, c: np.ndarray) -> SolveStatus:
-        m = self.m
-        max_iters = max(20000, 60 * (m + self.n_real))
-        use_bland = False
-        stall = 0
-        # Bounds never change inside a pass; fixed columns never enter.
-        fixed = (self.upper - self.lower) <= 1e-15
-
-        for _ in range(max_iters):
-            if self.age >= REFACTOR_EVERY:
-                self._refactor()
-
-            z = self._reduced_costs(c)
-
-            viol = np.zeros(self.n_real)
-            at_lo = (self.col_status == AT_LOWER) & ~fixed
-            at_hi = (self.col_status == AT_UPPER) & ~fixed
-            free = self.col_status == FREE
-            viol[at_lo] = -z[at_lo]
-            viol[at_hi] = z[at_hi]
-            viol[free] = np.abs(z[free])
-
-            eligible = viol > TOL_DUAL
-            if not eligible.any():
-                return SolveStatus.OPTIMAL
-
-            if use_bland:
-                enter = int(np.argmax(eligible))  # least index with True
-            else:
-                enter = int(np.argmax(viol))
-
-            if self.col_status[enter] == AT_UPPER:
-                direction = -1.0
-            elif self.col_status[enter] == FREE:
-                direction = 1.0 if z[enter] < 0 else -1.0
-            else:
-                direction = 1.0
-
-            d = self._ftran(enter)
-            delta = -d * direction  # per-unit change of each basic value
-
-            lo_b = self.lower[self.basis]
-            hi_b = self.upper[self.basis]
-            lim = np.full(m, INF)
-            grow = delta > TOL_PIVOT
-            shrink = delta < -TOL_PIVOT
-            with np.errstate(invalid="ignore"):
-                lim[grow] = (hi_b[grow] - self.x_B[grow]) / delta[grow]
-                lim[shrink] = (lo_b[shrink] - self.x_B[shrink]) / delta[shrink]
-            np.nan_to_num(lim, copy=False, nan=INF, posinf=INF)
-            np.maximum(lim, 0.0, out=lim)
-
-            range_e = self.upper[enter] - self.lower[enter]
-            t_enter = range_e if np.isfinite(range_e) else INF
-            t_rows = float(lim.min()) if m else INF
-
-            if min(t_rows, t_enter) == INF:
-                return SolveStatus.UNBOUNDED
-
-            if t_enter <= t_rows:
-                # Bound flip: the entering column crosses its own box first.
-                if t_enter > 0:
-                    self.x_B += delta * t_enter
-                self.col_status[enter] = AT_UPPER if direction > 0 else AT_LOWER
-                stall = stall + 1 if t_enter <= 1e-12 else 0
-            else:
-                ties = np.where(lim <= t_rows * (1 + 1e-9) + 1e-12)[0]
-                leave_pos = int(min(ties, key=lambda i: (-abs(d[i]), self.basis[i])))
-                t_star = float(lim[leave_pos])
-                base = (self.upper[enter] if self.col_status[enter] == AT_UPPER
-                        else self.lower[enter] if self.col_status[enter] == AT_LOWER
-                        else 0.0)
-                if t_star > 0:
-                    self.x_B += delta * t_star
-                self._pivot(leave_pos, enter, base + direction * t_star, d=d)
-                stall = stall + 1 if t_star <= 1e-12 else 0
-
-            if stall > STALL_LIMIT and not use_bland:
-                use_bland = True
-                stall = 0
-        raise NumericalFailure(
-            f"simplex exceeded {max_iters} iterations without converging")
 
     def _pivot(self, leave_pos: int, enter: int, enter_value: float, d: np.ndarray) -> None:
         pivot = d[leave_pos]

@@ -14,7 +14,6 @@ class SolveStatus(Enum):
     OPTIMAL = "optimal"
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class NumericalFailure(RuntimeError):
@@ -56,6 +55,8 @@ class Factor:
 class Solution:
     """Outcome of a solve: status, variable values, objective, and bounds.
 
+    An LP solve is OPTIMAL or INFEASIBLE: the solver takes only models
+    whose costs are bounded on their side, so no relaxation is unbounded.
     ``gap`` is (objective - best_bound) / max(|objective|, 1e-9) for
     minimization; OPTIMAL implies gap <= the configured tolerance. ``values``
     covers the model's structural columns and is None when no feasible point

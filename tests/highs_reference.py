@@ -64,8 +64,8 @@ def highs_lp(model: LinearModel):
         b_eq=rhs[eq] if eq.any() else None,
         bounds=list(zip(model.lower, model.upper)),
         method="highs",
-        # Presolve can call an unbounded LP infeasible (random_mixed_bounds_lp
-        # seed 260); the simplex without it tells the two apart.
+        # Presolve can call an unbounded LP infeasible; the simplex without
+        # it tells the two apart.
         options={"presolve": False},
     )
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(result.status)

@@ -305,12 +305,19 @@ def knapsack_best_value(values, weights, capacity) -> int:
 
 
 def random_lp(seed: int, size: int = 8) -> LinearModel:
-    """A dense random LP with mixed senses, zero lower bounds, box uppers."""
+    """A dense random LP with mixed senses, zero lower bounds, box uppers.
+
+    A column without an upper bound gets a cost of at least zero, so the
+    LP is in the solver's input class and never unbounded.
+    """
     rng = random.Random(seed)
     model = LinearModel()
     for j in range(size):
         upper = rng.choice([float("inf"), rng.randrange(2, 9)])
-        model.add_column(f"x{j}", 0.0, upper, objective=rng.randrange(-9, 10))
+        cost = rng.randrange(-9, 10)
+        if upper == float("inf"):
+            cost = abs(cost)
+        model.add_column(f"x{j}", 0.0, upper, objective=cost)
     for i in range(size):
         coeffs = [(j, rng.randrange(-5, 6)) for j in range(size)
                   if rng.random() < 0.7]
@@ -327,11 +334,13 @@ def random_lp(seed: int, size: int = 8) -> LinearModel:
 
 def random_mixed_bounds_lp(seed: int, size: int = 8) -> LinearModel:
     """A dense random LP over every column kind: free, upper-only,
-    lower-only, boxed and fixed, with costs of both signs and mixed senses.
+    lower-only, boxed and fixed, with mixed senses.
 
-    Rows are built around a point inside the box, and inequality rows are
-    loosened or tightened at random, so the LP may be optimal, infeasible
-    or unbounded.
+    Boxed and fixed columns take costs of both signs; the others take the
+    sign their bounds allow in the solver's input class (free: zero,
+    upper-only: at most zero, lower-only: at least zero). Rows are built
+    around a point inside the box, and inequality rows are loosened or
+    tightened at random, so the LP may be optimal or infeasible.
     """
     rng = random.Random(seed)
     model = LinearModel()
@@ -345,7 +354,9 @@ def random_mixed_bounds_lp(seed: int, size: int = 8) -> LinearModel:
             lo = -math.inf
         if kind in ("free", "lower"):
             hi = math.inf
-        model.add_column(f"x{j}", lo, hi, objective=rng.randrange(-9, 10))
+        cost = rng.randrange(-9, 10)
+        cost = {"free": 0, "upper": -abs(cost), "lower": abs(cost)}.get(kind, cost)
+        model.add_column(f"x{j}", lo, hi, objective=cost)
     for i in range(size):
         coeffs = [(j, rng.randrange(-5, 6)) for j in range(size)
                   if rng.random() < 0.7]

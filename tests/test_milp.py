@@ -72,11 +72,14 @@ class TestBranchAndBound:
         assert branch_and_bound(model).status == SolveStatus.INFEASIBLE
 
     def test_unbounded(self):
+        # A negative cost with no upper bound is outside the solver's input
+        # class, so the search refuses the model instead of answering.
         model = LinearModel()
         model.add_column("x", 0, INF, objective=-1.0)
         y = model.add_column("y", 0, 1, integer=True)
         model.add_row("r", [(y, 1.0)], LE, 1.0)
-        assert branch_and_bound(model).status == SolveStatus.UNBOUNDED
+        with pytest.raises(ValueError, match="column x has cost -1 and no finite upper"):
+            branch_and_bound(model)
 
     @pytest.mark.parametrize("seed", range(20, 30))
     def test_matches_enumeration(self, seed):
@@ -199,6 +202,42 @@ class TestFactorHandOff:
         assert len(refactors) > 2 and refactors[0] >= 1  # the root pivots past REFACTOR_EVERY
         assert refactors[1:] == [0] * (len(refactors) - 1)
         assert sol.basis is None and sol.factor is None
+
+
+class TestDualOptimality:
+    """Every LP is one dual simplex, with no primal pass after it to
+    repair a basis the dual left dual infeasible."""
+
+    @pytest.mark.parametrize("name", ["depot", "five_trucks"])
+    def test_every_lp_ends_dual_feasible(self, name, depot_scenario, monkeypatch):
+        """Dual pivots alone must end at an optimal basis: reduced costs
+        recomputed from each returned B^-1, not the loop's running ones,
+        have the sign of their column's bound within 1e-9 (scaled costs)."""
+        model = dive_model(name, depot_scenario)
+        solve = PreparedLP.solve
+        checked = []
+
+        def checking_solve(self, lower=None, upper=None, basis=None, factor=None):
+            result = solve(self, lower, upper, basis, factor)
+            if result.status != SolveStatus.OPTIMAL:
+                return result
+            basic, status = result.basis.basic, result.basis.status
+            y = self.c_real[basic] @ result.factor.inverse
+            z = self.c_real - np.concatenate([y @ self.A, y])
+            lo = np.concatenate([lower, self.slack_lower])
+            hi = np.concatenate([upper, self.slack_upper])
+            movable = hi > lo
+            assert np.all(z[movable & (status == simplex.AT_LOWER)] >= -1e-9)
+            assert np.all(z[movable & (status == simplex.AT_UPPER)] <= 1e-9)
+            assert np.all(np.abs(z[status == simplex.FREE]) <= 1e-9)
+            assert np.all(np.abs(z[basic]) <= 1e-9)
+            checked.append(result.objective)
+            return result
+
+        monkeypatch.setattr(PreparedLP, "solve", checking_solve)
+        sol = branch_and_bound(model)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert len(checked) >= sol.node_count  # every node LP and the polish
 
 
 def most_fractional_loop(values, int_cols, priorities):

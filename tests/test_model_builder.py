@@ -12,8 +12,9 @@ import pytest
 
 import fleetcharge as fc
 from fleetcharge.builder import build_problem, energy_consumption
+from fleetcharge.domain import scenario_variant
 from fleetcharge.model import EQ, GE, LE, LinearModel, Row
-from fleetcharge.solver import SolveStatus, branch_and_bound
+from fleetcharge.solver import PreparedLP, SolveStatus, branch_and_bound
 
 from oracles import brute_force_enumerate, objective_breakdown
 from test_domain import make_leg, minimal_scenario
@@ -439,6 +440,29 @@ class TestObjective:
             two_truck_scenario, outcome.build.catalog,
             outcome.solution.values, outcome.build.model)
         assert parts["total"] == pytest.approx(outcome.solution.objective, abs=1e-6)
+
+
+class TestSolverInputClass:
+    """Every cost the builder writes has a finite bound on the side it
+    favours, the only models the simplex takes; a column that breaks this
+    fails here, not in a production solve."""
+
+    @pytest.mark.parametrize("amortize", [False, True])
+    @pytest.mark.parametrize("slack_minutes", [0, 15])
+    @pytest.mark.parametrize("design", [fc.CODESIGN, fc.FIXED_INFRASTRUCTURE])
+    @pytest.mark.parametrize(
+        "fixture", ["depot_scenario", "two_truck_scenario", "remote_scenario"])
+    def test_every_build_is_accepted(self, fixture, design, slack_minutes,
+                                     amortize, request):
+        base = request.getfixturevalue(fixture)
+        fixed_counts = fc.rule_based_design(
+            base, fc.MainDepotOnly(2, base.charger_catalog[-1].id))
+        scenario = fc.validate_scenario(scenario_variant(
+            base, design, fixed_counts, slack_minutes=slack_minutes))
+        ratio = fc.default_amortize_ratio(scenario) if amortize else None
+        model = build_problem(scenario, amortize_ratio=ratio).model
+        assert model.num_cols > 0
+        PreparedLP(model)  # raises ValueError naming a column outside the class
 
 
 class TestDiagnostics:

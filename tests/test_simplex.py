@@ -51,7 +51,7 @@ class TestTextbookCases:
 
     def test_two_variable_maximization(self):
         model = simple_model(
-            [-1.0, -1.0], [(0, INF), (0, INF)],
+            [-1.0, -1.0], [(0, 5), (0, 5)],
             [([(0, 1.0), (1, 1.0)], LE, 1.0)])
         sol = solve_lp(model)
         assert sol.status == SolveStatus.OPTIMAL
@@ -64,8 +64,11 @@ class TestTextbookCases:
         assert solve_lp(model).status == SolveStatus.INFEASIBLE
 
     def test_unbounded(self):
-        model = simple_model([-1.0], [(0, INF)], [([(0, 1.0)], GE, 0.0)])
-        assert solve_lp(model).status == SolveStatus.UNBOUNDED
+        # A negative cost with no upper bound is outside the input class.
+        model = simple_model([1.0, -1.0], [(0, 4), (0, INF)],
+                             [([(1, 1.0)], GE, 0.0)])
+        with pytest.raises(ValueError, match="column x1 has cost -1 and no finite upper"):
+            PreparedLP(model)
 
     def test_equality_with_negative_rhs(self):
         model = simple_model(
@@ -84,10 +87,19 @@ class TestTextbookCases:
         assert sol.objective == pytest.approx(-5 * 2 - 4 * 2)
 
     def test_free_variable(self):
+        # A free column may only cost nothing; with a cost it is rejected.
         model = simple_model(
             [1.0], [(-INF, INF)], [([(0, 1.0)], GE, -7.0)])
-        sol = solve_lp(model)
-        assert sol.objective == pytest.approx(-7.0)
+        with pytest.raises(ValueError, match="column x0 has cost 1 and no finite lower"):
+            PreparedLP(model)
+        # Costless, it enters the basis: x0 + x1 >= 3 with x0 <= 2 needs x1 = 1.
+        free = simple_model(
+            [0.0, 1.0], [(-INF, INF), (0, 10)],
+            [([(0, 1.0), (1, 1.0)], GE, 3.0), ([(0, 1.0)], LE, 2.0)])
+        sol = solve_lp(free)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(1.0)
+        assert sol.values[0] == pytest.approx(2.0)
 
     def test_fixed_column(self):
         model = simple_model(
@@ -114,10 +126,9 @@ class TestExactOracle:
         if status == OPTIMAL:
             assert mine.status == SolveStatus.OPTIMAL
             assert mine.objective == pytest.approx(float(objective), abs=1e-7)
-        elif status == INFEASIBLE:
-            assert mine.status == SolveStatus.INFEASIBLE
         else:
-            assert mine.status == SolveStatus.UNBOUNDED
+            assert status == INFEASIBLE  # random_lp is never unbounded
+            assert mine.status == SolveStatus.INFEASIBLE
 
     def test_solution_passes_independent_check(self):
         for seed in (3, 5, 8):
@@ -128,9 +139,9 @@ class TestExactOracle:
 
 
 class TestAgainstHiGHS:
-    """Random LPs with free, upper-only, boxed and fixed columns and costs
-    of both signs, against HiGHS. They reach what zero-lower-bound LPs do
-    not: zeroed costs, FREE and AT_UPPER starts and primal clean-up."""
+    """Random LPs with free, upper-only, lower-only, boxed and fixed columns,
+    against HiGHS. They reach what zero-lower-bound LPs do not: FREE and
+    AT_UPPER starts."""
 
     SEEDS = range(40)
 
@@ -148,20 +159,15 @@ class TestAgainstHiGHS:
             assert check_solution(model, mine.values) == []
 
     def test_seeds_reach_every_start_case(self):
-        zeroed = free = at_upper = cleaned_up = 0
+        free = at_upper = 0
         for seed in self.SEEDS:
             model = random_mixed_bounds_lp(seed)
             prep = PreparedLP(model)
             state = simplex._SimplexState(
                 prep, np.array(model.lower), np.array(model.upper))
-            zeroed += np.any(state.dual_costs != prep.c_real)
             free += np.any(state.col_status == simplex.FREE)
             at_upper += np.any(state.col_status == simplex.AT_UPPER)
-            if state.run_dual(state.dual_costs):
-                before = state.col_status.copy()
-                state.run_primal()
-                cleaned_up += not np.array_equal(before, state.col_status)
-        assert min(zeroed, free, at_upper, cleaned_up) >= 10
+        assert min(free, at_upper) >= 10
 
 
 def _no_cold_start(monkeypatch):
@@ -227,13 +233,13 @@ class TestWarmStart:
     @pytest.mark.parametrize("direction", ["down", "up"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_dual_simplex_keeps_dual_feasibility(self, seed, direction):
-        # Dual pivots alone must reach the optimum; the primal clean-up
-        # would hide a ratio test that lets reduced costs change sign.
+        # Dual pivots alone reach the optimum, so a ratio test that lets
+        # reduced costs change sign would end at a basis that is not optimal.
         _, prep, parent, lower, upper = self.child(seed, direction)
         state = simplex._SimplexState(
             prep, np.array(lower, dtype=float), np.array(upper, dtype=float),
             parent.basis)
-        if not state.run_dual(prep.c_real):
+        if not state.run_dual():
             return  # proven infeasible; covered against the oracle above
         z = state._reduced_costs(prep.c_real)
         status = state.col_status
@@ -402,7 +408,7 @@ class TestSetUp:
         # The cold start is the slack basis: B = I.
         assert np.array_equal(state.basis, np.arange(prep.n, prep.n_real))
         assert np.array_equal(state.B_inv, np.eye(prep.m))
-        assert state.run_dual(state.dual_costs)
+        assert state.run_dual()
         assert np.any(state.basis < prep.n)  # structural columns entered
         full = np.hstack([prep.A, np.eye(prep.m)])  # [A | I], slacks explicit
         reference = np.zeros((prep.m, prep.m))
@@ -436,13 +442,13 @@ class TestSetUp:
 
     def test_initial_statuses_match_column_loop(self):
         model = simple_model(
-            [1.0, 1.0, 1.0, 1.0, -1.0, -1.0],
+            [0.0, -1.0, 1.0, 1.0, -1.0, 1.0],
             [(-INF, INF), (-INF, 5), (0, INF), (2, 3), (0, 4), (0, INF)],
             [([(j, 1.0) for j in range(6)], GE, 1.0)])
         prep = PreparedLP(model)
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper))
-        expected, kept = [], []
+        expected = []
         for j in range(prep.n_real):
             lo, hi, c = state.lower[j], state.upper[j], prep.c_real[j]
             if j in state.basis:
@@ -453,14 +459,9 @@ class TestSetUp:
                 expected.append(simplex.AT_LOWER)
             else:
                 expected.append(simplex.FREE)
-            # A cost survives the dual pass only at the bound it prefers.
-            kept.append(c == 0 or (c > 0 and expected[-1] == simplex.AT_LOWER)
-                        or (c < 0 and expected[-1] == simplex.AT_UPPER))
         assert state.col_status.tolist() == expected
         assert expected[:6] == [simplex.FREE, simplex.AT_UPPER, simplex.AT_LOWER,
                                 simplex.AT_LOWER, simplex.AT_UPPER, simplex.AT_LOWER]
-        assert np.array_equal(state.dual_costs, np.where(kept, prep.c_real, 0.0))
-        assert kept[:6] == [False, False, True, True, True, False]
 
 
 def dense_random_model(seed, m=6, n=9):
