@@ -322,9 +322,8 @@ def _add_strengthening_rows(
 
     Co-design only: while a tour has only ever had charging windows at one
     location, any shortfall so far must be bought there. That location
-    needs a charger of some type, its peak is at least one charger's rated
-    power, and the installed power times the span of those windows must
-    cover the energy (a Hall-style condition per window close).
+    needs a charger of some type, and its peak is at least one charger's
+    rated power.
 
     Fast-charger cover (co-design only): a tour prefix with a D-kWh
     shortfall over W window blocks buys at least D, one charger per block.
@@ -337,9 +336,9 @@ def _add_strengthening_rows(
     tau = scenario.time_grid.block_duration_hours
     codesign = scenario.design_mode == CODESIGN
     peak_price = scenario.price_schedule.peak_price_per_kw
-    # Per (location, day): each tour that so far could only charge there
-    # contributes (its window blocks, the energy it must buy there).
-    needs: dict[tuple[str, int], list[tuple[set[int], float]]] = {}
+    # Locations where some tour that so far could only charge there must
+    # buy energy.
+    needs: set[str] = set()
     # Per location: the least power a fast-type block there draws, from
     # cover rows whose prefix charges only there.
     fast_power: dict[str, float] = {}
@@ -349,10 +348,8 @@ def _add_strengthening_rows(
         coeffs: list[tuple[int, float]] = []
         single_location: str | None = None
         broken = False
-        blocks: set[int] = set()
         window_locations: set[str] = set()
         window_blocks = 0
-        best_deficit = 0.0
         for row in rows:
             coeffs += [(col, 1.0) for _, _, col in row.slots]
             if len(row.window) > 0:
@@ -361,8 +358,6 @@ def _add_strengthening_rows(
                 if single_location is None:
                     single_location = row.leg.origin_id
                 broken = broken or row.leg.origin_id != single_location
-                if not broken:
-                    blocks.update(row.window)
             if usable and row.deficit > 1e-9:
                 blocks_needed = math.ceil(row.deficit / block_max_kwh - 1e-9)
                 model.add_row(
@@ -379,15 +374,12 @@ def _add_strengthening_rows(
                         fast_power[single_location] = max(
                             fast_power.get(single_location, 0.0),
                             min(c.rated_power_kw for c in fast))
-            if not broken and single_location is not None:
-                best_deficit = max(best_deficit, row.deficit)
+            if not broken and single_location is not None and row.deficit > 1e-9:
+                needs.add(single_location)
         count_col = cat.blocks_used.get((truck_id, day))
         if coeffs and count_col is not None:
             model.add_row(f"blocks_used[{truck_id}_d{day}]",
                           coeffs + [(count_col, -1.0)], EQ, 0.0)
-        if best_deficit > 1e-9:
-            needs.setdefault((single_location, day), []).append(
-                (blocks, best_deficit))
 
     if not codesign:
         return
@@ -397,7 +389,7 @@ def _add_strengthening_rows(
         model.add_row(f"count_total[{location}]", coeffs, EQ, 0.0)
     min_power = min((c.rated_power_kw for c in scenario.charger_catalog),
                     default=0.0)
-    for location in sorted({location for location, _ in needs}):
+    for location in sorted(needs):
         coeffs = [(cat.x[(location, c.id)], 1.0) for c in scenario.charger_catalog]
         model.add_row(f"charger_required[{location}]", coeffs, GE, 1.0)
         # Any integer schedule that charges here at all peaks at no less
@@ -408,20 +400,6 @@ def _add_strengthening_rows(
         cat.peak_floor[location] = float(peak_price * power)
         model.add_row(f"peak_floor[{location}]", [(cat.c_peak[location], 1.0)],
                       GE, cat.peak_floor[location])
-    for (location, day), entries in sorted(needs.items()):
-        closes = sorted({max(blocks) for blocks, _ in entries})
-        for close in closes:
-            inside = [(blocks, d) for blocks, d in entries if max(blocks) <= close]
-            span = len(set().union(*(blocks for blocks, _ in inside)))
-            demand = sum(d for _, d in inside)
-            coeffs = [
-                (cat.x[(location, c.id)], tau * span * c.rated_power_kw)
-                for c in scenario.charger_catalog
-            ]
-            if coeffs:
-                model.add_row(
-                    f"energy_capacity[{location}_d{day}_t{close}]", coeffs,
-                    GE, demand)
 
 
 def _set_objective(

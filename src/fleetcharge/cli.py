@@ -175,6 +175,9 @@ def cmd_sweep(args) -> int:
     for cell in summary["cells"]:
         label = f"alpha={cell['alpha']} slack={cell['slack_minutes']} {cell['design']}"
         print(f"  {label}: {cell['status']}")
+    internal = {NumericalFailure.__name__, PlanVerificationError.__name__}
+    if any(cell.get("error_class") in internal for cell in summary["cells"]):
+        return EXIT_FAILURE
     if any(s in ("infeasible", "error") for s in statuses):
         return EXIT_INFEASIBLE
     if any(s == "feasible" for s in statuses):  # stopped on a limit

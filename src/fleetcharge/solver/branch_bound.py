@@ -1,13 +1,20 @@
 """Exact branch-and-bound over LP relaxations.
 
-Best-bound node selection through a sequence-stamped priority queue (the
-stamp breaks ties deterministically), branching on the most fractional
-integer column with ties to the lowest column index. Nodes carry bound
-overrides and their parent's final LP basis (a small :class:`Basis`
-record, never a basis inverse); each node LP goes through the shared
-:class:`PreparedLP`, which warm-starts a dual simplex from that basis,
-since a child differs from its parent in one column bound. The root LP
-starts cold, from the slack basis.
+One node rule, through a sequence-stamped priority queue (the stamp breaks
+ties deterministically, newest first). Until the first incumbent every key
+is 0.0, so the search plunges depth-first and always dives into the up
+child (the column's lower bound raised to the ceiling). Once an incumbent
+exists the heap is re-keyed by each node's bound, its parent's relaxation
+objective, and the search pops best bound first; the popped bound is then
+the least open one, so it is the global proven bound. Branching is on the
+most fractional integer column of the highest priority class, with ties to
+the lowest column index.
+
+Nodes carry bound overrides and their parent's final LP basis (a small
+:class:`Basis` record, never a basis inverse); each node LP goes through
+the shared :class:`PreparedLP`, which warm-starts a dual simplex from that
+basis, since a child differs from its parent in one column bound. The root
+LP starts cold, from the slack basis.
 
 Only the most recent LP's basis inverse (its :class:`Factor`) is kept.
 When the next node popped starts from that LP's very basis, as every
@@ -16,14 +23,11 @@ then skips the refactorization; otherwise it is dropped, so at most one
 m x m inverse is alive between solves and none is stored on the heap or
 returned.
 
-A node's priority is its parent's relaxation objective, which lower-bounds
-its subtree; with best-first order the popped priorities are nondecreasing,
-so the last popped priority is the global proven bound.
-
 When a relaxation comes back integral, the integer columns are fixed at
 their rounded values and the LP re-solved once ("polish"), so incumbents
 carry exactly integral values and an objective consistent with them. The
-polish starts from the node's own basis and takes over its factor.
+polish starts from the node's own basis and takes over its factor; a
+polish LP that does not end OPTIMAL yields no incumbent.
 """
 
 from __future__ import annotations
@@ -83,29 +87,12 @@ def branch_and_bound(
 
     incumbent: np.ndarray | None = None
     incumbent_obj = math.inf
-    proven_bound = -math.inf
+    cutoff = math.inf  # a node bounded at or above this cannot improve
     nodes = 0
     seq = 0
+    # Entries (key, -seq, bound, lo, hi, depth, basis): the key is 0.0 until
+    # the first incumbent (a plunge, newest first) and the bound after it.
     heap: list = []
-    # Node selection: until a first incumbent exists every node ties, so the
-    # newest-first tie-break turns the search into a plunge that reaches an
-    # integer leaf; afterwards keys are bounds quantized to a band, i.e.
-    # best-bound ordering in which near-equal nodes keep diving. The proven
-    # bound always uses raw values, so optimality claims are unaffected.
-    tie_band = 1e-9
-
-    def quantize(bound: float) -> float:
-        if incumbent is None:
-            return 0.0
-        if not math.isfinite(bound):
-            return bound
-        return math.floor(bound / tie_band) * tie_band
-
-    def rekey_heap() -> None:
-        entries = [(quantize(e[2]), *e[1:]) for e in heap]
-        heap.clear()
-        heap.extend(entries)
-        heapq.heapify(heap)
 
     def log(node_id: int, depth: int, bound) -> None:
         if trace is not None:
@@ -138,27 +125,22 @@ def branch_and_bound(
 
     lower = np.asarray(model.lower, dtype=float)
     upper = np.asarray(model.upper, dtype=float)
-    heapq.heappush(heap, (-math.inf, -seq, -math.inf, lower, upper, 0, None))
+    heapq.heappush(heap, (0.0, 0, -math.inf, lower, upper, 0, None))
     factor = None  # the last LP's basis inverse, for a node that dives from it
 
-    def open_bound() -> float:
-        # The proven global bound is the raw minimum over open nodes.
-        return min((entry[2] for entry in heap), default=math.inf)
-
     while heap:
-        _, neg_id, raw_bound, lo, hi, depth, basis = heapq.heappop(heap)
+        _, neg_id, bound, lo, hi, depth, basis = heapq.heappop(heap)
         node_id = -neg_id
-        proven_bound = min(raw_bound, open_bound())
-
         if incumbent is not None:
-            if max(0.0, relative_gap(incumbent_obj, proven_bound)) <= rel_gap_target:
-                return finish(SolveStatus.OPTIMAL, proven_bound)
-            if raw_bound >= incumbent_obj - 1e-9 * max(1.0, abs(incumbent_obj)):
+            if max(0.0, relative_gap(incumbent_obj, bound)) <= rel_gap_target:
+                return finish(SolveStatus.OPTIMAL, bound)
+            if bound >= cutoff:
                 continue  # fathomed by bound
 
         if (node_limit is not None and nodes >= node_limit) or (
                 time_limit is not None and time.monotonic() - start > time_limit):
-            return finish(SolveStatus.FEASIBLE, min(proven_bound, incumbent_obj))
+            return finish(SolveStatus.FEASIBLE,
+                          min([bound] + [entry[2] for entry in heap]))
 
         handed = factor if factor is not None and factor.basis is basis else None
         factor = None
@@ -169,42 +151,31 @@ def branch_and_bound(
             log(node_id, depth, math.inf)
             continue
         log(node_id, depth, result.objective)
-        if depth == 0:
-            # The root is alone in the tree, so its relaxation is the
-            # global bound; it also sets the tie band's scale.
-            proven_bound = max(proven_bound, result.objective)
-            tie_band = max(1e-9, 0.02 * max(1.0, abs(result.objective)))
-
-        if incumbent is not None and result.objective >= incumbent_obj \
-                - 1e-9 * max(1.0, abs(incumbent_obj)):
+        if result.objective >= cutoff:
             continue  # fathomed after solving
 
         branch_col = _most_fractional(result.values, int_cols, priorities)
         if branch_col is None:
-            candidate = _polish(prep, model, int_cols, lo, hi, result, factor)
+            candidate = _polish(prep, int_cols, lo, hi, result, factor)
             factor = None
-            if candidate[1] < incumbent_obj:
-                first = incumbent is None
+            if candidate is not None and candidate[1] < incumbent_obj:
+                if incumbent is None:  # the plunge is over: key by bound
+                    heap[:] = [(entry[2], *entry[1:]) for entry in heap]
+                    heapq.heapify(heap)
                 incumbent, incumbent_obj = candidate
-                if first:
-                    rekey_heap()  # switch from plunge to best-bound order
+                cutoff = incumbent_obj - 1e-9 * max(1.0, abs(incumbent_obj))
             continue
 
         frac = result.values[branch_col]
-        lo_left, hi_left = lo.copy(), hi.copy()
-        hi_left[branch_col] = math.floor(frac)
-        lo_right, hi_right = lo.copy(), hi.copy()
-        lo_right[branch_col] = math.ceil(frac)
-        round_up = frac - math.floor(frac) >= 0.5
-        children = [(lo_left, hi_left), (lo_right, hi_right)]
-        if not round_up:
-            children.reverse()
-        # Newest-first tie-break pops the last push: put the rounding
-        # direction last so plunges follow the relaxation's lead.
-        child_key = quantize(result.objective)
-        for child_lo, child_hi in children:
+        lo_down, hi_down = lo.copy(), hi.copy()
+        hi_down[branch_col] = math.floor(frac)
+        lo_up, hi_up = lo.copy(), hi.copy()
+        lo_up[branch_col] = math.ceil(frac)
+        # The up child is pushed last, so it pops first among equal keys.
+        key = 0.0 if incumbent is None else result.objective
+        for child_lo, child_hi in ((lo_down, hi_down), (lo_up, hi_up)):
             seq += 1
-            heapq.heappush(heap, (child_key, -seq, result.objective,
+            heapq.heappush(heap, (key, -seq, result.objective,
                                   child_lo, child_hi, depth + 1, result.basis))
 
     if incumbent is None:
@@ -215,23 +186,23 @@ def branch_and_bound(
 
 def _polish(
     prep: PreparedLP,
-    model: LinearModel,
     int_cols: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     relaxed: Solution,
     factor: Factor | None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float] | None:
     """Fix integers at rounded values and re-solve for exact continuous
-    parts, from the relaxation's basis and its ``factor``."""
-    values = relaxed.values
+    parts, from the relaxation's basis and its ``factor``.
+
+    Returns the values and objective of that LP, or None when it does not
+    end OPTIMAL, so every incumbent is the optimum of a solved LP.
+    """
     # Adding 0.0 turns np.round's -0.0 into the 0.0 that round() gives.
-    rounded = np.round(values[int_cols]) + 0.0
+    rounded = np.round(relaxed.values[int_cols]) + 0.0
     lo2, hi2 = lo.copy(), hi.copy()
     lo2[int_cols] = hi2[int_cols] = rounded
     refined = prep.solve(lo2, hi2, relaxed.basis, factor)
-    if refined.status == SolveStatus.OPTIMAL:
-        return refined.values, refined.objective
-    snapped = values.copy()
-    snapped[int_cols] = rounded
-    return snapped, model.objective_value(snapped)
+    if refined.status != SolveStatus.OPTIMAL:
+        return None
+    return refined.values, refined.objective

@@ -101,13 +101,7 @@ class PreparedLP:
 
     def __init__(self, model: LinearModel):
         c = np.asarray(model.objective, dtype=float)
-        uncapped = (((c > 0) & ~np.isfinite(model.lower))
-                    | ((c < 0) & ~np.isfinite(model.upper)))
-        if uncapped.any():
-            j = int(np.argmax(uncapped))
-            side = "lower" if c[j] > 0 else "upper"
-            raise ValueError(f"column {model.col_names[j]} has cost {c[j]:g} "
-                             f"and no finite {side} bound")
+        _check_input_class(model, c, model.lower, model.upper)
         self.model = model
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
@@ -160,17 +154,17 @@ class PreparedLP:
         leaves it None; a factor of another basis, a spent one or one that
         fails the residual check is ignored and the basis refactorized.
         The bounds must keep each cost's favoured side finite, as the
-        model's do and as branching, which only tightens them, keeps them.
-        The result is OPTIMAL, carrying its own final basis and factor, or
-        INFEASIBLE.
+        model's do and as branching, which only tightens them, keeps them;
+        other bounds raise the ValueError that :class:`PreparedLP` raises
+        for such a model. The result is OPTIMAL, carrying its own final
+        basis and factor, or INFEASIBLE.
         """
-        n, m = self.n, self.m
+        n = self.n
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
         hi = np.asarray(self.model.upper if upper is None else upper, dtype=float)
+        _check_input_class(self.model, self.c_real[:n], lo, hi)
         if np.any(lo > hi + 1e-12):
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0)
-        if m == 0:
-            return self._solve_unconstrained(lo, hi)
 
         state = None
         if basis is not None:
@@ -199,17 +193,17 @@ class PreparedLP:
             factor=Factor(final, state.B_inv, state.age),
         )
 
-    def _solve_unconstrained(self, lo, hi) -> Solution:
-        c = np.asarray(self.model.objective, dtype=float)
-        target = np.where(c > 0, lo, np.where(c < 0, hi, 0.0))
-        fallback = np.where(np.isfinite(lo), lo, np.minimum(hi, 0.0))
-        fallback = np.where(np.isfinite(fallback), fallback, 0.0)
-        x = np.where(c == 0, fallback, target)
-        objective = self.model.objective_value(x)
-        return Solution(
-            status=SolveStatus.OPTIMAL, values=x, objective=objective,
-            best_bound=objective, gap=0.0,
-        )
+
+def _check_input_class(model: LinearModel, c: np.ndarray, lower, upper) -> None:
+    """Raise ValueError naming the first column whose cost, of the sign of
+    ``c``, has no finite bound on its side under ``lower``/``upper``."""
+    uncapped = (((c > 0) & ~np.isfinite(lower))
+                | ((c < 0) & ~np.isfinite(upper)))
+    if uncapped.any():
+        j = int(np.argmax(uncapped))
+        side = "lower" if c[j] > 0 else "upper"
+        raise ValueError(f"column {model.col_names[j]} has cost "
+                         f"{model.objective[j]:g} and no finite {side} bound")
 
 
 class _SimplexState:
@@ -258,7 +252,7 @@ class _SimplexState:
         basic, status = np.asarray(start.basic), np.asarray(start.status)
         if (basic.dtype.kind not in "iu" or basic.shape != (self.m,)
                 or status.shape != (self.n_real,)
-                or basic.min() < 0 or basic.max() >= self.n_real
+                or basic.min(initial=0) < 0 or basic.max(initial=0) >= self.n_real
                 or np.count_nonzero(status == BASIC) != self.m
                 or np.any(status[basic] != BASIC)):
             raise NumericalFailure("warm-start basis does not fit this LP")
@@ -290,8 +284,8 @@ class _SimplexState:
 
     def _solves(self, residual: np.ndarray) -> bool:
         """Whether B x_B reproduces the residual (NaN fails)."""
-        error = np.abs(self._basis_times(self.x_B) - residual).max()
-        return bool(error <= 1e-7 * (1.0 + np.abs(residual).max()))
+        error = np.abs(self._basis_times(self.x_B) - residual).max(initial=0.0)
+        return bool(error <= 1e-7 * (1.0 + np.abs(residual).max(initial=0.0)))
 
     def _ftran(self, j: int) -> np.ndarray:
         """B_inv times column j, read from the column's stored entries."""
@@ -397,9 +391,9 @@ class _SimplexState:
             lo_b, hi_b = self.lower[self.basis], self.upper[self.basis]
             below, above = lo_b - self.x_B, self.x_B - hi_b
             violation = np.maximum(below, above)
-            leave_pos = int(np.argmax(violation))
-            if violation[leave_pos] <= TOL_PRIMAL:
+            if violation.max(initial=0.0) <= TOL_PRIMAL:
                 return True
+            leave_pos = int(np.argmax(violation))
             to_lower = below[leave_pos] > 0
             target = lo_b[leave_pos] if to_lower else hi_b[leave_pos]
 

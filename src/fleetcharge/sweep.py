@@ -95,9 +95,10 @@ def _fmt(x: float) -> str:
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     """One solve per cell; per-cell JSON plans plus three aggregate CSVs.
 
-    Cell failures (infeasible cells, solver limits) are recorded in the
-    summary and the sweep continues. Returns the summary document, which is
-    also written to ``summary.json``.
+    Cell failures (infeasible cells, solver limits, exceptions) are recorded
+    in the summary and the sweep continues; a cell that raised carries the
+    exception's class name as ``error_class``. Returns the summary document,
+    which is also written to ``summary.json``.
     """
     for slack in spec.slack_minutes:
         scenario.time_grid.slack_blocks(slack)  # reject before any cell runs
@@ -106,7 +107,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     cells = spec.cells()
     ratio = default_amortize_ratio(scenario)
 
-    def evaluate(cell: SweepCell) -> tuple[SweepCell, SolveOutcome | None, str | None]:
+    def evaluate(cell: SweepCell) -> tuple[SweepCell, SolveOutcome | None,
+                                          Exception | None]:
         try:
             variant = validate_scenario(scenario_variant(
                 scenario, cell.design, spec.fixed_counts, cell.alpha, cell.slack_minutes))
@@ -115,7 +117,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
                 node_limit=spec.node_limit, time_limit=spec.time_limit)
             return cell, outcome, None
         except Exception as exc:  # per-cell failure; the sweep continues
-            return cell, None, f"{type(exc).__name__}: {exc}"
+            return cell, None, exc
 
     results = [evaluate(cell) for cell in cells]
 
@@ -133,7 +135,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
         }
         if error is not None:
             entry["status"] = "error"
-            entry["error"] = error
+            entry["error"] = f"{type(error).__name__}: {error}"
+            entry["error_class"] = type(error).__name__
             summary["failures"].append(entry)
             summary["cells"].append(entry)
             continue

@@ -506,13 +506,13 @@ def model_fingerprint(model) -> str:
 
 # (design, slack blocks, strengthen) -> fingerprint of the depot fixture's model.
 GOLDEN_FINGERPRINTS = {
-    ("codesign", 0, True): "ecf56bf7a273db49",
+    ("codesign", 0, True): "546607e11fddfb77",
     ("codesign", 0, False): "b2d7c8e9b98b56e5",
-    ("codesign", 1, True): "410569f5664bf288",
+    ("codesign", 1, True): "ac6cd088a63bf515",
     ("codesign", 1, False): "61be1abbc4bb4ea9",
-    ("codesign", 2, True): "72d1e1e732cd3613",
+    ("codesign", 2, True): "cf975c12440a68b8",
     ("codesign", 2, False): "79d51978682a0878",
-    ("codesign", 4, True): "e789b039cf1297ba",
+    ("codesign", 4, True): "4ca4e7a71d4c4be5",
     ("codesign", 4, False): "dd7a9d8d7b3f5bf7",
     ("fixed", 0, True): "e68bf2f07db0f835",
     ("fixed", 0, False): "12da0143aea8e5cf",
@@ -550,7 +550,8 @@ class TestModelFingerprint:
     def test_cover_rows_are_the_only_slack0_change(self, depot_scenario):
         """Without its fast-charger cover rows and with the old peak floor
         (one slowest charger), the slack-0 co-design model is the one built
-        before those rows existed."""
+        before those rows existed, less the installed-energy rows deleted
+        since."""
         scenario = fc.validate_scenario(replace(depot_scenario, slack_blocks=0))
         model = build_problem(scenario).model
         old_floor = scenario.price_schedule.peak_price_per_kw * min(
@@ -566,15 +567,16 @@ class TestModelFingerprint:
             rhs = old_floor if row.name.startswith("peak_floor[") else row.rhs
             kept.add_row(row.name, list(row.coeffs), row.sense, rhs)
         assert kept.num_rows < model.num_rows
-        assert model_fingerprint(kept) == "c78d080b5a255e42"
+        assert model_fingerprint(kept) == "c4616490b02b505d"
 
 
 
-# (design, slack blocks) -> sha256 of the depot fixture's to_lp_format() text,
-# taken while rows were still stored as Row tuples.
+# (design, slack blocks) -> sha256 of the depot fixture's to_lp_format() text;
+# the fixed-design entries were taken while rows were still stored as Row
+# tuples, the co-design ones after the installed-energy rows were deleted.
 GOLDEN_LP_TEXT = {
-    ("codesign", 0): "41a23fcf2ad4c6689996d94674fe5d5dbbc1bceb138fefd075f68bfb8b61098e",
-    ("codesign", 1): "1de6427814fa0b4a0ad854371511a4dda95bfb80c2c89d64a242c0ab21efa1d4",
+    ("codesign", 0): "a21961bfe1dfaf2f51fdf4e544643d54aa0df6afe7a9bea9a2ba32fc7fd933a8",
+    ("codesign", 1): "8112c8e7e33258fc43755ebfbb6c0d16df85604a7e6732d27f5081452ea707f5",
     ("fixed", 0): "ed17d8ce0dc0c08fa92ce692bccd761ad7db7c60cc7204ba0de1bd8621e07c6f",
     ("fixed", 1): "fe6767348c23577556a551a47c2e7944079e4e4a52ef0ace26d14a16223f232f",
 }

@@ -109,10 +109,37 @@ class TestTextbookCases:
         assert sol.values[0] == pytest.approx(2.0)
         assert sol.objective == pytest.approx(3.0)
 
-    def test_no_rows(self):
-        model = simple_model([1.0, -2.0], [(1, 4), (0, 6)], [])
-        sol = solve_lp(model)
-        assert sol.objective == pytest.approx(1 * 1 - 2 * 6)
+    def test_no_rows(self, monkeypatch):
+        # Boxed, lower-only, upper-only and free columns, costs of both
+        # signs: each ends at the bound its cost prefers, a free one at 0.
+        model = simple_model(
+            [1.0, -2.0, 0.5, -1.5, 0.0],
+            [(1, 4), (0, 6), (-3, INF), (-INF, 7), (-INF, INF)], [])
+        prep = PreparedLP(model)
+        cold = prep.solve()
+        assert cold.status == SolveStatus.OPTIMAL
+        assert list(cold.values) == [1.0, 6.0, -3.0, 7.0, 0.0]
+        assert cold.objective == pytest.approx(1 * 1 - 2 * 6 + 0.5 * -3 - 1.5 * 7)
+
+        def no_cold_start(state):
+            raise AssertionError("warm solve fell back to the slack basis")
+
+        monkeypatch.setattr(simplex._SimplexState, "_slack_start", no_cold_start)
+        for factor in (cold.factor, None):  # handed over, then refactorized
+            warm = prep.solve(basis=cold.basis, factor=factor)
+            assert warm.status == SolveStatus.OPTIMAL
+            assert list(warm.values) == list(cold.values)
+
+    def test_solve_rejects_bounds_outside_the_input_class(self):
+        # y's tiny positive cost favours its lower bound, which the per-solve
+        # bounds remove: the LP is unbounded, so it must not come back OPTIMAL.
+        model = simple_model([1.0, 1e-9], [(0, 5), (0, 5)],
+                             [([(0, 1.0), (1, 1.0)], GE, 1.0)])
+        prep = PreparedLP(model)
+        with pytest.raises(ValueError, match="column x1 has cost 1e-09 and no finite lower"):
+            prep.solve([0.0, -INF], [5.0, 5.0])
+        with pytest.raises(ValueError, match="column x0 has cost 1 and no finite lower"):
+            prep.solve([-INF, 0.0], [5.0, 5.0])
 
 
 class TestExactOracle:

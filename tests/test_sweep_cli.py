@@ -310,6 +310,31 @@ class TestCli:
             assert error["details"] == ["[SoeBelowZero] truck T1"]
         assert not (tmp_path / "o" / "plan.json").exists()
 
+    @pytest.mark.parametrize("exc, code", FAILURES)
+    def test_sweep_internal_failure_exit_code(self, exc, code, monkeypatch, tmp_path):
+        # One cell fails internally and one with a plain error (exit 1 on its
+        # own); the internal failure wins, and every cell still runs.
+        from fleetcharge import sweep
+
+        solve = sweep.solve_scenario
+
+        def fail_some(variant, **kwargs):
+            if variant.alpha == 0.5:
+                raise exc
+            if variant.alpha == 1.0:
+                raise RuntimeError("not internal")
+            return solve(variant, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_scenario", fail_some)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", TWO_TRUCK, "--alpha", "0.5,1,2",
+                     "--slack-min", "15", "--out", str(out)]) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert [cell["status"] for cell in summary["cells"]] == \
+            ["error", "error", "optimal"]
+        assert [cell["error_class"] for cell in summary["failures"]] == \
+            [type(exc).__name__, "RuntimeError"]
+
     @staticmethod
     def config_error(capsys) -> str:
         error = json.loads(capsys.readouterr().err)["error"]
