@@ -8,7 +8,7 @@ definition; headline savings against them are scenario-dependent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .builder import energy_consumption
 from .domain import (
@@ -22,7 +22,7 @@ from .domain import (
 )
 from .run import SolveOutcome, solve_scenario
 from .scenario_io import load_design
-from .validator import PlanReport
+from .validator import charger_counts_to_dict
 
 __all__ = [
     "MainDepotOnly",
@@ -147,9 +147,15 @@ class DesignComparison:
 
     codesign: SolveOutcome
     fixed: SolveOutcome
-    codesign_feasible: bool
-    fixed_feasible: bool
     deltas: dict[str, float | None] | None
+
+    @property
+    def codesign_feasible(self) -> bool:
+        return self.codesign.feasible
+
+    @property
+    def fixed_feasible(self) -> bool:
+        return self.fixed.feasible
 
     @property
     def finding(self) -> str:
@@ -163,43 +169,28 @@ class DesignComparison:
         return "co-design infeasible but fixed feasible (unexpected)"
 
     def to_dict(self) -> dict:
-        def plan_costs(outcome: SolveOutcome):
-            if outcome.plan is None:
-                return None
-            c = outcome.plan.costs
-            return {"energy": c.energy, "infrastructure": c.infrastructure,
-                    "peak": c.peak, "total": c.total}
+        def outcome_doc(outcome: SolveOutcome) -> dict:
+            plan = outcome.plan
+            return {
+                "status": outcome.solution.status.value,
+                "objective": outcome.solution.objective,
+                "gap": outcome.solution.gap,
+                "costs": None if plan is None else asdict(plan.costs),
+                "charger_counts": (None if plan is None
+                                   else charger_counts_to_dict(plan.charger_counts)),
+            }
 
         return {
             "finding": self.finding,
             "codesign_feasible": self.codesign_feasible,
             "fixed_feasible": self.fixed_feasible,
-            "codesign": {
-                "status": self.codesign.solution.status.value,
-                "objective": self.codesign.solution.objective,
-                "gap": self.codesign.solution.gap,
-                "costs": plan_costs(self.codesign),
-                "charger_counts": _counts_doc(self.codesign.plan),
-            },
-            "fixed": {
-                "status": self.fixed.solution.status.value,
-                "objective": self.fixed.solution.objective,
-                "gap": self.fixed.solution.gap,
-                "costs": plan_costs(self.fixed),
-                "charger_counts": _counts_doc(self.fixed.plan),
-            },
+            "codesign": outcome_doc(self.codesign),
+            "fixed": outcome_doc(self.fixed),
             "deltas_pct": None if self.deltas is None else {
                 k: (None if v is None else 100.0 * v)
                 for k, v in self.deltas.items()
             },
         }
-
-
-def _counts_doc(plan: PlanReport | None):
-    if plan is None:
-        return None
-    return {loc: {str(t): n for t, n in sorted(per.items())}
-            for loc, per in sorted(plan.charger_counts.items())}
 
 
 def _delta(fixed_value: float, codesign_value: float) -> float | None:
@@ -235,10 +226,4 @@ def compare_designs(
             "infrastructure": _delta(f.infrastructure, c.infrastructure),
             "peak": _delta(f.peak, c.peak),
         }
-    return DesignComparison(
-        codesign=codesign,
-        fixed=fixed,
-        codesign_feasible=codesign.feasible,
-        fixed_feasible=fixed.feasible,
-        deltas=deltas,
-    )
+    return DesignComparison(codesign=codesign, fixed=fixed, deltas=deltas)

@@ -26,8 +26,10 @@ returned.
 When a relaxation comes back integral, the integer columns are fixed at
 their rounded values and the LP re-solved once ("polish"), so incumbents
 carry exactly integral values and an objective consistent with them. The
-polish starts from the node's own basis and takes over its factor; a
-polish LP that does not end OPTIMAL yields no incumbent.
+polish starts from the node's own basis and takes over its factor. A
+polish LP that does not end OPTIMAL raises :class:`NumericalFailure`: the
+relaxation already found an integral point there, so dropping it could
+end the search with an INFEASIBLE it never proved.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ def branch_and_bound(
 
     Returns OPTIMAL once gap <= rel_gap_target is proven, FEASIBLE with the
     achieved gap when a node or time limit interrupts, INFEASIBLE when no
-    integer-feasible point exists. Raises ValueError for a model whose LP
-    may be unbounded (a cost with no finite bound on its side; see
+    integer-feasible point exists. Raises :class:`NumericalFailure` when
+    the polish LP of an integral relaxation does not end OPTIMAL or the
+    incumbent fails the re-check, and ValueError for a model whose LP may
+    be unbounded (a cost with no finite bound on its side; see
     :class:`PreparedLP`). Deterministic: identical model and
     configuration give the identical node sequence and solution.
     """
@@ -156,9 +160,9 @@ def branch_and_bound(
 
         branch_col = _most_fractional(result.values, int_cols, priorities)
         if branch_col is None:
-            candidate = _polish(prep, int_cols, lo, hi, result, factor)
+            candidate = _polish(prep, int_cols, lo, hi, result, factor, node_id)
             factor = None
-            if candidate is not None and candidate[1] < incumbent_obj:
+            if candidate[1] < incumbent_obj:
                 if incumbent is None:  # the plunge is over: key by bound
                     heap[:] = [(entry[2], *entry[1:]) for entry in heap]
                     heapq.heapify(heap)
@@ -191,12 +195,14 @@ def _polish(
     hi: np.ndarray,
     relaxed: Solution,
     factor: Factor | None,
-) -> tuple[np.ndarray, float] | None:
+    node_id: int,
+) -> tuple[np.ndarray, float]:
     """Fix integers at rounded values and re-solve for exact continuous
     parts, from the relaxation's basis and its ``factor``.
 
-    Returns the values and objective of that LP, or None when it does not
-    end OPTIMAL, so every incumbent is the optimum of a solved LP.
+    Returns the values and objective of that LP, so every incumbent is the
+    optimum of a solved LP. Raises :class:`NumericalFailure` naming the
+    node when the LP does not end OPTIMAL.
     """
     # Adding 0.0 turns np.round's -0.0 into the 0.0 that round() gives.
     rounded = np.round(relaxed.values[int_cols]) + 0.0
@@ -204,5 +210,6 @@ def _polish(
     lo2[int_cols] = hi2[int_cols] = rounded
     refined = prep.solve(lo2, hi2, relaxed.basis, factor)
     if refined.status != SolveStatus.OPTIMAL:
-        return None
+        raise NumericalFailure(f"polish LP of integral node {node_id} ended "
+                               f"{refined.status.value}")
     return refined.values, refined.objective

@@ -43,16 +43,17 @@ on R_s and carry K^-1 on R_k. Between refactorizations B^-1 takes
 elementary row operations, and after REFACTOR_EVERY of them, counted
 across the hand-off from one solve to the next, it is rebuilt. Every
 per-pivot step touches only nonzeros: a column ``B^-1 a_j`` reads a_j's
-stored entries, the dual pivot row reads only the rows of A where the
-pivot row of B^-1 is nonzero, and the rank-one update rewrites only the
-entries of B^-1 where both the entering column and the pivot row are
-nonzero. Slack columns are never stored; they are the implicit identity
-after A, and the reduced costs and residuals read A plus that identity.
+stored entries, the dual pivot row is one pass over the stored nonzeros
+of A, and the rank-one update rewrites only the entries of B^-1 where
+both the entering column and the pivot row are nonzero. Slack columns are
+never stored; they are the implicit identity after A, and the reduced
+costs and residuals read A plus that identity.
 
-Rows and the cost vector are rescaled to unit magnitude so absolute
-tolerances are meaningful across problems; the reported objective is
-recomputed from unscaled data. A is a dense numpy array, so the memory
-is O(mn); the kernel is inverted densely, without LU updates.
+A is stored once, by column, and never dense (Maros 2003). Rows and the
+cost vector are rescaled to unit magnitude so absolute tolerances are
+meaningful across problems; the reported objective is recomputed from
+unscaled data. B^-1 is dense m x m; the kernel is inverted densely,
+without LU updates.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ REFACTOR_EVERY = 96
 class PreparedLP:
     """A model converted once to arrays, solvable under many bounds.
 
-    Holds the row-scaled m x n structural matrix ``A``, filled from the
-    model's CSR rows (slack columns are the implicit identity after it),
-    the same nonzeros by column as flat CSC arrays (column j's rows
-    ``col_rows[col_start[j]:col_start[j + 1]]`` and values ``col_vals``
-    there, rows ascending), the scaled right-hand side, the slack bounds
-    that encode the row senses and the scaled costs over all n + m columns.
+    Holds the row-scaled m x n structural matrix A once, as flat CSC
+    arrays built from the model's CSR rows: column j's entries are
+    ``col_start[j]:col_start[j + 1]`` of ``col_rows`` (ascending),
+    ``col_vals`` and ``col_of`` (j itself). Slack columns are the implicit
+    identity after A. It also holds the scaled right-hand side, the slack
+    bounds that encode the row senses and the scaled costs over all
+    n + m columns.
 
     Branch-and-bound reuses a single instance across nodes, passing per-node
     structural bounds, the parent's basis and, when it is the last one
@@ -106,39 +108,32 @@ class PreparedLP:
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
 
-        row_of = _row_of_entry(model)
-        col_of = np.asarray(model.row_cols, dtype=int)
-        A = np.zeros((m, n))
-        # Unbuffered and in order: duplicates add up as a coefficient loop would.
-        np.add.at(A, (row_of, col_of), np.asarray(model.row_vals, dtype=float))
-        b = np.array(model.rhs, dtype=float)
+        # Each stored (row, column) pair once, in column-major order.
+        # bincount adds repeated pairs in storage order, as a coefficient
+        # loop would, and sums that cancel drop.
+        keys, slot = np.unique(np.asarray(model.row_cols, dtype=int) * m
+                               + _row_of_entry(model), return_inverse=True)
+        vals = np.bincount(slot, weights=np.asarray(model.row_vals, dtype=float))
+        keep = vals != 0.0
+        self.col_of, self.col_rows = np.divmod(keys[keep], m)
+        vals = vals[keep]
         senses = np.array(model.senses, dtype=object)
-        slack_lower = np.where(senses == GE, -INF, 0.0)
-        slack_upper = np.where(senses == LE, INF, 0.0)
+        self.slack_lower = np.where(senses == GE, -INF, 0.0)
+        self.slack_upper = np.where(senses == LE, INF, 0.0)
 
         # Row equilibration keeps |a| near one so absolute tolerances behave.
-        row_scale = np.abs(A).max(axis=1, initial=0.0)
-        row_scale = np.where(row_scale > 0, row_scale, 1.0)
-        A /= row_scale[:, None]
-        b /= row_scale
+        row_scale = np.zeros(m)
+        np.maximum.at(row_scale, self.col_rows, np.abs(vals))
+        row_scale[row_scale == 0] = 1.0
+        self.b = np.array(model.rhs, dtype=float) / row_scale
 
         self.cost_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
 
         # Columns: structural then one slack per row.
         self.n_real = n + m
-        self.A = A
-        # Each stored (row, column) pair once, in column-major order; the
-        # values come from the summed, scaled A, and sums that cancel drop.
-        col_of, row_of = np.unravel_index(
-            np.unique(np.ravel_multi_index((col_of, row_of), (n, m))), (n, m))
-        vals = A[row_of, col_of]
-        nonzero = vals != 0.0
-        self.col_rows, self.col_vals = row_of[nonzero], vals[nonzero]
+        self.col_vals = vals / row_scale[self.col_rows]
         self.col_start = np.zeros(n + 1, dtype=int)
-        np.cumsum(np.bincount(col_of[nonzero], minlength=n), out=self.col_start[1:])
-        self.b = b
-        self.slack_lower = slack_lower
-        self.slack_upper = slack_upper
+        np.cumsum(np.bincount(self.col_of, minlength=n), out=self.col_start[1:])
         self.c_real = np.zeros(self.n_real)
         self.c_real[:n] = c / self.cost_scale
 
@@ -284,7 +279,7 @@ class _SimplexState:
 
     def _solves(self, residual: np.ndarray) -> bool:
         """Whether B x_B reproduces the residual (NaN fails)."""
-        error = np.abs(self._basis_times(self.x_B) - residual).max(initial=0.0)
+        error = np.abs(self._residual(self.values())).max(initial=0.0)
         return bool(error <= 1e-7 * (1.0 + np.abs(residual).max(initial=0.0)))
 
     def _ftran(self, j: int) -> np.ndarray:
@@ -296,9 +291,11 @@ class _SimplexState:
         return self.B_inv[:, prep.col_rows[lo:hi]] @ prep.col_vals[lo:hi]
 
     def _row_times_A(self, v: np.ndarray) -> np.ndarray:
-        """The row vector v times [A | I], reading only v's nonzero rows."""
-        nz = np.flatnonzero(v)
-        return np.concatenate([v[nz] @ self.prep.A[nz], v])
+        """The row vector v times [A | I]: one pass over A's stored entries."""
+        prep = self.prep
+        vA = np.bincount(prep.col_of, weights=v[prep.col_rows] * prep.col_vals,
+                         minlength=self.n)
+        return np.concatenate([vA, v])
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         c_B = c[self.basis]
@@ -315,22 +312,19 @@ class _SimplexState:
         x[at_hi] = self.upper[at_hi]
         return x
 
-    def _residual(self) -> np.ndarray:
-        """b minus the nonbasic columns' share."""
-        x = self._nonbasic_values()
-        return self.b - self.prep.A @ x[:self.n] - x[self.n:]
+    def _residual(self, x: np.ndarray | None = None) -> np.ndarray:
+        """b - [A | I] x in one pass over A's stored entries; x defaults to
+        the nonbasic values, leaving what the basic columns must meet."""
+        x = self._nonbasic_values() if x is None else x
+        prep = self.prep
+        Ax = np.bincount(prep.col_rows, weights=prep.col_vals * x[prep.col_of],
+                         minlength=self.m)
+        return self.b - Ax - x[self.n:]
 
     def values(self) -> np.ndarray:
         x = self._nonbasic_values()
         x[self.basis] = self.x_B
         return x
-
-    def _basis_times(self, v: np.ndarray) -> np.ndarray:
-        """B times a vector over the basis positions."""
-        structural = self.basis < self.n
-        out = self.prep.A[:, self.basis[structural]] @ v[structural]
-        out[self.basis[~structural] - self.n] += v[~structural]
-        return out
 
     def _refactor(self) -> None:
         """Rebuild B_inv and x_B from the k x k kernel (module docstring).
@@ -348,7 +342,13 @@ class _SimplexState:
         kernel_rows = np.flatnonzero(in_kernel)
         if kernel_rows.size != struct_pos.size:
             raise NumericalFailure("basis repeats a slack column")
-        A_S = self.prep.A[:, self.basis[struct_pos]]
+        # A[:, S] from the stored entries of the basic structural columns.
+        prep = self.prep
+        position = np.full(n, -1)
+        position[self.basis[struct_pos]] = np.arange(struct_pos.size)
+        picked = position[prep.col_of] >= 0
+        A_S = np.zeros((m, struct_pos.size))
+        A_S[prep.col_rows[picked], position[prep.col_of[picked]]] = prep.col_vals[picked]
         try:
             K_inv = np.linalg.inv(A_S[kernel_rows])
         except np.linalg.LinAlgError as exc:

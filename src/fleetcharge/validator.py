@@ -31,6 +31,7 @@ __all__ = [
     "recompute_costs",
     "power_curves",
     "location_peaks_kw",
+    "charger_counts_to_dict",
     "plan_to_dict",
     "write_plan_json",
     "write_power_curves_csv",
@@ -381,15 +382,18 @@ def location_peaks_kw(scenario: Scenario, plan: PlanReport) -> dict[str, float]:
     return {loc: _location_peak_kw(curves[loc]) for loc in scenario.location_ids}
 
 
+def charger_counts_to_dict(counts: dict[str, dict[int, int]]) -> dict:
+    """Counts per location and type as a JSON document, keys sorted."""
+    return {loc: {str(tid): int(n) for tid, n in sorted(per.items())}
+            for loc, per in sorted(counts.items())}
+
+
 def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
     doc = {
         "design_mode": plan.design_mode,
         "alpha": plan.alpha,
         "slack_blocks": plan.slack_blocks,
-        "charger_counts": {
-            loc: {str(tid): int(n) for tid, n in sorted(per.items())}
-            for loc, per in sorted(plan.charger_counts.items())
-        },
+        "charger_counts": charger_counts_to_dict(plan.charger_counts),
         "events": [
             {
                 "truck": e.truck_id,

@@ -197,6 +197,17 @@ def dense_matrix(model: LinearModel) -> np.ndarray:
     return A
 
 
+def scaled_matrix(model: LinearModel) -> np.ndarray:
+    """The solver's row-scaled matrix by a plain loop: each row of
+    :func:`dense_matrix` divided by its largest |coefficient| (an empty
+    row by 1)."""
+    A = dense_matrix(model)
+    for i in range(model.num_rows):
+        scale = max((abs(a) for a in A[i]), default=0.0)
+        A[i] /= scale if scale > 0 else 1.0
+    return A
+
+
 def check_solution_by_rows(model: LinearModel, values) -> list[str]:
     """Row-by-row reference for the vectorized ``check_solution``, reading
     the CSR lists one row at a time; both must return the same messages."""

@@ -8,6 +8,7 @@ import pytest
 from fleetcharge.model import GE, LE, LinearModel
 from fleetcharge.solver import (
     INTEGRALITY_TOL,
+    NumericalFailure,
     PreparedLP,
     Solution,
     SolveStatus,
@@ -21,6 +22,7 @@ from oracles import (
     brute_force_enumerate,
     knapsack_best_value,
     random_binary_milp,
+    scaled_matrix,
     solve_lp,
 )
 
@@ -125,7 +127,8 @@ class TestBranchAndBound:
 
     def test_failed_polish_is_no_incumbent(self, monkeypatch):
         # The cover model's root LP is integral, so the search polishes it
-        # at once; when that LP fails, no rounded point may stand in for it.
+        # at once; when that LP fails, no rounded point may stand in for it,
+        # and no INFEASIBLE may be claimed either: the search raises.
         solve = PreparedLP.solve
 
         def failing_polish(self, lower=None, upper=None, basis=None, factor=None):
@@ -134,9 +137,8 @@ class TestBranchAndBound:
             return solve(self, lower, upper, basis, factor)
 
         monkeypatch.setattr(PreparedLP, "solve", failing_polish)
-        sol = branch_and_bound(binary_cover_model(), rel_gap_target=0.0)
-        assert sol.values is None and sol.objective is None
-        assert sol.node_count == 1
+        with pytest.raises(NumericalFailure, match="integral node 0 ended infeasible"):
+            branch_and_bound(binary_cover_model(), rel_gap_target=0.0)
 
     @pytest.mark.parametrize("cell, ceiling", [
         ("depot-codesign-s0", 5), ("depot-peak-cover-s4", 6), ("five-trucks-s0", 8),
@@ -253,6 +255,7 @@ class TestDualOptimality:
         model = dive_model(name, depot_scenario)
         solve = PreparedLP.solve
         checked = []
+        A = scaled_matrix(model)  # dense reference for the solver's stored A
 
         def checking_solve(self, lower=None, upper=None, basis=None, factor=None):
             result = solve(self, lower, upper, basis, factor)
@@ -260,7 +263,7 @@ class TestDualOptimality:
                 return result
             basic, status = result.basis.basic, result.basis.status
             y = self.c_real[basic] @ result.factor.inverse
-            z = self.c_real - np.concatenate([y @ self.A, y])
+            z = self.c_real - np.concatenate([y @ A, y])
             lo = np.concatenate([lower, self.slack_lower])
             hi = np.concatenate([upper, self.slack_upper])
             movable = hi > lo
@@ -324,8 +327,9 @@ class TestVectorizedRounding:
                 return Solution(status=SolveStatus.INFEASIBLE)
 
         lo, hi = np.full(8, -10.0), np.full(8, 10.0)
-        assert bb._polish(FailingLP(), int_cols, lo, hi,
-                          Solution(SolveStatus.OPTIMAL, values=values), None) is None
+        with pytest.raises(NumericalFailure, match="integral node 7 "):
+            bb._polish(FailingLP(), int_cols, lo, hi,
+                       Solution(SolveStatus.OPTIMAL, values=values), None, 7)
         expected_lo, expected_hi = lo.copy(), hi.copy()
         for j in int_cols:  # the loop _polish replaced
             expected_lo[j] = expected_hi[j] = float(round(values[j]))

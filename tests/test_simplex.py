@@ -25,6 +25,7 @@ from oracles import (
     lp_to_exact_inputs,
     random_lp,
     random_mixed_bounds_lp,
+    scaled_matrix,
     solve_lp,
     solve_lp_exact,
 )
@@ -437,12 +438,14 @@ class TestSetUp:
         assert np.array_equal(state.B_inv, np.eye(prep.m))
         assert state.run_dual()
         assert np.any(state.basis < prep.n)  # structural columns entered
-        full = np.hstack([prep.A, np.eye(prep.m)])  # [A | I], slacks explicit
+        full = np.hstack([scaled_matrix(model), np.eye(prep.m)])  # [A | I], slacks explicit
         reference = np.zeros((prep.m, prep.m))
         for k, j in enumerate(state.basis):
             reference[:, k] = full[:, j]
         v = np.random.default_rng(0).standard_normal(prep.m)
-        assert np.allclose(state._basis_times(v), reference @ v, rtol=0, atol=1e-12)
+        x = np.zeros(prep.n_real)
+        x[state.basis] = v  # B v is [A | I] x, read through the residual
+        assert np.allclose(prep.b - state._residual(x), reference @ v, rtol=0, atol=1e-12)
         state._refactor()
         assert np.allclose(state.B_inv @ reference, np.eye(prep.m), rtol=0, atol=1e-9)
 
@@ -454,18 +457,32 @@ class TestSetUp:
         # and a column whose entries cancel has no entry in that row.
         model.add_row("twice", [(0, 1.5), (3, -2.0), (0, 0.25)], LE, 4.0)
         model.add_row("cancel", [(1, 2.0), (2, 1.0), (1, -2.0)], GE, 0.0)
+        model.add_row("empty", [], LE, 3.0)
+        empty_col = model.add_column("unused", 0.0, 1.0)
         prep = PreparedLP(model)
         A = dense_matrix(model)
         scale = np.abs(A).max(axis=1)
         scale[scale == 0] = 1.0
-        assert np.array_equal(prep.A, A / scale[:, None])
+        reference = scaled_matrix(model)
+        assert np.array_equal(reference, A / scale[:, None])
         assert np.array_equal(prep.b, model.rhs / scale)
         assert prep.col_start[0] == 0 and prep.col_start[-1] == prep.col_rows.size
+        assert prep.col_vals.size == prep.col_of.size == prep.col_rows.size
+        stored = np.zeros_like(reference)
         for j in range(model.num_cols):
             entries = slice(prep.col_start[j], prep.col_start[j + 1])
             rows = prep.col_rows[entries]
-            assert np.array_equal(rows, np.flatnonzero(prep.A[:, j]))
-            assert np.array_equal(prep.col_vals[entries], prep.A[rows, j])
+            assert np.all(np.diff(rows) > 0)  # ascending, each row once
+            assert np.array_equal(rows, np.flatnonzero(reference[:, j]))
+            assert np.array_equal(prep.col_vals[entries], reference[rows, j])
+            assert np.all(prep.col_of[entries] == j)
+            stored[rows, j] = prep.col_vals[entries]
+        assert np.array_equal(stored, reference)
+        twice, cancel, empty_row = model.num_rows - 3, model.num_rows - 2, model.num_rows - 1
+        assert stored[twice, 0] == 1.75 / 2.0  # 1.5 + 0.25, scaled by |-2|
+        assert cancel not in prep.col_rows[prep.col_start[1]:prep.col_start[2]]
+        assert empty_row not in prep.col_rows and prep.b[empty_row] == 3.0
+        assert prep.col_start[empty_col] == prep.col_start[empty_col + 1]
 
     def test_initial_statuses_match_column_loop(self):
         model = simple_model(
@@ -528,7 +545,7 @@ class TestKernelFactorization:
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper),
             basis_record(prep, basic))
-        full = np.hstack([prep.A, np.eye(prep.m)])
+        full = np.hstack([scaled_matrix(model), np.eye(prep.m)])
         B = full[:, basic]
         assert np.allclose(state.B_inv, np.linalg.inv(B), rtol=0, atol=1e-10)
         assert np.allclose(B @ state.x_B, state._residual(), rtol=0, atol=1e-10)
@@ -598,7 +615,7 @@ class TestKernelFactorization:
         root = prep.solve()
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper), root.basis)
-        full = np.hstack([prep.A, np.eye(prep.m)])
+        full = np.hstack([scaled_matrix(model), np.eye(prep.m)])
         for r in range(0, prep.m, 7):
             assert np.allclose(state._row_times_A(state.B_inv[r]),
                                state.B_inv[r] @ full, rtol=0, atol=1e-12)

@@ -11,6 +11,7 @@ import pytest
 
 import fleetcharge as fc
 from fleetcharge.cli import main
+from fleetcharge.domain import scenario_variant
 from fleetcharge.run import PlanVerificationError
 from fleetcharge.solver import NumericalFailure
 from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, default_amortize_ratio, run_sweep
@@ -211,6 +212,19 @@ class TestCli:
         scenario = fc.load_scenario(TWO_TRUCK)
         assert plan["costs"]["total"] == pytest.approx(41218.3673, abs=1e-3)
         assert "status=optimal" in capsys.readouterr().out
+
+    def test_solve_amortize_objective(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", TWO_TRUCK, "--amortize-objective",
+                     "--out", str(out)]) == 0
+        plan = json.loads((out / "plan.json").read_text())
+        scenario = fc.validate_scenario(
+            scenario_variant(fc.load_scenario(TWO_TRUCK), fc.CODESIGN))
+        build = fc.build_problem(scenario, amortize_ratio=default_amortize_ratio(scenario))
+        direct = fc.branch_and_bound(build.model, rel_gap_target=0.01)  # the CLI's --gap
+        assert plan["solver"]["objective"] == direct.objective
+        # The flag reached the model: capital enters the objective amortized.
+        assert plan["solver"]["objective"] < plan["costs"]["total"]
 
     def test_solve_fixed_requires_file(self, capsys):
         assert main(["solve", "--scenario", TWO_TRUCK, "--design", "fixed"]) == 2
