@@ -26,7 +26,7 @@ from .domain import (
 )
 from .generator import generate_synthetic
 from .run import PlanVerificationError, solve_scenario
-from .scenario_io import load_design, load_scenario, save_scenario
+from .scenario_io import json_text, load_design, load_scenario, save_scenario
 from .solver import NumericalFailure, SolveStatus
 from .sweep import SweepSpec, default_amortize_ratio, run_sweep
 from .validator import write_plan_json, write_power_curves_csv
@@ -200,7 +200,7 @@ def cmd_compare(args) -> int:
     except (NumericalFailure, PlanVerificationError) as exc:
         return _failure_report(exc)
     doc = comparison.to_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json_text(doc)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

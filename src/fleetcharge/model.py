@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["LE", "GE", "EQ", "Row", "LinearModel"]
 
 LE = "<="
@@ -114,11 +116,14 @@ class LinearModel:
         self.objective[col] = float(coefficient)
 
     def objective_value(self, values) -> float:
-        total = self.objective_offset
-        for c, x in zip(self.objective, values):
-            if c != 0.0:
-                total += c * x
-        return total
+        """The offset plus each priced term c_j x_j, added left to right
+        (``np.add.accumulate`` sums in order, unlike ``np.sum``)."""
+        c = np.asarray(self.objective, dtype=float)
+        priced = np.flatnonzero(c)
+        terms = np.empty(priced.size + 1)
+        terms[0] = self.objective_offset
+        terms[1:] = c[priced] * np.asarray(values, dtype=float)[priced]
+        return float(np.add.accumulate(terms)[-1])
 
     def to_lp_format(self) -> str:
         """Human-readable LP interchange text for external cross-checking."""

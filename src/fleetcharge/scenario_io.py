@@ -1,18 +1,20 @@
-"""Scenario JSON loading, saving, and schema validation.
+"""Scenario JSON loading, saving, and schema validation, and the one
+JSON writer every output file goes through.
 
 The on-disk format keeps human conventions (times as "HH:MM" plus a day
 index, slack in minutes); loading quantizes everything onto the scenario's
 block grid. Field names are frozen in ``schemas/scenario.schema.json``.
+jsonschema is imported on the first schema check, not with the package.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
-
-import jsonschema
 
 from .domain import (
     CODESIGN,
@@ -34,6 +36,7 @@ __all__ = [
     "save_scenario",
     "load_schema",
     "validate_against_schema",
+    "json_text",
 ]
 
 
@@ -43,8 +46,66 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+@functools.cache
+def _schema_validator(name: str):
+    """The bundled schema's validator, built once per process. The schemas
+    themselves are checked against their metaschema by the test suite."""
+    from jsonschema.validators import validator_for
+
+    schema = load_schema(name)
+    return validator_for(schema)(schema)
+
+
 def validate_against_schema(document: dict, schema_name: str) -> None:
-    jsonschema.validate(document, load_schema(schema_name))
+    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate``
+    would raise for the document, if any."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_schema_validator(schema_name).iter_errors(document))
+    if error is not None:
+        raise error
+
+
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def json_text(doc: Any) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, for documents
+    whose dict keys are all strings (any other key raises TypeError).
+
+    ``indent`` makes the standard library fall back to its pure-Python
+    encoder. This walks dicts and lists in Python and hands each list of
+    plain ints and floats, the bulk of a plan, to the C compact encoder,
+    whose ``", "`` separators are then re-indented (no number's text holds
+    one).
+    """
+    return _json_text(doc, "\n")
+
+
+def _json_text(value: Any, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [f"{encode_basestring_ascii(key)}: "
+                 f"{_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) <= _PLAIN_NUMBERS:
+            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_json_text(item, inner) for item in value)
+        return "[" + inner + body + newline + "]"
+    # Scalars: the compact encoder writes them as the indenting one does.
+    return json.dumps(value)
 
 
 def _parse_clock(text: str) -> int:
@@ -274,6 +335,6 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    text = json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)
+    text = json_text(scenario_to_dict(scenario))
     with open(path, "w") as fh:
         fh.write(text + "\n")

@@ -29,6 +29,17 @@ repair proves the LP infeasible. A basis that does not fit, is singular or
 not dual feasible, or a warm dual loop that fails numerically, restarts
 from the slack basis.
 
+Beside the statuses the loop keeps two vectors that a pivot updates only
+at the two columns it touches: a direction for every column (+1 at its
+lower bound, -1 at its upper bound, 0 when basic, fixed or free, with the
+free nonbasic columns listed apart) and the bounds of the basic columns.
+A column is eligible when its direction times its push toward the target
+is below -TOL_PIVOT (a free one when its |push| is above TOL_PIVOT), and
+the ratio test reads only the candidates, with the dual room
+direction * z (|z| for a free column) over |alpha|. These are the floats
+that per-status masks over all columns give, so the pivots and the tie
+rules are exactly those above.
+
 Most basic columns are slacks, so the basis inverse is built from its
 structural kernel (Suhl & Suhl 1990; Koberstein 2005). With S the k basic
 structural columns and R_k the k rows whose slack is nonbasic, order the
@@ -57,6 +68,8 @@ without LU updates.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -219,6 +232,16 @@ class _SimplexState:
         else:
             self._load(start, factor)
 
+        # The vectors the dual loop reads instead of the statuses (module
+        # docstring); _pivot keeps them up to date.
+        at_lower = self.col_status == AT_LOWER
+        at_upper = self.col_status == AT_UPPER
+        movable = (self.upper - self.lower) > 1e-15
+        self.direction = np.select([movable & at_lower, movable & at_upper], [1.0, -1.0])
+        self.free = np.flatnonzero(self.col_status == FREE)
+        self.basic_lower = self.lower[self.basis]
+        self.basic_upper = self.upper[self.basis]
+
     def _slack_start(self) -> None:
         """Slack basis (B = I) with every structural column at the bound
         its cost prefers, or free at zero: dual feasible for the input class."""
@@ -375,55 +398,62 @@ class _SimplexState:
         or the loop cannot finish.
         """
         c = self.prep.c_real
-        status = self.col_status
-        movable = (self.upper - self.lower) > 1e-15
         z = self._reduced_costs(c)
-        slip = np.where(status == AT_LOWER, -z, np.where(status == AT_UPPER, z,
-                        np.where(status == FREE, np.abs(z), 0.0)))
-        if np.any(movable & (slip > TOL_WARM_DUAL)):
+        # A reduced cost on the wrong side of its column's direction, or any
+        # on a free column, is dual infeasibility.
+        if (np.any(self.direction * z < -TOL_WARM_DUAL)
+                or np.any(np.abs(z[self.free]) > TOL_WARM_DUAL)):
             raise NumericalFailure("start basis is not dual feasible")
+        if not self.m:
+            return True  # no row to repair
 
         max_iters = max(1000, 3 * self.n_real)
         for _ in range(max_iters):
             if self.age >= REFACTOR_EVERY:
                 self._refactor()
                 z = self._reduced_costs(c)
-            lo_b, hi_b = self.lower[self.basis], self.upper[self.basis]
-            below, above = lo_b - self.x_B, self.x_B - hi_b
-            violation = np.maximum(below, above)
-            if violation.max(initial=0.0) <= TOL_PRIMAL:
+            x_B = self.x_B
+            violation = np.maximum(self.basic_lower - x_B, x_B - self.basic_upper)
+            leave_pos = int(violation.argmax())
+            if violation[leave_pos] <= TOL_PRIMAL:
                 return True
-            leave_pos = int(np.argmax(violation))
-            to_lower = below[leave_pos] > 0
-            target = lo_b[leave_pos] if to_lower else hi_b[leave_pos]
+            x_r = float(x_B[leave_pos])
+            lo_r, hi_r = float(self.basic_lower[leave_pos]), float(self.basic_upper[leave_pos])
+            to_lower = lo_r - x_r > 0
+            target = lo_r if to_lower else hi_r
 
             # x_r = beta_r - sum_j alpha_j (x_j - x_j now) over nonbasic j;
-            # a column qualifies when its feasible move pushes x_r to target.
+            # a column qualifies when its feasible move pushes x_r to target,
+            # that is when direction * push < -TOL_PIVOT with push = +-alpha.
             alpha = self._row_times_A(self.B_inv[leave_pos])
-            push = alpha if to_lower else -alpha
-            eligible = movable & (
-                ((status == AT_LOWER) & (push < -TOL_PIVOT))
-                | ((status == AT_UPPER) & (push > TOL_PIVOT))
-                | ((status == FREE) & (np.abs(push) > TOL_PIVOT)))
-            if not eligible.any():
+            signed = self.direction * alpha
+            eligible = signed < -TOL_PIVOT if to_lower else signed > TOL_PIVOT
+            free = self.free
+            if free.size:
+                eligible[free] = np.abs(alpha[free]) > TOL_PIVOT
+            cand = eligible.nonzero()[0]
+            if not cand.size:
                 if violation[leave_pos] <= TOL_INFEASIBLE:
                     raise NumericalFailure("near-feasible row has no pivot")
                 return False
 
-            cand = np.flatnonzero(eligible)
-            z_cand = z[cand]
-            dual_room = np.where(status[cand] == AT_LOWER, z_cand,
-                                 np.where(status[cand] == AT_UPPER, -z_cand,
-                                          np.abs(z_cand)))
-            ratio = np.maximum(dual_room, 0.0) / np.abs(alpha[cand])
-            ties = cand[ratio <= ratio.min() * (1 + 1e-9) + 1e-12]
-            enter = int(ties[np.argmax(np.abs(alpha[ties]))])
+            # The dual room of a candidate is direction * z; a free one has |z|.
+            direction = self.direction[cand]
+            room = direction * z[cand]
+            if free.size:
+                unsigned = direction == 0.0
+                room[unsigned] = np.abs(z[cand[unsigned]])
+            abs_alpha = np.abs(alpha[cand])
+            ratio = np.maximum(room, 0.0) / abs_alpha
+            tied = ratio <= ratio.min() * (1 + 1e-9) + 1e-12
+            enter = int(cand[tied][abs_alpha[tied].argmax()])
 
             d = self._ftran(enter)
-            step = (self.x_B[leave_pos] - target) / d[leave_pos]
-            base = (self.upper[enter] if status[enter] == AT_UPPER
-                    else self.lower[enter] if status[enter] == AT_LOWER else 0.0)
-            self.x_B -= d * step
+            step = (x_r - target) / d[leave_pos]
+            move = self.direction[enter]
+            base = (self.lower[enter] if move > 0
+                    else self.upper[enter] if move < 0 else 0.0)
+            x_B -= d * step
             leave_col = self.basis[leave_pos]
             self._pivot(leave_pos, enter, base + step, d=d)
             # Dual step: the entering reduced cost drops to zero and the
@@ -436,19 +466,28 @@ class _SimplexState:
             f"dual simplex exceeded {max_iters} iterations without converging")
 
     def _pivot(self, leave_pos: int, enter: int, enter_value: float, d: np.ndarray) -> None:
-        pivot = d[leave_pos]
+        pivot = float(d[leave_pos])
         if abs(pivot) < TOL_PIVOT:
             raise NumericalFailure("vanishing pivot element")
-        leave_col = self.basis[leave_pos]
-        leave_val = self.x_B[leave_pos]
-        lo, hi = self.lower[leave_col], self.upper[leave_col]
-        if np.isfinite(lo) and (not np.isfinite(hi) or abs(leave_val - lo) <= abs(leave_val - hi)):
+        leave_col = int(self.basis[leave_pos])
+        leave_val = float(self.x_B[leave_pos])
+        lo, hi = float(self.lower[leave_col]), float(self.upper[leave_col])
+        movable = hi - lo > 1e-15
+        if math.isfinite(lo) and (not math.isfinite(hi)
+                                  or abs(leave_val - lo) <= abs(leave_val - hi)):
             self.col_status[leave_col] = AT_LOWER
+            self.direction[leave_col] = 1.0 if movable else 0.0
         else:
             self.col_status[leave_col] = AT_UPPER
+            self.direction[leave_col] = -1.0 if movable else 0.0
 
         self.basis[leave_pos] = enter
         self.col_status[enter] = BASIC
+        self.direction[enter] = 0.0
+        if self.free.size:
+            self.free = self.free[self.free != enter]
+        self.basic_lower[leave_pos] = self.lower[enter]
+        self.basic_upper[leave_pos] = self.upper[enter]
         self.x_B[leave_pos] = enter_value
 
         # Rank-one basis-inverse update on the entries where both d and the
@@ -456,7 +495,7 @@ class _SimplexState:
         # zero); the pivot row is restored afterward because the outer
         # product zeroes it out exactly.
         piv_row = self.B_inv[leave_pos] / pivot
-        rows, cols = np.flatnonzero(d)[:, None], np.flatnonzero(piv_row)
+        rows, cols = d.nonzero()[0][:, None], piv_row.nonzero()[0]
         self.B_inv[rows, cols] -= d[rows] * piv_row[cols]
         self.B_inv[leave_pos] = piv_row
         self.age += 1

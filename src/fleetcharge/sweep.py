@@ -9,7 +9,6 @@ order, so outputs are byte-identical for identical inputs.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
 from .run import SolveOutcome, solve_scenario
+from .scenario_io import json_text
 from .validator import _location_peak_kw, write_plan_json
 
 __all__ = ["SweepSpec", "SweepCell", "run_sweep", "default_amortize_ratio"]
@@ -193,7 +193,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
                curve_rows)
 
     summary["amortize_ratio"] = ratio
-    text = json.dumps(summary, indent=2, sort_keys=True)
+    text = json_text(summary)
     with open(out_dir / "summary.json", "w") as fh:
         fh.write(text + "\n")
     return summary

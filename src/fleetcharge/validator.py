@@ -11,12 +11,12 @@ at the first fault.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .builder import VariableCatalog
 from .domain import CODESIGN, Scenario, charging_windows, tours
+from .scenario_io import json_text
 from .solver import Solution
 
 __all__ = [
@@ -445,7 +445,7 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
 
 def write_plan_json(plan: PlanReport, path: str | Path,
                     amortize_ratio: float | None = None) -> None:
-    text = json.dumps(plan_to_dict(plan, amortize_ratio), indent=2, sort_keys=True)
+    text = json_text(plan_to_dict(plan, amortize_ratio))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -1,13 +1,22 @@
 """Scenario JSON loading, saving, schema validation, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fleetcharge as fc
+from fleetcharge.baseline import compare_designs
+from fleetcharge.validator import plan_to_dict
 from fleetcharge.scenario_io import (
+    json_text,
     load_design,
     load_schema,
     scenario_from_dict,
@@ -128,3 +137,76 @@ class TestLoaderDetails:
         scenario = scenario_from_dict(doc, validate=False)
         leg = next(l for l in scenario.legs if l.truck_id == "TA")
         assert leg.scheduled_arrival_block == scenario.time_grid.blocks_per_day
+
+
+def reference_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# Trees of every kind of value the standard encoder writes, with str keys.
+# The number lists are drawn on their own too, so the compact-encoder path
+# meets nan, infinities and -0.0.
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+NUMBERS = st.one_of(st.integers(), FLOATS)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), NUMBERS, FLOATS.map(np.float64),
+    st.text(), st.sampled_from(["", "é", "\u2603", "\n\t\"\\", "\x00", "\U0001f600"]),
+    st.lists(NUMBERS, max_size=6), st.lists(NUMBERS, max_size=6).map(tuple))
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5)),
+    max_leaves=30)
+
+
+class TestJsonText:
+    """The one JSON writer against ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    def test_matches_indented_dumps(self, doc):
+        assert json_text(doc) == reference_text(doc)
+
+    def test_plan_document(self, depot_base_outcome):
+        doc = plan_to_dict(depot_base_outcome.plan, 1 / 3650)
+        assert json_text(doc) == reference_text(doc)
+
+    def test_sweep_summary(self, two_truck_scenario, tmp_path):
+        spec = fc.SweepSpec(alphas=[1.0], slack_minutes=[0, 15],
+                            designs=["codesign", "fixed"], fixed_counts={"DC": {1: 2}},
+                            rel_gap=1e-3, out_dir=tmp_path)
+        summary = fc.run_sweep(two_truck_scenario, spec)
+        assert json_text(summary) == reference_text(summary)
+
+    def test_compare_document(self, two_truck_scenario):
+        doc = compare_designs(two_truck_scenario, {"DC": {1: 2}}, rel_gap=1e-3).to_dict()
+        assert json_text(doc) == reference_text(doc)
+
+    @pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2.5: 0}]])
+    def test_non_str_key_raises(self, doc):
+        with pytest.raises(TypeError, match="keys must be str"):
+            json_text(doc)
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError):
+            json_text({"a": [object()]})
+
+
+class TestImports:
+    def test_jsonschema_loads_with_the_first_schema_check(self):
+        """``import fleetcharge`` leaves jsonschema out; loading a scenario,
+        which checks it against its schema, brings it in."""
+        src = Path(fc.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "import fleetcharge\n"
+            "assert 'jsonschema' not in sys.modules, 'imported with the package'\n"
+            f"fleetcharge.load_scenario({str(FIXTURES / 'two_truck.json')!r})\n"
+            "assert 'jsonschema' in sys.modules\n")
+        paths = [str(src), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr

@@ -423,6 +423,99 @@ class TestFactorHandOff:
         assert warm.objective == pytest.approx(rebuilt.objective, rel=1e-9)
 
 
+def assert_kept_state(state):
+    """The direction vector, free list and basic bounds the dual loop keeps
+    equal what the statuses, the basis and the bounds give."""
+    status = state.col_status
+    movable = state.upper - state.lower > 1e-15
+    direction = np.zeros(state.n_real)
+    direction[movable & (status == simplex.AT_LOWER)] = 1.0
+    direction[movable & (status == simplex.AT_UPPER)] = -1.0
+    assert np.array_equal(state.direction, direction)
+    assert np.array_equal(state.free, np.flatnonzero(status == simplex.FREE))
+    assert np.array_equal(state.basic_lower, state.lower[state.basis])
+    assert np.array_equal(state.basic_upper, state.upper[state.basis])
+
+
+def check_every_pivot(monkeypatch):
+    """Run assert_kept_state after each _pivot; returns the pivoted states."""
+    states = []
+    original = simplex._SimplexState._pivot
+
+    def pivot(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        assert_kept_state(self)
+        states.append(self)
+    monkeypatch.setattr(simplex._SimplexState, "_pivot", pivot)
+    return states
+
+
+def objective_by_loop(model, values):
+    """The objective as a loop over the priced columns, left to right."""
+    total = model.objective_offset
+    for c, x in zip(model.objective, values):
+        if c != 0.0:
+            total += c * x
+    return total
+
+
+class TestLoopState:
+    """The per-column vectors the dual loop keeps in step with the statuses,
+    and the objective sum, against the loops they stand for."""
+
+    def test_depot_root_lp(self, depot_scenario, monkeypatch):
+        import fleetcharge as fc
+
+        scenario = fc.validate_scenario(replace(depot_scenario, slack_blocks=0))
+        prep = PreparedLP(fc.build_problem(scenario).model)
+        states = check_every_pivot(monkeypatch)
+        assert prep.solve().status == SolveStatus.OPTIMAL
+        assert len(states) > 100
+
+    def test_warm_node_lp_with_inherited_factor(self, depot_scenario, monkeypatch):
+        prep, root, lower, upper = depot_child(depot_scenario)
+        calls = record_calls(monkeypatch, "_refactor")
+        states = check_every_pivot(monkeypatch)
+        factor = root.factor
+        assert prep.solve(lower, upper, root.basis, factor).status == SolveStatus.OPTIMAL
+        assert factor.inverse is None and "_refactor" not in calls
+        assert states and all(state is states[0] for state in states)
+
+    @pytest.mark.parametrize("seed", [1, 8, 19])
+    def test_lp_with_free_columns(self, seed, monkeypatch):
+        model = random_mixed_bounds_lp(seed)
+        prep = PreparedLP(model)
+        entered_free = []
+        original = simplex._SimplexState._pivot
+
+        def note_free(self, leave_pos, enter, *args, **kwargs):
+            entered_free.append(enter in self.free)
+            original(self, leave_pos, enter, *args, **kwargs)
+        monkeypatch.setattr(simplex._SimplexState, "_pivot", note_free)
+        states = check_every_pivot(monkeypatch)
+        assert prep.solve().status == SolveStatus.OPTIMAL
+        assert states and any(entered_free)
+
+    def test_objective_value_equals_loop(self, depot_scenario, two_truck_scenario,
+                                         remote_scenario):
+        import fleetcharge as fc
+
+        rng = np.random.default_rng(7)
+        for scenario in (depot_scenario, two_truck_scenario, remote_scenario):
+            model = fc.build_problem(scenario).model
+            values = PreparedLP(model).solve().values
+            assert model.objective_value(values) == objective_by_loop(model, values)
+            noise = values + rng.normal(scale=100.0, size=values.size)
+            assert model.objective_value(noise) == objective_by_loop(model, noise)
+
+    def test_objective_value_with_offset_and_zero_costs(self):
+        model = simple_model([0.0, 0.1, 0.0, -0.7, 1e16], [(0, 1)] * 5, [])
+        model.objective_offset = 0.3
+        values = [INF, 0.2, math.nan, 3.0, 1.0]  # unpriced columns are skipped
+        assert model.objective_value(values) == objective_by_loop(model, values)
+        assert model.objective_value([0.0] * 5) == 0.3
+
+
 class TestSetUp:
     """The vectorized per-solve set-up against the column loops it replaced."""
 
