@@ -37,7 +37,8 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_FAILURE = 4
 
-# Bad input files and arguments; each is reported as a ConfigError.
+# Bad input files and arguments, and an output location that cannot be
+# written; each is reported as a ConfigError.
 CONFIG_ERRORS = (ValueError, ScenarioValidationError, OSError,
                  jsonschema.ValidationError)
 
@@ -104,6 +105,8 @@ def cmd_solve(args) -> int:
             raise ValueError("--design fixed requires --fixed-file")
         scenario = validate_scenario(scenario_variant(
             scenario, args.design, fixed_counts, args.alpha, args.slack_min))
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the solve
     except CONFIG_ERRORS as exc:
         return _config_report(exc)
 
@@ -120,8 +123,6 @@ def cmd_solve(args) -> int:
         )
     except (NumericalFailure, PlanVerificationError) as exc:
         return _failure_report(exc)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if trace is not None:
         (out_dir / "solver_trace.log").write_text("\n".join(trace) + "\n")
@@ -168,7 +169,7 @@ def cmd_sweep(args) -> int:
 
     try:
         summary = run_sweep(scenario, spec)
-    except ValueError as exc:
+    except CONFIG_ERRORS as exc:
         return _config_report(exc)
     statuses = [cell.get("status") for cell in summary["cells"]]
     print(f"sweep complete: {len(statuses)} cells -> {Path(args.out)}")
@@ -194,6 +195,8 @@ def cmd_compare(args) -> int:
             scenario = validate_scenario(scenario_variant(
                 scenario, scenario.design_mode, scenario.fixed_counts,
                 args.alpha, args.slack_min))
+        if args.out:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
         comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
     except CONFIG_ERRORS as exc:
         return _config_report(exc)
@@ -203,8 +206,10 @@ def cmd_compare(args) -> int:
     text = json_text(doc)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        try:
+            out.write_text(text + "\n")
+        except OSError as exc:  # e.g. --out names a directory
+            return _config_report(exc)
         print(f"wrote {out}")
     print(text)
     if not (comparison.codesign_feasible and comparison.fixed_feasible):
@@ -222,11 +227,11 @@ def cmd_generate(args) -> int:
             tightness=args.tightness,
             block_minutes=args.tau_min,
         )
-    except (ValueError, ScenarioValidationError) as exc:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_scenario(scenario, out)
+    except CONFIG_ERRORS as exc:
         return _config_report(exc)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_scenario(scenario, out)
     print(f"wrote {out}: {len(scenario.trucks)} trucks, {len(scenario.legs)} legs")
     return EXIT_OK
 

@@ -1,17 +1,17 @@
-"""Bounded-variable dual simplex for LPs whose costs are bounded on their side.
+"""Bounded-variable dual simplex for LPs whose columns all have a finite bound.
 
-Variables live between (possibly infinite) bounds and sit nonbasic at a
-bound or free at zero; each row gets one slack column whose bounds encode
-the row sense, so every row is an equality internally.
+Each row gets one slack column whose bounds encode the row sense, so every
+row is an equality internally, and every slack has a finite bound.
 
-The input class: every cost has a finite bound on the side it favours. A
-column with c > 0 needs a finite lower bound and one with c < 0 a finite
-upper bound; a column free on both sides costs nothing. The fleet models
-are in it (energy, charger capital and the weighted peak cost c >= 0, on
-columns with finite lower bounds), and :class:`PreparedLP` rejects any
-other model. In this class the slack basis is dual feasible and no LP is
-unbounded, so one bounded dual simplex on the true costs solves every LP
-and ends at an optimal basis (Koberstein 2005).
+The input class: every column has a finite lower or upper bound, and every
+cost has a finite bound on the side it favours (a column with c > 0 needs
+a finite lower bound and one with c < 0 a finite upper bound). The fleet
+models are in it (binaries, counts, energies and departures are boxed, the
+peak epigraph is >= 0, and energy, charger capital and the weighted peak
+cost are c >= 0), and :class:`PreparedLP` rejects any other model. In this
+class every nonbasic column sits at a finite bound, the slack basis is dual
+feasible and no LP is unbounded, so one bounded dual simplex on the true
+costs solves every LP and ends at an optimal basis (Koberstein 2005).
 
 Every solve runs that dual simplex from a dual-feasible basis. A warm
 start is the final :class:`Basis` of an earlier solve of the same LP under
@@ -21,24 +21,22 @@ too (a :class:`Factor`, which branch-and-bound passes on when it dives
 straight into a child), it takes the inverse over with its pivot age and
 refactorizes only when the basic values fail the residual check; without
 one it refactorizes the basis once. A cold start is the slack basis
-(B = I) with each structural column at the finite bound its cost prefers,
-or free at zero. The leaving row has the largest bound violation (ties to
-the lowest position); the entering column comes from the dual ratio test
-(ties to the largest pivot, then the lowest index). A row no column can
-repair proves the LP infeasible. A basis that does not fit, is singular or
-not dual feasible, or a warm dual loop that fails numerically, restarts
-from the slack basis.
+(B = I) with each structural column at the finite bound its cost prefers.
+The leaving row has the largest bound violation (ties to the lowest
+position); the entering column comes from the dual ratio test (ties to
+the largest pivot, then the lowest index). A row no column can repair
+proves the LP infeasible. A basis that does not fit, is singular or not
+dual feasible, or a warm dual loop that fails numerically, restarts from
+the slack basis.
 
-Beside the statuses the loop keeps two vectors that a pivot updates only
-at the two columns it touches: a direction for every column (+1 at its
-lower bound, -1 at its upper bound, 0 when basic, fixed or free, with the
-free nonbasic columns listed apart) and the bounds of the basic columns.
-A column is eligible when its direction times its push toward the target
-is below -TOL_PIVOT (a free one when its |push| is above TOL_PIVOT), and
-the ratio test reads only the candidates, with the dual room
-direction * z (|z| for a free column) over |alpha|. These are the floats
-that per-status masks over all columns give, so the pivots and the tie
-rules are exactly those above.
+The loop keeps one state per column, its direction: +1 at its lower
+bound, -1 at its upper bound, 0 when basic or fixed. A nonbasic column's
+value is the bound its direction names (a fixed one reads its lower bound,
+which equals its upper), and a pivot changes the direction of the two
+columns it touches. Beside it the loop keeps the bounds of the basic
+columns by position. A column is eligible when its direction times its
+push toward the target is below -TOL_PIVOT, and the ratio test reads only
+the candidates, with the dual room direction * z over |alpha|.
 
 Most basic columns are slacks, so the basis inverse is built from its
 structural kernel (Suhl & Suhl 1990; Koberstein 2005). With S the k basic
@@ -69,8 +67,6 @@ without LU updates.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..model import EQ, GE, LE, LinearModel
@@ -79,11 +75,6 @@ from .types import Basis, Factor, NumericalFailure, Solution, SolveStatus
 __all__ = ["PreparedLP", "check_solution"]
 
 INF = float("inf")
-
-BASIC = 0
-AT_LOWER = 1
-AT_UPPER = 2
-FREE = 3
 
 TOL_PIVOT = 1e-10
 TOL_PRIMAL = 1e-9  # bound violation the dual simplex still repairs
@@ -110,8 +101,8 @@ class PreparedLP:
     and are immutable after construction, so the same arguments give the
     same answer and concurrent solves are safe.
 
-    Raises ValueError naming the first column outside the input class (a
-    cost with no finite bound on its side; see the module docstring).
+    Raises ValueError naming the first column outside the input class (no
+    finite bound, or a cost with none on its side; see the module docstring).
     """
 
     def __init__(self, model: LinearModel):
@@ -161,11 +152,12 @@ class PreparedLP:
         the start's refactorization. The solve takes its inverse over and
         leaves it None; a factor of another basis, a spent one or one that
         fails the residual check is ignored and the basis refactorized.
-        The bounds must keep each cost's favoured side finite, as the
-        model's do and as branching, which only tightens them, keeps them;
-        other bounds raise the ValueError that :class:`PreparedLP` raises
-        for such a model. The result is OPTIMAL, carrying its own final
-        basis and factor, or INFEASIBLE.
+        The bounds must leave every column a finite bound, and each cost
+        its favoured side finite, as the model's do and as branching,
+        which only tightens them, keeps them; other bounds raise the
+        ValueError that :class:`PreparedLP` raises for such a model. The
+        result is OPTIMAL, carrying its own final basis and factor, or
+        INFEASIBLE.
         """
         n = self.n
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
@@ -190,7 +182,7 @@ class PreparedLP:
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
         objective = self.model.objective_value(x)
-        final = Basis(state.basis, state.col_status)
+        final = Basis(state.basis, state.direction < 0)
         return Solution(
             status=SolveStatus.OPTIMAL,
             values=x,
@@ -203,20 +195,24 @@ class PreparedLP:
 
 
 def _check_input_class(model: LinearModel, c: np.ndarray, lower, upper) -> None:
-    """Raise ValueError naming the first column whose cost, of the sign of
-    ``c``, has no finite bound on its side under ``lower``/``upper``."""
-    uncapped = (((c > 0) & ~np.isfinite(lower))
-                | ((c < 0) & ~np.isfinite(upper)))
-    if uncapped.any():
-        j = int(np.argmax(uncapped))
+    """Raise ValueError naming the first column under ``lower``/``upper``
+    that has no finite bound, or whose cost, of the sign of ``c``, has no
+    finite bound on its side."""
+    lo_ok, hi_ok = np.isfinite(lower), np.isfinite(upper)
+    uncapped = ((c > 0) & ~lo_ok) | ((c < 0) & ~hi_ok)
+    outside = uncapped | ~(lo_ok | hi_ok)
+    if outside.any():
+        j = int(np.argmax(outside))
+        if not uncapped[j]:
+            raise ValueError(f"column {model.col_names[j]} has no finite bound")
         side = "lower" if c[j] > 0 else "upper"
         raise ValueError(f"column {model.col_names[j]} has cost "
                          f"{model.objective[j]:g} and no finite {side} bound")
 
 
 class _SimplexState:
-    """Mutable per-solve state: bounds, basis, statuses, basis inverse and
-    its age, the pivots it has taken since it was last rebuilt."""
+    """Mutable per-solve state: bounds, basis, column directions, basis
+    inverse and its age, the pivots it has taken since it was last rebuilt."""
 
     def __init__(self, prep: PreparedLP, lo, hi, start: Basis | None = None,
                  factor: Factor | None = None):
@@ -232,26 +228,23 @@ class _SimplexState:
         else:
             self._load(start, factor)
 
-        # The vectors the dual loop reads instead of the statuses (module
-        # docstring); _pivot keeps them up to date.
-        at_lower = self.col_status == AT_LOWER
-        at_upper = self.col_status == AT_UPPER
-        movable = (self.upper - self.lower) > 1e-15
-        self.direction = np.select([movable & at_lower, movable & at_upper], [1.0, -1.0])
-        self.free = np.flatnonzero(self.col_status == FREE)
-        self.basic_lower = self.lower[self.basis]
-        self.basic_upper = self.upper[self.basis]
+    def _place(self, basis: np.ndarray, prefer_upper: np.ndarray) -> None:
+        """Adopt ``basis`` and put every nonbasic column at a finite bound:
+        the upper one where it is finite and preferred, or the only finite
+        one, else the lower one. Sets the direction and the basic bounds."""
+        self.basis = basis
+        lower, upper = self.lower, self.upper
+        at_upper = np.isfinite(upper) & (prefer_upper | ~np.isfinite(lower))
+        self.direction = np.where(upper - lower > 1e-15,
+                                  np.where(at_upper, -1.0, 1.0), 0.0)
+        self.direction[basis] = 0.0
+        self.basic_lower = lower[basis]
+        self.basic_upper = upper[basis]
 
     def _slack_start(self) -> None:
         """Slack basis (B = I) with every structural column at the bound
-        its cost prefers, or free at zero: dual feasible for the input class."""
-        n, lo, hi = self.n, self.lower[:self.n], self.upper[:self.n]
-        c = self.prep.c_real
-        at_hi = np.isfinite(hi) & ((c[:n] < 0) | ~np.isfinite(lo))
-        self.col_status = np.full(self.n_real, BASIC, dtype=np.int8)
-        self.col_status[:n] = np.where(
-            at_hi, AT_UPPER, np.where(np.isfinite(lo), AT_LOWER, FREE))
-        self.basis = np.arange(n, self.n_real)
+        its cost prefers: dual feasible for the input class."""
+        self._place(np.arange(self.n, self.n_real), self.prep.c_real < 0)
         self.B_inv = np.eye(self.m)
         # The identity counts as one update old: a cold solve rebuilds after
         # 95 pivots, then every 96. Root LPs run long, so where the rebuilds
@@ -267,25 +260,16 @@ class _SimplexState:
         Raises :class:`NumericalFailure` when the record does not fit this
         LP or its basis matrix is singular or ill-conditioned.
         """
-        basic, status = np.asarray(start.basic), np.asarray(start.status)
+        basic, at_upper = np.asarray(start.basic), np.asarray(start.at_upper)
         if (basic.dtype.kind not in "iu" or basic.shape != (self.m,)
-                or status.shape != (self.n_real,)
+                or at_upper.shape != (self.n_real,)
                 or basic.min(initial=0) < 0 or basic.max(initial=0) >= self.n_real
-                or np.count_nonzero(status == BASIC) != self.m
-                or np.any(status[basic] != BASIC)):
+                # bincount, not np.unique: the latter imports numpy.ma.
+                or np.bincount(basic.astype(int)).max(initial=0) > 1):
             raise NumericalFailure("warm-start basis does not fit this LP")
-        self.basis = basic.astype(int)
-
         # Nonbasic columns sit at a finite bound of the new box, keeping
-        # their old side where it exists, or free at zero.
-        col = status.astype(np.int8)
-        nonbasic = col != BASIC
-        lo_ok, hi_ok = np.isfinite(self.lower), np.isfinite(self.upper)
-        at_hi = nonbasic & hi_ok & ((col == AT_UPPER) | ~lo_ok)
-        col[nonbasic] = FREE
-        col[nonbasic & lo_ok & ~at_hi] = AT_LOWER
-        col[at_hi] = AT_UPPER
-        self.col_status = col
+        # their old side where it is finite.
+        self._place(basic.astype(int), at_upper)
 
         residual = self._residual()
         inverse = None
@@ -328,11 +312,10 @@ class _SimplexState:
     # -- values --------------------------------------------------------------
 
     def _nonbasic_values(self) -> np.ndarray:
-        x = np.zeros(self.n_real)
-        at_lo = self.col_status == AT_LOWER
-        at_hi = self.col_status == AT_UPPER
-        x[at_lo] = self.lower[at_lo]
-        x[at_hi] = self.upper[at_hi]
+        """Each nonbasic column at its bound (a fixed one at its lower,
+        which equals its upper); the basic columns at zero."""
+        x = np.where(self.direction < 0, self.upper, self.lower)
+        x[self.basis] = 0.0
         return x
 
     def _residual(self, x: np.ndarray | None = None) -> np.ndarray:
@@ -399,10 +382,9 @@ class _SimplexState:
         """
         c = self.prep.c_real
         z = self._reduced_costs(c)
-        # A reduced cost on the wrong side of its column's direction, or any
-        # on a free column, is dual infeasibility.
-        if (np.any(self.direction * z < -TOL_WARM_DUAL)
-                or np.any(np.abs(z[self.free]) > TOL_WARM_DUAL)):
+        # A reduced cost on the wrong side of its column's direction is
+        # dual infeasibility.
+        if np.any(self.direction * z < -TOL_WARM_DUAL):
             raise NumericalFailure("start basis is not dual feasible")
         if not self.m:
             return True  # no row to repair
@@ -428,21 +410,14 @@ class _SimplexState:
             alpha = self._row_times_A(self.B_inv[leave_pos])
             signed = self.direction * alpha
             eligible = signed < -TOL_PIVOT if to_lower else signed > TOL_PIVOT
-            free = self.free
-            if free.size:
-                eligible[free] = np.abs(alpha[free]) > TOL_PIVOT
             cand = eligible.nonzero()[0]
             if not cand.size:
                 if violation[leave_pos] <= TOL_INFEASIBLE:
                     raise NumericalFailure("near-feasible row has no pivot")
                 return False
 
-            # The dual room of a candidate is direction * z; a free one has |z|.
-            direction = self.direction[cand]
-            room = direction * z[cand]
-            if free.size:
-                unsigned = direction == 0.0
-                room[unsigned] = np.abs(z[cand[unsigned]])
+            # The dual room of a candidate is direction * z.
+            room = self.direction[cand] * z[cand]
             abs_alpha = np.abs(alpha[cand])
             ratio = np.maximum(room, 0.0) / abs_alpha
             tied = ratio <= ratio.min() * (1 + 1e-9) + 1e-12
@@ -450,9 +425,7 @@ class _SimplexState:
 
             d = self._ftran(enter)
             step = (x_r - target) / d[leave_pos]
-            move = self.direction[enter]
-            base = (self.lower[enter] if move > 0
-                    else self.upper[enter] if move < 0 else 0.0)
+            base = self.lower[enter] if self.direction[enter] > 0 else self.upper[enter]
             x_B -= d * step
             leave_col = self.basis[leave_pos]
             self._pivot(leave_pos, enter, base + step, d=d)
@@ -472,20 +445,12 @@ class _SimplexState:
         leave_col = int(self.basis[leave_pos])
         leave_val = float(self.x_B[leave_pos])
         lo, hi = float(self.lower[leave_col]), float(self.upper[leave_col])
-        movable = hi - lo > 1e-15
-        if math.isfinite(lo) and (not math.isfinite(hi)
-                                  or abs(leave_val - lo) <= abs(leave_val - hi)):
-            self.col_status[leave_col] = AT_LOWER
-            self.direction[leave_col] = 1.0 if movable else 0.0
-        else:
-            self.col_status[leave_col] = AT_UPPER
-            self.direction[leave_col] = -1.0 if movable else 0.0
+        # It leaves at its nearer bound (an infinite one is never nearer).
+        self.direction[leave_col] = 0.0 if hi - lo <= 1e-15 else \
+            1.0 if abs(leave_val - lo) <= abs(leave_val - hi) else -1.0
 
         self.basis[leave_pos] = enter
-        self.col_status[enter] = BASIC
         self.direction[enter] = 0.0
-        if self.free.size:
-            self.free = self.free[self.free != enter]
         self.basic_lower[leave_pos] = self.lower[enter]
         self.basic_upper[leave_pos] = self.upper[enter]
         self.x_B[leave_pos] = enter_value

@@ -25,13 +25,17 @@ class Basis:
     """A simplex basis, small enough to keep on every open search node.
 
     ``basic`` holds the column index basic in each row position and
-    ``status`` every column's status code (structural columns, then one
-    slack per row). The arrays are never written after construction, so
+    ``at_upper`` one bool per column (structural columns, then one slack
+    per row): True where a nonbasic column sits at its upper bound. The
+    entries of basic columns are ignored. A solve from this record puts a
+    nonbasic column at its upper bound when that bound is finite and
+    either the record says upper or the lower bound is infinite, else at
+    its lower bound. The arrays are never written after construction, so
     siblings may share one.
     """
 
     basic: np.ndarray
-    status: np.ndarray
+    at_upper: np.ndarray
 
 
 @dataclass(eq=False)

@@ -19,7 +19,7 @@ from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
 from .run import SolveOutcome, solve_scenario
 from .scenario_io import json_text
-from .validator import _location_peak_kw, write_plan_json
+from .validator import location_total_kw, write_plan_json
 
 __all__ = ["SweepSpec", "SweepCell", "run_sweep", "default_amortize_ratio"]
 
@@ -223,7 +223,7 @@ def _curve_rows(scenario: Scenario, cell: SweepCell, plan, type_ids) -> list[lis
         for curve in daily:
             total += curve
         smooth = _smooth(np.vstack([daily, total]))
-        max_peak = float(_location_peak_kw(by_type))
+        max_peak = float(max(location_total_kw(by_type), default=0.0))
         installed = float(sum(
             scenario.charger(tid).rated_power_kw
             * plan.charger_counts.get(location, {}).get(tid, 0)

@@ -30,6 +30,7 @@ __all__ = [
     "replay",
     "recompute_costs",
     "power_curves",
+    "location_total_kw",
     "location_peaks_kw",
     "charger_counts_to_dict",
     "plan_to_dict",
@@ -329,9 +330,11 @@ def power_curves(
     return curves
 
 
-def _location_peak_kw(by_type: dict[int, list[float]]) -> float:
-    """Literal max over blocks of one location's total drawn power (kW)."""
-    return max(map(sum, zip(*by_type.values())), default=0.0)
+def location_total_kw(by_type: dict[int, list[float]]) -> list[float]:
+    """One location's total drawn power per block (kW): its types' curves
+    summed in their order (the catalog's, from :func:`power_curves`),
+    starting from 0. Empty when the location has no curves."""
+    return [sum(block) for block in zip(*by_type.values())]
 
 
 def recompute_costs(scenario: Scenario, plan: PlanReport) -> CostBreakdown:
@@ -365,7 +368,7 @@ def _costs(scenario: Scenario, charger_counts, events, curves) -> CostBreakdown:
     peak = 0.0
     for location in scenario.location_ids:
         peak += scenario.price_schedule.peak_price_per_kw \
-            * _location_peak_kw(curves[location])
+            * max(location_total_kw(curves[location]), default=0.0)
     peak *= scenario.alpha
 
     return CostBreakdown(
@@ -379,7 +382,8 @@ def _costs(scenario: Scenario, charger_counts, events, curves) -> CostBreakdown:
 def location_peaks_kw(scenario: Scenario, plan: PlanReport) -> dict[str, float]:
     """Literal max-over-blocks power per location, in kW."""
     curves = power_curves(scenario, plan.events)
-    return {loc: _location_peak_kw(curves[loc]) for loc in scenario.location_ids}
+    return {loc: max(location_total_kw(curves[loc]), default=0.0)
+            for loc in scenario.location_ids}
 
 
 def charger_counts_to_dict(counts: dict[str, dict[int, int]]) -> dict:
@@ -422,10 +426,7 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
                 "by_type": {
                     str(tid): curve for tid, curve in sorted(by_type.items())
                 },
-                "total": [
-                    sum(by_type[tid][t] for tid in by_type)
-                    for t in range(len(next(iter(by_type.values()))))
-                ] if by_type else [],
+                "total": location_total_kw(by_type),
             }
             for loc, by_type in sorted(plan.power_by_type.items())
         },
@@ -462,9 +463,10 @@ def write_power_curves_csv(scenario: Scenario, plan: PlanReport,
             + [f"kw_type_{tid}" for tid in type_ids] + ["kw_total"])
         for location in scenario.location_ids:
             by_type = plan.power_by_type.get(location, {})
+            total = location_total_kw(by_type) or [0.0] * grid.total_blocks
             for block in range(grid.total_blocks):
                 per_type = [by_type.get(tid, [0.0] * grid.total_blocks)[block]
                             for tid in type_ids]
                 writer.writerow(
                     [location, grid.day_of_block(block), grid.block_of_day(block)]
-                    + [repr(v) for v in per_type] + [repr(sum(per_type))])
+                    + [repr(v) for v in per_type] + [repr(total[block])])

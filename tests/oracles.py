@@ -344,29 +344,30 @@ def random_lp(seed: int, size: int = 8) -> LinearModel:
 
 
 def random_mixed_bounds_lp(seed: int, size: int = 8) -> LinearModel:
-    """A dense random LP over every column kind: free, upper-only,
-    lower-only, boxed and fixed, with mixed senses.
+    """A dense random LP over every column kind of the solver's input
+    class: costless lower-only, upper-only, lower-only, boxed and fixed,
+    with mixed senses.
 
     Boxed and fixed columns take costs of both signs; the others take the
-    sign their bounds allow in the solver's input class (free: zero,
-    upper-only: at most zero, lower-only: at least zero). Rows are built
-    around a point inside the box, and inequality rows are loosened or
-    tightened at random, so the LP may be optimal or infeasible.
+    sign their bounds allow in the input class (upper-only: at most zero,
+    lower-only: at least zero). Rows are built around a point inside the
+    box, and inequality rows are loosened or tightened at random, so the
+    LP may be optimal or infeasible.
     """
     rng = random.Random(seed)
     model = LinearModel()
     point = []
     for j in range(size):
-        kind = rng.choice(["free", "upper", "lower", "boxed", "fixed"])
+        kind = rng.choice(["costless", "upper", "lower", "boxed", "fixed"])
         lo = float(rng.randrange(-5, 3))
         hi = lo if kind == "fixed" else lo + rng.randrange(1, 7)
         point.append(rng.uniform(lo, hi))
-        if kind in ("free", "upper"):
+        if kind == "upper":
             lo = -math.inf
-        if kind in ("free", "lower"):
+        if kind in ("costless", "lower"):
             hi = math.inf
         cost = rng.randrange(-9, 10)
-        cost = {"free": 0, "upper": -abs(cost), "lower": abs(cost)}.get(kind, cost)
+        cost = {"costless": 0, "upper": -abs(cost), "lower": abs(cost)}.get(kind, cost)
         model.add_column(f"x{j}", lo, hi, objective=cost)
     for i in range(size):
         coeffs = [(j, rng.randrange(-5, 6)) for j in range(size)

@@ -261,15 +261,15 @@ class TestDualOptimality:
             result = solve(self, lower, upper, basis, factor)
             if result.status != SolveStatus.OPTIMAL:
                 return result
-            basic, status = result.basis.basic, result.basis.status
+            basic, at_upper = result.basis.basic, result.basis.at_upper
             y = self.c_real[basic] @ result.factor.inverse
             z = self.c_real - np.concatenate([y @ A, y])
             lo = np.concatenate([lower, self.slack_lower])
             hi = np.concatenate([upper, self.slack_upper])
-            movable = hi > lo
-            assert np.all(z[movable & (status == simplex.AT_LOWER)] >= -1e-9)
-            assert np.all(z[movable & (status == simplex.AT_UPPER)] <= 1e-9)
-            assert np.all(np.abs(z[status == simplex.FREE]) <= 1e-9)
+            nonbasic = hi > lo  # movable, then not basic
+            nonbasic[basic] = False
+            assert np.all(z[nonbasic & ~at_upper] >= -1e-9)
+            assert np.all(z[nonbasic & at_upper] <= 1e-9)
             assert np.all(np.abs(z[basic]) <= 1e-9)
             checked.append(result.objective)
             return result

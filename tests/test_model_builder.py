@@ -442,16 +442,23 @@ class TestObjective:
         assert parts["total"] == pytest.approx(outcome.solution.objective, abs=1e-6)
 
 
+@pytest.fixture(scope="module")
+def five_truck_scenario() -> fc.Scenario:
+    """The benchmark's fleet-scale scenario."""
+    return fc.generate_synthetic(1, n_trucks=5)
+
+
 class TestSolverInputClass:
-    """Every cost the builder writes has a finite bound on the side it
-    favours, the only models the simplex takes; a column that breaks this
-    fails here, not in a production solve."""
+    """Every column the builder writes has a finite bound, and every cost
+    one on the side it favours, the only models the simplex takes; a
+    column that breaks this fails here, not in a production solve."""
 
     @pytest.mark.parametrize("amortize", [False, True])
     @pytest.mark.parametrize("slack_minutes", [0, 15])
     @pytest.mark.parametrize("design", [fc.CODESIGN, fc.FIXED_INFRASTRUCTURE])
     @pytest.mark.parametrize(
-        "fixture", ["depot_scenario", "two_truck_scenario", "remote_scenario"])
+        "fixture", ["depot_scenario", "two_truck_scenario", "remote_scenario",
+                    "five_truck_scenario"])
     def test_every_build_is_accepted(self, fixture, design, slack_minutes,
                                      amortize, request):
         base = request.getfixturevalue(fixture)

@@ -194,19 +194,37 @@ class TestJsonText:
             json_text({"a": [object()]})
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this package."""
+    src = Path(fc.__file__).resolve().parents[1]
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestImports:
     def test_jsonschema_loads_with_the_first_schema_check(self):
         """``import fleetcharge`` leaves jsonschema out; loading a scenario,
         which checks it against its schema, brings it in."""
-        src = Path(fc.__file__).resolve().parents[1]
-        code = (
+        result = run_fresh(
             "import sys\n"
             "import fleetcharge\n"
             "assert 'jsonschema' not in sys.modules, 'imported with the package'\n"
             f"fleetcharge.load_scenario({str(FIXTURES / 'two_truck.json')!r})\n"
             "assert 'jsonschema' in sys.modules\n")
-        paths = [str(src), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    def test_solve_and_sweep_leave_numpy_ma_out(self, tmp_path):
+        """numpy.ma costs about 1 MB of resident memory; calls such as
+        ``np.unique`` import it lazily, so a solve and a sweep must not."""
+        result = run_fresh(
+            "import sys\n"
+            "import fleetcharge as fc\n"
+            f"s = fc.load_scenario({str(FIXTURES / 'depot_fixture.json')!r})\n"
+            "assert fc.solve_scenario(s).plan is not None\n"
+            "spec = fc.SweepSpec(alphas=[1.0], slack_minutes=[0], "
+            f"designs=[fc.CODESIGN], out_dir={str(tmp_path)!r})\n"
+            "fc.run_sweep(s, spec)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
         assert result.returncode == 0, result.stderr

@@ -88,16 +88,18 @@ class TestTextbookCases:
         assert sol.objective == pytest.approx(-5 * 2 - 4 * 2)
 
     def test_free_variable(self):
-        # A free column may only cost nothing; with a cost it is rejected.
+        # A free column is outside the input class, with a cost or without.
         model = simple_model(
             [1.0], [(-INF, INF)], [([(0, 1.0)], GE, -7.0)])
         with pytest.raises(ValueError, match="column x0 has cost 1 and no finite lower"):
             PreparedLP(model)
-        # Costless, it enters the basis: x0 + x1 >= 3 with x0 <= 2 needs x1 = 1.
-        free = simple_model(
-            [0.0, 1.0], [(-INF, INF), (0, 10)],
-            [([(0, 1.0), (1, 1.0)], GE, 3.0), ([(0, 1.0)], LE, 2.0)])
-        sol = solve_lp(free)
+        rows = [([(0, 1.0), (1, 1.0)], GE, 3.0), ([(0, 1.0)], LE, 2.0)]
+        free = simple_model([0.0, 1.0], [(-INF, INF), (0, 10)], rows)
+        with pytest.raises(ValueError, match="column x0 has no finite bound"):
+            PreparedLP(free)
+        # Costless with one finite bound, it enters the basis:
+        # x0 + x1 >= 3 with x0 <= 2 needs x1 = 1.
+        sol = solve_lp(simple_model([0.0, 1.0], [(-7, INF), (0, 10)], rows))
         assert sol.status == SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(1.0)
         assert sol.values[0] == pytest.approx(2.0)
@@ -111,15 +113,17 @@ class TestTextbookCases:
         assert sol.objective == pytest.approx(3.0)
 
     def test_no_rows(self, monkeypatch):
-        # Boxed, lower-only, upper-only and free columns, costs of both
-        # signs: each ends at the bound its cost prefers, a free one at 0.
-        model = simple_model(
-            [1.0, -2.0, 0.5, -1.5, 0.0],
-            [(1, 4), (0, 6), (-3, INF), (-INF, 7), (-INF, INF)], [])
+        # Boxed, lower-only and upper-only columns, costs of both signs:
+        # each ends at the bound its cost prefers. A free column is refused.
+        costs = [1.0, -2.0, 0.5, -1.5, 0.0]
+        bounds = [(1, 4), (0, 6), (-3, INF), (-INF, 7), (-INF, INF)]
+        with pytest.raises(ValueError, match="column x4 has no finite bound"):
+            PreparedLP(simple_model(costs, bounds, []))
+        model = simple_model(costs[:4], bounds[:4], [])
         prep = PreparedLP(model)
         cold = prep.solve()
         assert cold.status == SolveStatus.OPTIMAL
-        assert list(cold.values) == [1.0, 6.0, -3.0, 7.0, 0.0]
+        assert list(cold.values) == [1.0, 6.0, -3.0, 7.0]
         assert cold.objective == pytest.approx(1 * 1 - 2 * 6 + 0.5 * -3 - 1.5 * 7)
 
         def no_cold_start(state):
@@ -141,6 +145,16 @@ class TestTextbookCases:
             prep.solve([0.0, -INF], [5.0, 5.0])
         with pytest.raises(ValueError, match="column x0 has cost 1 and no finite lower"):
             prep.solve([-INF, 0.0], [5.0, 5.0])
+
+    def test_free_column_is_rejected_by_solve_and_branch_and_bound(self):
+        # x1 costs nothing: loosening both its bounds leaves it free.
+        rows = [([(0, 1.0), (1, 1.0)], GE, 1.0)]
+        prep = PreparedLP(simple_model([1.0, 0.0], [(0, 5), (0, 5)], rows))
+        with pytest.raises(ValueError, match="column x1 has no finite bound"):
+            prep.solve(lower=[0.0, -INF], upper=[5.0, INF])
+        free = simple_model([1.0, 0.0], [(0, 5), (-INF, INF)], rows)
+        with pytest.raises(ValueError, match="column x1 has no finite bound"):
+            branch_and_bound(free)
 
 
 class TestExactOracle:
@@ -167,9 +181,9 @@ class TestExactOracle:
 
 
 class TestAgainstHiGHS:
-    """Random LPs with free, upper-only, lower-only, boxed and fixed columns,
-    against HiGHS. They reach what zero-lower-bound LPs do not: FREE and
-    AT_UPPER starts."""
+    """Random LPs with upper-only, lower-only, boxed and fixed columns,
+    against HiGHS. They reach what zero-lower-bound LPs do not: starts at
+    an upper bound and at a fixed value."""
 
     SEEDS = range(40)
 
@@ -187,15 +201,15 @@ class TestAgainstHiGHS:
             assert check_solution(model, mine.values) == []
 
     def test_seeds_reach_every_start_case(self):
-        free = at_upper = 0
+        fixed = at_upper = 0
         for seed in self.SEEDS:
             model = random_mixed_bounds_lp(seed)
             prep = PreparedLP(model)
             state = simplex._SimplexState(
                 prep, np.array(model.lower), np.array(model.upper))
-            free += np.any(state.col_status == simplex.FREE)
-            at_upper += np.any(state.col_status == simplex.AT_UPPER)
-        assert min(free, at_upper) >= 10
+            fixed += np.any(state.direction[:prep.n] == 0.0)
+            at_upper += np.any(state.direction < 0)
+        assert min(fixed, at_upper) >= 10
 
 
 def _no_cold_start(monkeypatch):
@@ -270,11 +284,8 @@ class TestWarmStart:
         if not state.run_dual():
             return  # proven infeasible; covered against the oracle above
         z = state._reduced_costs(prep.c_real)
-        status = state.col_status
-        movable = state.upper > state.lower
-        assert np.all(z[movable & (status == simplex.AT_LOWER)] >= -1e-9)
-        assert np.all(z[movable & (status == simplex.AT_UPPER)] <= 1e-9)
-        assert np.all(np.abs(z[status == simplex.FREE]) <= 1e-9)
+        assert np.all(z[state.direction > 0] >= -1e-9)  # at the lower bound
+        assert np.all(z[state.direction < 0] <= 1e-9)  # at the upper bound
 
     def test_infeasible_child(self, monkeypatch):
         # x0 + x1 >= 3 with x0 <= 2: cutting x1 to 0 leaves no solution.
@@ -296,15 +307,14 @@ class TestWarmStart:
         prep = PreparedLP(model)
         cold = prep.solve()
         width = prep.n_real
-        status = np.full(width, simplex.AT_LOWER, dtype=np.int8)
-        status[[0, 1]] = simplex.BASIC
+        at_upper = np.zeros(width, dtype=bool)
         garbage = [
-            Basis(np.array([0, 1]), status),  # singular
-            Basis(np.array([0, 0]), status),  # repeated column
-            Basis(np.array([0]), status),  # wrong length
-            Basis(np.array([0, width]), status),  # out of range
-            Basis(np.array([0.0, 1.0]), status),  # not indices
-            Basis(np.array([2, 3]), status),  # statuses disagree
+            Basis(np.array([0, 1]), at_upper),  # singular
+            Basis(np.array([0, 0]), at_upper),  # repeated column
+            Basis(np.array([0]), at_upper),  # wrong length
+            Basis(np.array([0, 1]), at_upper[1:]),  # record of the wrong width
+            Basis(np.array([0, width]), at_upper),  # out of range
+            Basis(np.array([0.0, 1.0]), at_upper),  # not indices
         ]
         for basis in garbage:
             warm = prep.solve(basis=basis)
@@ -322,16 +332,16 @@ class TestWarmStart:
                  if abs(root.values[j] - round(root.values[j])) > 1e-6)
         upper = np.array(model.upper)
         upper[j] = math.floor(root.values[j])
-        record = [a.copy() for a in (root.basis.basic, root.basis.status)]
+        record = [a.copy() for a in (root.basis.basic, root.basis.at_upper)]
         a = prep.solve(model.lower, upper, basis=root.basis)
         b = prep.solve(model.lower, upper, basis=root.basis)
         assert a.status == b.status == SolveStatus.OPTIMAL
         assert a.objective == b.objective
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.basis.basic, b.basis.basic)
-        assert np.array_equal(a.basis.status, b.basis.status)
+        assert np.array_equal(a.basis.at_upper, b.basis.at_upper)
         # The parent's record is shared by both children and never written.
-        for kept, now in zip(record, (root.basis.basic, root.basis.status)):
+        for kept, now in zip(record, (root.basis.basic, root.basis.at_upper)):
             assert np.array_equal(kept, now)
         cold = prep.solve(model.lower, upper)
         assert a.objective == pytest.approx(cold.objective, rel=1e-9)
@@ -401,7 +411,7 @@ class TestFactorHandOff:
         prep, root, lower, upper = depot_child(depot_scenario)
         rebuilt = prep.solve(lower, upper, root.basis)
         foreign = replace(root.factor, basis=Basis(root.basis.basic.copy(),
-                                                   root.basis.status))
+                                                   root.basis.at_upper))
         calls = record_calls(monkeypatch, "_refactor")
         warm = prep.solve(lower, upper, root.basis, foreign)
         assert calls[:1] == ["_refactor"]
@@ -424,15 +434,17 @@ class TestFactorHandOff:
 
 
 def assert_kept_state(state):
-    """The direction vector, free list and basic bounds the dual loop keeps
-    equal what the statuses, the basis and the bounds give."""
-    status = state.col_status
+    """The direction vector and basic bounds the dual loop keeps agree with
+    the basis and the bounds: 0 on basic and fixed columns, +1 or -1 on the
+    others, naming a finite bound."""
+    basic = np.zeros(state.n_real, dtype=bool)
+    basic[state.basis] = True
     movable = state.upper - state.lower > 1e-15
-    direction = np.zeros(state.n_real)
-    direction[movable & (status == simplex.AT_LOWER)] = 1.0
-    direction[movable & (status == simplex.AT_UPPER)] = -1.0
-    assert np.array_equal(state.direction, direction)
-    assert np.array_equal(state.free, np.flatnonzero(status == simplex.FREE))
+    direction = state.direction
+    assert np.all(direction[basic | ~movable] == 0.0)
+    assert np.all(np.abs(direction[~basic & movable]) == 1.0)
+    assert np.all(np.isfinite(state.lower[direction > 0]))
+    assert np.all(np.isfinite(state.upper[direction < 0]))
     assert np.array_equal(state.basic_lower, state.lower[state.basis])
     assert np.array_equal(state.basic_upper, state.upper[state.basis])
 
@@ -460,7 +472,7 @@ def objective_by_loop(model, values):
 
 
 class TestLoopState:
-    """The per-column vectors the dual loop keeps in step with the statuses,
+    """The per-column vectors the dual loop keeps in step with the basis,
     and the objective sum, against the loops they stand for."""
 
     def test_depot_root_lp(self, depot_scenario, monkeypatch):
@@ -480,21 +492,6 @@ class TestLoopState:
         assert prep.solve(lower, upper, root.basis, factor).status == SolveStatus.OPTIMAL
         assert factor.inverse is None and "_refactor" not in calls
         assert states and all(state is states[0] for state in states)
-
-    @pytest.mark.parametrize("seed", [1, 8, 19])
-    def test_lp_with_free_columns(self, seed, monkeypatch):
-        model = random_mixed_bounds_lp(seed)
-        prep = PreparedLP(model)
-        entered_free = []
-        original = simplex._SimplexState._pivot
-
-        def note_free(self, leave_pos, enter, *args, **kwargs):
-            entered_free.append(enter in self.free)
-            original(self, leave_pos, enter, *args, **kwargs)
-        monkeypatch.setattr(simplex._SimplexState, "_pivot", note_free)
-        states = check_every_pivot(monkeypatch)
-        assert prep.solve().status == SolveStatus.OPTIMAL
-        assert states and any(entered_free)
 
     def test_objective_value_equals_loop(self, depot_scenario, two_truck_scenario,
                                          remote_scenario):
@@ -577,28 +574,25 @@ class TestSetUp:
         assert empty_row not in prep.col_rows and prep.b[empty_row] == 3.0
         assert prep.col_start[empty_col] == prep.col_start[empty_col + 1]
 
-    def test_initial_statuses_match_column_loop(self):
+    def test_initial_directions_match_column_loop(self):
         model = simple_model(
-            [0.0, -1.0, 1.0, 1.0, -1.0, 1.0],
-            [(-INF, INF), (-INF, 5), (0, INF), (2, 3), (0, 4), (0, INF)],
-            [([(j, 1.0) for j in range(6)], GE, 1.0)])
+            [0.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0],
+            [(-INF, 2), (-INF, 5), (0, INF), (2, 3), (0, 4), (0, INF), (4, 4)],
+            [([(j, 1.0) for j in range(7)], GE, 1.0)])
         prep = PreparedLP(model)
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper))
         expected = []
         for j in range(prep.n_real):
             lo, hi, c = state.lower[j], state.upper[j], prep.c_real[j]
-            if j in state.basis:
-                expected.append(simplex.BASIC)
+            if j in state.basis or hi - lo <= 1e-15:
+                expected.append(0.0)  # basic or fixed
             elif np.isfinite(hi) and (c < 0 or not np.isfinite(lo)):
-                expected.append(simplex.AT_UPPER)
-            elif np.isfinite(lo):
-                expected.append(simplex.AT_LOWER)
+                expected.append(-1.0)  # at the upper bound
             else:
-                expected.append(simplex.FREE)
-        assert state.col_status.tolist() == expected
-        assert expected[:6] == [simplex.FREE, simplex.AT_UPPER, simplex.AT_LOWER,
-                                simplex.AT_LOWER, simplex.AT_UPPER, simplex.AT_LOWER]
+                expected.append(1.0)  # at the lower bound
+        assert state.direction.tolist() == expected
+        assert expected[:7] == [-1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 0.0]
 
 
 def dense_random_model(seed, m=6, n=9):
@@ -617,9 +611,7 @@ def dense_random_model(seed, m=6, n=9):
 
 
 def basis_record(prep, basic):
-    status = np.full(prep.n_real, simplex.AT_LOWER, dtype=np.int8)
-    status[basic] = simplex.BASIC
-    return Basis(np.asarray(basic), status)
+    return Basis(np.asarray(basic), np.zeros(prep.n_real, dtype=bool))
 
 
 class TestKernelFactorization:
@@ -669,12 +661,16 @@ class TestKernelFactorization:
     def test_repeated_slack_is_a_count_mismatch(self):
         model = dense_random_model(0, m=3, n=4)
         prep = PreparedLP(model)
-        status = np.full(prep.n_real, simplex.AT_LOWER, dtype=np.int8)
-        status[[0, prep.n, prep.n + 1]] = simplex.BASIC
-        repeated = Basis(np.array([0, prep.n, prep.n]), status)
+        lo, hi = np.array(model.lower), np.array(model.upper)
+        repeated = basis_record(prep, [0, prep.n, prep.n])
+        # A record that repeats a column does not fit; a basis that comes
+        # to repeat a slack fails the kernel's row count.
+        with pytest.raises(simplex.NumericalFailure, match="does not fit"):
+            simplex._SimplexState(prep, lo, hi, repeated)
+        state = simplex._SimplexState(prep, lo, hi)
+        state.basis = repeated.basic
         with pytest.raises(simplex.NumericalFailure, match="repeats a slack"):
-            simplex._SimplexState(prep, np.array(model.lower),
-                                  np.array(model.upper), repeated)
+            state._refactor()
 
     def test_restricted_rank_one_update_equals_dense(self, depot_scenario):
         import fleetcharge as fc
@@ -685,7 +681,9 @@ class TestKernelFactorization:
         root = prep.solve()
         state = simplex._SimplexState(prep, lo, hi, root.basis)
         checked = 0
-        for enter in np.flatnonzero(state.col_status != simplex.BASIC)[:40]:
+        nonbasic = np.ones(prep.n_real, dtype=bool)
+        nonbasic[state.basis] = False
+        for enter in np.flatnonzero(nonbasic)[:40]:
             d = state._ftran(int(enter))
             leave_pos = int(np.argmax(np.abs(d)))
             if abs(d[leave_pos]) < 1e-6:

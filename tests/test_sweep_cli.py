@@ -382,6 +382,29 @@ class TestCli:
         assert "unknown location 'NOPE'" in self.config_error(capsys)
 
     @pytest.mark.parametrize("argv", [
+        ["generate", "--seed", "1"],
+        ["solve", "--scenario", TWO_TRUCK],
+        ["sweep", "--scenario", TWO_TRUCK, "--alpha", "1", "--slack-min", "0"],
+        ["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2"],
+    ], ids=["generate", "solve", "sweep", "compare"])
+    def test_unwritable_out_is_a_config_error(self, argv, monkeypatch, tmp_path, capsys):
+        # --out under a regular file; the solving commands fail before any solve.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output location was made")
+        for module in ("fleetcharge.cli", "fleetcharge.baseline", "fleetcharge.sweep"):
+            monkeypatch.setattr(f"{module}.solve_scenario", no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([*argv, "--out", str(taken / "out")]) == 2
+        assert str(taken) in self.config_error(capsys)
+
+    def test_compare_out_naming_a_directory_is_a_config_error(self, tmp_path, capsys):
+        code = main(["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2",
+                     "--slack-min", "30", "--out", str(tmp_path)])
+        assert code == 2
+        assert str(tmp_path) in self.config_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
         ["solve", "--design", "fixed"],
         ["sweep", "--alpha", "1", "--slack-min", "0", "--design", "fixed"],
         ["compare", "--policy", "main-depot-only:2:2"],

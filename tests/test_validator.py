@@ -1,5 +1,6 @@
 """Independent replay and cost recomputation."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -181,6 +182,34 @@ class TestSerialization:
         assert header[-1] == "kw_total"
         grid = two_truck_scenario.time_grid
         assert len(lines) - 1 == len(two_truck_scenario.location_ids) * grid.total_blocks
+
+    def test_power_totals_match_block_loop(self, depot_scenario, depot_base_outcome,
+                                           tmp_path):
+        """plan.json's total curves, the CSV's kw_total and the peaks all
+        print the per-block sum over the catalog's types, from 0."""
+        plan = depot_base_outcome.plan
+        type_ids = [c.id for c in depot_scenario.charger_catalog]
+        assert len(type_ids) > 1
+        blocks = depot_scenario.time_grid.total_blocks
+        expected = {}
+        for location in depot_scenario.location_ids:
+            by_type = plan.power_by_type[location]
+            expected[location] = []
+            for t in range(blocks):
+                total = 0
+                for tid in type_ids:
+                    total += by_type[tid][t]
+                expected[location].append(total)
+        doc = plan_to_dict(plan)
+        assert {loc: doc["power_curves"][loc]["total"] for loc in expected} == expected
+        path = tmp_path / "curves.csv"
+        write_power_curves_csv(depot_scenario, plan, path)
+        with open(path) as fh:
+            written = [(row["location"], row["kw_total"]) for row in csv.DictReader(fh)]
+        assert written == [(loc, repr(v)) for loc in depot_scenario.location_ids
+                           for v in expected[loc]]
+        assert fc.location_peaks_kw(depot_scenario, plan) == {
+            loc: max(totals) for loc, totals in expected.items()}
 
     def test_events_canonically_ordered(self, two_truck_outcome):
         events = two_truck_outcome.plan.events
