@@ -22,6 +22,7 @@ from .domain import (
 )
 from .run import SolveOutcome, solve_scenario
 from .scenario_io import load_design
+from .solver import DEFAULT_REL_GAP
 from .validator import charger_counts_to_dict
 
 __all__ = [
@@ -118,13 +119,17 @@ def _naive_cover_counts(scenario: Scenario, type_id: int) -> dict[str, dict[int,
 
 def rule_based_design(scenario: Scenario, policy) -> dict[str, dict[int, int]]:
     """Materialize a policy into fixed charger counts per location and type."""
+    if isinstance(policy, (MainDepotOnly, PeakDemandCover)):
+        type_ids = [c.id for c in scenario.charger_catalog]
+        if policy.charger_type_id not in type_ids:
+            raise ValueError(
+                f"charger type {policy.charger_type_id} is not in the scenario's "
+                f"catalog (types {type_ids})")
     if isinstance(policy, MainDepotOnly):
         if policy.count < 0:
             raise ValueError("charger count must be nonnegative")
-        scenario.charger(policy.charger_type_id)  # existence check
         return {_busiest_location(scenario): {policy.charger_type_id: policy.count}}
     if isinstance(policy, PeakDemandCover):
-        scenario.charger(policy.charger_type_id)
         return _naive_cover_counts(scenario, policy.charger_type_id)
     if isinstance(policy, ExplicitDesign):
         counts = policy.counts
@@ -202,7 +207,7 @@ def _delta(fixed_value: float, codesign_value: float) -> float | None:
 def compare_designs(
     scenario: Scenario,
     fixed_counts: dict[str, dict[int, int]],
-    rel_gap: float = 1e-2,
+    rel_gap: float = DEFAULT_REL_GAP,
 ) -> DesignComparison:
     """Solve co-design and fixed variants with identical settings.
 

@@ -27,7 +27,7 @@ from .domain import (
 from .generator import generate_synthetic
 from .run import PlanVerificationError, solve_scenario
 from .scenario_io import json_text, load_design, load_scenario, save_scenario
-from .solver import NumericalFailure, SolveStatus
+from .solver import DEFAULT_REL_GAP, NumericalFailure, SolveStatus
 from .sweep import SweepSpec, default_amortize_ratio, run_sweep
 from .validator import write_plan_json, write_power_curves_csv
 
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=CODESIGN)
     p_solve.add_argument("--fixed-file", default=None,
                          help="explicit design JSON for --design fixed")
-    p_solve.add_argument("--gap", type=float, default=0.01)
+    p_solve.add_argument("--gap", type=float, default=DEFAULT_REL_GAP)
     p_solve.add_argument("--node-limit", type=int, default=None)
     p_solve.add_argument("--time-limit", type=float, default=None)
     p_solve.add_argument("--amortize-objective", action="store_true",
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--design", default=CODESIGN,
                          help="comma-separated design modes: codesign,fixed")
     p_sweep.add_argument("--fixed-file", default=None)
-    p_sweep.add_argument("--gap", type=float, default=0.01)
+    p_sweep.add_argument("--gap", type=float, default=DEFAULT_REL_GAP)
     p_sweep.add_argument("--node-limit", type=int, default=None)
     p_sweep.add_argument("--time-limit", type=float, default=None)
     p_sweep.add_argument("--out", default="sweep_out")
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="main-depot-only:N:R | peak-cover:R | explicit:PATH")
     p_compare.add_argument("--alpha", type=float, default=None)
     p_compare.add_argument("--slack-min", type=int, default=None)
-    p_compare.add_argument("--gap", type=float, default=0.01)
+    p_compare.add_argument("--gap", type=float, default=DEFAULT_REL_GAP)
     p_compare.add_argument("--out", default=None)
     p_compare.set_defaults(func=cmd_compare)
 
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--days", type=int, default=2)
     p_generate.add_argument("--tightness", type=float, default=0.5)
     p_generate.add_argument("--tau-min", type=int, default=15,
-                            help="block duration in minutes")
+                            help="block duration in minutes: divides 1440, at most 30")
     p_generate.add_argument("--out", required=True)
     p_generate.set_defaults(func=cmd_generate)
     return parser

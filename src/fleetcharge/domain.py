@@ -4,15 +4,15 @@ Every other module consumes the types defined here. Instances are frozen
 dataclasses: once a scenario has passed validation it is immutable and safe
 to share between threads.
 
-Time convention: all block indices are counted from the start of the
-analysis period (block 0 = 00:00 of day 0). A day is a contiguous range of
-``blocks_per_day`` indices; there is no per-day clock arithmetic anywhere
-downstream.
+Time convention: a block is a whole number of minutes that divides the
+day, so clock times quantize by exact integer division. Block indices
+count from the start of the analysis period (block 0 = 00:00 of day 0);
+a day is a contiguous range of ``blocks_per_day`` indices, and there is
+no per-day clock arithmetic anywhere downstream.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -74,27 +74,32 @@ class ScenarioValidationError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class TimeGrid:
-    """Uniform discretization of the analysis period into whole blocks."""
+    """Uniform discretization of the analysis period into whole blocks.
 
-    block_duration_hours: float
-    blocks_per_day: int
+    The constructor raises ValueError unless ``block_minutes`` divides the
+    1440 minutes of a day and ``num_days`` is a positive integer; blocks
+    per day and the block length in hours (tau) are derived from them.
+    """
+
+    block_minutes: int
     num_days: int
 
-    @classmethod
-    def from_minutes(cls, block_minutes: int, num_days: int) -> "TimeGrid":
-        if block_minutes <= 0 or 1440 % block_minutes != 0:
+    def __post_init__(self) -> None:
+        if (not isinstance(self.block_minutes, int) or self.block_minutes <= 0
+                or 1440 % self.block_minutes != 0):
             raise ValueError(
-                f"block_minutes must divide 24h evenly, got {block_minutes}"
-            )
-        return cls(
-            block_duration_hours=block_minutes / 60.0,
-            blocks_per_day=1440 // block_minutes,
-            num_days=num_days,
-        )
+                f"block_minutes must divide 24h evenly, got {self.block_minutes}")
+        if not isinstance(self.num_days, int) or self.num_days <= 0:
+            raise ValueError(
+                f"num_days must be a positive integer, got {self.num_days}")
 
     @property
-    def block_minutes(self) -> float:
-        return self.block_duration_hours * 60.0
+    def block_duration_hours(self) -> float:
+        return self.block_minutes / 60.0
+
+    @property
+    def blocks_per_day(self) -> int:
+        return 1440 // self.block_minutes
 
     @property
     def total_blocks(self) -> int:
@@ -113,14 +118,14 @@ class TimeGrid:
     def block_of_day(self, block: int) -> int:
         return block % self.blocks_per_day
 
-    def slack_blocks(self, slack_minutes: float) -> int:
+    def slack_blocks(self, slack_minutes: int) -> int:
         """Departure slack in whole blocks; ValueError if it does not divide."""
-        blocks = slack_minutes / self.block_minutes
-        if abs(blocks - round(blocks)) > 1e-9:
+        blocks, rest = divmod(slack_minutes, self.block_minutes)
+        if rest:
             raise ValueError(
                 f"slack of {slack_minutes} min is not a whole number of "
-                f"{self.block_minutes:g}-minute blocks")
-        return int(round(blocks))
+                f"{self.block_minutes}-minute blocks")
+        return int(blocks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,21 +240,16 @@ def tours(scenario: Scenario) -> dict[tuple[str, int], list[TripLeg]]:
 def _quantize_leg(leg: TripLeg, grid: TimeGrid) -> TripLeg:
     if leg.departure_clock_min is None or leg.arrival_clock_min is None:
         return leg
-    block_min = grid.block_minutes
+    block = grid.block_minutes
+    dep, arr = leg.departure_clock_min, leg.arrival_clock_min
     day_start = grid.day_start(leg.day)
     # Departures floor, arrivals ceil, so no other leg's charging window
-    # gets longer than the clock times allow. The 1e-9 guards against
-    # float noise; block_min may be non-integral for grids finer than one
-    # minute per block.
-    dep_block = int(math.floor(leg.departure_clock_min / block_min + 1e-9))
-    arr_block = int(math.ceil(leg.arrival_clock_min / block_min - 1e-9))
-    travel_min = leg.arrival_clock_min - leg.departure_clock_min
-    travel = int(math.ceil(travel_min / block_min - 1e-9))
+    # gets longer than the clock times allow.
     return replace(
         leg,
-        scheduled_departure_block=day_start + dep_block,
-        scheduled_arrival_block=day_start + arr_block,
-        travel_blocks=travel,
+        scheduled_departure_block=day_start + dep // block,
+        scheduled_arrival_block=day_start - (-arr // block),
+        travel_blocks=-(-(arr - dep) // block),
     )
 
 
@@ -295,27 +295,9 @@ def empty_window_legs(scenario: Scenario) -> list[tuple[str, int, int]]:
     return [key for key, win in charging_windows(scenario).items() if len(win) == 0]
 
 
-def _grid_issues(grid: TimeGrid) -> list[ValidationIssue]:
-    issues = []
-    if grid.block_duration_hours <= 0:
-        issues.append(ValidationIssue(
-            NEGATIVE_QUANTITY, "block_duration_hours must be positive"))
-        return issues
-    if grid.blocks_per_day <= 0 or grid.num_days <= 0:
-        issues.append(ValidationIssue(
-            NEGATIVE_QUANTITY, "blocks_per_day and num_days must be positive"))
-        return issues
-    if abs(grid.blocks_per_day * grid.block_duration_hours - 24.0) > 1e-9:
-        issues.append(ValidationIssue(
-            TIME_OFF_GRID,
-            f"blocks_per_day * block_duration_hours must equal 24, got "
-            f"{grid.blocks_per_day} * {grid.block_duration_hours}"))
-    return issues
-
-
 def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
     """Enumerate every invariant violation; never stops at the first."""
-    issues = _grid_issues(scenario.time_grid)
+    issues: list[ValidationIssue] = []
     grid = scenario.time_grid
 
     truck_ids = [t.id for t in scenario.trucks]

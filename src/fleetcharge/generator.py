@@ -27,6 +27,9 @@ __all__ = ["default_charger_catalog", "default_price_profile", "generate_synthet
 AVERAGE_SPEED_KMH = 60.0
 PEAK_PRICE_PER_KW = 25.0
 SLACK_BLOCKS = 1  # departure slack of every generated scenario
+# Shortest dwell at a retailer. A longer block could round leg 1's arrival
+# up past leg 2's rounded-down departure.
+MIN_DWELL_MINUTES = 30
 
 
 def default_charger_catalog() -> tuple[ChargerType, ...]:
@@ -77,18 +80,23 @@ def generate_synthetic(
 
     ``tightness`` in [0, 1] scales the idle time parked at retailers, i.e.
     the width of mid-tour charging windows: 0 keeps them at the minimum
-    width, 1 at the maximum. The scenario has peak weight 1, one block of
-    departure slack and a peak price of 25 per kW; ``dataclasses.replace``
-    plus ``validate_scenario`` varies them. Deterministic per (seed,
-    parameters).
+    width, 1 at the maximum. ``block_minutes`` must divide a day and be at
+    most ``MIN_DWELL_MINUTES``. The scenario has peak weight 1, one block
+    of departure slack and a peak price of 25 per kW;
+    ``dataclasses.replace`` plus ``validate_scenario`` varies them.
+    Deterministic per (seed, parameters).
     """
     if n_trucks <= 0 or n_locations < 2 or n_days <= 0:
         raise ValueError("need at least one truck, two locations, one day")
     if not (0.0 <= tightness <= 1.0):
         raise ValueError("tightness must lie in [0, 1]")
+    if block_minutes > MIN_DWELL_MINUTES:
+        raise ValueError(
+            f"block_minutes must be at most {MIN_DWELL_MINUTES}, the shortest "
+            f"dwell at a retailer, got {block_minutes}")
 
     rng = random.Random(seed)
-    grid = TimeGrid.from_minutes(block_minutes, n_days)
+    grid = TimeGrid(block_minutes, n_days)
 
     depot = "DEPOT"
     retailers = [f"R{i:02d}" for i in range(1, n_locations)]
@@ -128,7 +136,7 @@ def generate_synthetic(
             # to slow chargers, which is the trade the slack sweep shows.
             dep1 = 30 + 45 * i + rng.randrange(0, 3) * 5
             arr1 = dep1 + travel_min
-            dwell = 30 + int(round(tightness * 20)) + rng.randrange(0, 2) * 5
+            dwell = MIN_DWELL_MINUTES + int(round(tightness * 20)) + rng.randrange(0, 2) * 5
             dep2 = arr1 + dwell
             arr2 = dep2 + travel_min
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .builder import BuildResult, build_problem
 from .domain import Scenario
-from .solver import Solution, SolveStatus, branch_and_bound
+from .solver import DEFAULT_REL_GAP, Solution, SolveStatus, branch_and_bound
 from .validator import PlanReport, ReplayResult, decode_plan, replay
 
 __all__ = ["SolveOutcome", "solve_scenario", "PlanVerificationError"]
@@ -42,7 +42,7 @@ class SolveOutcome:
 
 def solve_scenario(
     scenario: Scenario,
-    rel_gap: float = 1e-2,
+    rel_gap: float = DEFAULT_REL_GAP,
     node_limit: int | None = None,
     time_limit: float | None = None,
     amortize_objective_ratio: float | None = None,

@@ -155,7 +155,7 @@ def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
     the invariant check so the caller can list every issue itself."""
     validate_against_schema(doc, "scenario")
 
-    grid = TimeGrid.from_minutes(
+    grid = TimeGrid(
         int(doc["time_grid"]["block_minutes"]), int(doc["time_grid"]["num_days"])
     )
     trucks = tuple(
@@ -252,17 +252,13 @@ def _leg_clock_fields(leg: TripLeg, grid: TimeGrid) -> tuple[str, str]:
     if leg.departure_clock_min is not None and leg.arrival_clock_min is not None:
         return _format_clock(leg.departure_clock_min), _format_clock(leg.arrival_clock_min)
     day_start = grid.day_start(leg.day)
-    dep_min = round((leg.scheduled_departure_block - day_start) * grid.block_minutes)
-    arr_min = round((leg.scheduled_arrival_block - day_start) * grid.block_minutes)
-    return _format_clock(int(dep_min)), _format_clock(int(arr_min))
+    dep_min = (leg.scheduled_departure_block - day_start) * grid.block_minutes
+    arr_min = (leg.scheduled_arrival_block - day_start) * grid.block_minutes
+    return _format_clock(dep_min), _format_clock(arr_min)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     grid = scenario.time_grid
-    block_minutes = grid.block_minutes
-    if abs(block_minutes - round(block_minutes)) > 1e-9:
-        raise ValueError("only whole-minute block grids serialize to JSON")
-
     legs_sorted = sorted(
         scenario.legs, key=lambda leg: (leg.truck_id, leg.day, leg.leg_index))
     legs_doc = []
@@ -291,7 +287,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
     params: dict[str, Any] = {
         "alpha": scenario.alpha,
-        "slack_minutes": int(round(scenario.slack_blocks * block_minutes)),
+        "slack_minutes": scenario.slack_blocks * grid.block_minutes,
         "design_mode": scenario.design_mode,
     }
     if scenario.fixed_counts is not None:
@@ -302,7 +298,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
     doc: dict[str, Any] = {
         "time_grid": {
-            "block_minutes": int(round(block_minutes)),
+            "block_minutes": grid.block_minutes,
             "num_days": grid.num_days,
         },
         "locations": list(scenario.location_ids),

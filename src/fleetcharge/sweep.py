@@ -17,8 +17,9 @@ import numpy as np
 
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
-from .run import SolveOutcome, solve_scenario
+from .run import solve_scenario
 from .scenario_io import json_text
+from .solver import DEFAULT_REL_GAP
 from .validator import location_total_kw, write_plan_json
 
 __all__ = ["SweepSpec", "SweepCell", "run_sweep", "default_amortize_ratio"]
@@ -48,7 +49,7 @@ class SweepSpec:
     slack_minutes: list[int]
     designs: list[str]
     fixed_counts: dict[str, dict[int, int]] | None = None
-    rel_gap: float = 1e-2
+    rel_gap: float = DEFAULT_REL_GAP
     node_limit: int | None = None
     time_limit: float | None = None
     out_dir: str | Path = "sweep_out"
@@ -104,22 +105,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
         scenario.time_grid.slack_blocks(slack)  # reject before any cell runs
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = spec.cells()
     ratio = default_amortize_ratio(scenario)
-
-    def evaluate(cell: SweepCell) -> tuple[SweepCell, SolveOutcome | None,
-                                          Exception | None]:
-        try:
-            variant = validate_scenario(scenario_variant(
-                scenario, cell.design, spec.fixed_counts, cell.alpha, cell.slack_minutes))
-            outcome = solve_scenario(
-                variant, rel_gap=spec.rel_gap,
-                node_limit=spec.node_limit, time_limit=spec.time_limit)
-            return cell, outcome, None
-        except Exception as exc:  # per-cell failure; the sweep continues
-            return cell, None, exc
-
-    results = [evaluate(cell) for cell in cells]
 
     summary: dict = {"cells": [], "failures": []}
     infra_rows: list[list] = []
@@ -127,13 +113,19 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     curve_rows: list[list] = []
     type_ids = [c.id for c in scenario.charger_catalog]
 
-    for cell, outcome, error in results:
+    for cell in spec.cells():
         entry: dict = {
             "alpha": cell.alpha,
             "slack_minutes": cell.slack_minutes,
             "design": cell.design,
         }
-        if error is not None:
+        try:
+            variant = validate_scenario(scenario_variant(
+                scenario, cell.design, spec.fixed_counts, cell.alpha, cell.slack_minutes))
+            outcome = solve_scenario(
+                variant, rel_gap=spec.rel_gap,
+                node_limit=spec.node_limit, time_limit=spec.time_limit)
+        except Exception as error:  # per-cell failure; the sweep continues
             entry["status"] = "error"
             entry["error"] = f"{type(error).__name__}: {error}"
             entry["error_class"] = type(error).__name__

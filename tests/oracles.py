@@ -11,7 +11,9 @@ Two small helpers that only tests call live here too: ``solve_lp`` (one
 cold LP solve of a model) and ``objective_breakdown`` (the model-side
 split of an objective that the validator recomputes independently). The
 loop references for vectorized code (``dense_matrix``,
-``check_solution_by_rows``, ``curve_rows_by_loop``) sit beside them.
+``check_solution_by_rows``, ``curve_rows_by_loop``) sit beside them, as
+do the float formulas that the time grid's integer arithmetic replaced
+(``quantize_by_float``, ``slack_blocks_by_float``).
 """
 
 from __future__ import annotations
@@ -283,6 +285,25 @@ def curve_rows_by_loop(scenario: Scenario, cell, plan, type_ids) -> list[list]:
                 + [repr(float(x)) for x in (total[t], smooth_total[t], max_peak,
                                             installed)])
     return rows
+
+
+def quantize_by_float(dep_min: int, arr_min: int, block_minutes: int) -> tuple[int, int, int]:
+    """Reference for the grid's integer quantization: departure block
+    (floor), arrival block (ceil) and travel blocks (ceil) within the day,
+    by float division with 1e-9 guards against its noise."""
+    block = block_minutes / 60.0 * 60.0  # through hours, as tau is stored
+    return (int(math.floor(dep_min / block + 1e-9)),
+            int(math.ceil(arr_min / block - 1e-9)),
+            int(math.ceil((arr_min - dep_min) / block - 1e-9)))
+
+
+def slack_blocks_by_float(slack_minutes: int, block_minutes: int) -> int | None:
+    """Reference for ``TimeGrid.slack_blocks``: the slack in whole blocks,
+    or None where it is not a whole number of blocks."""
+    blocks = slack_minutes / (block_minutes / 60.0 * 60.0)
+    if abs(blocks - round(blocks)) > 1e-9:
+        return None
+    return int(round(blocks))
 
 
 def lp_to_exact_inputs(model: LinearModel):

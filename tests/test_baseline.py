@@ -31,6 +31,12 @@ class TestPolicies:
         with pytest.raises(ValueError):
             rule_based_design(depot_scenario, MainDepotOnly(-1, 2))
 
+    @pytest.mark.parametrize("policy", [PeakDemandCover(2), MainDepotOnly(1, 9)])
+    def test_charger_type_outside_catalog_rejected(self, two_truck_scenario, policy):
+        with pytest.raises(ValueError, match=rf"charger type {policy.charger_type_id} "
+                                             r"is not in .* \(types \[1\]\)"):
+            rule_based_design(two_truck_scenario, policy)
+
     def test_explicit_negative_rejected(self, depot_scenario):
         with pytest.raises(ValueError):
             rule_based_design(

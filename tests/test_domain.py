@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 import fleetcharge as fc
 from fleetcharge.domain import (
     TimeGrid,
+    _quantize_leg,
     charging_windows,
     empty_window_legs,
     scenario_issues,
 )
 
+from oracles import quantize_by_float, slack_blocks_by_float
+
+DAY_DIVISORS = [b for b in range(1, 1441) if 1440 % b == 0]
+
 
 def minimal_scenario(legs=(), trucks=None, locations=("DC", "R1"),
                      num_days=1, slack_blocks=0, chargers=None, **kwargs):
-    grid = TimeGrid.from_minutes(15, num_days)
+    grid = TimeGrid(15, num_days)
     chargers = chargers or (fc.ChargerType(1, 60.0, 20000.0, 0.98),)
     trucks = trucks if trucks is not None else (
         fc.Truck("T1", 150.0, 0.12, 75.0),)
@@ -50,8 +55,8 @@ def make_leg(truck="T1", day=0, index=1, origin="DC", dest="R1",
 
 
 class TestTimeGrid:
-    def test_from_minutes(self):
-        grid = TimeGrid.from_minutes(15, 2)
+    def test_derived_fields(self):
+        grid = TimeGrid(15, 2)
         assert grid.blocks_per_day == 96
         assert grid.block_duration_hours == 0.25
         assert grid.total_blocks == 192
@@ -59,15 +64,24 @@ class TestTimeGrid:
         assert grid.day_of_block(100) == 1
         assert grid.block_of_day(100) == 4
 
+    def test_slack_is_a_whole_block_count(self):
+        grid = TimeGrid(15, 1)
+        assert grid.slack_blocks(30) == 2
+        assert type(grid.slack_blocks(30.0)) is int  # a float count breaks range()
+        with pytest.raises(ValueError):
+            grid.slack_blocks(20)
+
     def test_rejects_uneven_blocks(self):
         with pytest.raises(ValueError):
-            TimeGrid.from_minutes(7, 1)
+            TimeGrid(7, 1)
 
     def test_inconsistent_grid_flagged(self):
-        scenario = minimal_scenario()
-        bad = replace(scenario, time_grid=TimeGrid(0.26, 96, 1))
-        codes = {i.code for i in scenario_issues(bad)}
-        assert "TimeOffGrid" in codes
+        # Blocks that do not divide a day, are not positive or are not whole
+        # minutes (0.25 is a quarter hour given in hours), and zero days.
+        for block_minutes, num_days in [(7, 1), (0, 1), (-15, 1), (2880, 1),
+                                        (7.5, 1), (0.25, 1), (15, 0)]:
+            with pytest.raises(ValueError):
+                TimeGrid(block_minutes, num_days)
 
 
 class TestQuantize:
@@ -98,12 +112,36 @@ class TestQuantize:
         block_minutes=st.sampled_from([5, 10, 15, 20, 30, 60]),
     )
     def test_idempotent(self, dep, duration, block_minutes):
-        grid = TimeGrid.from_minutes(block_minutes, 1)
+        grid = TimeGrid(block_minutes, 1)
         leg = make_leg(dep_min=dep, arr_min=dep + duration)
         scenario = replace(minimal_scenario(legs=[leg]), time_grid=grid)
         once = fc.quantize_times(scenario)
         twice = fc.quantize_times(once)
         assert once == twice
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        block_minutes=st.sampled_from(DAY_DIVISORS),
+        day=st.integers(min_value=0, max_value=1),
+        dep=st.integers(min_value=0, max_value=1440),
+        arr=st.integers(min_value=0, max_value=1440),
+        slack=st.integers(min_value=-1440, max_value=2880),
+    )
+    def test_integer_grid_matches_float_reference(self, block_minutes, day, dep,
+                                                  arr, slack):
+        grid = TimeGrid(block_minutes, 2)
+        leg = _quantize_leg(make_leg(day=day, dep_min=dep, arr_min=arr), grid)
+        dep_block, arr_block, travel = quantize_by_float(dep, arr, block_minutes)
+        day_start = grid.day_start(day)
+        assert leg.scheduled_departure_block == day_start + dep_block
+        assert leg.scheduled_arrival_block == day_start + arr_block
+        assert leg.travel_blocks == travel
+        expected = slack_blocks_by_float(slack, block_minutes)
+        if expected is None:
+            with pytest.raises(ValueError):
+                grid.slack_blocks(slack)
+        else:
+            assert grid.slack_blocks(slack) == expected
 
 
 class TestValidation:

@@ -55,6 +55,21 @@ class TestStructure:
         with pytest.raises(ValueError):
             generate_synthetic(seed=1, tightness=1.5)
 
+    @pytest.mark.parametrize("block_minutes", [
+        b for b in range(31, 1441) if 1440 % b == 0])
+    def test_blocks_longer_than_the_shortest_dwell_rejected(self, block_minutes):
+        with pytest.raises(ValueError, match="at most 30") as err:
+            generate_synthetic(seed=1, block_minutes=block_minutes)
+        assert not isinstance(err.value, fc.ScenarioValidationError)
+
+    @pytest.mark.parametrize("block_minutes", [
+        b for b in range(1, 31) if 1440 % b == 0])
+    def test_blocks_up_to_the_shortest_dwell_validate(self, block_minutes):
+        for seed in (1, 2, 3):
+            for tightness in (0.0, 1.0):
+                fc.validate_scenario(generate_synthetic(
+                    seed=seed, tightness=tightness, block_minutes=block_minutes))
+
 
 class TestTightness:
     def test_zero_tightness_minimizes_windows(self):

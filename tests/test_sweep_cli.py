@@ -176,7 +176,7 @@ class TestCurveRows:
     @pytest.mark.parametrize("seed", range(3))
     def test_multi_day_grids(self, seed, days, blocks_per_day):
         scenario = fc.generate_synthetic(1, n_trucks=2, n_locations=3, n_days=days)
-        grid = fc.TimeGrid(24.0 / blocks_per_day, blocks_per_day, days)
+        grid = fc.TimeGrid(1440 // blocks_per_day, days)
         scenario = replace(scenario, time_grid=grid)
         rows = self.check(scenario, random_plan(scenario, seed))
         assert "-0.0" not in {v for row in as_written(rows) for v in row}
@@ -364,6 +364,12 @@ class TestCli:
         assert code == 2
         assert "DC/1" in self.config_error(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("policy", ["peak-cover:2", "main-depot-only:1:9"])
+    def test_compare_rejects_charger_type_outside_catalog(self, policy, capsys):
+        code = main(["compare", "--scenario", TWO_TRUCK, "--policy", policy])
+        assert code == 2
+        assert "is not in the scenario's catalog" in self.config_error(capsys)
 
     def test_compare_rejects_bad_explicit_design(self, tmp_path, capsys):
         design = tmp_path / "design.json"
