@@ -28,7 +28,6 @@ from .domain import (
     TripLeg,
     Truck,
     charging_windows,
-    quantize_times,
     scenario_issues,
     tours,
     validate_scenario,
@@ -94,7 +93,6 @@ __all__ = [
     "load_scenario",
     "location_peaks_kw",
     "parse_policy",
-    "quantize_times",
     "recompute_costs",
     "replay",
     "rule_based_design",

@@ -202,7 +202,7 @@ def _add_columns(
         cat.e_arr[key] = model.add_column(f"e_arr[{tag}]", soe_lo, soe_hi)
         cat.dep_act[key] = model.add_column(
             f"dep_act[{tag}]", float(grid.day_start(key[1])),
-            float(leg.scheduled_departure_block + beta))
+            float(grid.departure_block(leg) + beta))
         for block in row.window:
             for charger in row.usable:
                 col = model.add_column(
@@ -248,7 +248,8 @@ def _add_leg_and_location_rows(
     and the C_peak epigraph prices the largest simultaneous draw in kW
     (tight at any optimum with a positive peak weight).
     """
-    tau = scenario.time_grid.block_duration_hours
+    grid = scenario.time_grid
+    tau = grid.block_duration_hours
     energy: list[tuple] = []
     schedule: list[tuple] = []
     one_charger: list[tuple] = []
@@ -283,7 +284,7 @@ def _add_leg_and_location_rows(
             if prev is not None:
                 schedule.append((f"dep_chain[{tag}]",
                                  [(dep, 1.0), (cat.dep_act[prev.key], -1.0)],
-                                 GE, float(prev.leg.travel_blocks)))
+                                 GE, float(grid.travel_blocks(prev.leg))))
             for block, charger, col in row.slots:
                 origin = row.leg.origin_id
                 occupancy.setdefault((origin, charger.id, block), []).append(col)

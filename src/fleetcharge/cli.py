@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,6 +69,19 @@ def _failure_report(exc: Exception) -> int:
     else:
         _error_report("SolverFailure", str(exc))
     return EXIT_FAILURE
+
+
+def _nonnegative(kind):
+    """An argparse ``type=`` that reads ``kind(text)`` and rejects values
+    that are negative, NaN or infinite."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and nonnegative, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type on a ValueError
+    return parse
 
 
 def _float_list(text: str) -> list[float]:
@@ -260,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=CODESIGN)
     p_solve.add_argument("--fixed-file", default=None,
                          help="explicit design JSON for --design fixed")
-    p_solve.add_argument("--gap", type=float, default=DEFAULT_REL_GAP)
-    p_solve.add_argument("--node-limit", type=int, default=None)
-    p_solve.add_argument("--time-limit", type=float, default=None)
+    p_solve.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
+    p_solve.add_argument("--node-limit", type=_nonnegative(int), default=None)
+    p_solve.add_argument("--time-limit", type=_nonnegative(float), default=None)
     p_solve.add_argument("--amortize-objective", action="store_true",
                          help="amortize capital inside the objective too")
     p_solve.add_argument("--dump-lp", action="store_true",
@@ -281,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--design", default=CODESIGN,
                          help="comma-separated design modes: codesign,fixed")
     p_sweep.add_argument("--fixed-file", default=None)
-    p_sweep.add_argument("--gap", type=float, default=DEFAULT_REL_GAP)
-    p_sweep.add_argument("--node-limit", type=int, default=None)
-    p_sweep.add_argument("--time-limit", type=float, default=None)
+    p_sweep.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
+    p_sweep.add_argument("--node-limit", type=_nonnegative(int), default=None)
+    p_sweep.add_argument("--time-limit", type=_nonnegative(float), default=None)
     p_sweep.add_argument("--out", default="sweep_out")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -294,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="main-depot-only:N:R | peak-cover:R | explicit:PATH")
     p_compare.add_argument("--alpha", type=float, default=None)
     p_compare.add_argument("--slack-min", type=int, default=None)
-    p_compare.add_argument("--gap", type=float, default=DEFAULT_REL_GAP)
+    p_compare.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
     p_compare.add_argument("--out", default=None)
     p_compare.set_defaults(func=cmd_compare)
 

@@ -4,15 +4,17 @@ Every other module consumes the types defined here. Instances are frozen
 dataclasses: once a scenario has passed validation it is immutable and safe
 to share between threads.
 
-Time convention: a block is a whole number of minutes that divides the
-day, so clock times quantize by exact integer division. Block indices
-count from the start of the analysis period (block 0 = 00:00 of day 0);
-a day is a contiguous range of ``blocks_per_day`` indices, and there is
-no per-day clock arithmetic anywhere downstream.
+Time convention: a leg holds only its clock minutes within its day, and
+the :class:`TimeGrid` derives every block from them by exact integer
+division, since a block is a whole number of minutes that divides the
+day. Block indices count from the start of the analysis period (block 0 =
+00:00 of day 0); a day is a contiguous range of ``blocks_per_day``
+indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -30,7 +32,6 @@ __all__ = [
     "scenario_issues",
     "validate_scenario",
     "scenario_variant",
-    "quantize_times",
     "tours",
     "charging_windows",
     "empty_window_legs",
@@ -127,6 +128,21 @@ class TimeGrid:
                 f"{self.block_minutes}-minute blocks")
         return int(blocks)
 
+    # Departures round down, arrivals and travel times up, so no leg's
+    # charging window gets longer than its clock times allow.
+    def departure_block(self, leg: TripLeg) -> int:
+        """Global block the leg departs in: its departure minute rounded down."""
+        return self.day_start(leg.day) + leg.departure_clock_min // self.block_minutes
+
+    def arrival_block(self, leg: TripLeg) -> int:
+        """Global block the leg has arrived by: its arrival minute rounded up."""
+        return self.day_start(leg.day) - (-leg.arrival_clock_min // self.block_minutes)
+
+    def travel_blocks(self, leg: TripLeg) -> int:
+        """The leg's driving time in whole blocks, rounded up."""
+        return -(-(leg.arrival_clock_min - leg.departure_clock_min)
+                 // self.block_minutes)
+
 
 @dataclass(frozen=True, slots=True)
 class ChargerType:
@@ -153,10 +169,9 @@ class Truck:
 class TripLeg:
     """One delivery task of a truck: origin, destination, times, payload.
 
-    ``scheduled_departure_block`` / ``scheduled_arrival_block`` are global
-    block indices. ``departure_clock_min`` / ``arrival_clock_min``, when
-    present, are the original minutes-past-midnight within ``day`` and are
-    the quantization source of truth (see :func:`quantize_times`).
+    ``departure_clock_min`` / ``arrival_clock_min`` are the scheduled
+    minutes past midnight of ``day`` (1440 is the day's end). The
+    scenario's :class:`TimeGrid` derives the leg's blocks from them.
     """
 
     truck_id: str
@@ -164,13 +179,10 @@ class TripLeg:
     leg_index: int  # 1-based position within the truck's tour for the day
     origin_id: str
     destination_id: str
-    scheduled_departure_block: int
-    scheduled_arrival_block: int
-    travel_blocks: int
+    departure_clock_min: int
+    arrival_clock_min: int
     distance_km: float
     payload_tons: float
-    departure_clock_min: int | None = None
-    arrival_clock_min: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,34 +249,6 @@ def tours(scenario: Scenario) -> dict[tuple[str, int], list[TripLeg]]:
     return dict(sorted(grouped.items()))
 
 
-def _quantize_leg(leg: TripLeg, grid: TimeGrid) -> TripLeg:
-    if leg.departure_clock_min is None or leg.arrival_clock_min is None:
-        return leg
-    block = grid.block_minutes
-    dep, arr = leg.departure_clock_min, leg.arrival_clock_min
-    day_start = grid.day_start(leg.day)
-    # Departures floor, arrivals ceil, so no other leg's charging window
-    # gets longer than the clock times allow.
-    return replace(
-        leg,
-        scheduled_departure_block=day_start + dep // block,
-        scheduled_arrival_block=day_start - (-arr // block),
-        travel_blocks=-(-(arr - dep) // block),
-    )
-
-
-def quantize_times(scenario: Scenario) -> Scenario:
-    """Align every leg's times to grid blocks.
-
-    Legs that carry clock minutes get their block fields re-derived from
-    them: departures round down, arrivals and travel durations round up.
-    Legs without clock fields are already block-native and pass through.
-    Total function, idempotent.
-    """
-    legs = tuple(_quantize_leg(leg, scenario.time_grid) for leg in scenario.legs)
-    return replace(scenario, legs=legs)
-
-
 def charging_windows(scenario: Scenario) -> dict[tuple[str, int, int], range]:
     """Blocks during which each leg may charge, keyed by (truck, day, leg).
 
@@ -281,10 +265,10 @@ def charging_windows(scenario: Scenario) -> dict[tuple[str, int, int], range]:
     for (truck_id, day), legs in tours(scenario).items():
         day_start = grid.day_start(day)
         day_end = grid.day_end(day)
-        opens = [day_start] + [max(prev.scheduled_arrival_block, day_start)
+        opens = [day_start] + [max(grid.arrival_block(prev), day_start)
                                for prev in legs[:-1]]
         for leg, open_block in zip(legs, opens):
-            close_block = min(leg.scheduled_departure_block + beta - 1, day_end)
+            close_block = min(grid.departure_block(leg) + beta - 1, day_end)
             windows[(truck_id, day, leg.leg_index)] = range(
                 open_block, max(close_block + 1, open_block))
     return windows
@@ -293,6 +277,16 @@ def charging_windows(scenario: Scenario) -> dict[tuple[str, int, int], range]:
 def empty_window_legs(scenario: Scenario) -> list[tuple[str, int, int]]:
     """Keys of legs whose charging window is empty (reported, never hidden)."""
     return [key for key, win in charging_windows(scenario).items() if len(win) == 0]
+
+
+def _positive(x: float) -> bool:
+    """True for a finite x > 0; NaN and the infinities fail."""
+    return 0 < x < math.inf
+
+
+def _nonnegative(x: float) -> bool:
+    """True for a finite x >= 0; NaN and the infinities fail."""
+    return 0 <= x < math.inf
 
 
 def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
@@ -310,39 +304,42 @@ def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
         issues.append(ValidationIssue(DUPLICATE_ID, "duplicate location ids"))
 
     for t in scenario.trucks:
-        if t.consumption_kwh_per_km_ton <= 0:
+        if not _positive(t.consumption_kwh_per_km_ton):
             issues.append(ValidationIssue(
                 NEGATIVE_QUANTITY,
-                f"truck {t.id}: consumption must be positive"))
-        if t.battery_capacity_kwh <= 0:
+                f"truck {t.id}: consumption must be positive and finite"))
+        if not _positive(t.battery_capacity_kwh):
             issues.append(ValidationIssue(
                 NEGATIVE_QUANTITY,
-                f"truck {t.id}: battery capacity must be positive"))
+                f"truck {t.id}: battery capacity must be positive and finite"))
         if not (0 <= t.initial_soe_kwh <= t.battery_capacity_kwh):
             issues.append(ValidationIssue(
                 BATTERY_RANGE,
                 f"truck {t.id}: initial SOE {t.initial_soe_kwh} outside "
                 f"[0, {t.battery_capacity_kwh}]"))
-        if t.tare_tons < 0:
+        if not _nonnegative(t.tare_tons):
             issues.append(ValidationIssue(
-                NEGATIVE_QUANTITY, f"truck {t.id}: tare must be nonnegative"))
+                NEGATIVE_QUANTITY,
+                f"truck {t.id}: tare must be nonnegative and finite"))
 
     for c in scenario.charger_catalog:
-        if c.rated_power_kw <= 0:
+        if not _positive(c.rated_power_kw):
             issues.append(ValidationIssue(
-                NEGATIVE_QUANTITY, f"charger {c.id}: rated power must be positive"))
-        if c.capital_cost < 0:
+                NEGATIVE_QUANTITY,
+                f"charger {c.id}: rated power must be positive and finite"))
+        if not _nonnegative(c.capital_cost):
             issues.append(ValidationIssue(
-                NEGATIVE_QUANTITY, f"charger {c.id}: capital cost must be nonnegative"))
+                NEGATIVE_QUANTITY,
+                f"charger {c.id}: capital cost must be nonnegative and finite"))
         if not (0 < c.efficiency <= 1):
             issues.append(ValidationIssue(
                 NEGATIVE_QUANTITY,
                 f"charger {c.id}: efficiency must be in (0, 1]"))
 
     prices = scenario.price_schedule
-    if prices.peak_price_per_kw < 0:
+    if not _nonnegative(prices.peak_price_per_kw):
         issues.append(ValidationIssue(
-            NEGATIVE_QUANTITY, "peak price must be nonnegative"))
+            NEGATIVE_QUANTITY, "peak price must be nonnegative and finite"))
     if len(prices.energy_price_per_kwh) != len(scenario.charger_catalog):
         issues.append(ValidationIssue(
             UNKNOWN_REFERENCE,
@@ -354,12 +351,13 @@ def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
                 TIME_OFF_GRID,
                 f"price row {r} covers {len(row)} blocks, expected "
                 f"{grid.total_blocks}"))
-        if any(p < 0 for p in row):
+        if not all(0 <= p < math.inf for p in row):
             issues.append(ValidationIssue(
-                NEGATIVE_QUANTITY, f"price row {r} has negative entries"))
+                NEGATIVE_QUANTITY, f"price row {r} has negative or non-finite entries"))
 
-    if scenario.alpha < 0:
-        issues.append(ValidationIssue(NEGATIVE_QUANTITY, "alpha must be nonnegative"))
+    if not _nonnegative(scenario.alpha):
+        issues.append(ValidationIssue(
+            NEGATIVE_QUANTITY, "alpha must be nonnegative and finite"))
     if scenario.slack_blocks < 0:
         issues.append(ValidationIssue(
             NEGATIVE_QUANTITY, "slack_blocks must be nonnegative"))
@@ -396,31 +394,26 @@ def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
         if not (0 <= leg.day < grid.num_days):
             issues.append(ValidationIssue(
                 UNKNOWN_REFERENCE, f"{tag}: day outside analysis period"))
-        if leg.distance_km < 0 or leg.payload_tons < 0:
+        if not (_nonnegative(leg.distance_km) and _nonnegative(leg.payload_tons)):
             issues.append(ValidationIssue(
-                NEGATIVE_QUANTITY, f"{tag}: distance and payload must be nonnegative"))
-        if leg.scheduled_arrival_block < leg.scheduled_departure_block:
+                NEGATIVE_QUANTITY,
+                f"{tag}: distance and payload must be nonnegative and finite"))
+        departure, arrival = grid.departure_block(leg), grid.arrival_block(leg)
+        if arrival < departure:
             issues.append(ValidationIssue(
                 TIME_ORDER, f"{tag}: arrival block precedes departure block"))
-        if leg.distance_km > 0 and leg.travel_blocks <= 0:
+        if leg.distance_km > 0 and grid.travel_blocks(leg) <= 0:
             issues.append(ValidationIssue(
                 TIME_ORDER, f"{tag}: positive distance requires travel_blocks > 0"))
         if 0 <= leg.day < grid.num_days:
             day_lo = grid.day_start(leg.day)
             day_hi = grid.day_end(leg.day) + 1  # arrival may touch the boundary
-            if not (day_lo <= leg.scheduled_departure_block <= grid.day_end(leg.day)):
+            if not (day_lo <= departure <= grid.day_end(leg.day)):
                 issues.append(ValidationIssue(
                     TIME_OFF_GRID, f"{tag}: departure block outside its day"))
-            if not (day_lo <= leg.scheduled_arrival_block <= day_hi):
+            if not (day_lo <= arrival <= day_hi):
                 issues.append(ValidationIssue(
                     TIME_OFF_GRID, f"{tag}: arrival block outside its day"))
-        quantized = _quantize_leg(leg, grid)
-        if (quantized.scheduled_departure_block != leg.scheduled_departure_block
-                or quantized.scheduled_arrival_block != leg.scheduled_arrival_block):
-            issues.append(ValidationIssue(
-                TIME_OFF_GRID,
-                f"{tag}: clock times are not quantized onto the grid "
-                f"(run quantize_times first)"))
 
     for (truck_id, day), legs_of_tour in tours(scenario).items():
         expected = list(range(1, len(legs_of_tour) + 1))
@@ -437,7 +430,7 @@ def scenario_issues(scenario: Scenario) -> list[ValidationIssue]:
                     f"truck {truck_id} day {day}: leg {nxt.leg_index} departs "
                     f"{nxt.origin_id!r} but leg {prev.leg_index} arrived at "
                     f"{prev.destination_id!r}"))
-            if nxt.scheduled_departure_block < prev.scheduled_arrival_block:
+            if grid.departure_block(nxt) < grid.arrival_block(prev):
                 issues.append(ValidationIssue(
                     TIME_ORDER,
                     f"truck {truck_id} day {day}: leg {nxt.leg_index} departs "

@@ -18,7 +18,6 @@ from .domain import (
     TimeGrid,
     TripLeg,
     Truck,
-    quantize_times,
     validate_scenario,
 )
 
@@ -150,16 +149,14 @@ def generate_synthetic(
             legs.append(TripLeg(
                 truck_id=truck.id, day=day, leg_index=1,
                 origin_id=depot, destination_id=retailer,
-                scheduled_departure_block=0, scheduled_arrival_block=0,
-                travel_blocks=0, distance_km=km, payload_tons=payload_out,
                 departure_clock_min=dep1, arrival_clock_min=arr1,
+                distance_km=km, payload_tons=payload_out,
             ))
             legs.append(TripLeg(
                 truck_id=truck.id, day=day, leg_index=2,
                 origin_id=retailer, destination_id=depot,
-                scheduled_departure_block=0, scheduled_arrival_block=0,
-                travel_blocks=0, distance_km=km, payload_tons=0.0,
                 departure_clock_min=dep2, arrival_clock_min=arr2,
+                distance_km=km, payload_tons=0.0,
             ))
 
     legs.sort(key=lambda leg: (leg.truck_id, leg.day, leg.leg_index))
@@ -184,4 +181,4 @@ def generate_synthetic(
         slack_blocks=SLACK_BLOCKS,
         name=f"synthetic-depot-seed{seed}",
     )
-    return validate_scenario(quantize_times(scenario))
+    return validate_scenario(scenario)

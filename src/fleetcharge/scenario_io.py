@@ -2,8 +2,9 @@
 JSON writer every output file goes through.
 
 The on-disk format keeps human conventions (times as "HH:MM" plus a day
-index, slack in minutes); loading quantizes everything onto the scenario's
-block grid. Field names are frozen in ``schemas/scenario.schema.json``.
+index, slack in minutes). Legs load as clock minutes, from which the
+scenario's block grid derives their blocks; slack loads as whole blocks.
+Field names are frozen in ``schemas/scenario.schema.json``.
 jsonschema is imported on the first schema check, not with the package.
 """
 
@@ -24,7 +25,6 @@ from .domain import (
     TimeGrid,
     TripLeg,
     Truck,
-    quantize_times,
     validate_scenario,
 )
 
@@ -151,7 +151,7 @@ def load_design(path: str | Path) -> dict[str, dict[int, int]]:
 
 
 def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
-    """Schema-check, build and quantize a scenario; ``validate=False`` skips
+    """Schema-check and build a scenario; ``validate=False`` skips
     the invariant check so the caller can list every issue itself."""
     validate_against_schema(doc, "scenario")
 
@@ -183,21 +183,16 @@ def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
     for raw in doc["legs"]:
         key = (str(raw["truck"]), int(raw["day"]))
         leg_counters[key] = leg_counters.get(key, 0) + 1
-        dep_min = _parse_clock(raw["departure"])
-        arr_min = _parse_clock(raw["arrival"])
         legs.append(TripLeg(
             truck_id=key[0],
             day=key[1],
             leg_index=leg_counters[key],
             origin_id=str(raw["origin"]),
             destination_id=str(raw["destination"]),
-            scheduled_departure_block=0,
-            scheduled_arrival_block=0,
-            travel_blocks=0,
+            departure_clock_min=_parse_clock(raw["departure"]),
+            arrival_clock_min=_parse_clock(raw["arrival"]),
             distance_km=float(raw["distance_km"]),
             payload_tons=float(raw["payload_tons"]),
-            departure_clock_min=dep_min,
-            arrival_clock_min=arr_min,
         ))
 
     prices_doc = doc["prices"]
@@ -238,7 +233,6 @@ def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
         fixed_counts=fixed_counts,
         name=str(doc.get("name", "")),
     )
-    scenario = quantize_times(scenario)
     return validate_scenario(scenario) if validate else scenario
 
 
@@ -248,29 +242,19 @@ def load_scenario(path: str | Path, validate: bool = True) -> Scenario:
     return scenario_from_dict(doc, validate=validate)
 
 
-def _leg_clock_fields(leg: TripLeg, grid: TimeGrid) -> tuple[str, str]:
-    if leg.departure_clock_min is not None and leg.arrival_clock_min is not None:
-        return _format_clock(leg.departure_clock_min), _format_clock(leg.arrival_clock_min)
-    day_start = grid.day_start(leg.day)
-    dep_min = (leg.scheduled_departure_block - day_start) * grid.block_minutes
-    arr_min = (leg.scheduled_arrival_block - day_start) * grid.block_minutes
-    return _format_clock(dep_min), _format_clock(arr_min)
-
-
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     grid = scenario.time_grid
     legs_sorted = sorted(
         scenario.legs, key=lambda leg: (leg.truck_id, leg.day, leg.leg_index))
     legs_doc = []
     for leg in legs_sorted:
-        dep, arr = _leg_clock_fields(leg, grid)
         legs_doc.append({
             "truck": leg.truck_id,
             "day": leg.day,
             "origin": leg.origin_id,
             "destination": leg.destination_id,
-            "departure": dep,
-            "arrival": arr,
+            "departure": _format_clock(leg.departure_clock_min),
+            "arrival": _format_clock(leg.arrival_clock_min),
             "distance_km": leg.distance_km,
             "payload_tons": leg.payload_tons,
         })

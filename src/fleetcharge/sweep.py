@@ -62,6 +62,12 @@ class SweepSpec:
                 raise ValueError(f"unknown design mode {design!r}")
         if FIXED_INFRASTRUCTURE in self.designs and self.fixed_counts is None:
             raise ValueError("fixed design cells need fixed_counts")
+        for alpha in self.alphas:
+            if not 0 <= alpha < math.inf:
+                raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+        for slack in self.slack_minutes:
+            if slack < 0:
+                raise ValueError(f"slack must be nonnegative, got {slack} min")
 
     def cells(self) -> list[SweepCell]:
         return [

@@ -162,7 +162,7 @@ def decode_plan(
             truck_id=leg.truck_id,
             day=leg.day,
             leg_index=leg.leg_index,
-            scheduled_block=leg.scheduled_departure_block,
+            scheduled_block=scenario.time_grid.departure_block(leg),
             actual_block=float(values[col]),
         ))
 
@@ -200,7 +200,8 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
     """Re-simulate the plan and collect every constraint violation."""
     result = ReplayResult()
     add = result.violations.append
-    tau = scenario.time_grid.block_duration_hours
+    grid = scenario.time_grid
+    tau = grid.block_duration_hours
     windows = charging_windows(scenario)
     known_types = {c.id for c in scenario.charger_catalog}
 
@@ -245,7 +246,7 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
     for (truck_id, day), legs in tours(scenario).items():
         truck = scenario.truck(truck_id)
         soe = truck.initial_soe_kwh
-        day_start = scenario.time_grid.day_start(day)
+        day_start = grid.day_start(day)
         prev_dep = None
         prev_travel = 0
         for leg in legs:
@@ -275,7 +276,7 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
                                   f"truck {truck_id} day {day} leg "
                                   f"{leg.leg_index}: departs at {dep_act} while "
                                   f"charging through block {last_charge}"))
-                latest = leg.scheduled_departure_block + scenario.slack_blocks
+                latest = grid.departure_block(leg) + scenario.slack_blocks
                 if dep_act > latest + TOL:
                     add(Violation(DEPARTURE_VIOLATION,
                                   f"truck {truck_id} day {day} leg "
@@ -288,7 +289,7 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
                                   f"{leg.leg_index}: departs at {dep_act}, "
                                   f"before earliest possible {floor}"))
                 prev_dep = dep_act
-                prev_travel = leg.travel_blocks
+                prev_travel = grid.travel_blocks(leg)
 
     # Per-leg, per-block single-charger rule.
     for key, leg_events in sorted(events_by_leg.items()):

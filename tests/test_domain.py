@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import fleetcharge as fc
 from fleetcharge.domain import (
     TimeGrid,
-    _quantize_leg,
     charging_windows,
     empty_window_legs,
     scenario_issues,
@@ -48,9 +47,8 @@ def make_leg(truck="T1", day=0, index=1, origin="DC", dest="R1",
     return fc.TripLeg(
         truck_id=truck, day=day, leg_index=index,
         origin_id=origin, destination_id=dest,
-        scheduled_departure_block=0, scheduled_arrival_block=0,
-        travel_blocks=0, distance_km=km, payload_tons=tons,
         departure_clock_min=dep_min, arrival_clock_min=arr_min,
+        distance_km=km, payload_tons=tons,
     )
 
 
@@ -87,37 +85,19 @@ class TestTimeGrid:
 class TestQuantize:
     def test_departure_rounds_down(self):
         leg = make_leg(dep_min=187, arr_min=240)  # 03:07 -> 03:00
-        scenario = fc.quantize_times(minimal_scenario(legs=[leg]))
-        assert scenario.legs[0].scheduled_departure_block == 12
+        assert TimeGrid(15, 1).departure_block(leg) == 12
 
     def test_arrival_rounds_up(self):
         leg = make_leg(dep_min=60, arr_min=187)  # 03:07 -> 03:15
-        scenario = fc.quantize_times(minimal_scenario(legs=[leg]))
-        assert scenario.legs[0].scheduled_arrival_block == 13
+        assert TimeGrid(15, 1).arrival_block(leg) == 13
 
     def test_travel_blocks_ceil(self):
         leg = make_leg(dep_min=60, arr_min=110)  # 50 minutes
-        scenario = fc.quantize_times(minimal_scenario(legs=[leg]))
-        assert scenario.legs[0].travel_blocks == 4
+        assert TimeGrid(15, 1).travel_blocks(leg) == 4
 
     def test_day_offset(self):
         leg = make_leg(day=1, dep_min=187, arr_min=240)
-        scenario = fc.quantize_times(minimal_scenario(legs=[leg], num_days=2))
-        assert scenario.legs[0].scheduled_departure_block == 96 + 12
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        dep=st.integers(min_value=0, max_value=1200),
-        duration=st.integers(min_value=1, max_value=200),
-        block_minutes=st.sampled_from([5, 10, 15, 20, 30, 60]),
-    )
-    def test_idempotent(self, dep, duration, block_minutes):
-        grid = TimeGrid(block_minutes, 1)
-        leg = make_leg(dep_min=dep, arr_min=dep + duration)
-        scenario = replace(minimal_scenario(legs=[leg]), time_grid=grid)
-        once = fc.quantize_times(scenario)
-        twice = fc.quantize_times(once)
-        assert once == twice
+        assert TimeGrid(15, 2).departure_block(leg) == 96 + 12
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -130,12 +110,12 @@ class TestQuantize:
     def test_integer_grid_matches_float_reference(self, block_minutes, day, dep,
                                                   arr, slack):
         grid = TimeGrid(block_minutes, 2)
-        leg = _quantize_leg(make_leg(day=day, dep_min=dep, arr_min=arr), grid)
+        leg = make_leg(day=day, dep_min=dep, arr_min=arr)
         dep_block, arr_block, travel = quantize_by_float(dep, arr, block_minutes)
         day_start = grid.day_start(day)
-        assert leg.scheduled_departure_block == day_start + dep_block
-        assert leg.scheduled_arrival_block == day_start + arr_block
-        assert leg.travel_blocks == travel
+        assert grid.departure_block(leg) == day_start + dep_block
+        assert grid.arrival_block(leg) == day_start + arr_block
+        assert grid.travel_blocks(leg) == travel
         expected = slack_blocks_by_float(slack, block_minutes)
         if expected is None:
             with pytest.raises(ValueError):
@@ -153,14 +133,14 @@ class TestValidation:
             make_leg(index=1, origin="DC", dest="R1", dep_min=60, arr_min=120),
             make_leg(index=2, origin="DC", dest="R1", dep_min=180, arr_min=240),
         ]
-        scenario = fc.quantize_times(minimal_scenario(legs=legs))
+        scenario = minimal_scenario(legs=legs)
         with pytest.raises(fc.ScenarioValidationError) as err:
             fc.validate_scenario(scenario)
         assert any(i.code == "ChainBroken" for i in err.value.issues)
 
     def test_unknown_references(self):
         legs = [make_leg(truck="GHOST"), make_leg(origin="NOWHERE", dep_min=300, arr_min=360)]
-        scenario = fc.quantize_times(minimal_scenario(legs=legs))
+        scenario = minimal_scenario(legs=legs)
         issues = scenario_issues(scenario)
         assert sum(1 for i in issues if i.code == "UnknownReference") >= 2
 
@@ -175,16 +155,9 @@ class TestValidation:
         assert any(i.code == "BatteryRange" for i in scenario_issues(scenario))
 
     def test_arrival_before_departure(self):
-        leg = replace(make_leg(), departure_clock_min=None, arrival_clock_min=None,
-                      scheduled_departure_block=10, scheduled_arrival_block=5,
-                      travel_blocks=1)
+        leg = make_leg(dep_min=150, arr_min=75)  # blocks 10 and 5
         scenario = minimal_scenario(legs=[leg])
         assert any(i.code == "TimeOrder" for i in scenario_issues(scenario))
-
-    def test_unquantized_clock_times_flagged(self):
-        leg = make_leg(dep_min=187, arr_min=240)  # blocks left at 0
-        scenario = minimal_scenario(legs=[leg])
-        assert any(i.code == "TimeOffGrid" for i in scenario_issues(scenario))
 
     def test_all_violations_enumerated(self):
         legs = [
@@ -193,7 +166,7 @@ class TestValidation:
         ]
         scenario = minimal_scenario(legs=legs)
         issues = [i for i in scenario_issues(scenario) if i.severity == "error"]
-        assert len(issues) >= 3  # both reference errors plus quantization
+        assert len(issues) >= 3  # both reference errors plus the broken chain
 
     def test_generator_output_validates(self, depot_scenario):
         errors = [i for i in scenario_issues(depot_scenario)
@@ -207,9 +180,8 @@ class TestChargingWindows:
             make_leg(index=1, origin="DC", dest="R1", dep_min=120, arr_min=180),
             make_leg(index=2, origin="R1", dest="DC", dep_min=300, arr_min=360),
         ]
-        scenario = fc.quantize_times(minimal_scenario(
+        return fc.validate_scenario(minimal_scenario(
             legs=legs, slack_blocks=slack_blocks))
-        return fc.validate_scenario(scenario)
 
     def test_first_leg_opens_at_day_start(self):
         windows = charging_windows(self.two_leg_scenario())
@@ -218,13 +190,14 @@ class TestChargingWindows:
     def test_window_closes_with_slack(self):
         scenario = self.two_leg_scenario(slack_blocks=2)
         windows = charging_windows(scenario)
-        dep = scenario.legs[0].scheduled_departure_block
+        dep = scenario.time_grid.departure_block(scenario.legs[0])
         assert windows[("T1", 0, 1)].stop - 1 == dep + 2 - 1
 
     def test_later_leg_opens_at_previous_arrival(self):
         scenario = self.two_leg_scenario()
         windows = charging_windows(scenario)
-        assert windows[("T1", 0, 2)].start == scenario.legs[0].scheduled_arrival_block
+        assert windows[("T1", 0, 2)].start == \
+            scenario.time_grid.arrival_block(scenario.legs[0])
 
     def test_empty_window_reported_not_hidden(self, remote_scenario):
         tight = fc.validate_scenario(replace(remote_scenario, slack_blocks=0))
@@ -235,7 +208,7 @@ class TestChargingWindows:
 
     def test_windows_clipped_to_day(self):
         leg = make_leg(dep_min=23 * 60 + 45, arr_min=23 * 60 + 59)
-        scenario = fc.quantize_times(minimal_scenario(legs=[leg], slack_blocks=4))
+        scenario = minimal_scenario(legs=[leg], slack_blocks=4)
         windows = charging_windows(scenario)
         assert windows[("T1", 0, 1)].stop - 1 <= scenario.time_grid.day_end(0)
 

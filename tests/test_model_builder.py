@@ -32,7 +32,7 @@ def crafted(legs, chargers, trucks, slack_blocks=0, peak_price=10.0,
         peak_price_per_kw=peak_price,
     )
     scenario = replace(scenario, price_schedule=prices)
-    return fc.validate_scenario(fc.quantize_times(scenario))
+    return fc.validate_scenario(scenario)
 
 
 class TestEnergyConsumption:
@@ -198,7 +198,7 @@ class TestScheduleConstraints:
         key = ("T1", 0, 1)
         dep_col = build.catalog.dep_act[key]
         assert brute.values[dep_col] == pytest.approx(
-            scenario.legs[0].scheduled_departure_block)
+            scenario.time_grid.departure_block(scenario.legs[0]))
         # Every charging choice is active: the single Y must be 1.
         assert all(brute.values[c] == pytest.approx(1.0)
                    for c in build.catalog.y.values())

@@ -25,6 +25,7 @@ from fleetcharge.scenario_io import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GENERATOR_BLOCKS = [b for b in range(1, 31) if 1440 % b == 0]
 
 
 def fixture_doc(name: str) -> dict:
@@ -78,6 +79,19 @@ class TestRoundTrip:
         first = fc.load_scenario(FIXTURES / name)
         again = scenario_from_dict(scenario_to_dict(first))
         assert again == first
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_days=st.integers(min_value=1, max_value=3),
+        tightness=st.floats(min_value=0.0, max_value=1.0),
+        block_minutes=st.sampled_from(GENERATOR_BLOCKS),
+    )
+    def test_generated_scenario_round_trips(self, seed, n_days, tightness,
+                                            block_minutes):
+        scenario = fc.generate_synthetic(seed, n_days=n_days, tightness=tightness,
+                                         block_minutes=block_minutes)
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
     def test_serialized_doc_validates(self, depot_scenario):
         validate_against_schema(scenario_to_dict(depot_scenario), "scenario")
@@ -136,7 +150,7 @@ class TestLoaderDetails:
         doc["legs"][0]["arrival"] = "24:00"
         scenario = scenario_from_dict(doc, validate=False)
         leg = next(l for l in scenario.legs if l.truck_id == "TA")
-        assert leg.scheduled_arrival_block == scenario.time_grid.blocks_per_day
+        assert scenario.time_grid.arrival_block(leg) == scenario.time_grid.blocks_per_day
 
 
 def reference_text(doc) -> str:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,6 +38,11 @@ class TestSweep:
             SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["bogus"])
         with pytest.raises(ValueError):
             SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["fixed"])
+        for alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                SweepSpec(alphas=[1.0, alpha], slack_minutes=[0], designs=["codesign"])
+        with pytest.raises(ValueError, match="slack"):
+            SweepSpec(alphas=[1.0], slack_minutes=[0, -15], designs=["codesign"])
 
     def test_single_cell_matches_single_solve(self, two_truck_scenario, tmp_path):
         spec = SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["codesign"],
@@ -275,6 +281,38 @@ class TestCli:
         assert code == 2  # rejected before any cell runs
         assert "whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, slack", [
+        ("-1", "0"), ("nan", "0"), ("inf", "0"), ("1", "-15")])
+    def test_sweep_rejects_invalid_grid_values(self, alpha, slack, tmp_path, capsys):
+        code = main(["sweep", "--scenario", TWO_TRUCK, "--alpha", alpha,
+                     "--slack-min", slack, "--design", "codesign",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2  # rejected before any cell runs
+        assert "must be nonnegative" in self.config_error(capsys)
+        assert not (tmp_path / "x").exists()
+
+    LIMIT_FLAGS = [
+        pytest.param(command, flag, value, id=f"{command}{flag}={value}")
+        for command, flags in [("solve", ("--gap", "--time-limit", "--node-limit")),
+                               ("sweep", ("--gap", "--time-limit", "--node-limit")),
+                               ("compare", ("--gap",))]
+        for flag in flags
+        for value in (("-1",) if flag == "--node-limit" else ("nan", "inf", "-1"))
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", LIMIT_FLAGS)
+    def test_limit_flags_must_be_finite_and_nonnegative(self, command, flag, value,
+                                                        tmp_path, capsys):
+        extra = {"solve": [], "sweep": ["--alpha", "1", "--slack-min", "0"],
+                 "compare": ["--policy", "peak-cover:1"]}[command]
+        out = tmp_path / "o"
+        code = main([command, "--scenario", TWO_TRUCK, *extra, flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"argument {flag}: must be finite and nonnegative" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_cli_reports_infeasible_fixed(self, tmp_path, capsys):
         out = tmp_path / "cmp.json"
         code = main(["compare", "--scenario", REMOTE,
@@ -425,6 +463,57 @@ class TestCli:
         assert code == 2
         assert "params/fixed_counts/DC/1" in self.config_error(capsys)
         assert not (tmp_path / "o").exists()
+
+    # The schema's maximum of 1 already rejects an infinite efficiency.
+    NON_FINITE_FIELDS = [
+        pytest.param(path, code, value, id=".".join(map(str, path)) + f"={value}")
+        for path, code in [
+            (("params", "alpha"), "NegativeQuantity"),
+            (("prices", "peak_per_kw"), "NegativeQuantity"),
+            (("prices", "energy_per_kwh", 5), "NegativeQuantity"),
+            (("chargers", 0, "power_kw"), "NegativeQuantity"),
+            (("chargers", 0, "cost"), "NegativeQuantity"),
+            (("chargers", 0, "efficiency"), "NegativeQuantity"),
+            (("trucks", 0, "battery_kwh"), "NegativeQuantity"),
+            (("trucks", 0, "consumption_kwh_per_km_ton"), "NegativeQuantity"),
+            (("trucks", 0, "initial_soe_kwh"), "BatteryRange"),
+            (("trucks", 0, "tare_tons"), "NegativeQuantity"),
+            (("legs", 0, "distance_km"), "NegativeQuantity"),
+            (("legs", 0, "payload_tons"), "NegativeQuantity"),
+        ]
+        for value in (math.nan, math.inf)
+        if not (path[-1] == "efficiency" and value == math.inf)
+    ]
+
+    @pytest.mark.parametrize("path, code, value", NON_FINITE_FIELDS)
+    def test_non_finite_number_fails_validation(self, path, code, value, tmp_path,
+                                                capsys):
+        doc = json.loads(Path(TWO_TRUCK).read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity literals
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert f"[{code}]" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert f"[{code}]" in self.config_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["compare", "--policy", "peak-cover:1"]], ids=["solve", "compare"])
+    def test_non_finite_alpha_flag_is_a_config_error(self, argv, alpha, tmp_path,
+                                                     capsys):
+        out = tmp_path / "o"
+        code = main([*argv, "--scenario", TWO_TRUCK, "--alpha", alpha,
+                     "--out", str(out)])
+        assert code == 2
+        assert "alpha must be nonnegative and finite" in self.config_error(capsys)
+        assert not out.exists()
 
     def test_same_leg_arrival_window_is_a_config_error(self, tmp_path, capsys):
         doc = json.loads(Path(TWO_TRUCK).read_text())

@@ -63,9 +63,9 @@ class TestReplay:
     def test_overfull_battery_flagged(self):
         truck = fc.Truck("T1", 150.0, 0.12, 140.0)
         leg = make_leg(dep_min=30, arr_min=90)
-        scenario = fc.validate_scenario(fc.quantize_times(minimal_scenario(
+        scenario = fc.validate_scenario(minimal_scenario(
             legs=[leg], trucks=(truck,),
-            chargers=(fc.ChargerType(2, 180.0, 50000.0, 0.98),))))
+            chargers=(fc.ChargerType(2, 180.0, 50000.0, 0.98),)))
         plan = PlanReport(
             design_mode="codesign", alpha=1.0, slack_blocks=0,
             charger_counts={"DC": {2: 1}},
@@ -85,10 +85,10 @@ class TestReplay:
     def test_multi_charger_violation(self):
         truck = fc.Truck("T1", 400.0, 0.12, 200.0)
         leg = make_leg(dep_min=30, arr_min=90)
-        scenario = fc.validate_scenario(fc.quantize_times(minimal_scenario(
+        scenario = fc.validate_scenario(minimal_scenario(
             legs=[leg], trucks=(truck,),
             chargers=(fc.ChargerType(1, 60.0, 20000.0, 0.98),
-                      fc.ChargerType(2, 180.0, 50000.0, 0.98)))))
+                      fc.ChargerType(2, 180.0, 50000.0, 0.98))))
         events = (
             ChargeEvent("T1", 0, 1, 0, "DC", 1, 15.0),
             ChargeEvent("T1", 0, 1, 0, "DC", 2, 45.0),
@@ -128,9 +128,9 @@ class TestRecompute:
 
     def test_single_event_energy_price(self):
         truck = fc.Truck("T1", 400.0, 0.12, 200.0)
-        scenario = fc.validate_scenario(fc.quantize_times(minimal_scenario(
+        scenario = fc.validate_scenario(minimal_scenario(
             legs=[make_leg(dep_min=30, arr_min=90)], trucks=(truck,),
-            chargers=(fc.ChargerType(2, 180.0, 50000.0, 0.98),))))
+            chargers=(fc.ChargerType(2, 180.0, 50000.0, 0.98),)))
         plan = PlanReport(
             design_mode="codesign", alpha=1.0, slack_blocks=0,
             charger_counts={}, events=(ChargeEvent("T1", 0, 1, 0, "DC", 2, 45.0),),
