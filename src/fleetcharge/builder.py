@@ -3,8 +3,9 @@
 Decision variables:
   Y[k,d,l,r,t]  binary: truck k charges for leg l (day d) on a type-r
                 charger during block t of the leg's charging window;
-  X[i,r]        integer: chargers of type r built at location i (co-design
-                mode only; in fixed mode the counts are constants);
+  X[i,r]        integer: chargers of type r built at location i. One model
+                serves both designs: co-design boxes X by the location's
+                demand, a fixed design pins X at its own counts;
   dep_act       continuous: actual departure block of each leg;
   e_dep/e_arr   continuous bookkeeping: state of energy around each leg;
   C_peak[i]     continuous: demand-charge cost epigraph per location.
@@ -77,8 +78,8 @@ def _usable_chargers(scenario: Scenario, truck: Truck) -> list[ChargerType]:
 class VariableCatalog:
     """Maps from semantic keys to model column indices.
 
-    ``peak_floor`` holds the lower bound a strengthened co-design build puts
-    on a location's C_peak (absent: no floor).
+    ``peak_floor`` holds the lower bound a strengthened build puts on a
+    location's C_peak (absent: no floor).
     """
 
     y: dict[tuple[str, int, int, int, int], int] = field(default_factory=dict)
@@ -176,20 +177,29 @@ def _add_columns(
     # total (an integer by construction) gets the top branching priority:
     # splitting on "how many chargers here at all" partitions the design
     # space into bands the relaxation bounds tightly.
-    if scenario.design_mode == CODESIGN:
-        caps = _location_demand_caps(table)
-        demanded = [loc for loc in scenario.location_ids if caps.get(loc, 0) > 0]
-        if strengthen:
-            for location in demanded:
-                cat.x_total[location] = model.add_column(
-                    f"x_total[{location}]", 0.0, float(caps[location]),
-                    integer=True, branch_priority=2)
-        for location in demanded:
-            for charger in scenario.charger_catalog:
-                cat.x[(location, charger.id)] = model.add_column(
-                    f"x[{location}_r{charger.id}]", 0.0,
-                    float(caps[location]), integer=True,
-                    branch_priority=1)
+    # The design enters the model only as these columns' bounds: co-design
+    # boxes a count by its location's demand cap, a fixed design pins it at
+    # the design's count (cap or no cap), and a location the design builds
+    # at gets counts even without a window, so its capital is priced.
+    fixed = scenario.design_mode != CODESIGN
+    caps = _location_demand_caps(table)
+    built = {location: [scenario.fixed_count(location, c.id) if fixed else 0
+                        for c in scenario.charger_catalog]
+             for location in scenario.location_ids}
+    located = [loc for loc in scenario.location_ids if loc in caps or any(built[loc])]
+    if strengthen:
+        for location in located:
+            total = sum(built[location])
+            cat.x_total[location] = model.add_column(
+                f"x_total[{location}]", float(total),
+                float(max(total, caps.get(location, 0))),
+                integer=True, branch_priority=2)
+    for location in located:
+        for charger, n in zip(scenario.charger_catalog, built[location]):
+            cat.x[(location, charger.id)] = model.add_column(
+                f"x[{location}_r{charger.id}]", float(n),
+                float(n if fixed else caps[location]), integer=True,
+                branch_priority=1)
 
     for row in _all_legs(table):
         key, tag, leg, truck = row.key, row.tag, row.leg, row.truck
@@ -294,13 +304,8 @@ def _add_leg_and_location_rows(
     for args in energy + schedule:
         model.add_row(*args)
     for (location, type_id, block), cols in sorted(occupancy.items()):
-        coeffs = [(col, 1.0) for col in cols]
-        name = f"capacity[{location}_r{type_id}_t{block}]"
-        if scenario.design_mode == CODESIGN:
-            coeffs.append((cat.x[(location, type_id)], -1.0))
-            model.add_row(name, coeffs, LE, 0.0)
-        else:
-            model.add_row(name, coeffs, LE, float(scenario.fixed_count(location, type_id)))
+        coeffs = [(col, 1.0) for col in cols] + [(cat.x[(location, type_id)], -1.0)]
+        model.add_row(f"capacity[{location}_r{type_id}_t{block}]", coeffs, LE, 0.0)
     for args in one_charger:
         model.add_row(*args)
     price = scenario.price_schedule.peak_price_per_kw
@@ -321,12 +326,11 @@ def _add_strengthening_rows(
     among its legs so far; a per-tour count column lets the search pin "how
     much" before "when".
 
-    Co-design only: while a tour has only ever had charging windows at one
-    location, any shortfall so far must be bought there. That location
+    While a tour has only ever had charging windows at one location, any shortfall so far must be bought there. That location
     needs a charger of some type, and its peak is at least one charger's
     rated power.
 
-    Fast-charger cover (co-design only): a tour prefix with a D-kWh
+    Fast-charger cover: a tour prefix with a D-kWh
     shortfall over W window blocks buys at least D, one charger per block.
     If only the usable types F with block-duration x power x W >= D can do
     that, at least one block uses a type in F, so some window location of
@@ -335,7 +339,6 @@ def _add_strengthening_rows(
     rises to the slowest type in F.
     """
     tau = scenario.time_grid.block_duration_hours
-    codesign = scenario.design_mode == CODESIGN
     peak_price = scenario.price_schedule.peak_price_per_kw
     # Locations where some tour that so far could only charge there must
     # buy energy.
@@ -365,7 +368,7 @@ def _add_strengthening_rows(
                     f"min_blocks[{row.tag}]", list(coeffs), GE, float(blocks_needed))
                 fast = [c for c in usable
                         if tau * c.rated_power_kw * window_blocks >= row.deficit - 1e-9]
-                if codesign and 0 < len(fast) < len(usable):
+                if 0 < len(fast) < len(usable):
                     model.add_row(
                         f"fast_required[{row.tag}]",
                         [(cat.x[(location, c.id)], 1.0)
@@ -382,8 +385,6 @@ def _add_strengthening_rows(
             model.add_row(f"blocks_used[{truck_id}_d{day}]",
                           coeffs + [(count_col, -1.0)], EQ, 0.0)
 
-    if not codesign:
-        return
     for location in sorted(cat.x_total):
         coeffs = [(cat.x_total[location], 1.0)]
         coeffs += [(cat.x[(location, c.id)], -1.0) for c in scenario.charger_catalog]
@@ -409,10 +410,10 @@ def _set_objective(
 ) -> None:
     """Energy purchase cost + infrastructure capital + weighted peak cost.
 
-    In fixed mode the infrastructure cost is a constant offset so reported
-    objectives stay comparable across modes. ``amortize_ratio`` optionally
-    scales capital costs inside the objective (reporting always amortizes
-    separately).
+    Capital is priced on the count columns in both designs, so a fixed
+    design's objective carries its capital as priced terms too.
+    ``amortize_ratio`` optionally scales capital costs inside the objective
+    (reporting always amortizes separately).
     """
     tau = scenario.time_grid.block_duration_hours
     prices = scenario.price_schedule.energy_price_per_kwh
@@ -423,16 +424,8 @@ def _set_objective(
                 col, tau * (charger.rated_power_kw / charger.efficiency) * price)
 
     ratio = 1.0 if amortize_ratio is None else amortize_ratio
-    if scenario.design_mode == CODESIGN:
-        for (location, type_id), col in cat.x.items():
-            model.set_objective(col, scenario.charger(type_id).capital_cost * ratio)
-    else:
-        fixed_capital = sum(
-            scenario.charger(c.id).capital_cost * scenario.fixed_count(loc, c.id)
-            for loc in scenario.location_ids
-            for c in scenario.charger_catalog
-        )
-        model.objective_offset += fixed_capital * ratio
+    for (location, type_id), col in cat.x.items():
+        model.set_objective(col, scenario.charger(type_id).capital_cost * ratio)
 
     for location, col in cat.c_peak.items():
         model.set_objective(col, scenario.alpha)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .builder import BuildResult, build_problem
 from .domain import Scenario
-from .solver import DEFAULT_REL_GAP, Solution, SolveStatus, branch_and_bound
+from .solver import DEFAULT_REL_GAP, Solution, SolveStatus, branch_and_bound, check_limits
 from .validator import PlanReport, ReplayResult, decode_plan, replay
 
 __all__ = ["SolveOutcome", "solve_scenario", "PlanVerificationError"]
@@ -51,8 +51,10 @@ def solve_scenario(
     """Solve one scenario end to end and verify the plan before returning.
 
     Scenarios the structural scan proves unreachable short-circuit to
-    INFEASIBLE without a solver run; the diagnostics say why.
+    INFEASIBLE without a solver run; the diagnostics say why. A limit that
+    :func:`check_limits` rejects raises ValueError either way.
     """
+    check_limits(rel_gap, node_limit, time_limit)
     build = build_problem(scenario, amortize_ratio=amortize_objective_ratio)
     if build.guaranteed_infeasible:
         return SolveOutcome(

@@ -44,7 +44,7 @@ from ..model import LinearModel
 from .simplex import PreparedLP, check_solution
 from .types import Factor, NumericalFailure, Solution, SolveStatus, relative_gap
 
-__all__ = ["branch_and_bound", "INTEGRALITY_TOL", "DEFAULT_REL_GAP"]
+__all__ = ["branch_and_bound", "check_limits", "INTEGRALITY_TOL", "DEFAULT_REL_GAP"]
 
 INTEGRALITY_TOL = 1e-6
 DEFAULT_REL_GAP = 1e-2  # the usual sub-1% reporting convention
@@ -66,6 +66,19 @@ def _most_fractional(
     return int(cand[top][np.argmax(frac[top])])  # argmax: first, lowest index
 
 
+def check_limits(
+    rel_gap_target: float, node_limit: int | None = None,
+    time_limit: float | None = None,
+) -> None:
+    """Raise ValueError for a negative or non-finite gap target or limit;
+    a limit of None means no limit."""
+    limits = {"rel_gap_target": rel_gap_target, "node_limit": node_limit,
+              "time_limit": time_limit}
+    for name, value in limits.items():
+        if value is not None and not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def branch_and_bound(
     model: LinearModel,
     rel_gap_target: float = DEFAULT_REL_GAP,
@@ -79,11 +92,13 @@ def branch_and_bound(
     achieved gap when a node or time limit interrupts, INFEASIBLE when no
     integer-feasible point exists. Raises :class:`NumericalFailure` when
     the polish LP of an integral relaxation does not end OPTIMAL or the
-    incumbent fails the re-check, and ValueError for a model whose LP may
-    be unbounded (a cost with no finite bound on its side; see
-    :class:`PreparedLP`). Deterministic: identical model and
-    configuration give the identical node sequence and solution.
+    incumbent fails the re-check, and ValueError for a limit that
+    :func:`check_limits` rejects or a model whose LP may be unbounded (a
+    cost with no finite bound on its side; see :class:`PreparedLP`).
+    Deterministic: identical model and configuration give the identical
+    node sequence and solution.
     """
+    check_limits(rel_gap_target, node_limit, time_limit)
     start = time.monotonic()
     prep = PreparedLP(model)
     int_cols = np.array(model.integer_cols, dtype=int)

@@ -19,7 +19,7 @@ from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
 from .run import solve_scenario
 from .scenario_io import json_text
-from .solver import DEFAULT_REL_GAP
+from .solver import DEFAULT_REL_GAP, check_limits
 from .validator import location_total_kw, write_plan_json
 
 __all__ = ["SweepSpec", "SweepCell", "run_sweep", "default_amortize_ratio"]
@@ -68,6 +68,7 @@ class SweepSpec:
         for slack in self.slack_minutes:
             if slack < 0:
                 raise ValueError(f"slack must be nonnegative, got {slack} min")
+        check_limits(self.rel_gap, self.node_limit, self.time_limit)
 
     def cells(self) -> list[SweepCell]:
         return [

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .builder import VariableCatalog
-from .domain import CODESIGN, Scenario, charging_windows, tours
+from .domain import FIXED_INFRASTRUCTURE, Scenario, charging_windows, tours
 from .scenario_io import json_text
 from .solver import Solution
 
@@ -47,6 +47,7 @@ CAPACITY_VIOLATION = "CapacityViolation"
 MULTI_CHARGER_VIOLATION = "MultiChargerViolation"
 DEPARTURE_VIOLATION = "DepartureViolation"
 REFERENCE_VIOLATION = "ReferenceViolation"
+DESIGN_VIOLATION = "DesignViolation"
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,8 +117,10 @@ def decode_plan(
 ) -> PlanReport:
     """Turn solver column values into events, counts, and departures.
 
-    Event ordering is canonical (truck, day, leg, block, type), so reports
-    are stable regardless of which optimum the solver happened to return.
+    Counts come from the count columns in both designs; :func:`replay`
+    checks a fixed design's against the scenario. Event ordering is
+    canonical (truck, day, leg, block, type), so reports are stable
+    regardless of which optimum the solver happened to return.
     """
     if not solution.is_feasible:
         raise ValueError("cannot decode an infeasible solution")
@@ -125,16 +128,10 @@ def decode_plan(
     tau = scenario.time_grid.block_duration_hours
 
     counts: dict[str, dict[int, int]] = {}
-    if scenario.design_mode == CODESIGN:
-        for (location, type_id), col in catalog.x.items():
-            n = int(round(values[col]))
-            if n:
-                counts.setdefault(location, {})[type_id] = n
-    else:
-        for location, per_type in (scenario.fixed_counts or {}).items():
-            for type_id, n in per_type.items():
-                if n:
-                    counts.setdefault(location, {})[int(type_id)] = int(n)
+    for (location, type_id), col in catalog.x.items():
+        n = int(round(values[col]))
+        if n:
+            counts.setdefault(location, {})[type_id] = n
 
     origin_of = {
         (leg.truck_id, leg.day, leg.leg_index): leg.origin_id
@@ -313,6 +310,19 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
             add(Violation(CAPACITY_VIOLATION,
                           f"{location}: {used} trucks on type-{type_id} "
                           f"chargers at block {block}, only {available} built"))
+
+    # A fixed design's plan builds exactly the scenario's chargers.
+    if scenario.design_mode == FIXED_INFRASTRUCTURE:
+        keys = {(location, type_id)
+                for counts in (scenario.fixed_counts or {}, plan.charger_counts)
+                for location, per_type in counts.items() for type_id in per_type}
+        for location, type_id in sorted(keys):
+            built = int(plan.charger_counts.get(location, {}).get(type_id, 0))
+            design = scenario.fixed_count(location, type_id)
+            if built != design:
+                add(Violation(DESIGN_VIOLATION,
+                              f"{location}: {built} type-{type_id} chargers "
+                              f"built, but the fixed design has {design}"))
     return result
 
 

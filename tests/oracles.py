@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from fleetcharge.builder import VariableCatalog
-from fleetcharge.domain import CODESIGN, Scenario
+from fleetcharge.domain import Scenario
 from fleetcharge.model import EQ, GE, LE, LinearModel
 from fleetcharge.solver import PreparedLP, Solution, SolveStatus
 from fleetcharge.solver.simplex import TOL_CHECK
@@ -49,11 +49,11 @@ def solve_lp(model: LinearModel, lower=None, upper=None) -> Solution:
 
 
 def objective_breakdown(
-    scenario: Scenario, cat: VariableCatalog, values, model: LinearModel
+    scenario: Scenario, cat: VariableCatalog, values
 ) -> dict[str, float]:
     """Split a solution's objective into energy/infrastructure/peak parts.
 
-    This is the model-side decomposition (it reads objective coefficients);
+    This is the model-side decomposition (it reads the catalog's columns);
     the validator recomputes the same quantities independently.
     """
     tau = scenario.time_grid.block_duration_hours
@@ -64,12 +64,9 @@ def objective_breakdown(
         energy += float(values[col]) * tau \
             * (charger.rated_power_kw / charger.efficiency) \
             * prices[scenario.charger_index(type_id)][block]
-    if scenario.design_mode == CODESIGN:
-        infra = sum(
-            scenario.charger(type_id).capital_cost * float(values[col])
-            for (loc, type_id), col in cat.x.items())
-    else:
-        infra = model.objective_offset
+    infra = sum(
+        scenario.charger(type_id).capital_cost * float(values[col])
+        for (loc, type_id), col in cat.x.items())
     peak = scenario.alpha * sum(values[col] for col in cat.c_peak.values())
     return {
         "energy": energy,

@@ -102,6 +102,11 @@ class TestCompareDesigns:
         assert comparison.deltas is None
         assert "infeasible" in comparison.finding
 
+    @pytest.mark.parametrize("rel_gap", [math.nan, math.inf, -1.0])
+    def test_invalid_gap_raises(self, two_truck_scenario, rel_gap):
+        with pytest.raises(ValueError, match="rel_gap_target"):
+            compare_designs(two_truck_scenario, {"DC": {1: 2}}, rel_gap=rel_gap)
+
     def test_remote_slack_boundary(self, remote_scenario):
         """Depot-only design fails at one slack block, works at two."""
         fixed = rule_based_design(remote_scenario, MainDepotOnly(2, 2))

@@ -51,22 +51,29 @@ def test_branch_and_bound_matches_highs(trucks, slack_minutes, design):
     assert fc.replay(scenario, outcome.plan).clean
 
 
+@pytest.mark.parametrize("design", [fc.CODESIGN, fc.FIXED_INFRASTRUCTURE])
 @pytest.mark.parametrize("alpha", [0.5, 4.0])
 @pytest.mark.parametrize("locations", [3, 5])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_fast_charger_cover_keeps_the_optimum(seed, locations, alpha):
-    """Five-truck co-design cells at slack 0, where the builder writes
-    fast-charger cover rows and raises the peak floor."""
+def test_fast_charger_cover_keeps_the_optimum(seed, locations, alpha, design):
+    """Five-truck cells at slack 0, where the builder writes fast-charger
+    cover rows and raises the peak floor. The fixed design is
+    ``peak-cover:2``, whose model carries the same rows."""
     base = fc.generate_synthetic(seed, n_trucks=5, n_locations=locations, n_days=1)
+    fixed = fc.rule_based_design(base, fc.PeakDemandCover(2))
     scenario = fc.validate_scenario(replace(
-        base, alpha=alpha, slack_blocks=0, design_mode=fc.CODESIGN,
-        fixed_counts=None))
+        base, alpha=alpha, slack_blocks=0, design_mode=design,
+        fixed_counts=fixed if design == fc.FIXED_INFRASTRUCTURE else None))
     outcome = fc.solve_scenario(scenario, rel_gap=1e-6)
     model = outcome.build.model
     assert any(name.startswith("fast_required[") for name in model.row_names)
 
     reference, point = highs_solve(model)
     plain, _ = highs_solve(fc.build_problem(scenario, strengthen=False).model)
+    if reference is None:
+        assert plain is None
+        assert outcome.solution.status == SolveStatus.INFEASIBLE
+        return
     assert reference == pytest.approx(plain, rel=1e-8)
     assert check_solution(model, point) == []
     assert outcome.solution.status == SolveStatus.OPTIMAL

@@ -1,5 +1,6 @@
 """Branch-and-bound and the brute-force enumeration oracle."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,16 @@ class TestBranchAndBound:
             assert sol.status == SolveStatus.FEASIBLE
             assert sol.node_count <= limit
             assert sol.gap is None or sol.gap >= 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1])
+    @pytest.mark.parametrize("limit, name", [
+        ("rel_gap", "rel_gap_target"), ("time_limit", "time_limit"),
+        ("node_limit", "node_limit")])
+    def test_invalid_limit_raises(self, two_truck_scenario, limit, name, value):
+        import fleetcharge as fc
+
+        with pytest.raises(ValueError, match=name):
+            fc.solve_scenario(two_truck_scenario, **{limit: value})
 
     def test_five_truck_fleet_at_slack0_is_optimal(self):
         import fleetcharge as fc

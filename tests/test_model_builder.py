@@ -83,14 +83,25 @@ class TestBuildShape:
         assert len(cat.c_peak) == 2
         assert build.model.num_cols == 16
 
-    def test_fixed_mode_has_no_integer_design_columns(self, two_truck_scenario):
-        fixed = fc.validate_scenario(replace(
-            two_truck_scenario, design_mode=fc.FIXED_INFRASTRUCTURE,
-            fixed_counts={"DC": {1: 2}}))
-        build = build_problem(fixed, strengthen=False)
-        assert len(build.catalog.x) == 0
-        assert build.model.integer_cols == sorted(build.catalog.y.values())
-        assert build.model.objective_offset == pytest.approx(2 * 20000.0)
+    @pytest.mark.parametrize("slack_minutes", [0, 15, 30])
+    def test_fixed_model_differs_only_in_count_bounds(self, depot_scenario,
+                                                       slack_minutes):
+        """One model serves both designs: the fixed design's LP text is the
+        co-design one, line for line, but for the bounds of the counts."""
+        fixed_counts = fc.rule_based_design(depot_scenario, fc.MainDepotOnly(2, 2))
+        texts = {}
+        for design in (fc.CODESIGN, fc.FIXED_INFRASTRUCTURE):
+            scenario = fc.validate_scenario(scenario_variant(
+                depot_scenario, design, fixed_counts, slack_minutes=slack_minutes))
+            texts[design] = build_problem(scenario).model.to_lp_format().splitlines()
+        codesign, fixed = texts[fc.CODESIGN], texts[fc.FIXED_INFRASTRUCTURE]
+        assert len(codesign) == len(fixed)
+        bounds = codesign.index("Bounds")
+        changed = [(i, a.split()[2]) for i, (a, b) in enumerate(zip(codesign, fixed))
+                   if a != b]
+        assert changed and all(i > bounds for i, _ in changed)
+        assert all(name.startswith(("x[", "x_total[")) for _, name in changed)
+        assert " 2 <= x[DEPOT_r2] <= 2" in fixed
 
     def test_deterministic_build(self, depot_scenario):
         a = build_problem(depot_scenario).model.to_lp_format()
@@ -276,6 +287,40 @@ class TestCapacityConstraints:
         assert all(total <= 1.0 + 1e-9 for total in by_block.values())
 
 
+class TestFixedDesign:
+    """A fixed design pins the count columns, so its capital is priced on
+    them even where the design exceeds what the demand could use."""
+
+    @staticmethod
+    def solve(base, counts, slack_minutes):
+        scenario = fc.validate_scenario(scenario_variant(
+            base, fc.FIXED_INFRASTRUCTURE, counts, slack_minutes=slack_minutes))
+        return fc.solve_scenario(scenario)
+
+    def test_design_above_the_demand_cap(self, depot_scenario):
+        # At most three trucks ever charge at the depot together.
+        outcome = self.solve(depot_scenario, {"DEPOT": {1: 9, 2: 3}}, 15)
+        model, cat = outcome.build.model, outcome.build.catalog
+        col = cat.x_total["DEPOT"]
+        assert (model.lower[col], model.upper[col]) == (12.0, 12.0)
+        assert outcome.solution.objective == pytest.approx(331533.0612244903, rel=1e-12)
+        assert outcome.plan.charger_counts == {"DEPOT": {1: 9, 2: 3}}
+        assert outcome.plan.costs == fc.CostBreakdown(
+            33.06122448979593, 330000.0, 1500.0, 331533.0612244898)
+
+    def test_design_at_a_location_without_windows(self, two_truck_scenario):
+        # No leg departs R1, so only the design puts count columns there.
+        outcome = self.solve(two_truck_scenario, {"DC": {1: 5}, "R1": {1: 2}}, 0)
+        model, cat = outcome.build.model, outcome.build.catalog
+        col = cat.x[("R1", 1)]
+        assert (model.lower[col], model.upper[col], model.objective[col]) == \
+            (2.0, 2.0, 20000.0)
+        assert outcome.solution.objective == pytest.approx(141218.36734693876, rel=1e-12)
+        assert outcome.plan.charger_counts == {"DC": {1: 5}, "R1": {1: 2}}
+        assert outcome.plan.costs == fc.CostBreakdown(
+            18.367346938775512, 140000.0, 1200.0, 141218.3673469388)
+
+
 class TestFastChargerCover:
     """A tour prefix whose windows are too short for the slow type must buy
     from a fast one: a cover row on the fast types' counts and a peak floor
@@ -322,12 +367,17 @@ class TestFastChargerCover:
         assert self.cover_rows(build.model) == []
         assert build.catalog.peak_floor == {"DC": 10.0 * 30.0}
 
-    def test_fixed_design_adds_no_row(self):
+    def test_fixed_design_writes_the_same_rows(self):
         truck = fc.Truck("T1", 150.0, 0.12, 75.0)
         scenario = crafted(self.one_leg(60), (self.SLOW, self.FAST), (truck,),
                            design_mode=fc.FIXED_INFRASTRUCTURE,
                            fixed_counts={"DC": {1: 1, 2: 1}})
-        assert self.cover_rows(build_problem(scenario).model) == []
+        build = build_problem(scenario)
+        cat, model = build.catalog, build.model
+        assert self.row(model, "fast_required[T1_d0_l1]") == \
+            ([cat.x[("DC", 2)]], [1.0], GE, 1.0)
+        assert cat.peak_floor == {"DC": 10.0 * 60.0}
+        assert (model.lower[cat.x[("DC", 2)]], model.upper[cat.x[("DC", 2)]]) == (1.0, 1.0)
 
     def test_prefix_over_two_locations(self):
         legs = [
@@ -437,8 +487,7 @@ class TestObjective:
     def test_breakdown_sums_to_objective(self, two_truck_outcome, two_truck_scenario):
         outcome = two_truck_outcome
         parts = objective_breakdown(
-            two_truck_scenario, outcome.build.catalog,
-            outcome.solution.values, outcome.build.model)
+            two_truck_scenario, outcome.build.catalog, outcome.solution.values)
         assert parts["total"] == pytest.approx(outcome.solution.objective, abs=1e-6)
 
 
@@ -483,6 +532,8 @@ class TestDiagnostics:
         assert any(d.code == "WindowEmpty" for d in build.diagnostics)
         outcome = fc.solve_scenario(scenario)
         assert outcome.solution.status == SolveStatus.INFEASIBLE
+        with pytest.raises(ValueError, match="time_limit"):
+            fc.solve_scenario(scenario, time_limit=float("nan"))
 
     def test_energy_deficit_diagnostic(self):
         # A window exists but even flat-out charging cannot cover the leg.
@@ -521,14 +572,14 @@ GOLDEN_FINGERPRINTS = {
     ("codesign", 2, False): "79d51978682a0878",
     ("codesign", 4, True): "4ca4e7a71d4c4be5",
     ("codesign", 4, False): "dd7a9d8d7b3f5bf7",
-    ("fixed", 0, True): "e68bf2f07db0f835",
-    ("fixed", 0, False): "12da0143aea8e5cf",
-    ("fixed", 1, True): "9921d350da8890f0",
-    ("fixed", 1, False): "8fbb64e8e7abbd2a",
-    ("fixed", 2, True): "e506db35837e453e",
-    ("fixed", 2, False): "9baf585fe28f7d80",
-    ("fixed", 4, True): "a4e09ca629e368f4",
-    ("fixed", 4, False): "1ec4ff2f90f93eab",
+    ("fixed", 0, True): "8a1c7474b99307ff",
+    ("fixed", 0, False): "95a0998aaa0909b2",
+    ("fixed", 1, True): "8543aabb30ca0e85",
+    ("fixed", 1, False): "1175b177058dd980",
+    ("fixed", 2, True): "781e810218913194",
+    ("fixed", 2, False): "e131957a4b486745",
+    ("fixed", 4, True): "2fb66d2ae54a98dc",
+    ("fixed", 4, False): "ac6dbc1ec801a8dc",
 }
 
 
@@ -579,13 +630,13 @@ class TestModelFingerprint:
 
 
 # (design, slack blocks) -> sha256 of the depot fixture's to_lp_format() text;
-# the fixed-design entries were taken while rows were still stored as Row
-# tuples, the co-design ones after the installed-energy rows were deleted.
+# the co-design entries were taken after the installed-energy rows were
+# deleted, the fixed-design ones once one model served both designs.
 GOLDEN_LP_TEXT = {
     ("codesign", 0): "a21961bfe1dfaf2f51fdf4e544643d54aa0df6afe7a9bea9a2ba32fc7fd933a8",
     ("codesign", 1): "8112c8e7e33258fc43755ebfbb6c0d16df85604a7e6732d27f5081452ea707f5",
-    ("fixed", 0): "ed17d8ce0dc0c08fa92ce692bccd761ad7db7c60cc7204ba0de1bd8621e07c6f",
-    ("fixed", 1): "fe6767348c23577556a551a47c2e7944079e4e4a52ef0ace26d14a16223f232f",
+    ("fixed", 0): "7beae896a8764f1ffbcf1eb63848ce3cf3b94690f4f4ab62e5952afa860333ea",
+    ("fixed", 1): "088291799d26581fe85b60f9a3675b02591f298804ac5ea4304bda4a266d75e7",
 }
 
 

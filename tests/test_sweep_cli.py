@@ -43,6 +43,11 @@ class TestSweep:
                 SweepSpec(alphas=[1.0, alpha], slack_minutes=[0], designs=["codesign"])
         with pytest.raises(ValueError, match="slack"):
             SweepSpec(alphas=[1.0], slack_minutes=[0, -15], designs=["codesign"])
+        for limit in ("rel_gap", "time_limit", "node_limit"):
+            for value in (-1, math.nan, math.inf):
+                with pytest.raises(ValueError, match=limit):
+                    SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["codesign"],
+                              **{limit: value})
 
     def test_single_cell_matches_single_solve(self, two_truck_scenario, tmp_path):
         spec = SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["codesign"],

@@ -117,6 +117,22 @@ class TestReplay:
         assert any(v.code == "DepartureViolation" for v in verdict.violations)
 
 
+    def test_fixed_plan_must_build_the_design(self, two_truck_scenario):
+        # No leg departs R1, so dropping its charger frees no used capacity.
+        scenario = fc.validate_scenario(replace(
+            two_truck_scenario, design_mode=fc.FIXED_INFRASTRUCTURE,
+            fixed_counts={"DC": {1: 2}, "R1": {1: 1}}))
+        plan = fc.solve_scenario(scenario).plan
+        assert replay(scenario, plan).clean
+        tampered = replace(plan, charger_counts={"DC": {1: 3}})
+        verdict = replay(scenario, tampered)
+        assert [str(v) for v in verdict.violations] == [
+            "[DesignViolation] DC: 3 type-1 chargers built, but the fixed "
+            "design has 2",
+            "[DesignViolation] R1: 0 type-1 chargers built, but the fixed "
+            "design has 1",
+        ]
+
 class TestRecompute:
     def test_empty_plan_costs_zero(self, two_truck_scenario):
         plan = PlanReport(
@@ -149,7 +165,7 @@ class TestRecompute:
             self, two_truck_scenario, two_truck_outcome):
         model_side = objective_breakdown(
             two_truck_scenario, two_truck_outcome.build.catalog,
-            two_truck_outcome.solution.values, two_truck_outcome.build.model)
+            two_truck_outcome.solution.values)
         validator_side = recompute_costs(two_truck_scenario, two_truck_outcome.plan)
         assert validator_side.energy == pytest.approx(model_side["energy"], abs=1e-6)
         assert validator_side.infrastructure == pytest.approx(
