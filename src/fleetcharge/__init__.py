@@ -41,6 +41,7 @@ from .scenario_io import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from .schema_check import SchemaError
 from .solver import (
     Solution,
     SolveStatus,
@@ -73,6 +74,7 @@ __all__ = [
     "PriceSchedule",
     "Scenario",
     "ScenarioValidationError",
+    "SchemaError",
     "Solution",
     "SolveOutcome",
     "SolveStatus",

@@ -14,13 +14,10 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from .baseline import compare_designs, parse_policy, rule_based_design
 from .domain import (
     CODESIGN,
     FIXED_INFRASTRUCTURE,
-    ScenarioValidationError,
     scenario_issues,
     scenario_variant,
     validate_scenario,
@@ -39,9 +36,9 @@ EXIT_LIMIT = 3
 EXIT_FAILURE = 4
 
 # Bad input files and arguments, and an output location that cannot be
-# written; each is reported as a ConfigError.
-CONFIG_ERRORS = (ValueError, ScenarioValidationError, OSError,
-                 jsonschema.ValidationError)
+# written; each is reported as a ConfigError. Schema and scenario
+# validation failures are ValueErrors whose text names what is wrong.
+CONFIG_ERRORS = (ValueError, OSError)
 
 
 def _error_report(code: str, message: str, details=None) -> None:
@@ -52,12 +49,8 @@ def _error_report(code: str, message: str, details=None) -> None:
 
 
 def _config_report(exc: Exception) -> int:
-    """Report bad input as a ConfigError; a schema failure names its path."""
-    message = str(exc)
-    if isinstance(exc, jsonschema.ValidationError):
-        where = "/".join(str(part) for part in exc.absolute_path) or "document"
-        message = f"schema violation at {where}: {exc.message}"
-    _error_report("ConfigError", message)
+    """Report bad input as a ConfigError."""
+    _error_report("ConfigError", str(exc))
     return EXIT_USAGE
 
 

@@ -4,8 +4,8 @@ JSON writer every output file goes through.
 The on-disk format keeps human conventions (times as "HH:MM" plus a day
 index, slack in minutes). Legs load as clock minutes, from which the
 scenario's block grid derives their blocks; slack loads as whole blocks.
-Field names are frozen in ``schemas/scenario.schema.json``.
-jsonschema is imported on the first schema check, not with the package.
+Field names are frozen in ``schemas/scenario.schema.json``, and each
+bundled schema is checked by ``schema_check``, compiled once per process.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .domain import (
     Truck,
     validate_scenario,
 )
+from .schema_check import compile_schema
 
 __all__ = [
     "load_scenario",
@@ -47,23 +48,16 @@ def load_schema(name: str) -> dict:
 
 
 @functools.cache
-def _schema_validator(name: str):
-    """The bundled schema's validator, built once per process. The schemas
+def _schema_check(name: str):
+    """The bundled schema's checker, compiled once per process. The schemas
     themselves are checked against their metaschema by the test suite."""
-    from jsonschema.validators import validator_for
-
-    schema = load_schema(name)
-    return validator_for(schema)(schema)
+    return compile_schema(load_schema(name))
 
 
 def validate_against_schema(document: dict, schema_name: str) -> None:
-    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate``
-    would raise for the document, if any."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_schema_validator(schema_name).iter_errors(document))
-    if error is not None:
-        raise error
+    """Raise a ``SchemaError`` for the document's first violation of the
+    bundled schema ``schema_name``, if it has one."""
+    _schema_check(schema_name)(document)
 
 
 _PLAIN_NUMBERS = frozenset({int, float})
@@ -141,7 +135,7 @@ def _design_counts(raw: dict[str, Any]) -> dict[str, dict[int, int]]:
 def load_design(path: str | Path) -> dict[str, dict[int, int]]:
     """Read a design file (``{location: {type_id: count}}`` JSON).
 
-    Raises ``jsonschema.ValidationError`` when the file breaks the bundled
+    Raises ``SchemaError`` when the file breaks the bundled
     ``explicit_design`` schema, e.g. a fractional or negative count.
     """
     with open(path) as fh:
@@ -203,6 +197,9 @@ def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
         int(k): _expand_price_row(v, grid, f"charger {k}")
         for k, v in prices_doc.get("by_charger", {}).items()
     }
+    unknown = sorted(by_charger.keys() - {c.id for c in chargers})
+    if unknown:
+        raise ValueError(f"price profile for unknown charger type {unknown[0]}")
     rows = []
     for c in chargers:
         if c.id in by_charger:

@@ -475,12 +475,15 @@ def check_solution(model: LinearModel, values) -> list[str]:
     """Independent bound, integrality and row re-check; returns violation messages."""
     x = np.asarray(values, dtype=float)
     problems = []
-    for j in range(model.num_cols):
-        if x[j] < model.lower[j] - TOL_CHECK or x[j] > model.upper[j] + TOL_CHECK:
+    outside = (x < np.asarray(model.lower) - TOL_CHECK) \
+        | (x > np.asarray(model.upper) + TOL_CHECK)
+    fractional = np.asarray(model.integer, dtype=bool) & (np.abs(x - np.round(x)) > 1e-6)
+    for j in np.flatnonzero(outside | fractional):
+        if outside[j]:
             problems.append(
                 f"column {model.col_names[j]} = {x[j]} outside "
                 f"[{model.lower[j]}, {model.upper[j]}]")
-        if model.integer[j] and abs(x[j] - round(x[j])) > 1e-6:
+        if fractional[j]:
             problems.append(f"column {model.col_names[j]} = {x[j]} not integral")
     row_of = _row_of_entry(model)
     vals = np.asarray(model.row_vals, dtype=float)

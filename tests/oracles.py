@@ -208,8 +208,9 @@ def scaled_matrix(model: LinearModel) -> np.ndarray:
 
 
 def check_solution_by_rows(model: LinearModel, values) -> list[str]:
-    """Row-by-row reference for the vectorized ``check_solution``, reading
-    the CSR lists one row at a time; both must return the same messages."""
+    """Column-by-column and row-by-row reference for the vectorized
+    ``check_solution``, reading the CSR lists one row at a time; both must
+    return the same messages."""
     x = np.asarray(values, dtype=float)
     problems = []
     for j in range(model.num_cols):

@@ -1,7 +1,10 @@
 """Scenario JSON loading, saving, schema validation, round trips."""
 
+import copy
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import fleetcharge as fc
@@ -23,8 +26,10 @@ from fleetcharge.scenario_io import (
     scenario_to_dict,
     validate_against_schema,
 )
+from fleetcharge.schema_check import ANNOTATIONS, KEYWORDS, SchemaError, compile_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_NAMES = ["depot_fixture.json", "two_truck.json", "remote_variant.json"]
 GENERATOR_BLOCKS = [b for b in range(1, 31) if 1440 % b == 0]
 
 
@@ -42,13 +47,13 @@ class TestSchemas:
     def test_schema_rejects_missing_sections(self):
         doc = fixture_doc("two_truck.json")
         del doc["trucks"]
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(SchemaError, match="'trucks' is a required property"):
             validate_against_schema(doc, "scenario")
 
     def test_schema_rejects_bad_clock(self):
         doc = fixture_doc("two_truck.json")
         doc["legs"][0]["departure"] = "25:00"
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(SchemaError, match="legs/0/departure"):
             validate_against_schema(doc, "scenario")
 
     def test_all_schemas_parse(self):
@@ -68,8 +73,218 @@ class TestDesignFiles:
     def test_schema_rejects_bad_counts(self, counts, tmp_path):
         path = tmp_path / "design.json"
         path.write_text(json.dumps(counts))
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(SchemaError):
             load_design(path)
+
+
+SCHEMA_NAMES = ("scenario", "plan_report", "explicit_design")
+REFERENCE = {name: jsonschema.Draft202012Validator(load_schema(name))
+             for name in SCHEMA_NAMES}
+DESIGN_DOC = {"DC": {"1": 2, "2": 0}, "R1": {}}
+
+
+def assert_checkers_agree(doc, schema_name: str) -> None:
+    """The in-repo checker and jsonschema give ``doc`` the same verdict. The
+    violation reported is one jsonschema reports too, and it is the same
+    one when jsonschema reports exactly one."""
+    expected = [(list(error.absolute_path), error.message)
+                for error in REFERENCE[schema_name].iter_errors(doc)]
+    try:
+        validate_against_schema(doc, schema_name)
+    except SchemaError as exc:
+        found = (list(exc.path), exc.message)
+        assert expected, f"only the in-repo checker rejects: {found}"
+        assert found in expected
+        if len(expected) == 1:
+            assert found == expected[0]
+    else:
+        assert not expected, f"only jsonschema rejects: {expected}"
+
+
+def schema_keywords(schema: dict):
+    """Every keyword of ``schema`` and of the schemas nested in it."""
+    yield from schema
+    nested = [*schema.get("properties", {}).values(),
+              *schema.get("patternProperties", {}).values(),
+              schema.get("additionalProperties"), schema.get("items")]
+    for sub in nested:
+        if isinstance(sub, dict):
+            yield from schema_keywords(sub)
+
+
+def value_sites(value, schema: dict, path=()):
+    """(path, schema, value) for the document root and every value under
+    it that a schema governs."""
+    yield path, schema, value
+    if isinstance(value, dict):
+        extra = schema.get("additionalProperties")
+        for key, member in value.items():
+            sub = schema.get("properties", {}).get(key) or next(
+                (s for p, s in schema.get("patternProperties", {}).items()
+                 if re.search(p, key)), None)
+            if sub is None and isinstance(extra, dict):
+                sub = extra
+            if sub is not None:
+                yield from value_sites(member, sub, (*path, key))
+    elif isinstance(value, list) and "items" in schema:
+        for index, item in enumerate(value):
+            yield from value_sites(item, schema["items"], (*path, index))
+
+
+def json_kind(value) -> str:
+    if value is None or isinstance(value, (bool, str, list, dict)):
+        return type(value).__name__
+    return "integer" if float(value).is_integer() else "number"
+
+
+OTHER_KINDS = [None, True, 3, 2.5, "7", [], {}]
+BROKEN_CLOCKS = ["25:00", "7:5", "12:60", "noon", "", "12:00 ", "1200", "-1:00"]
+
+
+def single_faults(doc, schema: dict) -> list:
+    """Every single-fault edit of ``doc`` as (path, op, argument): drop a
+    key, add one, replace a value by one of another JSON kind, by a number
+    just past a bound, a broken clock, an empty list or string, or a value
+    outside an enum."""
+    faults = []
+    for path, sub, value in value_sites(doc, schema):
+        faults += [(path, "set", other) for other in OTHER_KINDS
+                   if json_kind(other) != json_kind(value)]
+        integer = sub.get("type") == "integer"
+        if "minimum" in sub:
+            least = sub["minimum"]
+            faults.append((path, "set", least - 1 if integer else math.nextafter(least, -math.inf)))
+        if "maximum" in sub:
+            most = sub["maximum"]
+            faults.append((path, "set", most + 1 if integer else math.nextafter(most, math.inf)))
+        if "exclusiveMinimum" in sub:
+            faults.append((path, "set", sub["exclusiveMinimum"]))
+        if "pattern" in sub:
+            faults += [(path, "set", clock) for clock in BROKEN_CLOCKS]
+        if "minItems" in sub:
+            faults.append((path, "set", []))
+        if "minLength" in sub:
+            faults.append((path, "set", ""))
+        if "enum" in sub:
+            faults.append((path, "set", "not-an-option"))
+        if isinstance(value, dict):
+            faults += [(path, "drop", key) for key in value]
+            faults += [(path, "add", key) for key in ("zz_extra", "99")]
+    return faults
+
+
+def apply_fault(doc, fault):
+    path, op, argument = fault
+    doc = copy.deepcopy(doc)
+    if op == "set" and not path:
+        return argument
+    *parents, last = path if op == "set" else (*path, argument)
+    target = doc
+    for key in parents:
+        target = target[key]
+    if op == "set":
+        target[last] = copy.deepcopy(argument)
+    elif op == "drop":
+        del target[last]
+    else:
+        target[last] = 1
+    return doc
+
+
+@pytest.fixture(scope="session")
+def base_documents(two_truck_outcome, depot_base_outcome):
+    """(schema name, document, its single faults) for each fixture, a
+    design file and two plan documents, as they read back from JSON."""
+    plans = [json.loads(json_text(plan_to_dict(outcome.plan, 1 / 3650)))
+             for outcome in (two_truck_outcome, depot_base_outcome)]
+    docs = ([("scenario", fixture_doc(name)) for name in FIXTURE_NAMES]
+            + [("explicit_design", DESIGN_DOC)]
+            + [("plan_report", plan) for plan in plans])
+    return [(name, doc, single_faults(doc, load_schema(name))) for name, doc in docs]
+
+
+class TestSchemaCheck:
+    """The in-repo checker against jsonschema, the reference it replaces."""
+
+    def test_valid_documents_agree(self, base_documents):
+        for schema_name, doc, _ in base_documents:
+            validate_against_schema(doc, schema_name)
+            assert_checkers_agree(doc, schema_name)
+
+    @pytest.mark.parametrize("seed,n_trucks,block_minutes", [
+        (0, 1, 15), (1, 3, 15), (2, 5, 30), (3, 2, 5), (4, 8, 10)])
+    def test_saved_generated_scenarios_agree(self, seed, n_trucks, block_minutes,
+                                             tmp_path):
+        path = tmp_path / "generated.json"
+        fc.save_scenario(fc.generate_synthetic(
+            seed, n_trucks=n_trucks, block_minutes=block_minutes), path)
+        assert_checkers_agree(json.loads(path.read_text()), "scenario")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_single_faults_agree(self, base_documents, data):
+        # Indices, not documents, are drawn, so Hypothesis never prints one.
+        schema_name, doc, faults = base_documents[
+            data.draw(st.integers(0, len(base_documents) - 1))]
+        fault = faults[data.draw(st.integers(0, len(faults) - 1))]
+        note(f"{schema_name} fault {fault}")
+        assert_checkers_agree(apply_fault(doc, fault), schema_name)
+
+    def test_every_fault_kind_is_drawn(self, base_documents):
+        """Each kind of fault the property draws from breaks a fixture."""
+        broken = [fault[1:] for fault in base_documents[0][2]]
+        for expected in [("drop", "trucks"), ("add", "zz_extra"), ("set", "noon"),
+                         ("set", []), ("set", ""), ("set", "not-an-option"),
+                         ("set", 0), ("set", 1441), ("set", -1)]:
+            assert expected in broken, expected
+
+    def test_the_first_violation_in_document_order_is_reported(self):
+        doc = fixture_doc("two_truck.json")
+        doc["legs"][1]["departure"] = "noon"
+        doc["trucks"][1]["battery_kwh"] = 0
+        with pytest.raises(SchemaError) as err:
+            validate_against_schema(doc, "scenario")
+        assert err.value.path == ("trucks", 1, "battery_kwh")
+        assert err.value.message == "0 is less than or equal to the minimum of 0"
+        legs_first = {"legs": doc.pop("legs"), **doc}
+        with pytest.raises(SchemaError) as err:
+            validate_against_schema(legs_first, "scenario")
+        assert err.value.path == ("legs", 1, "departure")
+        assert str(err.value) == ("schema violation at legs/1/departure: 'noon' "
+                                  "does not match '^([01]?[0-9]|2[0-4]):[0-5][0-9]$'")
+
+    @pytest.mark.parametrize("value", [
+        0, 1, 1.0, -1, -1.0, 0.5, True, False, None, "1", [1],
+        math.nan, math.inf, -math.inf, 10**20])
+    @pytest.mark.parametrize("schema", [
+        {"type": "integer", "minimum": 0},
+        {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        {"type": ["number", "null"]},
+        {"enum": ["codesign", "fixed"]},
+    ])
+    def test_json_number_semantics_agree(self, schema, value):
+        expected = [error.message for error in
+                    jsonschema.Draft202012Validator(schema).iter_errors(value)]
+        try:
+            compile_schema(schema)(value)
+        except SchemaError as exc:
+            assert exc.path == ()
+            assert exc.message in expected
+        else:
+            assert expected == []
+
+    def test_bundled_schemas_use_exactly_the_supported_keywords(self):
+        used = set()
+        for name in SCHEMA_NAMES:
+            used.update(schema_keywords(load_schema(name)))
+        assert used - ANNOTATIONS == KEYWORDS
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "object", "oneOf": []}, {"items": {"const": 1}},
+        {"enum": [1, 2]}, {"type": "decimal"}])
+    def test_unsupported_schema_is_refused(self, schema):
+        with pytest.raises(ValueError, match="unsupported"):
+            compile_schema(schema)
 
 
 class TestRoundTrip:
@@ -133,6 +348,12 @@ class TestLoaderDetails:
         scenario = scenario_from_dict(doc)
         rows = scenario.price_schedule.energy_price_per_kwh
         assert rows[1][0] == pytest.approx(0.2 * 1.1)
+
+    def test_by_charger_prices_for_unknown_type_rejected(self):
+        doc = fixture_doc("depot_fixture.json")
+        doc["prices"]["by_charger"]["99"] = doc["prices"]["by_charger"]["1"]
+        with pytest.raises(ValueError, match="unknown charger type 99"):
+            scenario_from_dict(doc)
 
     def test_initial_soe_defaults_to_full(self):
         doc = fixture_doc("two_truck.json")
@@ -218,15 +439,19 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 
 
 class TestImports:
-    def test_jsonschema_loads_with_the_first_schema_check(self):
-        """``import fleetcharge`` leaves jsonschema out; loading a scenario,
-        which checks it against its schema, brings it in."""
+    def test_schema_checks_leave_jsonschema_out(self, tmp_path):
+        """The CLI and the schema-checked loaders run without jsonschema."""
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"DC": {"1": 2, "2": 0}, "R1": {}}))
+        loads = "".join(f"fleetcharge.load_scenario({str(FIXTURES / name)!r})\n"
+                        for name in FIXTURE_NAMES)
         result = run_fresh(
             "import sys\n"
-            "import fleetcharge\n"
-            "assert 'jsonschema' not in sys.modules, 'imported with the package'\n"
-            f"fleetcharge.load_scenario({str(FIXTURES / 'two_truck.json')!r})\n"
-            "assert 'jsonschema' in sys.modules\n")
+            "import fleetcharge.cli\n"
+            "assert 'jsonschema' not in sys.modules, 'imported with the CLI'\n"
+            + loads +
+            f"fleetcharge.scenario_io.load_design({str(design)!r})\n"
+            "assert 'jsonschema' not in sys.modules, 'imported by a schema check'\n")
         assert result.returncode == 0, result.stderr
 
     def test_solve_and_sweep_leave_numpy_ma_out(self, tmp_path):

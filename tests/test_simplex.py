@@ -758,6 +758,29 @@ class TestCheckSolution:
         assert check_solution(model, [0.4])
         assert check_solution(model, [1.0]) == []
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vectorized_columns_match_column_loop(self, seed):
+        """The same bound and integrality messages as a column-by-column
+        loop: by column, a bound message before an integrality one, with
+        several columns broken at once and infinite bounds."""
+        rng = np.random.default_rng(seed)
+        bounds = [(0.0, 1.0), (-math.inf, 5.0), (2.0, math.inf), (-3.0, 3.0),
+                  (0.0, 0.0), (-math.inf, math.inf)]
+        model = LinearModel()
+        for j in range(24):
+            lo, hi = bounds[j % len(bounds)]
+            model.add_column(f"c{j}", lo, hi, integer=j % 4 != 1)
+        found = []
+        for scale in (0.0, 1e-7, 1e-5, 0.3, 10.0):
+            x = np.round(rng.uniform(-5.0, 7.0, model.num_cols)) \
+                + scale * rng.normal(size=model.num_cols)
+            vectorized = check_solution(model, x)
+            assert vectorized == check_solution_by_rows(model, x)
+            found.append(vectorized)
+        assert max(map(len, found)) >= 6
+        assert any(a.startswith(b.split(" outside")[0]) and a.endswith("not integral")
+                   for messages in found for b, a in zip(messages, messages[1:]))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_vectorized_rows_match_row_loop(self, seed):
         """The same messages as a row-by-row loop: every sense, a repeated

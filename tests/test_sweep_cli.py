@@ -466,7 +466,18 @@ class TestCli:
         code = main([argv[0], "--scenario", str(bad), *argv[1:],
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "params/fixed_counts/DC/1" in self.config_error(capsys)
+        assert self.config_error(capsys) == ("schema violation at params/fixed_counts/"
+                                             "DC/1: 2.5 is not of type 'integer'")
+        assert not (tmp_path / "o").exists()
+
+    def test_price_profile_for_unknown_charger_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads(Path(REMOTE).read_text())
+        doc["prices"]["by_charger"] = {"99": doc["prices"]["energy_per_kwh"]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown charger type 99" in self.config_error(capsys)
         assert not (tmp_path / "o").exists()
 
     # The schema's maximum of 1 already rejects an infinite efficiency.
