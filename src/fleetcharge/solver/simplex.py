@@ -46,9 +46,12 @@ rows R_k first and the basic slacks' rows R_s after:
     B = [ K          0 ]        B^-1 = [ K^-1              0 ]
         [ A[R_s, S]  I ]               [ -A[R_s, S] K^-1   I ]
 
-with K = A[R_k, S]. A refactorization inverts only the k x k kernel K and
-assembles the dense B^-1 from these blocks: its columns are unit vectors
-on R_s and carry K^-1 on R_k. Between refactorizations B^-1 takes
+with K = A[R_k, S]. A refactorization reads K and the coupling block
+A[R_s, S] straight from the stored entries of the basic structural
+columns, inverts only the k x k kernel K, and writes B^-1 from these
+blocks over the m x m array the solve already holds: its columns are unit
+vectors on R_s and carry K^-1 on R_k. Its only temporaries are kernel- and
+coupling-sized. Between refactorizations B^-1 takes
 elementary row operations, and after REFACTOR_EVERY of them, counted
 across the hand-off from one solve to the next, it is rebuilt. Every
 per-pivot step touches only nonzeros: a column ``B^-1 a_j`` reads a_j's
@@ -61,7 +64,8 @@ costs and residuals read A plus that identity.
 A is stored once, by column, and never dense (Maros 2003). Rows and the
 cost vector are rescaled to unit magnitude so absolute tolerances are
 meaningful across problems; the reported objective is recomputed from
-unscaled data. B^-1 is dense m x m; the kernel is inverted densely,
+unscaled data. B^-1 is dense m x m, one array per solve that a
+:class:`Factor` hands on to the next; the kernel is inverted densely,
 without LU updates.
 """
 
@@ -272,12 +276,12 @@ class _SimplexState:
         self._place(basic.astype(int), at_upper)
 
         residual = self._residual()
-        inverse = None
+        self.B_inv = None
         if factor is not None and factor.basis is start:
-            inverse, factor.inverse = factor.inverse, None
-        if inverse is not None:
-            self.B_inv, self.age = inverse, factor.age
-            self.x_B = inverse @ residual
+            self.B_inv, factor.inverse = factor.inverse, None
+        if self.B_inv is not None:
+            self.age = factor.age
+            self.x_B = self.B_inv @ residual
             if self._solves(residual):
                 return
         self._refactor()
@@ -333,10 +337,13 @@ class _SimplexState:
         return x
 
     def _refactor(self) -> None:
-        """Rebuild B_inv and x_B from the k x k kernel (module docstring).
+        """Rebuild B_inv and x_B from the k x k kernel (module docstring),
+        writing B^-1 over the state's m x m array; a state without one, a
+        warm start handed no factor, gets a new array.
 
         Raises :class:`NumericalFailure` when the basic slacks do not leave
-        exactly k kernel rows or the kernel is singular.
+        exactly k kernel rows or the kernel is singular; B_inv is then
+        untouched.
         """
         m, n = self.m, self.n
         structural = self.basis < n
@@ -346,30 +353,47 @@ class _SimplexState:
         in_kernel = np.ones(m, dtype=bool)
         in_kernel[slack_rows] = False
         kernel_rows = np.flatnonzero(in_kernel)
-        if kernel_rows.size != struct_pos.size:
+        k = struct_pos.size
+        if kernel_rows.size != k:
             raise NumericalFailure("basis repeats a slack column")
-        # A[:, S] from the stored entries of the basic structural columns.
+        # K = A[R_k, S] and the coupling A[R_s, S] straight from the stored
+        # entries of the basic structural columns: each entry goes to the
+        # slot of its row in R_k or R_s and of its column in S.
         prep = self.prep
         position = np.full(n, -1)
-        position[self.basis[struct_pos]] = np.arange(struct_pos.size)
-        picked = position[prep.col_of] >= 0
-        A_S = np.zeros((m, struct_pos.size))
-        A_S[prep.col_rows[picked], position[prep.col_of[picked]]] = prep.col_vals[picked]
+        position[self.basis[struct_pos]] = np.arange(k)
+        picked = np.flatnonzero(position[prep.col_of] >= 0)
+        rows, vals = prep.col_rows[picked], prep.col_vals[picked]
+        cols = position[prep.col_of[picked]]
+        slot = np.empty(m, dtype=int)
+        slot[kernel_rows] = np.arange(k)
+        slot[slack_rows] = np.arange(m - k)
+        kernel_entry = in_kernel[rows]
+        K = np.zeros((k, k))
+        K[slot[rows[kernel_entry]], cols[kernel_entry]] = vals[kernel_entry]
+        coupling = np.zeros((m - k, k))
+        coupled = ~kernel_entry
+        coupling[slot[rows[coupled]], cols[coupled]] = vals[coupled]
         try:
-            K_inv = np.linalg.inv(A_S[kernel_rows])
+            K_inv = np.linalg.inv(K)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis during refactorization") from exc
-        coupling = A_S[slack_rows]  # A[R_s, S]
-        self.B_inv = np.zeros((m, m))
-        self.B_inv[np.ix_(struct_pos, kernel_rows)] = K_inv
-        self.B_inv[np.ix_(slack_pos, kernel_rows)] = -coupling @ K_inv
-        self.B_inv[slack_pos, slack_rows] = 1.0
-        self.age = 0
+        del K
 
         residual = self._residual()
         self.x_B = np.empty(m)
         self.x_B[struct_pos] = K_inv @ residual[kernel_rows]
         self.x_B[slack_pos] = residual[slack_rows] - coupling @ self.x_B[struct_pos]
+
+        if self.B_inv is None:
+            self.B_inv = np.zeros((m, m))
+        else:
+            self.B_inv.fill(0.0)
+        self.B_inv[np.ix_(struct_pos, kernel_rows)] = K_inv
+        np.negative(coupling, out=coupling)  # exact, so the product is -A[R_s, S] K^-1
+        self.B_inv[np.ix_(slack_pos, kernel_rows)] = coupling @ K_inv
+        self.B_inv[slack_pos, slack_rows] = 1.0
+        self.age = 0
 
     # -- dual simplex ---------------------------------------------------------
 

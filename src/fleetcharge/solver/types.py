@@ -45,9 +45,10 @@ class Factor:
 
     ``inverse`` is B^-1 over ``basis``'s row positions and ``age`` the
     pivots it has taken since it was last rebuilt from its kernel. A solve
-    handed a factor takes the array over and updates it in place, setting
-    ``inverse`` to None, so one factor serves one solve and never outlives
-    it as a second m x m array.
+    handed a factor takes the array over, setting ``inverse`` to None, and
+    both updates and refactorizes it in place, so one factor serves one
+    solve, never outlives it as a second m x m array, and each solve holds
+    one m x m array from start to end.
     """
 
     basis: Basis

@@ -11,7 +11,8 @@ Two small helpers that only tests call live here too: ``solve_lp`` (one
 cold LP solve of a model) and ``objective_breakdown`` (the model-side
 split of an objective that the validator recomputes independently). The
 loop references for vectorized code (``dense_matrix``,
-``check_solution_by_rows``, ``curve_rows_by_loop``) sit beside them, as
+``check_solution_by_rows``, ``curve_rows_by_loop``) and for the kernel
+refactorization (``refactor_by_dense_columns``) sit beside them, as
 do the float formulas that the time grid's integer arithmetic replaced
 (``quantize_by_float``, ``slack_blocks_by_float``).
 """
@@ -205,6 +206,43 @@ def scaled_matrix(model: LinearModel) -> np.ndarray:
         scale = max((abs(a) for a in A[i]), default=0.0)
         A[i] /= scale if scale > 0 else 1.0
     return A
+
+
+def refactor_by_dense_columns(state) -> tuple[np.ndarray, np.ndarray]:
+    """B^-1 and x_B of a simplex state's basis, assembled from the k x k
+    structural kernel through a dense m x k copy ``A_S`` of the basic
+    structural columns and a fresh m x m array; the state is not changed.
+
+    The reference for ``_SimplexState._refactor``, which builds the kernel
+    and the coupling block from the stored entries and writes over the
+    state's own inverse with the same arithmetic: both must agree bit for
+    bit.
+    """
+    prep, basis = state.prep, state.basis
+    m, n = prep.m, prep.n
+    structural = basis < n
+    struct_pos = np.flatnonzero(structural)
+    slack_pos = np.flatnonzero(~structural)
+    slack_rows = basis[slack_pos] - n
+    in_kernel = np.ones(m, dtype=bool)
+    in_kernel[slack_rows] = False
+    kernel_rows = np.flatnonzero(in_kernel)
+    position = np.full(n, -1)
+    position[basis[struct_pos]] = np.arange(struct_pos.size)
+    picked = position[prep.col_of] >= 0
+    A_S = np.zeros((m, struct_pos.size))
+    A_S[prep.col_rows[picked], position[prep.col_of[picked]]] = prep.col_vals[picked]
+    K_inv = np.linalg.inv(A_S[kernel_rows])
+    coupling = A_S[slack_rows]  # A[R_s, S]
+    B_inv = np.zeros((m, m))
+    B_inv[np.ix_(struct_pos, kernel_rows)] = K_inv
+    B_inv[np.ix_(slack_pos, kernel_rows)] = -coupling @ K_inv
+    B_inv[slack_pos, slack_rows] = 1.0
+    residual = state._residual()
+    x_B = np.empty(m)
+    x_B[struct_pos] = K_inv @ residual[kernel_rows]
+    x_B[slack_pos] = residual[slack_rows] - coupling @ x_B[struct_pos]
+    return B_inv, x_B
 
 
 def check_solution_by_rows(model: LinearModel, values) -> list[str]:

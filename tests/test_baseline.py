@@ -5,6 +5,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fleetcharge as fc
 from fleetcharge.baseline import (
@@ -15,6 +17,7 @@ from fleetcharge.baseline import (
     parse_policy,
     rule_based_design,
 )
+from fleetcharge.domain import scenario_variant
 
 
 class TestPolicies:
@@ -144,3 +147,43 @@ class TestCompareDesigns:
         assert doc["fixed"]["charger_counts"] == {"DC": {"2": 2}}
         assert doc["codesign"]["status"] == "optimal"
         assert set(doc["deltas_pct"]) == {"total", "energy", "infrastructure", "peak"}
+
+
+def gap_room(outcome) -> float:
+    """How far the incumbent may sit above the optimum: gap x |objective|."""
+    return outcome.solution.gap * abs(outcome.solution.objective)
+
+
+class TestGeneratedScenarios:
+    """Over small generated scenarios (two trucks, three locations, one
+    day), every returned plan replays clean, more departure slack never
+    costs more, and a fixed design never beats co-design, each within both
+    solves' gaps."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_plans_replay_and_costs_are_monotone(self, seed):
+        scenario = fc.generate_synthetic(seed, n_trucks=2, n_locations=3, n_days=1)
+        fixed_counts = rule_based_design(scenario, MainDepotOnly(2, 2))
+
+        def solve(design, counts, slack):
+            variant = fc.validate_scenario(
+                scenario_variant(scenario, design, counts, slack_minutes=slack))
+            outcome = fc.solve_scenario(variant)
+            if outcome.feasible:
+                verdict = fc.replay(variant, outcome.plan)
+                assert verdict.clean, [str(v) for v in verdict.violations]
+            return outcome
+
+        codesign = {slack: solve(fc.CODESIGN, None, slack) for slack in (0, 30)}
+        if codesign[0].feasible:
+            tight, loose = codesign[0], codesign[30]
+            assert loose.feasible
+            assert loose.solution.objective <= tight.solution.objective \
+                + gap_room(tight) + gap_room(loose) + 1e-6
+        for slack, co in codesign.items():
+            fixed = solve(fc.FIXED_INFRASTRUCTURE, fixed_counts, slack)
+            if fixed.feasible:
+                assert co.feasible
+                assert fixed.solution.objective >= co.solution.objective \
+                    - gap_room(co) - gap_room(fixed) - 1e-6

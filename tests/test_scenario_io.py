@@ -169,7 +169,7 @@ def single_faults(doc, schema: dict) -> list:
             faults.append((path, "set", "not-an-option"))
         if isinstance(value, dict):
             faults += [(path, "drop", key) for key in value]
-            faults += [(path, "add", key) for key in ("zz_extra", "99")]
+            faults += [(path, "add", key) for key in ("zz_extra", "99", "01")]
     return faults
 
 
@@ -233,7 +233,7 @@ class TestSchemaCheck:
     def test_every_fault_kind_is_drawn(self, base_documents):
         """Each kind of fault the property draws from breaks a fixture."""
         broken = [fault[1:] for fault in base_documents[0][2]]
-        for expected in [("drop", "trucks"), ("add", "zz_extra"), ("set", "noon"),
+        for expected in [("drop", "trucks"), ("add", "zz_extra"), ("add", "01"), ("set", "noon"),
                          ("set", []), ("set", ""), ("set", "not-an-option"),
                          ("set", 0), ("set", 1441), ("set", -1)]:
             assert expected in broken, expected
@@ -354,6 +354,22 @@ class TestLoaderDetails:
         doc["prices"]["by_charger"]["99"] = doc["prices"]["by_charger"]["1"]
         with pytest.raises(ValueError, match="unknown charger type 99"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["01", "00", "001"])
+    def test_non_canonical_charger_type_key_rejected(self, key, tmp_path):
+        # int() reads "01" as 1, so such a key would alias type 1 or 0.
+        doc = fixture_doc("depot_fixture.json")
+        doc["prices"]["by_charger"][key] = [9.0] * len(doc["prices"]["by_charger"]["1"])
+        with pytest.raises(SchemaError, match=f"at prices/by_charger: '{key}' does not match"):
+            scenario_from_dict(doc)
+        doc = fixture_doc("two_truck.json")
+        doc["params"]["fixed_counts"] = {"DC": {"1": 2, key: 3}}
+        with pytest.raises(SchemaError, match=f"at params/fixed_counts/DC: '{key}' does not"):
+            scenario_from_dict(doc)
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"DC": {key: 2}}))
+        with pytest.raises(SchemaError, match=f"at DC: '{key}' does not match"):
+            load_design(design)
 
     def test_initial_soe_defaults_to_full(self):
         doc = fixture_doc("two_truck.json")

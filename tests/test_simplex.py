@@ -2,6 +2,7 @@
 starts, determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     lp_to_exact_inputs,
     random_lp,
     random_mixed_bounds_lp,
+    refactor_by_dense_columns,
     scaled_matrix,
     solve_lp,
     solve_lp_exact,
@@ -732,6 +734,85 @@ class TestKernelFactorization:
         assert branch_and_bound(model).status == SolveStatus.OPTIMAL
         assert shapes  # the guard saw the refactorizations
         assert max(shape[0] for shape in shapes) < model.num_rows
+
+
+@pytest.fixture(scope="module", params=["depot", "five_trucks"])
+def refactor_model(request, depot_scenario):
+    """The depot fixture's model and the 5-truck synthetic one."""
+    import fleetcharge as fc
+
+    scenario = depot_scenario if request.param == "depot" \
+        else fc.generate_synthetic(1, n_trucks=5)
+    return fc.build_problem(scenario).model
+
+
+def traced_peak(call) -> int:
+    """The peak of the bytes traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRefactorInPlace:
+    """A refactorization writes B^-1 over the array the state holds, with
+    the arithmetic of the dense m x k assembly, and allocates only
+    kernel- and coupling-sized temporaries."""
+
+    def test_matches_dense_column_assembly(self, refactor_model, monkeypatch):
+        prep = PreparedLP(refactor_model)
+        pivots, refactors = [], []
+        pivot, refactor = simplex._SimplexState._pivot, simplex._SimplexState._refactor
+
+        def counted_pivot(self, *args, **kwargs):
+            pivots.append(1)
+            return pivot(self, *args, **kwargs)
+
+        def checked_refactor(self):
+            B_inv, x_B = refactor_by_dense_columns(self)
+            held = self.B_inv
+            refactor(self)
+            assert self.B_inv is held
+            assert np.array_equal(self.B_inv, B_inv)
+            assert np.array_equal(self.x_B, x_B)
+            refactors.append(len(pivots))
+
+        monkeypatch.setattr(simplex._SimplexState, "_pivot", counted_pivot)
+        monkeypatch.setattr(simplex._SimplexState, "_refactor", checked_refactor)
+        assert prep.solve().status == SolveStatus.OPTIMAL
+        # The cold start's identity counts one update, so rebuilds fall
+        # after pivots 95, 191, ... (depot: 126 pivots, 5 trucks: 246).
+        assert refactors == list(range(95, len(pivots), 96)) and refactors
+
+    @staticmethod
+    def warm_state(model):
+        """A state on the root LP's final basis that holds its inverse."""
+        prep = PreparedLP(model)
+        root = prep.solve()
+        state = simplex._SimplexState(prep, np.array(model.lower),
+                                      np.array(model.upper), root.basis, root.factor)
+        assert root.factor.inverse is None  # taken over
+        return state
+
+    def test_overwrites_whatever_the_array_holds(self, refactor_model):
+        state = self.warm_state(refactor_model)
+        B_inv, x_B = refactor_by_dense_columns(state)
+        held = state.B_inv
+        held[...] = np.random.default_rng(0).standard_normal(held.shape)
+        state._refactor()
+        assert state.B_inv is held
+        assert np.array_equal(state.B_inv, B_inv)
+        assert np.array_equal(state.x_B, x_B)
+
+    def test_refactor_allocates_less_than_one_inverse(self, refactor_model):
+        state = self.warm_state(refactor_model)
+        assert traced_peak(state._refactor) < 8 * state.m ** 2
+
+    def test_branch_and_bound_holds_less_than_two_inverses(self, refactor_model):
+        peak = traced_peak(lambda: branch_and_bound(refactor_model))
+        assert peak < 2 * 8 * refactor_model.num_rows ** 2
 
 
 class TestDeterminism:

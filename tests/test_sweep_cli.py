@@ -480,6 +480,30 @@ class TestCli:
         assert "unknown charger type 99" in self.config_error(capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("place", ["by_charger", "fixed_counts", "design_file"])
+    def test_non_canonical_charger_type_key_is_a_config_error(self, place, tmp_path, capsys):
+        doc = json.loads(Path(REMOTE).read_text())
+        argv = ["solve"]
+        if place == "by_charger":
+            doc["prices"]["by_charger"] = {"01": doc["prices"]["energy_per_kwh"]}
+            where = "prices/by_charger"
+        elif place == "fixed_counts":
+            doc["params"]["fixed_counts"] = {"DC": {"01": 2}}
+            argv += ["--design", "fixed"]
+            where = "params/fixed_counts/DC"
+        else:
+            design = tmp_path / "design.json"
+            design.write_text(json.dumps({"DC": {"01": 2}}))
+            argv += ["--design", "fixed", "--fixed-file", str(design)]
+            where = "DC"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([*argv, "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert self.config_error(capsys).startswith(
+            f"schema violation at {where}: '01' does not match any of the regexes")
+        assert not (tmp_path / "o").exists()
+
     # The schema's maximum of 1 already rejects an infinite efficiency.
     NON_FINITE_FIELDS = [
         pytest.param(path, code, value, id=".".join(map(str, path)) + f"={value}")
