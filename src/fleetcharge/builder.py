@@ -35,13 +35,13 @@ from .domain import (
     Scenario,
     TripLeg,
     Truck,
+    ValidationIssue,
     charging_windows,
     tours,
 )
 from .model import EQ, GE, INF, LE, LinearModel
 
 __all__ = [
-    "BuildDiagnostic",
     "BuildResult",
     "VariableCatalog",
     "energy_consumption",
@@ -50,15 +50,6 @@ __all__ = [
 
 WINDOW_EMPTY = "WindowEmpty"
 ENERGY_DEFICIT = "EnergyDeficit"
-
-
-@dataclass(frozen=True, slots=True)
-class BuildDiagnostic:
-    """A structural finding made while building; infeasibility alerts mostly."""
-
-    code: str
-    message: str
-    guaranteed_infeasible: bool = False
 
 
 def _usable_chargers(scenario: Scenario, truck: Truck) -> list[ChargerType]:
@@ -95,13 +86,17 @@ class VariableCatalog:
 
 @dataclass
 class BuildResult:
+    """The model, its column map and the structural findings of the build:
+    an ``"error"`` finding proves the model infeasible, a ``"warning"``
+    only notes a leg without a charging window."""
+
     model: LinearModel
     catalog: VariableCatalog
-    diagnostics: list[BuildDiagnostic]
+    diagnostics: list[ValidationIssue]
 
     @property
     def guaranteed_infeasible(self) -> bool:
-        return any(d.guaranteed_infeasible for d in self.diagnostics)
+        return any(d.severity == "error" for d in self.diagnostics)
 
 
 def energy_consumption(leg: TripLeg, truck: Truck) -> float:
@@ -431,7 +426,7 @@ def _set_objective(
         model.set_objective(col, scenario.alpha)
 
 
-def _diagnostics(scenario: Scenario, table: _Table) -> list[BuildDiagnostic]:
+def _diagnostics(scenario: Scenario, table: _Table) -> list[ValidationIssue]:
     """Legs no plan can reach, then legs with an empty charging window.
 
     The reachability walk assumes unlimited chargers of the fastest usable
@@ -439,7 +434,7 @@ def _diagnostics(scenario: Scenario, table: _Table) -> list[BuildDiagnostic]:
     model infeasible. A deficit at a leg with an empty window is the
     classic no-window failure; with a window it is a plain shortfall.
     """
-    diagnostics: list[BuildDiagnostic] = []
+    diagnostics: list[ValidationIssue] = []
     tau = scenario.time_grid.block_duration_hours
     for rows in table.values() if scenario.charger_catalog else ():
         truck = rows[0].truck
@@ -452,23 +447,19 @@ def _diagnostics(scenario: Scenario, table: _Table) -> list[BuildDiagnostic]:
             if soe < -1e-9:
                 truck_id, day, leg_index = row.key
                 empty = len(row.window) == 0
-                diagnostics.append(BuildDiagnostic(
-                    code=WINDOW_EMPTY if empty else ENERGY_DEFICIT,
-                    message=(
-                        f"truck {truck_id} day {day} leg {leg_index}: needs "
-                        f"{row.kwh:.3f} kWh but at most {row.kwh + soe:.3f} kWh "
-                        f"is reachable" + (" (no charging window)" if empty else "")),
-                    guaranteed_infeasible=True,
-                ))
+                diagnostics.append(ValidationIssue(
+                    WINDOW_EMPTY if empty else ENERGY_DEFICIT,
+                    f"truck {truck_id} day {day} leg {leg_index}: needs "
+                    f"{row.kwh:.3f} kWh but at most {row.kwh + soe:.3f} kWh "
+                    f"is reachable" + (" (no charging window)" if empty else "")))
                 soe = 0.0  # keep walking to report every defect
     for row in _all_legs(table):
         if len(row.window) == 0:
             truck_id, day, leg_index = row.key
-            diagnostics.append(BuildDiagnostic(
-                code=WINDOW_EMPTY,
-                message=(f"truck {truck_id} day {day} leg {leg_index} has an "
-                         f"empty charging window"),
-            ))
+            diagnostics.append(ValidationIssue(
+                WINDOW_EMPTY,
+                f"truck {truck_id} day {day} leg {leg_index} has an empty "
+                f"charging window", severity="warning"))
     return diagnostics
 
 

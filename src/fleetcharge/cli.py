@@ -3,7 +3,10 @@
 Subcommands: validate, solve, sweep, compare, generate. Exit codes:
 0 success, 1 infeasibility or violations found, 2 usage or configuration
 error, 3 solver limit hit, 4 internal solver or verification failure.
-Errors also land as a JSON report on stderr.
+``solve``, ``sweep`` and ``compare`` follow one rule: 4 over 1 over 3 over
+0. Every command, ``validate`` included, reports a bad input or an output
+path it cannot write as a ``ConfigError`` (2). :func:`main` alone turns an
+exception into a report; every error lands as a JSON report on stderr.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .domain import (
     validate_scenario,
 )
 from .generator import generate_synthetic
-from .run import PlanVerificationError, solve_scenario
+from .run import INTERNAL_FAILURES, PlanVerificationError, solve_scenario
 from .scenario_io import json_text, load_design, load_scenario, save_scenario
-from .solver import DEFAULT_REL_GAP, NumericalFailure, SolveStatus
+from .solver import DEFAULT_REL_GAP, SolveStatus
 from .sweep import SweepSpec, default_amortize_ratio, run_sweep
 from .validator import write_plan_json, write_power_curves_csv
 
@@ -64,6 +67,17 @@ def _failure_report(exc: Exception) -> int:
     return EXIT_FAILURE
 
 
+def _exit_code(statuses: list[str]) -> int:
+    """The exit code of a run whose solves ended in ``statuses`` (a sweep
+    cell that raised is ``"error"``). An internal failure raises instead,
+    and :func:`main` gives it exit 4."""
+    if any(s in ("infeasible", "error") for s in statuses):
+        return EXIT_INFEASIBLE
+    if "feasible" in statuses:  # stopped on a limit
+        return EXIT_LIMIT
+    return EXIT_OK
+
+
 def _nonnegative(kind):
     """An argparse ``type=`` that reads ``kind(text)`` and rejects values
     that are negative, NaN or infinite."""
@@ -86,11 +100,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario, validate=False)
-    except Exception as exc:
-        _error_report("LoadError", str(exc))
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario, validate=False)
     issues = scenario_issues(scenario)
     for issue in issues:
         print(f"{issue.severity}: {issue}")
@@ -105,140 +115,107 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
-        if args.design == FIXED_INFRASTRUCTURE and fixed_counts is None:
-            raise ValueError("--design fixed requires --fixed-file")
-        scenario = validate_scenario(scenario_variant(
-            scenario, args.design, fixed_counts, args.alpha, args.slack_min))
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)  # before the solve
-    except CONFIG_ERRORS as exc:
-        return _config_report(exc)
+    scenario = load_scenario(args.scenario)
+    fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
+    if args.design == FIXED_INFRASTRUCTURE and fixed_counts is None:
+        raise ValueError("--design fixed requires --fixed-file")
+    scenario = validate_scenario(scenario_variant(
+        scenario, args.design, fixed_counts, args.alpha, args.slack_min))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the solve
 
     ratio = default_amortize_ratio(scenario)
     trace: list[str] | None = [] if args.trace else None
-    try:
-        outcome = solve_scenario(
-            scenario,
-            rel_gap=args.gap,
-            node_limit=args.node_limit,
-            time_limit=args.time_limit,
-            amortize_objective_ratio=ratio if args.amortize_objective else None,
-            trace=trace,
-        )
-    except (NumericalFailure, PlanVerificationError) as exc:
-        return _failure_report(exc)
+    outcome = solve_scenario(
+        scenario,
+        rel_gap=args.gap,
+        node_limit=args.node_limit,
+        time_limit=args.time_limit,
+        amortize_objective_ratio=ratio if args.amortize_objective else None,
+        trace=trace,
+    )
 
     if trace is not None:
         (out_dir / "solver_trace.log").write_text("\n".join(trace) + "\n")
     if args.dump_lp:
         (out_dir / "model.lp").write_text(outcome.build.model.to_lp_format())
     for diag in outcome.build.diagnostics:
-        print(f"note: [{diag.code}] {diag.message}")
+        print(f"note: {diag}")
 
+    status = outcome.solution.status
     if outcome.plan is None:
-        _error_report("Infeasible" if outcome.solution.status
-                      == SolveStatus.INFEASIBLE else "NoIncumbent",
-                      f"solver status: {outcome.solution.status.value}")
-        return EXIT_LIMIT if outcome.limit_hit else EXIT_INFEASIBLE
+        _error_report("Infeasible" if status == SolveStatus.INFEASIBLE
+                      else "NoIncumbent", f"solver status: {status.value}")
+        return _exit_code([status.value])
 
     write_plan_json(outcome.plan, out_dir / "plan.json", amortize_ratio=ratio)
     write_power_curves_csv(scenario, outcome.plan, out_dir / "power_curves.csv")
     costs = outcome.plan.costs
-    print(f"status={outcome.solution.status.value} "
+    print(f"status={status.value} "
           f"objective={outcome.solution.objective:.6f} "
           f"gap={outcome.solution.gap:.4%} nodes={outcome.solution.node_count}")
     print(f"costs: energy={costs.energy:.3f} infrastructure={costs.infrastructure:.3f} "
           f"peak={costs.peak:.3f} total={costs.total:.3f}")
     print(f"wrote {out_dir / 'plan.json'}")
-    return EXIT_LIMIT if outcome.limit_hit else EXIT_OK
+    return _exit_code([status.value])
 
 
 def cmd_sweep(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        designs = [d.strip() for d in args.design.split(",") if d.strip()]
-        fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
-        spec = SweepSpec(
-            alphas=_float_list(args.alpha),
-            slack_minutes=_int_list(args.slack_min),
-            designs=designs,
-            fixed_counts=fixed_counts,
-            rel_gap=args.gap,
-            node_limit=args.node_limit,
-            time_limit=args.time_limit,
-            out_dir=args.out,
-        )
-    except CONFIG_ERRORS as exc:
-        return _config_report(exc)
-
-    try:
-        summary = run_sweep(scenario, spec)
-    except CONFIG_ERRORS as exc:
-        return _config_report(exc)
-    statuses = [cell.get("status") for cell in summary["cells"]]
+    scenario = load_scenario(args.scenario)
+    designs = [d.strip() for d in args.design.split(",") if d.strip()]
+    fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
+    spec = SweepSpec(
+        alphas=_float_list(args.alpha),
+        slack_minutes=_int_list(args.slack_min),
+        designs=designs,
+        fixed_counts=fixed_counts,
+        rel_gap=args.gap,
+        node_limit=args.node_limit,
+        time_limit=args.time_limit,
+        out_dir=args.out,
+    )
+    summary = run_sweep(scenario, spec)
+    statuses = [cell["status"] for cell in summary["cells"]]
     print(f"sweep complete: {len(statuses)} cells -> {Path(args.out)}")
     for cell in summary["cells"]:
         label = f"alpha={cell['alpha']} slack={cell['slack_minutes']} {cell['design']}"
         print(f"  {label}: {cell['status']}")
-    internal = {NumericalFailure.__name__, PlanVerificationError.__name__}
-    if any(cell.get("error_class") in internal for cell in summary["cells"]):
-        return EXIT_FAILURE
-    if any(s in ("infeasible", "error") for s in statuses):
-        return EXIT_INFEASIBLE
-    if any(s == "feasible" for s in statuses):  # stopped on a limit
-        return EXIT_LIMIT
-    return EXIT_OK
+    return _exit_code(statuses)
 
 
 def cmd_compare(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        policy = parse_policy(args.policy)
-        fixed_counts = rule_based_design(scenario, policy)
-        if args.slack_min is not None or args.alpha is not None:
-            scenario = validate_scenario(scenario_variant(
-                scenario, scenario.design_mode, scenario.fixed_counts,
-                args.alpha, args.slack_min))
-        if args.out:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
-        comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
-    except CONFIG_ERRORS as exc:
-        return _config_report(exc)
-    except (NumericalFailure, PlanVerificationError) as exc:
-        return _failure_report(exc)
-    doc = comparison.to_dict()
-    text = json_text(doc)
+    scenario = load_scenario(args.scenario)
+    policy = parse_policy(args.policy)
+    fixed_counts = rule_based_design(scenario, policy)
+    if args.slack_min is not None or args.alpha is not None:
+        scenario = validate_scenario(scenario_variant(
+            scenario, scenario.design_mode, scenario.fixed_counts,
+            args.alpha, args.slack_min))
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
+    comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
+    text = json_text(comparison.to_dict())
     if args.out:
         out = Path(args.out)
-        try:
-            out.write_text(text + "\n")
-        except OSError as exc:  # e.g. --out names a directory
-            return _config_report(exc)
+        out.write_text(text + "\n")
         print(f"wrote {out}")
     print(text)
-    if not (comparison.codesign_feasible and comparison.fixed_feasible):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return _exit_code([comparison.codesign.solution.status.value,
+                       comparison.fixed.solution.status.value])
 
 
 def cmd_generate(args) -> int:
-    try:
-        scenario = generate_synthetic(
-            seed=args.seed,
-            n_trucks=args.trucks,
-            n_locations=args.locations,
-            n_days=args.days,
-            tightness=args.tightness,
-            block_minutes=args.tau_min,
-        )
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_scenario(scenario, out)
-    except CONFIG_ERRORS as exc:
-        return _config_report(exc)
+    scenario = generate_synthetic(
+        seed=args.seed,
+        n_trucks=args.trucks,
+        n_locations=args.locations,
+        n_days=args.days,
+        tightness=args.tightness,
+        block_minutes=args.tau_min,
+    )
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_scenario(scenario, out)
     print(f"wrote {out}: {len(scenario.trucks)} trucks, {len(scenario.legs)} legs")
     return EXIT_OK
 
@@ -319,12 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # argparse: a usage error, or --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    except INTERNAL_FAILURES as exc:
+        return _failure_report(exc)
+    except CONFIG_ERRORS as exc:
+        return _config_report(exc)
 
 
 if __name__ == "__main__":

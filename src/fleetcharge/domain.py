@@ -54,7 +54,8 @@ EMPTY_WINDOW = "EmptyWindow"  # warning, not an error
 
 @dataclass(frozen=True, slots=True)
 class ValidationIssue:
-    """One validation finding; ``severity`` is ``"error"`` or ``"warning"``."""
+    """One finding of scenario validation, of the model build or of plan
+    replay; ``severity`` is ``"error"`` or ``"warning"``."""
 
     code: str
     message: str

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 from .builder import BuildResult, build_problem
 from .domain import Scenario
-from .solver import DEFAULT_REL_GAP, Solution, SolveStatus, branch_and_bound, check_limits
+from .solver import (DEFAULT_REL_GAP, NumericalFailure, Solution, SolveStatus,
+                     branch_and_bound, check_limits)
 from .validator import PlanReport, ReplayResult, decode_plan, replay
 
-__all__ = ["SolveOutcome", "solve_scenario", "PlanVerificationError"]
+__all__ = ["SolveOutcome", "solve_scenario", "PlanVerificationError", "INTERNAL_FAILURES"]
 
 
 class PlanVerificationError(RuntimeError):
@@ -25,6 +26,11 @@ class PlanVerificationError(RuntimeError):
         super().__init__(f"solved plan failed verification: {lines}")
 
 
+# A failure of the solver or of the decoded plan's replay: a bug to report,
+# never a property of the input.
+INTERNAL_FAILURES = (NumericalFailure, PlanVerificationError)
+
+
 @dataclass
 class SolveOutcome:
     solution: Solution
@@ -34,10 +40,6 @@ class SolveOutcome:
     @property
     def feasible(self) -> bool:
         return self.plan is not None
-
-    @property
-    def limit_hit(self) -> bool:
-        return self.solution.status == SolveStatus.FEASIBLE
 
 
 def solve_scenario(

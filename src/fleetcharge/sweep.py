@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
-from .run import solve_scenario
+from .run import INTERNAL_FAILURES, solve_scenario
 from .scenario_io import json_text
 from .solver import DEFAULT_REL_GAP, check_limits
 from .validator import location_total_kw, write_plan_json
@@ -106,7 +106,9 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     Cell failures (infeasible cells, solver limits, exceptions) are recorded
     in the summary and the sweep continues; a cell that raised carries the
     exception's class name as ``error_class``. Returns the summary document,
-    which is also written to ``summary.json``.
+    which is also written to ``summary.json``. Once every output is written,
+    the first internal failure (see ``run.INTERNAL_FAILURES``) a cell raised
+    is raised again, since it is a bug and no property of the cell.
     """
     for slack in spec.slack_minutes:
         scenario.time_grid.slack_blocks(slack)  # reject before any cell runs
@@ -119,6 +121,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     cost_rows: list[list] = []
     curve_rows: list[list] = []
     type_ids = [c.id for c in scenario.charger_catalog]
+    internal: list[Exception] = []
 
     for cell in spec.cells():
         entry: dict = {
@@ -136,6 +139,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
             entry["status"] = "error"
             entry["error"] = f"{type(error).__name__}: {error}"
             entry["error_class"] = type(error).__name__
+            if isinstance(error, INTERNAL_FAILURES):
+                internal.append(error)
             summary["failures"].append(entry)
             summary["cells"].append(entry)
             continue
@@ -195,6 +200,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     text = json_text(summary)
     with open(out_dir / "summary.json", "w") as fh:
         fh.write(text + "\n")
+    if internal:
+        raise internal[0]
     return summary
 
 

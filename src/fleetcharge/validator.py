@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .builder import VariableCatalog
-from .domain import FIXED_INFRASTRUCTURE, Scenario, charging_windows, tours
+from .domain import (FIXED_INFRASTRUCTURE, Scenario, ValidationIssue, charging_windows,
+                     tours)
 from .scenario_io import json_text
 from .solver import Solution
 
@@ -24,7 +25,6 @@ __all__ = [
     "LegDeparture",
     "CostBreakdown",
     "PlanReport",
-    "Violation",
     "ReplayResult",
     "decode_plan",
     "replay",
@@ -78,18 +78,9 @@ class CostBreakdown:
     total: float
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.code}] {self.message}"
-
-
 @dataclass
 class ReplayResult:
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[ValidationIssue] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -196,7 +187,10 @@ def _leg_consumption(scenario: Scenario, leg) -> float:
 def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
     """Re-simulate the plan and collect every constraint violation."""
     result = ReplayResult()
-    add = result.violations.append
+
+    def add(code: str, message: str) -> None:
+        result.violations.append(ValidationIssue(code, message))
+
     grid = scenario.time_grid
     tau = grid.block_duration_hours
     windows = charging_windows(scenario)
@@ -210,31 +204,25 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
     for event in plan.events:
         key = (event.truck_id, event.day, event.leg_index)
         if key not in windows:
-            add(Violation(REFERENCE_VIOLATION,
-                          f"event references unknown leg {key}"))
+            add(REFERENCE_VIOLATION, f"event references unknown leg {key}")
             continue
         if event.charger_type_id not in known_types:
-            add(Violation(REFERENCE_VIOLATION,
-                          f"event references unknown charger type "
-                          f"{event.charger_type_id}"))
+            add(REFERENCE_VIOLATION, "event references unknown charger type "
+                f"{event.charger_type_id}")
             continue
         if event.location_id != origin_of[key]:
-            add(Violation(REFERENCE_VIOLATION,
-                          f"truck {event.truck_id} day {event.day} leg "
-                          f"{event.leg_index}: event at {event.location_id!r} "
-                          f"but the leg departs {origin_of[key]!r}"))
+            add(REFERENCE_VIOLATION, f"truck {event.truck_id} day {event.day} leg "
+                f"{event.leg_index}: event at {event.location_id!r} "
+                f"but the leg departs {origin_of[key]!r}")
         events_by_leg.setdefault(key, []).append(event)
         if event.block not in windows[key]:
-            add(Violation(WINDOW_VIOLATION,
-                          f"truck {event.truck_id} day {event.day} leg "
-                          f"{event.leg_index}: charge at block {event.block} "
-                          f"outside window "
-                          f"[{windows[key].start}, {windows[key].stop - 1}]"))
+            add(WINDOW_VIOLATION, f"truck {event.truck_id} day {event.day} leg "
+                f"{event.leg_index}: charge at block {event.block} outside window "
+                f"[{windows[key].start}, {windows[key].stop - 1}]")
         expected = tau * scenario.charger(event.charger_type_id).rated_power_kw
         if abs(event.energy_kwh - expected) > TOL:
-            add(Violation(ENERGY_VIOLATION,
-                          f"event energy {event.energy_kwh} kWh does not match "
-                          f"block x rated power = {expected} kWh"))
+            add(ENERGY_VIOLATION, f"event energy {event.energy_kwh} kWh does not match "
+                f"block x rated power = {expected} kWh")
 
     dep_by_leg = {
         (d.truck_id, d.day, d.leg_index): d.actual_block for d in plan.departures
@@ -251,40 +239,34 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
             leg_events = events_by_leg.get(key, [])
             charged = sum(e.energy_kwh for e in leg_events)
             if soe + charged > truck.battery_capacity_kwh + TOL:
-                add(Violation(BATTERY_VIOLATION,
-                              f"truck {truck_id} day {day} leg {leg.leg_index}: "
-                              f"SOE {soe + charged:.3f} kWh exceeds capacity "
-                              f"{truck.battery_capacity_kwh} kWh"))
+                add(BATTERY_VIOLATION, f"truck {truck_id} day {day} leg {leg.leg_index}: "
+                    f"SOE {soe + charged:.3f} kWh exceeds capacity "
+                    f"{truck.battery_capacity_kwh} kWh")
             soe = soe + charged - _leg_consumption(scenario, leg)
             if soe < -TOL:
-                add(Violation(ENERGY_VIOLATION,
-                              f"truck {truck_id} day {day} leg {leg.leg_index}: "
-                              f"SOE dips to {soe:.3f} kWh"))
+                add(ENERGY_VIOLATION, f"truck {truck_id} day {day} leg {leg.leg_index}: "
+                    f"SOE dips to {soe:.3f} kWh")
 
             dep_act = dep_by_leg.get(key)
             if dep_act is None:
-                add(Violation(DEPARTURE_VIOLATION,
-                              f"truck {truck_id} day {day} leg {leg.leg_index}: "
-                              f"no actual departure reported"))
+                add(DEPARTURE_VIOLATION, f"truck {truck_id} day {day} leg "
+                    f"{leg.leg_index}: no actual departure reported")
             else:
                 last_charge = max((e.block for e in leg_events), default=None)
                 if last_charge is not None and dep_act < last_charge + 1 - TOL:
-                    add(Violation(DEPARTURE_VIOLATION,
-                                  f"truck {truck_id} day {day} leg "
-                                  f"{leg.leg_index}: departs at {dep_act} while "
-                                  f"charging through block {last_charge}"))
+                    add(DEPARTURE_VIOLATION, f"truck {truck_id} day {day} leg "
+                        f"{leg.leg_index}: departs at {dep_act} while "
+                        f"charging through block {last_charge}")
                 latest = grid.departure_block(leg) + scenario.slack_blocks
                 if dep_act > latest + TOL:
-                    add(Violation(DEPARTURE_VIOLATION,
-                                  f"truck {truck_id} day {day} leg "
-                                  f"{leg.leg_index}: departs at {dep_act}, after "
-                                  f"scheduled + slack = {latest}"))
+                    add(DEPARTURE_VIOLATION, f"truck {truck_id} day {day} leg "
+                        f"{leg.leg_index}: departs at {dep_act}, after "
+                        f"scheduled + slack = {latest}")
                 floor = day_start if prev_dep is None else prev_dep + prev_travel
                 if dep_act < floor - TOL:
-                    add(Violation(DEPARTURE_VIOLATION,
-                                  f"truck {truck_id} day {day} leg "
-                                  f"{leg.leg_index}: departs at {dep_act}, "
-                                  f"before earliest possible {floor}"))
+                    add(DEPARTURE_VIOLATION, f"truck {truck_id} day {day} leg "
+                        f"{leg.leg_index}: departs at {dep_act}, "
+                        f"before earliest possible {floor}")
                 prev_dep = dep_act
                 prev_travel = grid.travel_blocks(leg)
 
@@ -295,9 +277,8 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
             per_block[e.block] = per_block.get(e.block, 0) + 1
         for block, n in sorted(per_block.items()):
             if n > 1:
-                add(Violation(MULTI_CHARGER_VIOLATION,
-                              f"truck {key[0]} day {key[1]} leg {key[2]}: "
-                              f"{n} chargers at block {block}"))
+                add(MULTI_CHARGER_VIOLATION, f"truck {key[0]} day {key[1]} leg {key[2]}: "
+                    f"{n} chargers at block {block}")
 
     # Occupancy never exceeds installed counts.
     usage: dict[tuple[str, int, int], int] = {}
@@ -307,9 +288,8 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
     for (location, type_id, block), used in sorted(usage.items()):
         available = int(plan.charger_counts.get(location, {}).get(type_id, 0))
         if used > available:
-            add(Violation(CAPACITY_VIOLATION,
-                          f"{location}: {used} trucks on type-{type_id} "
-                          f"chargers at block {block}, only {available} built"))
+            add(CAPACITY_VIOLATION, f"{location}: {used} trucks on type-{type_id} "
+                f"chargers at block {block}, only {available} built")
 
     # A fixed design's plan builds exactly the scenario's chargers.
     if scenario.design_mode == FIXED_INFRASTRUCTURE:
@@ -320,9 +300,8 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
             built = int(plan.charger_counts.get(location, {}).get(type_id, 0))
             design = scenario.fixed_count(location, type_id)
             if built != design:
-                add(Violation(DESIGN_VIOLATION,
-                              f"{location}: {built} type-{type_id} chargers "
-                              f"built, but the fixed design has {design}"))
+                add(DESIGN_VIOLATION, f"{location}: {built} type-{type_id} chargers "
+                    f"built, but the fixed design has {design}")
     return result
 
 

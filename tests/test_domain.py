@@ -1,5 +1,6 @@
 """Domain types, validation, quantization, and charging windows."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import fleetcharge as fc
 from fleetcharge.domain import (
     TimeGrid,
+    ValidationIssue,
     charging_windows,
     empty_window_legs,
     scenario_issues,
@@ -40,6 +42,19 @@ def minimal_scenario(legs=(), trucks=None, locations=("DC", "R1"),
         slack_blocks=slack_blocks,
         **kwargs,
     )
+
+
+CHARGER_1 = fc.ChargerType(1, 60.0, 20000.0, 0.98)
+CHARGER_2 = fc.ChargerType(2, 150.0, 50000.0, 0.95)
+
+
+def with_prices(scenario, rows):
+    return replace(scenario, price_schedule=replace(
+        scenario.price_schedule, energy_price_per_kwh=rows))
+
+
+def fixed_design(counts):
+    return minimal_scenario(design_mode=fc.FIXED_INFRASTRUCTURE, fixed_counts=counts)
 
 
 def make_leg(truck="T1", day=0, index=1, origin="DC", dest="R1",
@@ -167,6 +182,57 @@ class TestValidation:
         scenario = minimal_scenario(legs=legs)
         issues = [i for i in scenario_issues(scenario) if i.severity == "error"]
         assert len(issues) >= 3  # both reference errors plus the broken chain
+
+    # One crafted scenario per branch, with the finding it must report.
+    BRANCHES = [
+        pytest.param(lambda: minimal_scenario(trucks=(fc.Truck("T1", 150.0, 0.12, 75.0),) * 2),
+                     "DuplicateId", "duplicate truck ids", id="duplicate-truck"),
+        pytest.param(lambda: minimal_scenario(chargers=(CHARGER_2,) * 2),
+                     "DuplicateId", "duplicate charger type ids", id="duplicate-charger"),
+        pytest.param(lambda: minimal_scenario(locations=("DC", "R1", "DC")),
+                     "DuplicateId", "duplicate location ids", id="duplicate-location"),
+        pytest.param(lambda: with_prices(minimal_scenario(chargers=(CHARGER_1, CHARGER_2)),
+                                         ((0.2,) * 96,)),
+                     "UnknownReference", "price table has 1 charger rows, catalog has 2",
+                     id="price-rows"),
+        pytest.param(lambda: with_prices(minimal_scenario(), ((0.2,) * 95,)),
+                     "TimeOffGrid", "price row 0 covers 95 blocks, expected 96",
+                     id="price-row-length"),
+        pytest.param(lambda: minimal_scenario(slack_blocks=-1),
+                     "NegativeQuantity", "slack_blocks must be nonnegative",
+                     id="negative-slack"),
+        pytest.param(lambda: minimal_scenario(design_mode="hybrid"),
+                     "UnknownReference", "unknown design_mode 'hybrid'",
+                     id="unknown-design-mode"),
+        pytest.param(lambda: fixed_design({"DC": {7: 1}}), "UnknownReference",
+                     "fixed design references unknown charger type 7",
+                     id="fixed-unknown-type"),
+        pytest.param(lambda: fixed_design({"DC": {1: 2.5}}), "NegativeQuantity",
+                     "fixed count for (DC, 1) must be a nonnegative integer, got 2.5",
+                     id="fixed-non-integer-count"),
+        pytest.param(lambda: minimal_scenario(legs=[make_leg(day=1)]),
+                     "UnknownReference", "truck T1 day 1 leg 1: day outside analysis period",
+                     id="day-outside-period"),
+        pytest.param(lambda: minimal_scenario(legs=[make_leg(dep_min=1440, arr_min=1440)]),
+                     "TimeOffGrid", "truck T1 day 0 leg 1: departure block outside its day",
+                     id="departure-outside-day"),
+        pytest.param(lambda: minimal_scenario(legs=[make_leg(dep_min=60, arr_min=1500)]),
+                     "TimeOffGrid", "truck T1 day 0 leg 1: arrival block outside its day",
+                     id="arrival-outside-day"),
+        pytest.param(lambda: minimal_scenario(legs=[
+                         make_leg(index=1, dest="R1", dep_min=60, arr_min=240),
+                         make_leg(index=2, origin="R1", dest="DC", dep_min=120,
+                                  arr_min=300)]),
+                     "TimeOrder", "truck T1 day 0: leg 2 departs before leg 1 arrives",
+                     id="leg-departs-before-previous-arrives"),
+    ]
+
+    @pytest.mark.parametrize("craft, code, message", BRANCHES)
+    def test_each_branch_reports_its_finding(self, craft, code, message):
+        scenario = craft()
+        assert ValidationIssue(code, message) in scenario_issues(scenario)
+        with pytest.raises(fc.ScenarioValidationError, match=re.escape(f"[{code}]")):
+            fc.validate_scenario(scenario)
 
     def test_generator_output_validates(self, depot_scenario):
         errors = [i for i in scenario_issues(depot_scenario)

@@ -541,7 +541,7 @@ class TestDiagnostics:
         leg = make_leg(dep_min=15, arr_min=300, km=100.0, tons=10.0)  # 120 kWh
         scenario = crafted([leg], (fc.ChargerType(1, 60.0, 20000.0, 0.98),), (truck,))
         build = build_problem(scenario)
-        assert any(d.code == "EnergyDeficit" and d.guaranteed_infeasible
+        assert any(d.code == "EnergyDeficit" and d.severity == "error"
                    for d in build.diagnostics)
 
     def test_empty_window_warning_not_fatal(self, remote_scenario):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fleetcharge as fc
 from fleetcharge.baseline import compare_designs
+from fleetcharge.domain import scenario_variant
 from fleetcharge.validator import plan_to_dict
 from fleetcharge.scenario_io import (
     json_text,
@@ -101,15 +102,21 @@ def assert_checkers_agree(doc, schema_name: str) -> None:
         assert not expected, f"only jsonschema rejects: {expected}"
 
 
-def schema_keywords(schema: dict):
-    """Every keyword of ``schema`` and of the schemas nested in it."""
-    yield from schema
+def sub_schemas(schema: dict):
+    """``schema`` and every schema nested in it."""
+    yield schema
     nested = [*schema.get("properties", {}).values(),
               *schema.get("patternProperties", {}).values(),
               schema.get("additionalProperties"), schema.get("items")]
     for sub in nested:
         if isinstance(sub, dict):
-            yield from schema_keywords(sub)
+            yield from sub_schemas(sub)
+
+
+def schema_keywords(schema: dict):
+    """Every keyword of ``schema`` and of the schemas nested in it."""
+    for sub in sub_schemas(schema):
+        yield from sub
 
 
 def value_sites(value, schema: dict, path=()):
@@ -138,7 +145,7 @@ def json_kind(value) -> str:
 
 
 OTHER_KINDS = [None, True, 3, 2.5, "7", [], {}]
-BROKEN_CLOCKS = ["25:00", "7:5", "12:60", "noon", "", "12:00 ", "1200", "-1:00"]
+BROKEN_CLOCKS = ["25:00", "7:5", "12:60", "noon", "", "12:00 ", "12:00\n", "1200", "-1:00"]
 
 
 def single_faults(doc, schema: dict) -> list:
@@ -169,7 +176,7 @@ def single_faults(doc, schema: dict) -> list:
             faults.append((path, "set", "not-an-option"))
         if isinstance(value, dict):
             faults += [(path, "drop", key) for key in value]
-            faults += [(path, "add", key) for key in ("zz_extra", "99", "01")]
+            faults += [(path, "add", key) for key in ("zz_extra", "99", "01", "1\n")]
     return faults
 
 
@@ -233,7 +240,8 @@ class TestSchemaCheck:
     def test_every_fault_kind_is_drawn(self, base_documents):
         """Each kind of fault the property draws from breaks a fixture."""
         broken = [fault[1:] for fault in base_documents[0][2]]
-        for expected in [("drop", "trucks"), ("add", "zz_extra"), ("add", "01"), ("set", "noon"),
+        for expected in [("drop", "trucks"), ("add", "zz_extra"), ("add", "01"),
+                         ("add", "1\n"), ("set", "noon"), ("set", "12:00\n"),
                          ("set", []), ("set", ""), ("set", "not-an-option"),
                          ("set", 0), ("set", 1441), ("set", -1)]:
             assert expected in broken, expected
@@ -250,8 +258,32 @@ class TestSchemaCheck:
         with pytest.raises(SchemaError) as err:
             validate_against_schema(legs_first, "scenario")
         assert err.value.path == ("legs", 1, "departure")
-        assert str(err.value) == ("schema violation at legs/1/departure: 'noon' "
-                                  "does not match '^([01]?[0-9]|2[0-4]):[0-5][0-9]$'")
+        assert str(err.value) == ("schema violation at legs/1/departure: 'noon' does not "
+                                  "match '^([01]?[0-9]|2[0-4]):[0-5][0-9](?!\\\\n)$'")
+
+    def test_every_bundled_regex_rejects_a_trailing_newline(self):
+        # Python's "$" also matches before a final newline, and int("1\n")
+        # is 1, so a regex ending in a bare "$" would let "1\n" alias type 1.
+        samples = ["0", "1", "42", "08:00", "24:00", "7:05"]
+        regexes = []  # (regex, a schema that applies it, the document it checks)
+        for sub in (sub for name in SCHEMA_NAMES for sub in sub_schemas(load_schema(name))):
+            if "pattern" in sub:
+                regexes.append((sub["pattern"], {"pattern": sub["pattern"]},
+                                lambda text: text))
+            regexes += [(regex, {"patternProperties": {regex: {}},
+                                 "additionalProperties": False}, lambda text: {text: 1})
+                        for regex in sub.get("patternProperties", {})]
+        assert len(regexes) == 7  # two clocks and five charger-type keys
+        for regex, schema, document in regexes:
+            matches = [text for text in samples if re.search(regex, text)]
+            assert matches, regex
+            check = compile_schema(schema)
+            for text in matches:
+                check(document(text))
+                with pytest.raises(SchemaError):
+                    check(document(text + "\n"))
+                assert not jsonschema.Draft202012Validator(schema).is_valid(
+                    document(text + "\n"))
 
     @pytest.mark.parametrize("value", [
         0, 1, 1.0, -1, -1.0, 0.5, True, False, None, "1", [1],
@@ -308,6 +340,25 @@ class TestRoundTrip:
                                          block_minutes=block_minutes)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
+    def test_fixed_design_scenario_file_round_trips(self, tmp_path, depot_scenario):
+        counts = {"DEPOT": {1: 2, 2: 1}, "R02": {1: 1}}
+        doc = fixture_doc("depot_fixture.json")
+        doc["params"].update(design_mode="fixed", fixed_counts={
+            location: {str(tid): n for tid, n in per.items()}
+            for location, per in counts.items()})
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps(doc))
+        loaded = fc.load_scenario(path)
+        assert (loaded.design_mode, loaded.fixed_counts) == ("fixed", counts)
+        fc.save_scenario(loaded, tmp_path / "saved.json")
+        assert fc.load_scenario(tmp_path / "saved.json") == loaded
+
+        variant = fc.validate_scenario(scenario_variant(
+            depot_scenario, fc.FIXED_INFRASTRUCTURE, counts))
+        assert loaded == variant
+        assert (fc.build_problem(loaded).model.to_lp_format()
+                == fc.build_problem(variant).model.to_lp_format())
+
     def test_serialized_doc_validates(self, depot_scenario):
         validate_against_schema(scenario_to_dict(depot_scenario), "scenario")
 
@@ -355,20 +406,21 @@ class TestLoaderDetails:
         with pytest.raises(ValueError, match="unknown charger type 99"):
             scenario_from_dict(doc)
 
-    @pytest.mark.parametrize("key", ["01", "00", "001"])
+    @pytest.mark.parametrize("key", ["01", "00", "001", "1\n", "0\n"])
     def test_non_canonical_charger_type_key_rejected(self, key, tmp_path):
-        # int() reads "01" as 1, so such a key would alias type 1 or 0.
+        # int() reads "01" and "1\n" as 1, so such a key would alias type 1 or 0.
+        quoted = re.escape(repr(key))
         doc = fixture_doc("depot_fixture.json")
         doc["prices"]["by_charger"][key] = [9.0] * len(doc["prices"]["by_charger"]["1"])
-        with pytest.raises(SchemaError, match=f"at prices/by_charger: '{key}' does not match"):
+        with pytest.raises(SchemaError, match=f"at prices/by_charger: {quoted} does not match"):
             scenario_from_dict(doc)
         doc = fixture_doc("two_truck.json")
         doc["params"]["fixed_counts"] = {"DC": {"1": 2, key: 3}}
-        with pytest.raises(SchemaError, match=f"at params/fixed_counts/DC: '{key}' does not"):
+        with pytest.raises(SchemaError, match=f"at params/fixed_counts/DC: {quoted} does not"):
             scenario_from_dict(doc)
         design = tmp_path / "design.json"
         design.write_text(json.dumps({"DC": {key: 2}}))
-        with pytest.raises(SchemaError, match=f"at DC: '{key}' does not match"):
+        with pytest.raises(SchemaError, match=f"at DC: {quoted} does not match"):
             load_design(design)
 
     def test_initial_soe_defaults_to_full(self):

@@ -12,11 +12,11 @@ import pytest
 
 import fleetcharge as fc
 from fleetcharge.cli import main
-from fleetcharge.domain import scenario_variant
+from fleetcharge.domain import ValidationIssue, scenario_variant
 from fleetcharge.run import PlanVerificationError
 from fleetcharge.solver import NumericalFailure
 from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, default_amortize_ratio, run_sweep
-from fleetcharge.validator import ReplayResult, Violation
+from fleetcharge.validator import ReplayResult
 
 from oracles import curve_rows_by_loop
 
@@ -341,7 +341,7 @@ class TestCli:
 
     FAILURES = [
         (NumericalFailure("vanishing pivot element"), "SolverFailure"),
-        (PlanVerificationError(ReplayResult([Violation("SoeBelowZero", "truck T1")])),
+        (PlanVerificationError(ReplayResult([ValidationIssue("SoeBelowZero", "truck T1")])),
          "PlanVerificationFailed"),
     ]
 
@@ -574,3 +574,128 @@ class TestCli:
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("place", ["by_charger", "fixed_counts", "design_file"])
+    def test_charger_type_key_with_trailing_newline_is_a_config_error(
+            self, place, tmp_path, capsys):
+        # int("1\n") is 1, so the key would alias charger type 1.
+        doc = json.loads(Path(REMOTE).read_text())
+        argv = ["solve"]
+        if place == "by_charger":
+            doc["prices"]["by_charger"] = {"1\n": doc["prices"]["energy_per_kwh"]}
+            where = "prices/by_charger"
+        elif place == "fixed_counts":
+            doc["params"]["fixed_counts"] = {"DC": {"1\n": 2}}
+            argv += ["--design", "fixed"]
+            where = "params/fixed_counts/DC"
+        else:
+            design = tmp_path / "design.json"
+            design.write_text(json.dumps({"DC": {"1\n": 2}}))
+            argv += ["--design", "fixed", "--fixed-file", str(design)]
+            where = "DC"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([*argv, "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert self.config_error(capsys).startswith(
+            f"schema violation at {where}: '1\\n' does not match any of the regexes")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, flag", [
+        ("plan.json", None), ("power_curves.csv", None),
+        ("model.lp", "--dump-lp"), ("solver_trace.log", "--trace")])
+    def test_solve_unwritable_output_file_is_a_config_error(self, name, flag,
+                                                            tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)  # a directory where the file goes
+        argv = ["solve", "--scenario", TWO_TRUCK, "--out", str(out)]
+        assert main(argv + ([flag] if flag else [])) == 2
+        assert str(out / name) in self.config_error(capsys)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_json", "schema"])
+    def test_validate_bad_input_is_a_config_error(self, kind, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_json":
+            path.write_text("time_grid: 15\n")
+        elif kind == "schema":
+            doc = json.loads(Path(TWO_TRUCK).read_text())
+            del doc["trucks"]
+            path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        message = self.config_error(capsys)
+        if kind == "schema":
+            assert message == "schema violation at document: 'trucks' is a required property"
+        elif kind != "not_json":
+            assert str(path) in message
+
+    def test_solve_trace_logs_every_solved_node(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", str(FIXTURES / "depot_fixture.json"),
+                     "--trace", "--out", str(out)]) == 0
+        lines = (out / "solver_trace.log").read_text().splitlines()
+        nodes = json.loads((out / "plan.json").read_text())["solver"]["nodes"]
+        assert len(lines) == nodes == 7
+        assert lines[0].startswith("node ") and lines[0].endswith("incumbent -")
+
+
+def stray_event_decoder(monkeypatch):
+    """Make ``decode_plan`` append a copy of the plan's first charge event
+    moved one block past its leg's window, so the real replay fails."""
+    decode = fc.run.decode_plan
+
+    def decode_with_stray_event(scenario, catalog, solution):
+        plan = decode(scenario, catalog, solution)
+        first = plan.events[0]
+        window = fc.charging_windows(scenario)[
+            (first.truck_id, first.day, first.leg_index)]
+        plan.events = (*plan.events, replace(first, block=window.stop))
+        return plan
+
+    monkeypatch.setattr(fc.run, "decode_plan", decode_with_stray_event)
+
+
+def failing_recheck(monkeypatch):
+    """Make the incumbent's independent re-check in ``branch_and_bound``
+    report a violated row."""
+    monkeypatch.setattr("fleetcharge.solver.branch_bound.check_solution",
+                        lambda model, values: ["row cover: 1 > 0"])
+
+
+class TestInternalFailuresThroughThePipeline:
+    """Each internal failure, raised by the real pipeline and not by a
+    patched ``solve_scenario``, is exit 4 with its JSON report from every
+    command that solves."""
+
+    @pytest.mark.parametrize("inject, code, detail", [
+        (stray_event_decoder, "PlanVerificationFailed", "[WindowViolation] "),
+        (failing_recheck, "SolverFailure", None),
+    ], ids=["replay", "recheck"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scenario", TWO_TRUCK],
+        ["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2",
+         "--slack-min", "30"],
+        ["sweep", "--scenario", TWO_TRUCK, "--alpha", "1", "--slack-min", "0,15"],
+    ], ids=["solve", "compare", "sweep"])
+    def test_exit_code_and_report(self, argv, inject, code, detail, monkeypatch,
+                                  tmp_path, capsys):
+        inject(monkeypatch)
+        out = tmp_path / "o"
+        if argv[0] != "compare":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == code
+        if detail is None:
+            assert error["message"] == ("incumbent failed the independent feasibility "
+                                        "re-check: row cover: 1 > 0")
+        else:
+            assert error["message"].startswith("solved plan failed verification: ")
+            assert any(d.startswith(detail) for d in error["details"])
+        assert not (out / "plan.json").exists()
+        if argv[0] == "sweep":  # every cell ran and is on record
+            summary = json.loads((out / "summary.json").read_text())
+            assert [c["status"] for c in summary["cells"]] == ["error", "error"]
+            assert {c["error_class"] for c in summary["failures"]} == {
+                "PlanVerificationError" if detail else "NumericalFailure"}
