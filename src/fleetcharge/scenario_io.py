@@ -132,14 +132,24 @@ def _design_counts(raw: dict[str, Any]) -> dict[str, dict[int, int]]:
             for loc, per in raw.items()}
 
 
+def _read_json(path: str | Path) -> Any:
+    """Parse a JSON file; text that is not JSON raises a ValueError that
+    names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path} is not JSON: {exc}") from exc
+
+
 def load_design(path: str | Path) -> dict[str, dict[int, int]]:
     """Read a design file (``{location: {type_id: count}}`` JSON).
 
     Raises ``SchemaError`` when the file breaks the bundled
-    ``explicit_design`` schema, e.g. a fractional or negative count.
+    ``explicit_design`` schema, e.g. a fractional or negative count, and
+    ValueError naming the file when it is not JSON.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     validate_against_schema(doc, "explicit_design")
     return _design_counts(doc)
 
@@ -234,9 +244,9 @@ def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
 
 
 def load_scenario(path: str | Path, validate: bool = True) -> Scenario:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return scenario_from_dict(doc, validate=validate)
+    """Read and build a scenario file; ValueError naming the file when it
+    is not JSON (see :func:`scenario_from_dict` for the rest)."""
+    return scenario_from_dict(_read_json(path), validate=validate)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:

@@ -16,12 +16,12 @@ the shared :class:`PreparedLP`, which warm-starts a dual simplex from that
 basis, since a child differs from its parent in one column bound. The root
 LP starts cold, from the slack basis.
 
-Only the most recent LP's basis inverse (its :class:`Factor`) is kept.
+Only the most recent LP's kernel inverse (its :class:`Factor`) is kept.
 When the next node popped starts from that LP's very basis, as every
 child does when the search dives, the factor is handed to its solve, which
 then skips the refactorization; otherwise it is dropped, so at most one
-m x m inverse is alive between solves and none is stored on the heap or
-returned.
+k x k kernel inverse is alive between solves and none is stored on the
+heap or returned.
 
 When a relaxation comes back integral, the integer columns are fixed at
 their rounded values and the LP re-solved once ("polish"), so incumbents
@@ -30,6 +30,11 @@ polish starts from the node's own basis and takes over its factor. A
 polish LP that does not end OPTIMAL raises :class:`NumericalFailure`: the
 relaxation already found an integral point there, so dropping it could
 end the search with an INFEASIBLE it never proved.
+
+A ``trace`` list gets one line per solved node, ``node N depth D bound B
+incumbent X`` (X is ``-`` before the first incumbent), a second line for a
+node whose polish improves the incumbent, and a last line ``stop R nodes N
+incumbent X`` with the solution's ``stop_reason`` R.
 """
 
 from __future__ import annotations
@@ -96,7 +101,8 @@ def branch_and_bound(
     :func:`check_limits` rejects or a model whose LP may be unbounded (a
     cost with no finite bound on its side; see :class:`PreparedLP`).
     Deterministic: identical model and configuration give the identical
-    node sequence and solution.
+    node sequence and solution. The solution counts the work done (see
+    :class:`Solution`) and says why the search stopped.
     """
     check_limits(rel_gap_target, node_limit, time_limit)
     start = time.monotonic()
@@ -109,23 +115,35 @@ def branch_and_bound(
     cutoff = math.inf  # a node bounded at or above this cannot improve
     nodes = 0
     seq = 0
+    work = {"pivots": 0, "refactorizations": 0, "lp_solves": 0, "factor_handoffs": 0}
     # Entries (key, -seq, bound, lo, hi, depth, basis): the key is 0.0 until
     # the first incumbent (a plunge, newest first) and the bound after it.
     heap: list = []
 
+    def shown() -> str:
+        return f"{incumbent_obj:.9g}" if incumbent is not None else "-"
+
     def log(node_id: int, depth: int, bound) -> None:
         if trace is not None:
-            inc = f"{incumbent_obj:.9g}" if incumbent is not None else "-"
             trace.append(
-                f"node {node_id} depth {depth} bound {bound:.9g} incumbent {inc}")
+                f"node {node_id} depth {depth} bound {bound:.9g} incumbent {shown()}")
 
-    def finish(status: SolveStatus, wall_bound: float) -> Solution:
+    def count(result: Solution, handed: Factor | None) -> None:
+        work["pivots"] += result.pivots
+        work["refactorizations"] += result.refactorizations
+        work["lp_solves"] += 1
+        work["factor_handoffs"] += handed is not None
+
+    def finish(status: SolveStatus, wall_bound: float, reason: str) -> Solution:
         wall = time.monotonic() - start
+        if trace is not None:
+            trace.append(f"stop {reason} nodes {nodes} incumbent {shown()}")
+        stats = dict(node_count=nodes, wall_time=wall, stop_reason=reason, **work)
         if incumbent is None:
             if status == SolveStatus.INFEASIBLE:
-                return Solution(status=status, node_count=nodes, wall_time=wall)
-            return Solution(status=SolveStatus.FEASIBLE, node_count=nodes,
-                            wall_time=wall, best_bound=wall_bound, gap=math.inf)
+                return Solution(status=status, **stats)
+            return Solution(status=SolveStatus.FEASIBLE, best_bound=wall_bound,
+                            gap=math.inf, **stats)
         problems = check_solution(model, incumbent)
         if problems:
             raise NumericalFailure(
@@ -138,32 +156,36 @@ def branch_and_bound(
             objective=incumbent_obj,
             best_bound=bound,
             gap=max(0.0, relative_gap(incumbent_obj, bound)),
-            node_count=nodes,
-            wall_time=wall,
+            **stats,
         )
 
     lower = np.asarray(model.lower, dtype=float)
     upper = np.asarray(model.upper, dtype=float)
     heapq.heappush(heap, (0.0, 0, -math.inf, lower, upper, 0, None))
-    factor = None  # the last LP's basis inverse, for a node that dives from it
+    factor = None  # the last LP's kernel inverse, for a node that dives from it
 
     while heap:
         _, neg_id, bound, lo, hi, depth, basis = heapq.heappop(heap)
         node_id = -neg_id
         if incumbent is not None:
             if max(0.0, relative_gap(incumbent_obj, bound)) <= rel_gap_target:
-                return finish(SolveStatus.OPTIMAL, bound)
+                return finish(SolveStatus.OPTIMAL, bound, "gap")
             if bound >= cutoff:
                 continue  # fathomed by bound
 
-        if (node_limit is not None and nodes >= node_limit) or (
-                time_limit is not None and time.monotonic() - start > time_limit):
+        limit = None
+        if node_limit is not None and nodes >= node_limit:
+            limit = "node_limit"
+        elif time_limit is not None and time.monotonic() - start > time_limit:
+            limit = "time_limit"
+        if limit is not None:
             return finish(SolveStatus.FEASIBLE,
-                          min([bound] + [entry[2] for entry in heap]))
+                          min([bound] + [entry[2] for entry in heap]), limit)
 
         handed = factor if factor is not None and factor.basis is basis else None
         factor = None
         result = prep.solve(lo, hi, basis, handed)
+        count(result, handed)
         factor, result.factor = result.factor, None
         nodes += 1
         if result.status == SolveStatus.INFEASIBLE:
@@ -175,14 +197,16 @@ def branch_and_bound(
 
         branch_col = _most_fractional(result.values, int_cols, priorities)
         if branch_col is None:
-            candidate = _polish(prep, int_cols, lo, hi, result, factor, node_id)
+            polished = _polish(prep, int_cols, lo, hi, result, factor, node_id)
+            count(polished, factor)
             factor = None
-            if candidate[1] < incumbent_obj:
+            if polished.objective < incumbent_obj:
                 if incumbent is None:  # the plunge is over: key by bound
                     heap[:] = [(entry[2], *entry[1:]) for entry in heap]
                     heapq.heapify(heap)
-                incumbent, incumbent_obj = candidate
+                incumbent, incumbent_obj = polished.values, polished.objective
                 cutoff = incumbent_obj - 1e-9 * max(1.0, abs(incumbent_obj))
+                log(node_id, depth, result.objective)
             continue
 
         frac = result.values[branch_col]
@@ -198,9 +222,9 @@ def branch_and_bound(
                                   child_lo, child_hi, depth + 1, result.basis))
 
     if incumbent is None:
-        return finish(SolveStatus.INFEASIBLE, math.inf)
+        return finish(SolveStatus.INFEASIBLE, math.inf, "infeasible")
     # Tree exhausted: the incumbent is proven optimal.
-    return finish(SolveStatus.OPTIMAL, incumbent_obj)
+    return finish(SolveStatus.OPTIMAL, incumbent_obj, "exhausted")
 
 
 def _polish(
@@ -211,12 +235,12 @@ def _polish(
     relaxed: Solution,
     factor: Factor | None,
     node_id: int,
-) -> tuple[np.ndarray, float]:
+) -> Solution:
     """Fix integers at rounded values and re-solve for exact continuous
     parts, from the relaxation's basis and its ``factor``.
 
-    Returns the values and objective of that LP, so every incumbent is the
-    optimum of a solved LP. Raises :class:`NumericalFailure` naming the
+    Returns that LP's OPTIMAL solution, so every incumbent is the optimum
+    of a solved LP. Raises :class:`NumericalFailure` naming the
     node when the LP does not end OPTIMAL.
     """
     # Adding 0.0 turns np.round's -0.0 into the 0.0 that round() gives.
@@ -227,4 +251,4 @@ def _polish(
     if refined.status != SolveStatus.OPTIMAL:
         raise NumericalFailure(f"polish LP of integral node {node_id} ended "
                                f"{refined.status.value}")
-    return refined.values, refined.objective
+    return refined

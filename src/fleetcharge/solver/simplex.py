@@ -16,15 +16,15 @@ costs solves every LP and ends at an optimal basis (Koberstein 2005).
 Every solve runs that dual simplex from a dual-feasible basis. A warm
 start is the final :class:`Basis` of an earlier solve of the same LP under
 other bounds (a branch-and-bound parent), and the solve recomputes the
-basic values under the new bounds. Handed that solve's final basis inverse
-too (a :class:`Factor`, which branch-and-bound passes on when it dives
-straight into a child), it takes the inverse over with its pivot age and
-refactorizes only when the basic values fail the residual check; without
-one it refactorizes the basis once. A cold start is the slack basis
-(B = I) with each structural column at the finite bound its cost prefers.
-The leaving row has the largest bound violation (ties to the lowest
-position); the entering column comes from the dual ratio test (ties to
-the largest pivot, then the lowest index). A row no column can repair
+basic values under the new bounds. Handed that solve's final kernel
+inverse too (a :class:`Factor`, which branch-and-bound passes on when it
+dives straight into a child), it takes the inverse over with its pivot age
+and refactorizes only when the basic values fail the residual check;
+without one it refactorizes the basis once. A cold start is the slack
+basis (B = I) with each structural column at the finite bound its cost
+prefers. The leaving row has the largest bound violation (ties to the
+lowest position); the entering column comes from the dual ratio test (ties
+to the largest pivot, then the lowest index). A row no column can repair
 proves the LP infeasible. A basis that does not fit, is singular or not
 dual feasible, or a warm dual loop that fails numerically, restarts from
 the slack basis.
@@ -38,38 +38,63 @@ columns by position. A column is eligible when its direction times its
 push toward the target is below -TOL_PIVOT, and the ratio test reads only
 the candidates, with the dual room direction * z over |alpha|.
 
-Most basic columns are slacks, so the basis inverse is built from its
-structural kernel (Suhl & Suhl 1990; Koberstein 2005). With S the k basic
-structural columns and R_k the k rows whose slack is nonbasic, order the
-rows R_k first and the basic slacks' rows R_s after:
+Most basic columns are slacks, so the basis is represented by the inverse
+of its structural kernel alone (Suhl & Suhl 1990; Koberstein 2005). With
+S the k basic structural columns and R_k the k rows whose slack is
+nonbasic, order the rows R_k first and the basic slacks' rows R_s after:
 
-    B = [ K          0 ]        B^-1 = [ K^-1              0 ]
-        [ A[R_s, S]  I ]               [ -A[R_s, S] K^-1   I ]
+    B = [ K  0 ]        B^-1 = [ K^-1        0 ]
+        [ C  I ]               [ -C K^-1     I ]
 
-with K = A[R_k, S]. A refactorization reads K and the coupling block
-A[R_s, S] straight from the stored entries of the basic structural
-columns, inverts only the k x k kernel K, and writes B^-1 from these
-blocks over the m x m array the solve already holds: its columns are unit
-vectors on R_s and carry K^-1 on R_k. Its only temporaries are kernel- and
-coupling-sized. Between refactorizations B^-1 takes
-elementary row operations, and after REFACTOR_EVERY of them, counted
-across the hand-off from one solve to the next, it is rebuilt. Every
-per-pivot step touches only nonzeros: a column ``B^-1 a_j`` reads a_j's
-stored entries, the dual pivot row is one pass over the stored nonzeros
-of A, and the rank-one update rewrites only the entries of B^-1 where
-both the entering column and the pivot row are nonzero. Slack columns are
-never stored; they are the implicit identity after A, and the reduced
-costs and residuals read A plus that identity.
+with K = A[R_k, S] and C = A[R_s, S]. The solve keeps K^-1 as a dense
+k x k array, with index arrays that map its rows to basis positions and
+its columns to kernel rows; everything else is read from A's stored
+entries:
 
-A is stored once, by column, and never dense (Maros 2003). Rows and the
-cost vector are rescaled to unit magnitude so absolute tolerances are
-meaningful across problems; the reported objective is recomputed from
-unscaled data. B^-1 is dense m x m, one array per solve that a
-:class:`Factor` hands on to the next; the kernel is inverted densely,
-without LU updates.
+- FTRAN: y_S = K^-1 a[R_k], and each basic slack of row r gets
+  a[r] - (A[:, S] y_S)[r];
+- the pivot row of a structural position is its row of K^-1, and that of
+  the slack of row r is e_r - A[r, S] K^-1, with A[r, S] read through a
+  row-wise index over A's entries;
+- the duals are y[R_k] = c_S K^-1 and 0 elsewhere, because slack costs
+  are 0.
+
+A pivot puts the entering column, whose FTRAN is d, in position p, whose
+row of B^-1 is rho. With d_S the part of d on the structural positions and
+rho_k the part of rho on the kernel rows, the product-form step
+B^-1 -= d (rho / d_p), restricted to the kernel block, is the dense
+O(k^2) rank-one update K^-1 -= d_S (rho_k / d_p), made in place on the
+rows where d_S is nonzero; then the case changes one row or column:
+
+- structural for structural: the row of position p becomes rho_k / d_p
+  (a column replacement of K);
+- slack for slack: the kernel row of the entering slack becomes the
+  leaving slack's row, and its column of K^-1 becomes -d_S / d_p (a row
+  replacement of K);
+- a structural column where a slack leaves: K^-1 is bordered by the row
+  rho_k / d_p, the column -d_S / d_p and the corner 1 / d_p, the Schur
+  complement of the new kernel being d_p (Bisschop & Meeraus, Math. Prog.
+  13, 1977);
+- a slack where a structural column leaves: the row of position p and
+  the column of the entering slack's row are deleted, which the
+  Schur-complement identity makes exact after the rank-one step.
+
+After REFACTOR_EVERY pivots, counted across the hand-off from one solve to
+the next, the kernel is rebuilt from A's stored entries and inverted
+anew. numpy has no LU, and a product-form eta file would cost a Python
+loop of up to REFACTOR_EVERY numpy calls per FTRAN and per pivot row,
+where the explicit K^-1 costs one; the kernel is about 10-25% of m on
+the fleet models, so K^-1 is small where a dense B^-1 was not.
+
+A is stored once, by column, with a row-wise index that is a permutation
+of its entries, and never dense (Maros 2003). Rows and the cost vector are
+rescaled to unit magnitude so absolute tolerances are meaningful across
+problems; the reported objective is recomputed from unscaled data.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -94,10 +119,12 @@ class PreparedLP:
     Holds the row-scaled m x n structural matrix A once, as flat CSC
     arrays built from the model's CSR rows: column j's entries are
     ``col_start[j]:col_start[j + 1]`` of ``col_rows`` (ascending),
-    ``col_vals`` and ``col_of`` (j itself). Slack columns are the implicit
-    identity after A. It also holds the scaled right-hand side, the slack
-    bounds that encode the row senses and the scaled costs over all
-    n + m columns.
+    ``col_vals`` and ``col_of`` (j itself). Row i's entries are the CSC
+    positions ``row_entry[row_start[i]:row_start[i + 1]]``, so the
+    row-wise index owns no second copy of A. Slack columns are the
+    implicit identity after A. It also holds the scaled right-hand side,
+    the slack bounds that encode the row senses and the scaled costs over
+    all n + m columns.
 
     Branch-and-bound reuses a single instance across nodes, passing per-node
     structural bounds, the parent's basis and, when it is the last one
@@ -142,6 +169,9 @@ class PreparedLP:
         self.col_vals = vals / row_scale[self.col_rows]
         self.col_start = np.zeros(n + 1, dtype=int)
         np.cumsum(np.bincount(self.col_of, minlength=n), out=self.col_start[1:])
+        self.row_entry = np.argsort(self.col_rows, kind="stable")
+        self.row_start = np.zeros(m + 1, dtype=int)
+        np.cumsum(np.bincount(self.col_rows, minlength=m), out=self.row_start[1:])
         self.c_real = np.zeros(self.n_real)
         self.c_real[:n] = c / self.cost_scale
 
@@ -153,15 +183,16 @@ class PreparedLP:
         starts the dual simplex from it; an unusable basis falls back to
         the slack basis, so the result never depends on its quality.
         ``factor``, the ``Solution.factor`` returned with ``basis``, spares
-        the start's refactorization. The solve takes its inverse over and
-        leaves it None; a factor of another basis, a spent one or one that
-        fails the residual check is ignored and the basis refactorized.
-        The bounds must leave every column a finite bound, and each cost
-        its favoured side finite, as the model's do and as branching,
-        which only tightens them, keeps them; other bounds raise the
-        ValueError that :class:`PreparedLP` raises for such a model. The
-        result is OPTIMAL, carrying its own final basis and factor, or
-        INFEASIBLE.
+        the start's refactorization. The solve takes its kernel inverse
+        over and leaves it None; a factor of another basis, a spent one or
+        one that fails the residual check is ignored and the basis
+        refactorized. The bounds must leave every column a finite bound,
+        and each cost its favoured side finite, as the model's do and as
+        branching, which only tightens them, keeps them; other bounds
+        raise the ValueError that :class:`PreparedLP` raises for such a
+        model. The result is OPTIMAL, carrying its own final basis and
+        factor, or INFEASIBLE; either way it counts the dual pivots and
+        refactorizations the solve made, a failed warm start's included.
         """
         n = self.n
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
@@ -170,23 +201,28 @@ class PreparedLP:
         if np.any(lo > hi + 1e-12):
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0)
 
+        counts = Counter()
         state = None
         if basis is not None:
             try:
-                state = _SimplexState(self, lo, hi, basis, factor)
+                state = _SimplexState(self, lo, hi, basis, factor, counts)
                 feasible = state.run_dual()
             except NumericalFailure:
                 state = None  # unusable basis: restart from the slack basis
         if state is None:
-            state = _SimplexState(self, lo, hi)
+            state = _SimplexState(self, lo, hi, counts=counts)
             feasible = state.run_dual()
+        work = {"pivots": counts["pivots"],
+                "refactorizations": counts["refactorizations"]}
         if not feasible:
-            return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0)
+            return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0,
+                            **work)
 
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
         objective = self.model.objective_value(x)
         final = Basis(state.basis, state.direction < 0)
+        k = state.k
         return Solution(
             status=SolveStatus.OPTIMAL,
             values=x,
@@ -194,7 +230,9 @@ class PreparedLP:
             best_bound=objective,
             gap=0.0,
             basis=final,
-            factor=Factor(final, state.B_inv, state.age),
+            factor=Factor(final, state.K_inv, state.kernel_pos[:k],
+                          state.kernel_row[:k], state.age),
+            **work,
         )
 
 
@@ -215,15 +253,29 @@ def _check_input_class(model: LinearModel, c: np.ndarray, lower, upper) -> None:
 
 
 class _SimplexState:
-    """Mutable per-solve state: bounds, basis, column directions, basis
-    inverse and its age, the pivots it has taken since it was last rebuilt."""
+    """Mutable per-solve state: bounds, basis, column directions, the
+    kernel inverse and its age, the pivots it has taken since it was last
+    rebuilt, and ``counts`` of pivots and refactorizations, which a caller
+    may share between states.
+
+    The kernel inverse K^-1 (module docstring) is the leading k x k block
+    of ``K_inv``, whose spare rows and columns take the borders of later
+    pivots. Row i of K^-1 belongs to basis position ``kernel_pos[i]`` and
+    column j to model row ``kernel_row[j]``. ``kernel_of_pos`` and
+    ``kernel_of_row`` map a position and a row back to its index in K^-1,
+    and ``kernel_of_entry`` each stored entry of A to the index of its
+    column; all hold -1 outside the kernel. The last row and column of
+    ``K_inv`` stay zero, and so does the last entry of ``y_ext``, scratch
+    for a kernel vector, so an index of -1 reads a zero and needs no mask.
+    """
 
     def __init__(self, prep: PreparedLP, lo, hi, start: Basis | None = None,
-                 factor: Factor | None = None):
+                 factor: Factor | None = None, counts: Counter | None = None):
         self.prep = prep
         self.m, self.n = prep.m, prep.n
         self.n_real = prep.n_real
         self.b = prep.b
+        self.counts = Counter() if counts is None else counts
 
         self.lower = np.concatenate([lo, prep.slack_lower])
         self.upper = np.concatenate([hi, prep.slack_upper])
@@ -246,10 +298,11 @@ class _SimplexState:
         self.basic_upper = upper[basis]
 
     def _slack_start(self) -> None:
-        """Slack basis (B = I) with every structural column at the bound
-        its cost prefers: dual feasible for the input class."""
+        """Slack basis (B = I, an empty kernel) with every structural column
+        at the bound its cost prefers: dual feasible for the input class."""
         self._place(np.arange(self.n, self.n_real), self.prep.c_real < 0)
-        self.B_inv = np.eye(self.m)
+        empty = np.zeros(0, dtype=int)
+        self._adopt_kernel(np.zeros((1, 1)), empty, empty)
         # The identity counts as one update old: a cold solve rebuilds after
         # 95 pivots, then every 96. Root LPs run long, so where the rebuilds
         # fall sets their roundoff, and with it the last digits of the gaps
@@ -259,7 +312,7 @@ class _SimplexState:
 
     def _load(self, start: Basis, factor: Factor | None) -> None:
         """Adopt a basis from an earlier solve under the current bounds,
-        taking over ``factor``'s inverse when it belongs to ``start``.
+        taking over ``factor``'s kernel inverse when it belongs to ``start``.
 
         Raises :class:`NumericalFailure` when the record does not fit this
         LP or its basis matrix is singular or ill-conditioned.
@@ -276,30 +329,110 @@ class _SimplexState:
         self._place(basic.astype(int), at_upper)
 
         residual = self._residual()
-        self.B_inv = None
-        if factor is not None and factor.basis is start:
-            self.B_inv, factor.inverse = factor.inverse, None
-        if self.B_inv is not None:
+        self.K_inv = None
+        if factor is not None and factor.basis is start and factor.inverse is not None:
+            self._adopt_kernel(factor.inverse, factor.positions, factor.rows)
+            factor.inverse = None
             self.age = factor.age
-            self.x_B = self.B_inv @ residual
+            self.x_B = self._solve(residual)
             if self._solves(residual):
                 return
         self._refactor()
         if not self._solves(residual):
             raise NumericalFailure("warm-start basis is ill-conditioned")
 
+    def _adopt_kernel(self, K_inv: np.ndarray, positions: np.ndarray,
+                      rows: np.ndarray) -> None:
+        """Hold ``K_inv``, K^-1 in its leading k x k block with k the length
+        of ``positions``, the basis positions of its rows, and ``rows``, the
+        model rows of its columns, and a zero last row and column; index
+        them for the current basis."""
+        m, k = self.m, len(positions)
+        self.K_inv, self.k = K_inv, k
+        self.kernel_pos = np.empty(m, dtype=int)
+        self.kernel_pos[:k] = positions
+        self.kernel_row = np.empty(m, dtype=int)
+        self.kernel_row[:k] = rows
+        index = np.arange(k)
+        self.kernel_of_pos = np.full(m, -1)
+        self.kernel_of_pos[positions] = index
+        self.kernel_of_row = np.full(m, -1)
+        self.kernel_of_row[rows] = index
+        kernel_of_col = np.full(self.n, -1)
+        kernel_of_col[self.basis[positions]] = index
+        self.kernel_of_entry = kernel_of_col[self.prep.col_of]
+        self.y_ext = np.zeros(m + 1)
+
+    def _mark(self, col: int, index: int) -> None:
+        """Set the kernel index of structural column ``col``'s entries."""
+        start = self.prep.col_start
+        self.kernel_of_entry[start[col]:start[col + 1]] = index
+
+    def _reserve(self, k: int) -> None:
+        """Make room for a k x k kernel inverse, keeping the current one."""
+        held = self.K_inv
+        if held is not None and held.shape[0] > k:
+            return
+        size = min(self.m, max(2 * k, 32)) + 1
+        grown = np.zeros((size, size))
+        if held is not None:
+            grown[:self.k, :self.k] = held[:self.k, :self.k]
+        self.K_inv = grown
+
     def _solves(self, residual: np.ndarray) -> bool:
         """Whether B x_B reproduces the residual (NaN fails)."""
         error = np.abs(self._residual(self.values())).max(initial=0.0)
         return bool(error <= 1e-7 * (1.0 + np.abs(residual).max(initial=0.0)))
 
+    # -- the kernel form of B^-1 ----------------------------------------------
+
+    def _complete(self, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """B^-1 a, given a by row and its kernel part y = K^-1 a[R_k]: the
+        structural positions take y, and the basic slack of row r takes
+        a[r] - (A[:, S] y)[r], in one pass over A's stored entries."""
+        prep, k = self.prep, self.k
+        self.y_ext[:k] = y
+        w = a - np.bincount(prep.col_rows, minlength=self.m,
+                            weights=prep.col_vals * self.y_ext[self.kernel_of_entry])
+        # Structural positions read a clipped placeholder, then take y.
+        d = w.take(self.basis - self.n, mode="clip")
+        d[self.kernel_pos[:k]] = y
+        return d
+
+    def _solve(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v for a vector v by row."""
+        k = self.k
+        return self._complete(v, self.K_inv[:k, :k] @ v[self.kernel_row[:k]])
+
     def _ftran(self, j: int) -> np.ndarray:
-        """B_inv times column j, read from the column's stored entries."""
+        """B^-1 times column j (a slack's is the unit column of its row),
+        read from the column's stored entries."""
+        prep, k = self.prep, self.k
+        a = np.zeros(self.m)
         if j >= self.n:
-            return self.B_inv[:, j - self.n].copy()
-        prep = self.prep
+            a[j - self.n] = 1.0
+            return self._complete(a, self.K_inv[:k, self.kernel_of_row[j - self.n]])
         lo, hi = prep.col_start[j], prep.col_start[j + 1]
-        return self.B_inv[:, prep.col_rows[lo:hi]] @ prep.col_vals[lo:hi]
+        rows, vals = prep.col_rows[lo:hi], prep.col_vals[lo:hi]
+        a[rows] = vals
+        return self._complete(a, self.K_inv[:k, self.kernel_of_row[rows]] @ vals)
+
+    def _inverse_row(self, p: int) -> np.ndarray:
+        """Row p of B^-1, by row: the row of K^-1 at a structural position,
+        e_r - A[r, S] K^-1 at the basic slack of row r."""
+        k = self.k
+        rho = np.zeros(self.m)
+        i = self.kernel_of_pos[p]
+        if i >= 0:
+            rho[self.kernel_row[:k]] = self.K_inv[i, :k]
+            return rho
+        prep = self.prep
+        r = self.basis[p] - self.n
+        entries = prep.row_entry[prep.row_start[r]:prep.row_start[r + 1]]
+        rho[self.kernel_row[:k]] = -(prep.col_vals[entries]
+                                     @ self.K_inv[self.kernel_of_entry[entries], :k])
+        rho[r] = 1.0
+        return rho
 
     def _row_times_A(self, v: np.ndarray) -> np.ndarray:
         """The row vector v times [A | I]: one pass over A's stored entries."""
@@ -309,9 +442,12 @@ class _SimplexState:
         return np.concatenate([vA, v])
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        c_B = c[self.basis]
-        priced = np.flatnonzero(c_B)
-        return c - self._row_times_A(c_B[priced] @ self.B_inv[priced])
+        """c - c_B B^-1 [A | I], with duals c_S K^-1 on the kernel rows and
+        0 on the others, because slack costs are 0."""
+        k = self.k
+        y = np.zeros(self.m)
+        y[self.kernel_row[:k]] = c[self.basis[self.kernel_pos[:k]]] @ self.K_inv[:k, :k]
+        return c - self._row_times_A(y)
 
     # -- values --------------------------------------------------------------
 
@@ -337,62 +473,43 @@ class _SimplexState:
         return x
 
     def _refactor(self) -> None:
-        """Rebuild B_inv and x_B from the k x k kernel (module docstring),
-        writing B^-1 over the state's m x m array; a state without one, a
-        warm start handed no factor, gets a new array.
+        """Rebuild K^-1, its index arrays and x_B from the basis: K is read
+        from the stored entries of the basic structural columns and
+        inverted. K^-1 goes into the held array when it has room.
 
         Raises :class:`NumericalFailure` when the basic slacks do not leave
-        exactly k kernel rows or the kernel is singular; B_inv is then
-        untouched.
+        exactly k kernel rows or the kernel is singular; the held inverse
+        is then untouched.
         """
+        self.counts["refactorizations"] += 1
         m, n = self.m, self.n
         structural = self.basis < n
         struct_pos = np.flatnonzero(structural)
-        slack_pos = np.flatnonzero(~structural)
-        slack_rows = self.basis[slack_pos] - n
         in_kernel = np.ones(m, dtype=bool)
-        in_kernel[slack_rows] = False
+        in_kernel[self.basis[~structural] - n] = False
         kernel_rows = np.flatnonzero(in_kernel)
         k = struct_pos.size
         if kernel_rows.size != k:
             raise NumericalFailure("basis repeats a slack column")
-        # K = A[R_k, S] and the coupling A[R_s, S] straight from the stored
-        # entries of the basic structural columns: each entry goes to the
-        # slot of its row in R_k or R_s and of its column in S.
+        # Each stored entry of a basic structural column on a kernel row
+        # goes to the slot of its row in R_k and of its column in S.
         prep = self.prep
-        position = np.full(n, -1)
-        position[self.basis[struct_pos]] = np.arange(k)
-        picked = np.flatnonzero(position[prep.col_of] >= 0)
-        rows, vals = prep.col_rows[picked], prep.col_vals[picked]
-        cols = position[prep.col_of[picked]]
-        slot = np.empty(m, dtype=int)
-        slot[kernel_rows] = np.arange(k)
-        slot[slack_rows] = np.arange(m - k)
-        kernel_entry = in_kernel[rows]
+        col_slot = np.full(n, -1)
+        col_slot[self.basis[struct_pos]] = np.arange(k)
+        row_slot = np.full(m, -1)
+        row_slot[kernel_rows] = np.arange(k)
+        cols, rows = col_slot[prep.col_of], row_slot[prep.col_rows]
+        inside = (cols >= 0) & (rows >= 0)
         K = np.zeros((k, k))
-        K[slot[rows[kernel_entry]], cols[kernel_entry]] = vals[kernel_entry]
-        coupling = np.zeros((m - k, k))
-        coupled = ~kernel_entry
-        coupling[slot[rows[coupled]], cols[coupled]] = vals[coupled]
+        K[rows[inside], cols[inside]] = prep.col_vals[inside]
         try:
             K_inv = np.linalg.inv(K)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis during refactorization") from exc
-        del K
-
-        residual = self._residual()
-        self.x_B = np.empty(m)
-        self.x_B[struct_pos] = K_inv @ residual[kernel_rows]
-        self.x_B[slack_pos] = residual[slack_rows] - coupling @ self.x_B[struct_pos]
-
-        if self.B_inv is None:
-            self.B_inv = np.zeros((m, m))
-        else:
-            self.B_inv.fill(0.0)
-        self.B_inv[np.ix_(struct_pos, kernel_rows)] = K_inv
-        np.negative(coupling, out=coupling)  # exact, so the product is -A[R_s, S] K^-1
-        self.B_inv[np.ix_(slack_pos, kernel_rows)] = coupling @ K_inv
-        self.B_inv[slack_pos, slack_rows] = 1.0
+        self._reserve(k)
+        self.K_inv[:k, :k] = K_inv
+        self._adopt_kernel(self.K_inv, struct_pos, kernel_rows)
+        self.x_B = self._solve(self._residual())
         self.age = 0
 
     # -- dual simplex ---------------------------------------------------------
@@ -431,7 +548,8 @@ class _SimplexState:
             # x_r = beta_r - sum_j alpha_j (x_j - x_j now) over nonbasic j;
             # a column qualifies when its feasible move pushes x_r to target,
             # that is when direction * push < -TOL_PIVOT with push = +-alpha.
-            alpha = self._row_times_A(self.B_inv[leave_pos])
+            rho = self._inverse_row(leave_pos)
+            alpha = self._row_times_A(rho)
             signed = self.direction * alpha
             eligible = signed < -TOL_PIVOT if to_lower else signed > TOL_PIVOT
             cand = eligible.nonzero()[0]
@@ -452,7 +570,7 @@ class _SimplexState:
             base = self.lower[enter] if self.direction[enter] > 0 else self.upper[enter]
             x_B -= d * step
             leave_col = self.basis[leave_pos]
-            self._pivot(leave_pos, enter, base + step, d=d)
+            self._pivot(leave_pos, enter, base + step, d=d, rho=rho)
             # Dual step: the entering reduced cost drops to zero and the
             # leaving column takes minus the step.
             theta = z[enter] / alpha[enter]
@@ -462,7 +580,11 @@ class _SimplexState:
         raise NumericalFailure(
             f"dual simplex exceeded {max_iters} iterations without converging")
 
-    def _pivot(self, leave_pos: int, enter: int, enter_value: float, d: np.ndarray) -> None:
+    def _pivot(self, leave_pos: int, enter: int, enter_value: float,
+               d: np.ndarray, rho: np.ndarray) -> None:
+        """Put column ``enter``, whose FTRAN is d, in position ``leave_pos``,
+        whose row of B^-1 is rho, at ``enter_value``."""
+        self.counts["pivots"] += 1
         pivot = float(d[leave_pos])
         if abs(pivot) < TOL_PIVOT:
             raise NumericalFailure("vanishing pivot element")
@@ -473,21 +595,77 @@ class _SimplexState:
         self.direction[leave_col] = 0.0 if hi - lo <= 1e-15 else \
             1.0 if abs(leave_val - lo) <= abs(leave_val - hi) else -1.0
 
+        self._update_kernel(leave_pos, leave_col, enter, d, rho)
         self.basis[leave_pos] = enter
         self.direction[enter] = 0.0
         self.basic_lower[leave_pos] = self.lower[enter]
         self.basic_upper[leave_pos] = self.upper[enter]
         self.x_B[leave_pos] = enter_value
-
-        # Rank-one basis-inverse update on the entries where both d and the
-        # pivot row are nonzero (the others would lose a product with a
-        # zero); the pivot row is restored afterward because the outer
-        # product zeroes it out exactly.
-        piv_row = self.B_inv[leave_pos] / pivot
-        rows, cols = d.nonzero()[0][:, None], piv_row.nonzero()[0]
-        self.B_inv[rows, cols] -= d[rows] * piv_row[cols]
-        self.B_inv[leave_pos] = piv_row
         self.age += 1
+
+    def _update_kernel(self, p: int, leave_col: int, enter: int,
+                       d: np.ndarray, rho: np.ndarray) -> None:
+        """K^-1 and its index arrays for the basis with ``enter`` in
+        position p in place of ``leave_col``, in place: the product-form
+        step restricted to the kernel block, then the case's one row or
+        column (module docstring)."""
+        n, k = self.n, self.k
+        K_inv = self.K_inv[:k, :k]
+        d_S = d[self.kernel_pos[:k]]
+        rho_k = rho[self.kernel_row[:k]] / d[p]
+        # Rows where d_S is zero keep their entries exactly.
+        moved = d_S.nonzero()[0]
+        K_inv[moved] -= np.multiply.outer(d_S[moved], rho_k)
+        i = self.kernel_of_pos[p]
+        if i >= 0 and enter < n:  # structural for structural
+            K_inv[i] = rho_k
+            self._mark(leave_col, -1)
+            self._mark(enter, i)
+        elif i >= 0:  # a slack for a structural column
+            self._shrink(i, self.kernel_of_row[enter - n], leave_col)
+        elif enter < n:  # a structural column for a slack
+            self._border(p, leave_col - n, enter, -d_S / d[p], rho_k, 1.0 / d[p])
+        else:  # slack for slack
+            j = self.kernel_of_row[enter - n]
+            K_inv[:, j] = -d_S / d[p]
+            r = leave_col - n
+            self.kernel_row[j] = r
+            self.kernel_of_row[enter - n] = -1
+            self.kernel_of_row[r] = j
+
+    def _border(self, p: int, r: int, col: int, column: np.ndarray,
+                row: np.ndarray, corner: float) -> None:
+        """Grow K^-1 by one row, for position p holding structural ``col``,
+        and one column, for row r: the given row, column and corner."""
+        k = self.k
+        self._reserve(k + 1)
+        self.K_inv[k, :k] = row
+        self.K_inv[:k, k] = column
+        self.K_inv[k, k] = corner
+        self.kernel_pos[k], self.kernel_row[k] = p, r
+        self.kernel_of_pos[p] = self.kernel_of_row[r] = k
+        self._mark(col, k)
+        self.k = k + 1
+
+    def _shrink(self, i: int, j: int, leave_col: int) -> None:
+        """Delete row i and column j of K^-1 (the structural ``leave_col``
+        and the kernel row whose slack enters), moving the last row and
+        column into their places. Runs before the basis records the pivot."""
+        last = self.k - 1
+        K_inv = self.K_inv
+        K_inv[i, :last + 1] = K_inv[last, :last + 1]
+        K_inv[:last + 1, j] = K_inv[:last + 1, last]
+        p, moved_pos = self.kernel_pos[i], self.kernel_pos[last]
+        self.kernel_pos[i] = moved_pos
+        self._mark(self.basis[moved_pos], i)
+        self._mark(leave_col, -1)
+        self.kernel_of_pos[moved_pos] = i
+        self.kernel_of_pos[p] = -1
+        r, moved_row = self.kernel_row[j], self.kernel_row[last]
+        self.kernel_row[j] = moved_row
+        self.kernel_of_row[moved_row] = j
+        self.kernel_of_row[r] = -1
+        self.k = last
 
 
 def _row_of_entry(model: LinearModel) -> np.ndarray:

@@ -40,19 +40,24 @@ class Basis:
 
 @dataclass(eq=False)
 class Factor:
-    """The explicit basis inverse a solve ended with, for the next solve
-    that starts from the same :class:`Basis` object.
+    """The kernel inverse a solve ended with, for the next solve that
+    starts from the same :class:`Basis` object.
 
-    ``inverse`` is B^-1 over ``basis``'s row positions and ``age`` the
-    pivots it has taken since it was last rebuilt from its kernel. A solve
-    handed a factor takes the array over, setting ``inverse`` to None, and
-    both updates and refactorizes it in place, so one factor serves one
-    solve, never outlives it as a second m x m array, and each solve holds
-    one m x m array from start to end.
+    ``inverse`` holds K^-1, the inverse of the basis's structural kernel
+    (see :mod:`fleetcharge.solver.simplex`), in its leading k x k block,
+    where k is the length of ``positions``; the rest is spare room for
+    the kernel to grow, with a last row and column of zeros. Row i of
+    K^-1 belongs to basis position ``positions[i]`` and column j to model
+    row ``rows[j]``. ``age`` is the pivots it has taken since it was last
+    rebuilt from the kernel. A solve handed a factor takes the array over,
+    setting ``inverse`` to None, and both updates and refactorizes it in
+    place, so one factor serves one solve and costs k^2, not m^2, floats.
     """
 
     basis: Basis
     inverse: np.ndarray | None
+    positions: np.ndarray
+    rows: np.ndarray
     age: int
 
 
@@ -67,7 +72,15 @@ class Solution:
     covers the model's structural columns and is None when no feasible point
     was found. ``basis`` is the final LP basis of an OPTIMAL LP solve, a
     warm start for a solve of the same model under nearby bounds, and
-    ``factor`` its basis inverse; a branch-and-bound result carries neither.
+    ``factor`` its kernel inverse; a branch-and-bound result carries neither.
+
+    ``pivots`` and ``refactorizations`` count the dual pivots and kernel
+    refactorizations of an LP solve, and a branch-and-bound result sums
+    them over all its LP solves. Branch-and-bound also reports
+    ``lp_solves`` (node LPs and polishes), ``factor_handoffs`` (solves
+    handed the previous solve's :class:`Factor`) and ``stop_reason``:
+    ``gap`` (target gap proven), ``exhausted`` (tree searched),
+    ``node_limit``, ``time_limit`` or ``infeasible``.
     """
 
     status: SolveStatus
@@ -79,6 +92,11 @@ class Solution:
     wall_time: float = 0.0
     basis: Basis | None = None
     factor: Factor | None = None
+    pivots: int = 0
+    refactorizations: int = 0
+    lp_solves: int = 0
+    factor_handoffs: int = 0
+    stop_reason: str | None = None
 
     @property
     def is_feasible(self) -> bool:

@@ -171,6 +171,11 @@ def decode_plan(
             "gap": solution.gap,
             "nodes": solution.node_count,
             "wall_time_s": solution.wall_time,
+            "lp_solves": solution.lp_solves,
+            "pivots": solution.pivots,
+            "refactorizations": solution.refactorizations,
+            "factor_handoffs": solution.factor_handoffs,
+            "stop_reason": solution.stop_reason,
         },
         scenario_name=scenario.name,
     )

@@ -209,14 +209,15 @@ def scaled_matrix(model: LinearModel) -> np.ndarray:
 
 
 def refactor_by_dense_columns(state) -> tuple[np.ndarray, np.ndarray]:
-    """B^-1 and x_B of a simplex state's basis, assembled from the k x k
-    structural kernel through a dense m x k copy ``A_S`` of the basic
-    structural columns and a fresh m x m array; the state is not changed.
+    """K^-1 and x_B of a simplex state's basis, from its k x k structural
+    kernel taken out of a dense m x k copy ``A_S`` of the basic structural
+    columns; the state is not changed.
 
     The reference for ``_SimplexState._refactor``, which builds the kernel
-    and the coupling block from the stored entries and writes over the
-    state's own inverse with the same arithmetic: both must agree bit for
-    bit.
+    from the stored entries: both invert the same matrix, so their K^-1
+    agree bit for bit. The basic slacks' values come from a dense product
+    here and from a pass over the stored entries there, so x_B agrees to
+    roundoff.
     """
     prep, basis = state.prep, state.basis
     m, n = prep.m, prep.n
@@ -233,16 +234,11 @@ def refactor_by_dense_columns(state) -> tuple[np.ndarray, np.ndarray]:
     A_S = np.zeros((m, struct_pos.size))
     A_S[prep.col_rows[picked], position[prep.col_of[picked]]] = prep.col_vals[picked]
     K_inv = np.linalg.inv(A_S[kernel_rows])
-    coupling = A_S[slack_rows]  # A[R_s, S]
-    B_inv = np.zeros((m, m))
-    B_inv[np.ix_(struct_pos, kernel_rows)] = K_inv
-    B_inv[np.ix_(slack_pos, kernel_rows)] = -coupling @ K_inv
-    B_inv[slack_pos, slack_rows] = 1.0
     residual = state._residual()
     x_B = np.empty(m)
     x_B[struct_pos] = K_inv @ residual[kernel_rows]
-    x_B[slack_pos] = residual[slack_rows] - coupling @ x_B[struct_pos]
-    return B_inv, x_B
+    x_B[slack_pos] = residual[slack_rows] - A_S[slack_rows] @ x_B[struct_pos]
+    return K_inv, x_B
 
 
 def check_solution_by_rows(model: LinearModel, values) -> list[str]:

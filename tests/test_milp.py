@@ -1,6 +1,7 @@
 """Branch-and-bound and the brute-force enumeration oracle."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,74 @@ class TestFactorHandOff:
         assert sol.basis is None and sol.factor is None
 
 
+class TestSolveCounts:
+    """The work a solution reports against wrappers at the methods that do
+    it, and the reason the search gives for stopping."""
+
+    def test_depot_counts_match_recorded_calls(self, depot_scenario, monkeypatch):
+        model = dive_model("depot", depot_scenario)
+        calls = Counter()
+        for name, key in (("_pivot", "pivots"), ("_refactor", "refactorizations")):
+            original = getattr(simplex._SimplexState, name)
+
+            def counted(self, *args, _original=original, _key=key, **kwargs):
+                calls[_key] += 1
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(simplex._SimplexState, name, counted)
+        solve = PreparedLP.solve
+
+        def counted_solve(self, lower=None, upper=None, basis=None, factor=None):
+            before = calls.copy()
+            calls["lp_solves"] += 1
+            calls["factor_handoffs"] += factor is not None
+            result = solve(self, lower, upper, basis, factor)
+            # Each LP reports its own pivots and refactorizations.
+            assert result.pivots == calls["pivots"] - before["pivots"]
+            assert result.refactorizations == \
+                calls["refactorizations"] - before["refactorizations"]
+            return result
+
+        monkeypatch.setattr(PreparedLP, "solve", counted_solve)
+        sol = branch_and_bound(model)
+        assert sol.status == SolveStatus.OPTIMAL and sol.stop_reason == "gap"
+        assert {key: getattr(sol, key) for key in calls} == dict(calls)
+        # Every node LP after the root, and the polish, dives from the last solve.
+        assert calls["factor_handoffs"] == calls["lp_solves"] - 1 > sol.node_count - 1
+        assert calls["pivots"] > calls["refactorizations"] >= 1
+
+    def test_plan_reports_the_counts(self, depot_base_outcome):
+        solution, info = depot_base_outcome.solution, depot_base_outcome.plan.solver_info
+        for key in ("lp_solves", "pivots", "refactorizations", "factor_handoffs",
+                    "stop_reason"):
+            assert info[key] == getattr(solution, key)
+        assert info["lp_solves"] > info["nodes"] and info["pivots"] > 0
+
+    @pytest.mark.parametrize("limits, status, reason", [
+        ({}, SolveStatus.OPTIMAL, "exhausted"),
+        ({"node_limit": 0}, SolveStatus.FEASIBLE, "node_limit"),
+        ({"time_limit": 0.0}, SolveStatus.FEASIBLE, "time_limit"),
+    ])
+    def test_stop_reason(self, limits, status, reason):
+        trace = []
+        sol = branch_and_bound(binary_cover_model(), rel_gap_target=0.0, trace=trace,
+                               **limits)
+        assert (sol.status, sol.stop_reason) == (status, reason)
+        assert trace[-1].startswith(f"stop {reason} nodes {sol.node_count} incumbent ")
+
+    def test_stop_reason_gap_and_infeasible(self, depot_scenario):
+        assert branch_and_bound(dive_model("depot", depot_scenario)).stop_reason == "gap"
+        # 0.4 <= y <= 0.6 holds no integer.
+        model = LinearModel()
+        y = model.add_column("y", 0, 1, objective=1.0, integer=True)
+        model.add_row("low", [(y, 1.0)], GE, 0.4)
+        model.add_row("high", [(y, 1.0)], LE, 0.6)
+        trace = []
+        sol = branch_and_bound(model, trace=trace)
+        assert (sol.status, sol.stop_reason) == (SolveStatus.INFEASIBLE, "infeasible")
+        assert trace[-1] == f"stop infeasible nodes {sol.node_count} incumbent -"
+        assert sol.lp_solves == sol.node_count == 3
+
+
 class TestDualOptimality:
     """Every LP is one dual simplex, with no primal pass after it to
     repair a basis the dual left dual infeasible."""
@@ -261,19 +330,21 @@ class TestDualOptimality:
     @pytest.mark.parametrize("name", ["depot", "five_trucks"])
     def test_every_lp_ends_dual_feasible(self, name, depot_scenario, monkeypatch):
         """Dual pivots alone must end at an optimal basis: reduced costs
-        recomputed from each returned B^-1, not the loop's running ones,
-        have the sign of their column's bound within 1e-9 (scaled costs)."""
+        recomputed from each returned basis by a dense solve, not the
+        loop's running ones, have the sign of their column's bound within
+        1e-9 (scaled costs)."""
         model = dive_model(name, depot_scenario)
         solve = PreparedLP.solve
         checked = []
         A = scaled_matrix(model)  # dense reference for the solver's stored A
+        full = np.hstack([A, np.eye(A.shape[0])])
 
         def checking_solve(self, lower=None, upper=None, basis=None, factor=None):
             result = solve(self, lower, upper, basis, factor)
             if result.status != SolveStatus.OPTIMAL:
                 return result
             basic, at_upper = result.basis.basic, result.basis.at_upper
-            y = self.c_real[basic] @ result.factor.inverse
+            y = np.linalg.solve(full[:, basic].T, self.c_real[basic])
             z = self.c_real - np.concatenate([y @ A, y])
             lo = np.concatenate([lower, self.slack_lower])
             hi = np.concatenate([upper, self.slack_upper])

@@ -1,8 +1,10 @@
 """LP solver: textbook cases, the exact-arithmetic oracle, HiGHS, warm
 starts, determinism."""
 
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -384,7 +386,10 @@ class TestFactorHandOff:
 
     def test_inherited_factor_skips_refactorization(self, depot_scenario, monkeypatch):
         prep, root, lower, upper = depot_child(depot_scenario)
-        assert root.factor.basis is root.basis and root.factor.inverse.shape == (prep.m,) * 2
+        factor = root.factor
+        k = np.count_nonzero(root.basis.basic < prep.n)
+        assert factor.basis is root.basis and len(factor.positions) == len(factor.rows) == k
+        assert k <= factor.inverse.shape[0] < prep.m  # kernel-sized, not m x m
         rebuilt = prep.solve(lower, upper, root.basis)
         calls = record_calls(monkeypatch, "_refactor")
         factor = root.factor
@@ -527,7 +532,7 @@ class TestSetUp:
             prep, np.array(model.lower), np.array(model.upper))
         # The cold start is the slack basis: B = I.
         assert np.array_equal(state.basis, np.arange(prep.n, prep.n_real))
-        assert np.array_equal(state.B_inv, np.eye(prep.m))
+        assert state.k == 0  # an empty kernel
         assert state.run_dual()
         assert np.any(state.basis < prep.n)  # structural columns entered
         full = np.hstack([scaled_matrix(model), np.eye(prep.m)])  # [A | I], slacks explicit
@@ -539,7 +544,7 @@ class TestSetUp:
         x[state.basis] = v  # B v is [A | I] x, read through the residual
         assert np.allclose(prep.b - state._residual(x), reference @ v, rtol=0, atol=1e-12)
         state._refactor()
-        assert np.allclose(state.B_inv @ reference, np.eye(prep.m), rtol=0, atol=1e-9)
+        assert np.allclose(state._solve(reference @ v), v, rtol=0, atol=1e-9)
 
     def test_scaled_matrix_matches_coefficient_loop(self, depot_scenario):
         import fleetcharge as fc
@@ -616,9 +621,36 @@ def basis_record(prep, basic):
     return Basis(np.asarray(basic), np.zeros(prep.n_real, dtype=bool))
 
 
+def full_matrix(model):
+    """[A | I]: the scaled structural matrix with the slack columns explicit."""
+    A = scaled_matrix(model)
+    return np.hstack([A, np.eye(A.shape[0])])
+
+
+def assert_kernel_form_matches_dense(state, full, atol=1e-9):
+    """FTRAN of every column, every pivot row and the reduced costs of the
+    state's kernel form against np.linalg.inv of its dense basis."""
+    B_inv = np.linalg.inv(full[:, state.basis])
+    for j in range(full.shape[1]):
+        assert np.allclose(state._ftran(j), B_inv @ full[:, j], rtol=0, atol=atol)
+    for p in range(full.shape[0]):
+        rho = state._inverse_row(p)
+        assert np.allclose(rho, B_inv[p], rtol=0, atol=atol)
+        assert np.allclose(state._row_times_A(rho), B_inv[p] @ full, rtol=0, atol=atol)
+    c = state.prep.c_real
+    assert np.allclose(state._reduced_costs(c), c - (c[state.basis] @ B_inv) @ full,
+                       rtol=0, atol=atol)
+
+
+def pivot_case(state, leave_pos, enter):
+    """The kernel update a pivot takes: which kind of column leaves, which enters."""
+    kind = ("slack", "structural")
+    return (kind[bool(state.basis[leave_pos] < state.n)], kind[bool(enter < state.n)])
+
+
 class TestKernelFactorization:
-    """B^-1 assembled from the k x k structural kernel and the sparse
-    per-pivot steps against dense linear algebra on the full basis."""
+    """The kernel form of B^-1, after a refactorization and after each kind
+    of in-place update, against dense linear algebra on the full basis."""
 
     @pytest.mark.parametrize("k", [0, 3, 6])  # all slacks, mixed, m structural
     @pytest.mark.parametrize("seed", range(4))
@@ -632,10 +664,45 @@ class TestKernelFactorization:
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper),
             basis_record(prep, basic))
-        full = np.hstack([scaled_matrix(model), np.eye(prep.m)])
+        full = full_matrix(model)
+        assert state.k == k
+        assert_kernel_form_matches_dense(state, full, atol=1e-10)
         B = full[:, basic]
-        assert np.allclose(state.B_inv, np.linalg.inv(B), rtol=0, atol=1e-10)
         assert np.allclose(B @ state.x_B, state._residual(), rtol=0, atol=1e-10)
+
+    def test_every_update_case_matches_dense_inverse(self, monkeypatch):
+        """Cold solves and tightened re-solves of random LPs: after each
+        pivot and each refactorization the kernel form matches the dense
+        inverse, and all four update cases run."""
+        pivot, refactor = simplex._SimplexState._pivot, simplex._SimplexState._refactor
+        cases = Counter()
+        full = None
+
+        def checked_pivot(self, leave_pos, enter, *args, **kwargs):
+            cases[pivot_case(self, leave_pos, enter)] += 1
+            pivot(self, leave_pos, enter, *args, **kwargs)
+            assert_kernel_form_matches_dense(self, full)
+
+        def checked_refactor(self):
+            refactor(self)
+            assert_kernel_form_matches_dense(self, full)
+
+        monkeypatch.setattr(simplex._SimplexState, "_pivot", checked_pivot)
+        monkeypatch.setattr(simplex._SimplexState, "_refactor", checked_refactor)
+        for make, seed in itertools.product((random_lp, random_mixed_bounds_lp), range(6)):
+            model = make(seed)
+            full = full_matrix(model)
+            prep = PreparedLP(model)
+            parent = prep.solve()
+            if parent.status != SolveStatus.OPTIMAL:
+                continue
+            lower, upper = np.array(model.lower), np.array(model.upper)
+            for j in range(prep.n):
+                if upper[j] > lower[j]:
+                    cut = upper.copy()
+                    cut[j] = max(lower[j], math.floor(parent.values[j] / 2))
+                    prep.solve(lower, cut, parent.basis, None)
+        assert set(cases) == set(itertools.product(("slack", "structural"), repeat=2))
 
     def test_singular_kernel_raises_and_warm_start_falls_back(self, monkeypatch):
         # Rows 0 and 1 scale to the same x0, x1 coefficients, so with the
@@ -674,32 +741,6 @@ class TestKernelFactorization:
         with pytest.raises(simplex.NumericalFailure, match="repeats a slack"):
             state._refactor()
 
-    def test_restricted_rank_one_update_equals_dense(self, depot_scenario):
-        import fleetcharge as fc
-
-        model = fc.build_problem(depot_scenario).model
-        prep = PreparedLP(model)
-        lo, hi = np.array(model.lower), np.array(model.upper)
-        root = prep.solve()
-        state = simplex._SimplexState(prep, lo, hi, root.basis)
-        checked = 0
-        nonbasic = np.ones(prep.n_real, dtype=bool)
-        nonbasic[state.basis] = False
-        for enter in np.flatnonzero(nonbasic)[:40]:
-            d = state._ftran(int(enter))
-            leave_pos = int(np.argmax(np.abs(d)))
-            if abs(d[leave_pos]) < 1e-6:
-                continue
-            piv_row = state.B_inv[leave_pos] / d[leave_pos]
-            dense = state.B_inv - np.multiply.outer(d, piv_row)
-            dense[leave_pos] = piv_row
-            assert np.count_nonzero(piv_row) < prep.m  # the restriction skips work
-            trial = simplex._SimplexState(prep, lo, hi, root.basis)
-            trial._pivot(leave_pos, int(enter), 0.0, d=d)
-            assert np.array_equal(trial.B_inv, dense)
-            checked += 1
-        assert checked >= 10
-
     def test_sparse_pivot_row_and_costs_match_dense(self, depot_scenario):
         import fleetcharge as fc
 
@@ -707,17 +748,9 @@ class TestKernelFactorization:
         prep = PreparedLP(model)
         root = prep.solve()
         state = simplex._SimplexState(
-            prep, np.array(model.lower), np.array(model.upper), root.basis)
-        full = np.hstack([scaled_matrix(model), np.eye(prep.m)])
-        for r in range(0, prep.m, 7):
-            assert np.allclose(state._row_times_A(state.B_inv[r]),
-                               state.B_inv[r] @ full, rtol=0, atol=1e-12)
-        for j in range(0, prep.n_real, 5):
-            assert np.allclose(state._ftran(j), state.B_inv @ full[:, j],
-                               rtol=0, atol=1e-12)
-        y = prep.c_real[state.basis] @ state.B_inv
-        assert np.allclose(state._reduced_costs(prep.c_real),
-                           prep.c_real - y @ full, rtol=0, atol=1e-12)
+            prep, np.array(model.lower), np.array(model.upper), root.basis, root.factor)
+        assert 0 < state.k < prep.m
+        assert_kernel_form_matches_dense(state, full_matrix(model))
 
     def test_no_full_basis_inversion(self, depot_scenario, monkeypatch):
         import fleetcharge as fc
@@ -757,9 +790,9 @@ def traced_peak(call) -> int:
 
 
 class TestRefactorInPlace:
-    """A refactorization writes B^-1 over the array the state holds, with
-    the arithmetic of the dense m x k assembly, and allocates only
-    kernel- and coupling-sized temporaries."""
+    """A refactorization inverts the kernel that the dense m x k assembly
+    gives, writes it into the array the state holds when that has room,
+    and allocates only kernel-sized temporaries."""
 
     def test_matches_dense_column_assembly(self, refactor_model, monkeypatch):
         prep = PreparedLP(refactor_model)
@@ -771,24 +804,25 @@ class TestRefactorInPlace:
             return pivot(self, *args, **kwargs)
 
         def checked_refactor(self):
-            B_inv, x_B = refactor_by_dense_columns(self)
-            held = self.B_inv
+            K_inv, x_B = refactor_by_dense_columns(self)
+            held = self.K_inv
             refactor(self)
-            assert self.B_inv is held
-            assert np.array_equal(self.B_inv, B_inv)
-            assert np.array_equal(self.x_B, x_B)
+            k = self.k
+            assert (self.K_inv is held) == (held.shape[0] > k)  # room and a zero row
+            assert np.array_equal(self.K_inv[:k, :k], K_inv)
+            assert np.allclose(self.x_B, x_B, rtol=0, atol=1e-9)
             refactors.append(len(pivots))
 
         monkeypatch.setattr(simplex._SimplexState, "_pivot", counted_pivot)
         monkeypatch.setattr(simplex._SimplexState, "_refactor", checked_refactor)
         assert prep.solve().status == SolveStatus.OPTIMAL
         # The cold start's identity counts one update, so rebuilds fall
-        # after pivots 95, 191, ... (depot: 126 pivots, 5 trucks: 246).
+        # after pivots 95, 191, ...
         assert refactors == list(range(95, len(pivots), 96)) and refactors
 
     @staticmethod
     def warm_state(model):
-        """A state on the root LP's final basis that holds its inverse."""
+        """A state on the root LP's final basis that holds its kernel inverse."""
         prep = PreparedLP(model)
         root = prep.solve()
         state = simplex._SimplexState(prep, np.array(model.lower),
@@ -798,13 +832,13 @@ class TestRefactorInPlace:
 
     def test_overwrites_whatever_the_array_holds(self, refactor_model):
         state = self.warm_state(refactor_model)
-        B_inv, x_B = refactor_by_dense_columns(state)
-        held = state.B_inv
+        K_inv, x_B = refactor_by_dense_columns(state)
+        held = state.K_inv
         held[...] = np.random.default_rng(0).standard_normal(held.shape)
         state._refactor()
-        assert state.B_inv is held
-        assert np.array_equal(state.B_inv, B_inv)
-        assert np.array_equal(state.x_B, x_B)
+        assert state.K_inv is held
+        assert np.array_equal(state.K_inv[:state.k, :state.k], K_inv)
+        assert np.allclose(state.x_B, x_B, rtol=0, atol=1e-9)
 
     def test_refactor_allocates_less_than_one_inverse(self, refactor_model):
         state = self.warm_state(refactor_model)
@@ -813,6 +847,26 @@ class TestRefactorInPlace:
     def test_branch_and_bound_holds_less_than_two_inverses(self, refactor_model):
         peak = traced_peak(lambda: branch_and_bound(refactor_model))
         assert peak < 2 * 8 * refactor_model.num_rows ** 2
+
+
+class TestKernelFootprint:
+    """The kernel form is what keeps a solve small: an 8-truck root LP,
+    m = 1039, solves to HiGHS's optimum within a quarter of the memory of
+    one dense m x m inverse."""
+
+    def test_eight_truck_root_lp_matches_highs(self):
+        pytest.importorskip("scipy")
+        import fleetcharge as fc
+        from highs_reference import highs_lp
+
+        model = fc.build_problem(fc.generate_synthetic(1, n_trucks=8)).model
+        prep = PreparedLP(model)
+        solved = []
+        peak = traced_peak(lambda: solved.append(prep.solve()))
+        status, objective = highs_lp(model)
+        assert status == "optimal" and solved[0].status == SolveStatus.OPTIMAL
+        assert solved[0].objective == pytest.approx(objective, rel=1e-9)
+        assert peak < 8 * prep.m ** 2 / 4
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -627,17 +628,41 @@ class TestCli:
         message = self.config_error(capsys)
         if kind == "schema":
             assert message == "schema violation at document: 'trucks' is a required property"
-        elif kind != "not_json":
+        else:
             assert str(path) in message
 
+    def test_scenario_that_is_not_json_names_the_file(self, capsys):
+        assert main(["validate", "--scenario", os.devnull]) == 2
+        assert self.config_error(capsys) == (
+            f"{os.devnull} is not JSON: Expecting value: line 1 column 1 (char 0)")
+
+    def test_design_file_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        design = tmp_path / "design.txt"
+        design.write_text("DC: {1: 2}\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", TWO_TRUCK, "--design", "fixed",
+                     "--fixed-file", str(design), "--out", str(out)]) == 2
+        assert self.config_error(capsys).startswith(f"{design} is not JSON: ")
+        assert not out.exists()
+
     def test_solve_trace_logs_every_solved_node(self, tmp_path, capsys):
+        """One line per solved node, one more when a polish sets the
+        incumbent, and a last line with why the search stopped: the trace
+        ends at the incumbent that plan.json reports."""
         out = tmp_path / "o"
         assert main(["solve", "--scenario", str(FIXTURES / "depot_fixture.json"),
                      "--trace", "--out", str(out)]) == 0
         lines = (out / "solver_trace.log").read_text().splitlines()
-        nodes = json.loads((out / "plan.json").read_text())["solver"]["nodes"]
-        assert len(lines) == nodes == 7
-        assert lines[0].startswith("node ") and lines[0].endswith("incumbent -")
+        solver = json.loads((out / "plan.json").read_text())["solver"]
+        node_lines = lines[:-1]
+        assert all(line.startswith("node ") for line in node_lines)
+        assert len({line.split()[1] for line in node_lines}) == solver["nodes"] == 7
+        assert lines[0].endswith("incumbent -")
+        found = [line for line in node_lines if not line.endswith("incumbent -")]
+        assert found == [node_lines[-1]]  # the last node's polish
+        assert lines[-1] == (f"stop {solver['stop_reason']} nodes {solver['nodes']} "
+                             f"incumbent {solver['objective']:.9g}")
+        assert solver["stop_reason"] == "gap"
 
 
 def stray_event_decoder(monkeypatch):
