@@ -3,7 +3,6 @@ truck fleets: exact MILP formulation, an in-repo solver, an independent plan
 validator, rule-based baselines, and scenario sweep tooling."""
 
 from .baseline import (
-    DesignComparison,
     ExplicitDesign,
     MainDepotOnly,
     PeakDemandCover,
@@ -65,7 +64,6 @@ __all__ = [
     "BuildResult",
     "ChargerType",
     "CostBreakdown",
-    "DesignComparison",
     "ExplicitDesign",
     "LinearModel",
     "MainDepotOnly",

@@ -1,5 +1,9 @@
 """Rule-based infrastructure designs and the co-design value comparison.
 
+A comparison is a one-cell sweep (``sweep.solve_cell``) over the co-design
+and the fixed design at one alpha and slack; :func:`pair_designs` turns the
+two outcomes into the compare document.
+
 The real-world planning baselines these policies stand in for are not
 published anywhere, so each policy here is an explicit, reproducible
 definition; headline savings against them are scenario-dependent.
@@ -11,18 +15,11 @@ import math
 from dataclasses import asdict, dataclass
 
 from .builder import energy_consumption
-from .domain import (
-    CODESIGN,
-    FIXED_INFRASTRUCTURE,
-    Scenario,
-    charging_windows,
-    scenario_variant,
-    tours,
-    validate_scenario,
-)
-from .run import SolveOutcome, solve_scenario
+from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario, charging_windows, tours
+from .run import SolveOutcome
 from .scenario_io import load_design
 from .solver import DEFAULT_REL_GAP
+from .sweep import SweepSpec, solve_cell
 from .validator import charger_counts_to_dict
 
 __all__ = [
@@ -31,7 +28,7 @@ __all__ = [
     "ExplicitDesign",
     "parse_policy",
     "rule_based_design",
-    "DesignComparison",
+    "pair_designs",
     "compare_designs",
 ]
 
@@ -60,16 +57,21 @@ class ExplicitDesign:
 
 
 def parse_policy(text: str):
-    """CLI shorthand: main-depot-only:N:R, peak-cover:R, explicit:PATH."""
+    """CLI shorthand: main-depot-only:N:R, peak-cover:R, explicit:PATH, with
+    whole numbers N (chargers) and R (charger type)."""
     head, _, rest = text.partition(":")
-    if head == "main-depot-only":
-        count, _, type_id = rest.partition(":")
-        return MainDepotOnly(count=int(count), charger_type_id=int(type_id))
-    if head == "peak-cover":
-        return PeakDemandCover(charger_type_id=int(rest))
-    if head == "explicit":
-        return ExplicitDesign(path=rest)
-    raise ValueError(f"unknown policy {text!r}")
+    try:
+        if head == "main-depot-only":
+            count, _, type_id = rest.partition(":")
+            return MainDepotOnly(count=int(count), charger_type_id=int(type_id))
+        if head == "peak-cover":
+            return PeakDemandCover(charger_type_id=int(rest))
+        if head == "explicit":
+            return ExplicitDesign(path=rest)
+    except ValueError:  # N or R is not a whole number
+        pass
+    raise ValueError(f"bad policy {text!r}: expected main-depot-only:N:R, "
+                     "peak-cover:R or explicit:PATH, with whole numbers N and R")
 
 
 def _busiest_location(scenario: Scenario) -> str:
@@ -146,89 +148,63 @@ def rule_based_design(scenario: Scenario, policy) -> dict[str, dict[int, int]]:
     raise TypeError(f"unknown policy object {policy!r}")
 
 
-@dataclass
-class DesignComparison:
-    """Co-design versus a fixed design under identical settings."""
-
-    codesign: SolveOutcome
-    fixed: SolveOutcome
-    deltas: dict[str, float | None] | None
-
-    @property
-    def codesign_feasible(self) -> bool:
-        return self.codesign.feasible
-
-    @property
-    def fixed_feasible(self) -> bool:
-        return self.fixed.feasible
-
-    @property
-    def finding(self) -> str:
-        if self.fixed_feasible and self.codesign_feasible:
-            return "both designs feasible"
-        if not self.fixed_feasible and self.codesign_feasible:
-            return ("fixed design infeasible for this scenario; "
-                    "co-design found a feasible plan")
-        if not self.codesign_feasible:
-            return "scenario infeasible even under co-design"
-        return "co-design infeasible but fixed feasible (unexpected)"
-
-    def to_dict(self) -> dict:
-        def outcome_doc(outcome: SolveOutcome) -> dict:
-            plan = outcome.plan
-            return {
-                "status": outcome.solution.status.value,
-                "objective": outcome.solution.objective,
-                "gap": outcome.solution.gap,
-                "costs": None if plan is None else asdict(plan.costs),
-                "charger_counts": (None if plan is None
-                                   else charger_counts_to_dict(plan.charger_counts)),
-            }
-
-        return {
-            "finding": self.finding,
-            "codesign_feasible": self.codesign_feasible,
-            "fixed_feasible": self.fixed_feasible,
-            "codesign": outcome_doc(self.codesign),
-            "fixed": outcome_doc(self.fixed),
-            "deltas_pct": None if self.deltas is None else {
-                k: (None if v is None else 100.0 * v)
-                for k, v in self.deltas.items()
-            },
-        }
+def _outcome_doc(outcome: SolveOutcome) -> dict:
+    plan = outcome.plan
+    return {
+        "status": outcome.solution.status.value,
+        "objective": outcome.solution.objective,
+        "gap": outcome.solution.gap,
+        "costs": None if plan is None else asdict(plan.costs),
+        "charger_counts": (None if plan is None
+                           else charger_counts_to_dict(plan.charger_counts)),
+    }
 
 
-def _delta(fixed_value: float, codesign_value: float) -> float | None:
+def _delta_pct(fixed_value: float, codesign_value: float) -> float | None:
     if abs(fixed_value) < 1e-12:
         return None
-    return (fixed_value - codesign_value) / fixed_value
+    return 100.0 * ((fixed_value - codesign_value) / fixed_value)
 
 
-def compare_designs(
-    scenario: Scenario,
-    fixed_counts: dict[str, dict[int, int]],
-    rel_gap: float = DEFAULT_REL_GAP,
-) -> DesignComparison:
-    """Solve co-design and fixed variants with identical settings.
+def pair_designs(codesign: SolveOutcome, fixed: SolveOutcome) -> dict:
+    """The compare document of a co-design and a fixed-design outcome at one
+    alpha and slack.
 
-    Deltas are relative savings, (fixed - codesign) / fixed, computed only
-    when both designs are feasible; an infeasible fixed design is itself the
-    reported finding.
+    Deltas are relative savings, (fixed - codesign) / fixed, in percent,
+    given only when both designs are feasible; an infeasible fixed design is
+    itself the reported finding.
     """
-    codesign_scenario = validate_scenario(scenario_variant(scenario, CODESIGN))
-    fixed_scenario = validate_scenario(
-        scenario_variant(scenario, FIXED_INFRASTRUCTURE, fixed_counts))
-
-    codesign = solve_scenario(codesign_scenario, rel_gap)
-    fixed = solve_scenario(fixed_scenario, rel_gap)
-
     deltas = None
     if codesign.feasible and fixed.feasible:
         c, f = codesign.plan.costs, fixed.plan.costs
-        deltas = {
-            "total": _delta(f.total, c.total),
-            "energy": _delta(f.energy, c.energy),
-            "infrastructure": _delta(f.infrastructure, c.infrastructure),
-            "peak": _delta(f.peak, c.peak),
-        }
-    return DesignComparison(codesign=codesign, fixed=fixed, deltas=deltas)
+        deltas = {key: _delta_pct(getattr(f, key), getattr(c, key))
+                  for key in ("total", "energy", "infrastructure", "peak")}
+    if not codesign.feasible:
+        finding = "scenario infeasible even under co-design"
+    elif not fixed.feasible:
+        finding = ("fixed design infeasible for this scenario; "
+                   "co-design found a feasible plan")
+    else:
+        finding = "both designs feasible"
+    return {
+        "finding": finding,
+        "codesign_feasible": codesign.feasible,
+        "fixed_feasible": fixed.feasible,
+        "codesign": _outcome_doc(codesign),
+        "fixed": _outcome_doc(fixed),
+        "deltas_pct": deltas,
+    }
+
+
+def compare_designs(scenario: Scenario, fixed_counts: dict[str, dict[int, int]],
+                    rel_gap: float = DEFAULT_REL_GAP) -> dict:
+    """Co-design against ``fixed_counts`` at the scenario's alpha and slack:
+    a one-cell sweep over both designs, paired by :func:`pair_designs`."""
+    spec = SweepSpec(
+        alphas=[scenario.alpha],
+        slack_minutes=[scenario.slack_blocks * scenario.time_grid.block_minutes],
+        designs=[CODESIGN, FIXED_INFRASTRUCTURE], fixed_counts=fixed_counts,
+        rel_gap=rel_gap)
+    codesign_cell, fixed_cell = spec.cells()
+    fixed = solve_cell(scenario, spec, fixed_cell)  # a bad design fails before any solve
+    return pair_designs(solve_cell(scenario, spec, codesign_cell), fixed)

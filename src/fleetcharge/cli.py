@@ -116,11 +116,12 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
-    fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
-    if args.design == FIXED_INFRASTRUCTURE and fixed_counts is None:
-        raise ValueError("--design fixed requires --fixed-file")
+    design = args.design or scenario.design_mode
+    fixed_counts = load_design(args.fixed_file) if args.fixed_file else scenario.fixed_counts
+    if design == FIXED_INFRASTRUCTURE and fixed_counts is None:
+        raise ValueError("--design fixed requires --fixed-file or the scenario's fixed_counts")
     scenario = validate_scenario(scenario_variant(
-        scenario, args.design, fixed_counts, args.alpha, args.slack_min))
+        scenario, design, fixed_counts, args.alpha, args.slack_min))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # before the solve
 
@@ -163,7 +164,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     designs = [d.strip() for d in args.design.split(",") if d.strip()]
-    fixed_counts = load_design(args.fixed_file) if args.fixed_file else None
+    fixed_counts = load_design(args.fixed_file) if args.fixed_file else scenario.fixed_counts
     spec = SweepSpec(
         alphas=_float_list(args.alpha),
         slack_minutes=_int_list(args.slack_min),
@@ -193,15 +194,14 @@ def cmd_compare(args) -> int:
             args.alpha, args.slack_min))
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
-    comparison = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
-    text = json_text(comparison.to_dict())
+    doc = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
+    text = json_text(doc)
     if args.out:
         out = Path(args.out)
         out.write_text(text + "\n")
         print(f"wrote {out}")
     print(text)
-    return _exit_code([comparison.codesign.solution.status.value,
-                       comparison.fixed.solution.status.value])
+    return _exit_code([doc["codesign"]["status"], doc["fixed"]["status"]])
 
 
 def cmd_generate(args) -> int:
@@ -241,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--slack-min", type=int, default=None,
                          help="departure slack in minutes (whole blocks)")
     p_solve.add_argument("--design", choices=[CODESIGN, FIXED_INFRASTRUCTURE],
-                         default=CODESIGN)
+                         default=None, help="design mode (default: the scenario's)")
     p_solve.add_argument("--fixed-file", default=None,
-                         help="explicit design JSON for --design fixed")
+                         help="explicit design JSON for --design fixed "
+                              "(default: the scenario's fixed_counts)")
     p_solve.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
     p_solve.add_argument("--node-limit", type=_nonnegative(int), default=None)
     p_solve.add_argument("--time-limit", type=_nonnegative(float), default=None)
@@ -264,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated slack minutes, e.g. 0,15,30")
     p_sweep.add_argument("--design", default=CODESIGN,
                          help="comma-separated design modes: codesign,fixed")
-    p_sweep.add_argument("--fixed-file", default=None)
+    p_sweep.add_argument("--fixed-file", default=None,
+                         help="explicit design JSON for fixed cells "
+                              "(default: the scenario's fixed_counts)")
     p_sweep.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
     p_sweep.add_argument("--node-limit", type=_nonnegative(int), default=None)
     p_sweep.add_argument("--time-limit", type=_nonnegative(float), default=None)

@@ -1,9 +1,11 @@
 """Full-factorial sweeps over peak weight, time slack, and design mode.
 
-Each cell is an independent solve whose verified plan lands in a JSON
-report; three aggregate CSVs collect infrastructure, costs, and daily power
-curves across cells. Cells run one after another and are written in cell
-order, so outputs are byte-identical for identical inputs.
+Each cell is an independent solve, :func:`solve_cell`, whose verified plan
+lands in a JSON report; three aggregate CSVs collect infrastructure, costs,
+and daily power curves across cells. ``baseline.compare_designs`` solves
+its two designs as one cell each through the same function. Cells run one
+after another and are written in cell order, so outputs are byte-identical
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import numpy as np
 
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
-from .run import INTERNAL_FAILURES, solve_scenario
+from .run import INTERNAL_FAILURES, SolveOutcome, solve_scenario
 from .scenario_io import json_text
 from .solver import DEFAULT_REL_GAP, check_limits
 from .validator import location_total_kw, write_plan_json
 
-__all__ = ["SweepSpec", "SweepCell", "run_sweep", "default_amortize_ratio"]
+__all__ = ["SweepSpec", "SweepCell", "solve_cell", "run_sweep",
+           "default_amortize_ratio"]
 
 SMOOTH_WINDOW = 4  # centered moving average width, in blocks
 SERVICE_YEARS = 10.0  # charger service life that capital is prorated over
@@ -69,6 +72,11 @@ class SweepSpec:
             if slack < 0:
                 raise ValueError(f"slack must be nonnegative, got {slack} min")
         check_limits(self.rel_gap, self.node_limit, self.time_limit)
+        tagged: dict[str, SweepCell] = {}
+        for cell in self.cells():  # each cell writes plan_<tag>.json
+            other = tagged.setdefault(cell.tag(), cell)
+            if other is not cell:
+                raise ValueError(f"cells {other} and {cell} share the tag {cell.tag()!r}")
 
     def cells(self) -> list[SweepCell]:
         return [
@@ -98,6 +106,15 @@ def _smooth(curves: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def solve_cell(scenario: Scenario, spec: SweepSpec, cell: SweepCell) -> SolveOutcome:
+    """The scenario under the cell's design, alpha and slack, validated and
+    solved under the spec's gap and limits."""
+    variant = validate_scenario(scenario_variant(
+        scenario, cell.design, spec.fixed_counts, cell.alpha, cell.slack_minutes))
+    return solve_scenario(variant, rel_gap=spec.rel_gap,
+                          node_limit=spec.node_limit, time_limit=spec.time_limit)
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
@@ -130,11 +147,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
             "design": cell.design,
         }
         try:
-            variant = validate_scenario(scenario_variant(
-                scenario, cell.design, spec.fixed_counts, cell.alpha, cell.slack_minutes))
-            outcome = solve_scenario(
-                variant, rel_gap=spec.rel_gap,
-                node_limit=spec.node_limit, time_limit=spec.time_limit)
+            outcome = solve_cell(scenario, spec, cell)
         except Exception as error:  # per-cell failure; the sweep continues
             entry["status"] = "error"
             entry["error"] = f"{type(error).__name__}: {error}"

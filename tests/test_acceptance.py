@@ -177,11 +177,11 @@ def test_criterion_7_infeasibility_finding(remote_scenario):
     at_two = compare_designs(
         fc.validate_scenario(replace(remote_scenario, slack_blocks=2)),
         fixed, rel_gap=1e-3)
-    assert not at_one.fixed_feasible
-    assert at_one.codesign_feasible
-    assert "infeasible" in at_one.finding
-    assert at_two.fixed_feasible and at_two.codesign_feasible
-    remote_counts = at_one.codesign.plan.charger_counts
+    assert not at_one["fixed_feasible"]
+    assert at_one["codesign_feasible"]
+    assert "infeasible" in at_one["finding"]
+    assert at_two["fixed_feasible"] and at_two["codesign_feasible"]
+    remote_counts = at_one["codesign"]["charger_counts"]
     assert any(loc != "DC" for loc in remote_counts), \
         "co-design should place chargers beyond the depot"
     ok("7 infeasibility finding",

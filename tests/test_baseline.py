@@ -92,18 +92,18 @@ class TestPolicies:
 class TestCompareDesigns:
     def test_identical_design_zero_deltas(self, two_truck_scenario, two_truck_outcome):
         counts = two_truck_outcome.plan.charger_counts
-        comparison = compare_designs(two_truck_scenario, counts, rel_gap=1e-6)
-        assert comparison.codesign_feasible and comparison.fixed_feasible
-        for key, delta in comparison.deltas.items():
-            if delta is not None:
-                assert abs(delta) < 1e-5, key
+        doc = compare_designs(two_truck_scenario, counts, rel_gap=1e-6)
+        assert doc["codesign_feasible"] and doc["fixed_feasible"]
+        for key, delta_pct in doc["deltas_pct"].items():
+            if delta_pct is not None:
+                assert abs(delta_pct / 100.0) < 1e-5, key
 
     def test_zero_chargers_infeasible_fixed(self, two_truck_scenario):
-        comparison = compare_designs(two_truck_scenario, {}, rel_gap=1e-3)
-        assert comparison.codesign_feasible
-        assert not comparison.fixed_feasible
-        assert comparison.deltas is None
-        assert "infeasible" in comparison.finding
+        doc = compare_designs(two_truck_scenario, {}, rel_gap=1e-3)
+        assert doc["codesign_feasible"]
+        assert not doc["fixed_feasible"]
+        assert doc["deltas_pct"] is None
+        assert "infeasible" in doc["finding"]
 
     @pytest.mark.parametrize("rel_gap", [math.nan, math.inf, -1.0])
     def test_invalid_gap_raises(self, two_truck_scenario, rel_gap):
@@ -119,34 +119,51 @@ class TestCompareDesigns:
         at_two = compare_designs(
             fc.validate_scenario(replace(remote_scenario, slack_blocks=2)),
             fixed, rel_gap=1e-3)
-        assert at_one.codesign_feasible and not at_one.fixed_feasible
-        assert at_two.codesign_feasible and at_two.fixed_feasible
+        assert at_one["codesign_feasible"] and not at_one["fixed_feasible"]
+        assert at_two["codesign_feasible"] and at_two["fixed_feasible"]
 
     def test_restriction_dominance(self, remote_scenario):
         fixed = rule_based_design(remote_scenario, MainDepotOnly(2, 2))
         scenario = fc.validate_scenario(replace(remote_scenario, slack_blocks=2))
-        comparison = compare_designs(scenario, fixed, rel_gap=1e-3)
-        co = comparison.codesign
-        fx = comparison.fixed
-        slack = (co.solution.gap or 0) * abs(co.solution.objective) \
-            + (fx.solution.gap or 0) * abs(fx.solution.objective)
-        assert co.solution.objective <= fx.solution.objective + slack + 1e-6
-        assert comparison.deltas["total"] >= -(co.solution.gap + fx.solution.gap) - 1e-9
+        doc = compare_designs(scenario, fixed, rel_gap=1e-3)
+        co = doc["codesign"]
+        fx = doc["fixed"]
+        slack = (co["gap"] or 0) * abs(co["objective"]) \
+            + (fx["gap"] or 0) * abs(fx["objective"])
+        assert co["objective"] <= fx["objective"] + slack + 1e-6
+        assert doc["deltas_pct"]["total"] / 100.0 >= -(co["gap"] + fx["gap"]) - 1e-9
 
     def test_fixed_feasibility_monotone_in_slack(self, remote_scenario):
         fixed = rule_based_design(remote_scenario, MainDepotOnly(2, 2))
         for beta in (2, 3):
             scenario = fc.validate_scenario(replace(remote_scenario, slack_blocks=beta))
-            comparison = compare_designs(scenario, fixed, rel_gap=1e-3)
-            assert comparison.fixed_feasible, f"slack {beta}"
+            doc = compare_designs(scenario, fixed, rel_gap=1e-3)
+            assert doc["fixed_feasible"], f"slack {beta}"
 
     def test_comparison_document(self, remote_scenario):
         fixed = rule_based_design(remote_scenario, MainDepotOnly(2, 2))
         scenario = fc.validate_scenario(replace(remote_scenario, slack_blocks=2))
-        doc = compare_designs(scenario, fixed, rel_gap=1e-3).to_dict()
+        doc = compare_designs(scenario, fixed, rel_gap=1e-3)
         assert doc["fixed"]["charger_counts"] == {"DC": {"2": 2}}
         assert doc["codesign"]["status"] == "optimal"
         assert set(doc["deltas_pct"]) == {"total", "energy", "infrastructure", "peak"}
+
+    @pytest.mark.parametrize("slack_minutes, fixed_feasible", [(15, False), (30, True)])
+    def test_matches_one_cell_sweep(self, remote_scenario, slack_minutes, fixed_feasible,
+                                    tmp_path):
+        """compare and sweep solve one (alpha, slack) cell pair alike."""
+        fixed = rule_based_design(remote_scenario, MainDepotOnly(2, 2))
+        scenario = fc.validate_scenario(scenario_variant(
+            remote_scenario, fc.CODESIGN, slack_minutes=slack_minutes))
+        doc = compare_designs(scenario, fixed, rel_gap=1e-3)
+        spec = fc.SweepSpec(alphas=[remote_scenario.alpha], slack_minutes=[slack_minutes],
+                            designs=[fc.CODESIGN, fc.FIXED_INFRASTRUCTURE],
+                            fixed_counts=fixed, rel_gap=1e-3, out_dir=tmp_path)
+        summary = fc.run_sweep(remote_scenario, spec)
+        assert doc["codesign_feasible"] and doc["fixed_feasible"] is fixed_feasible
+        assert [(cell["status"], cell["objective"]) for cell in summary["cells"]] == \
+            [(doc[design]["status"], doc[design]["objective"])
+             for design in ("codesign", "fixed")]
 
 
 def gap_room(outcome) -> float:

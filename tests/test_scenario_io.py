@@ -484,7 +484,7 @@ class TestJsonText:
         assert json_text(summary) == reference_text(summary)
 
     def test_compare_document(self, two_truck_scenario):
-        doc = compare_designs(two_truck_scenario, {"DC": {1: 2}}, rel_gap=1e-3).to_dict()
+        doc = compare_designs(two_truck_scenario, {"DC": {1: 2}}, rel_gap=1e-3)
         assert json_text(doc) == reference_text(doc)
 
     @pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2.5: 0}]])

@@ -50,6 +50,19 @@ class TestSweep:
                     SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["codesign"],
                               **{limit: value})
 
+    @pytest.mark.parametrize("alphas, slacks, designs, named", [
+        ([0.1234567, 0.1234568], [0], ["codesign"], ["0.1234567", "0.1234568"]),
+        ([1.0, 1], [0], ["codesign"], ["alpha=1.0", "alpha=1,"]),
+        ([1.0], [15, 15], ["codesign"], ["slack_minutes=15"]),
+        ([1.0], [0], ["codesign", "codesign"], ["design='codesign'"]),
+    ])
+    def test_cells_sharing_a_tag_are_rejected(self, alphas, slacks, designs, named):
+        # Each cell writes plan_<tag>.json, so such cells would share one file.
+        with pytest.raises(ValueError, match="share the tag") as info:
+            SweepSpec(alphas=alphas, slack_minutes=slacks, designs=designs)
+        for text in named:
+            assert text in str(info.value)
+
     def test_single_cell_matches_single_solve(self, two_truck_scenario, tmp_path):
         spec = SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["codesign"],
                          rel_gap=1e-6, out_dir=tmp_path)
@@ -280,6 +293,67 @@ class TestCli:
             assert entry["gap"] is None
             assert entry["objective"] is None
 
+    @pytest.mark.parametrize("alphas", ["0.1234567,0.1234568", "1,1"])
+    def test_sweep_rejects_cells_sharing_a_tag(self, alphas, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["sweep", "--scenario", TWO_TRUCK, "--alpha", alphas,
+                     "--slack-min", "0", "--out", str(out)])
+        assert code == 2  # rejected before any cell runs
+        message = self.config_error(capsys)
+        assert "share the tag" in message
+        for alpha in alphas.split(","):
+            assert f"alpha={float(alpha)!r}" in message
+        assert not out.exists()
+
+    @pytest.fixture
+    def fixed_scenario(self, tmp_path):
+        """The two-truck fixture with its own fixed design: three DC chargers."""
+        doc = json.loads(Path(TWO_TRUCK).read_text())
+        doc["params"]["design_mode"] = "fixed"
+        doc["params"]["fixed_counts"] = {"DC": {"1": 3}}
+        path = tmp_path / "fixed_scenario.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("flags, design, counts", [
+        ([], "fixed", {"DC": {"1": 3}}),
+        (["--design", "fixed"], "fixed", {"DC": {"1": 3}}),
+        (["--fixed-file"], "fixed", {"DC": {"1": 4}}),
+        (["--design", "codesign"], "codesign", {"DC": {"1": 2}}),
+    ], ids=["file", "design-fixed", "fixed-file", "design-codesign"])
+    def test_solve_defaults_to_the_scenarios_design(self, flags, design, counts,
+                                                    fixed_scenario, tmp_path, capsys):
+        if flags == ["--fixed-file"]:
+            design_file = tmp_path / "design.json"
+            design_file.write_text(json.dumps({"DC": {"1": 4}}))
+            flags = [*flags, str(design_file)]
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", fixed_scenario, *flags,
+                     "--out", str(out)]) == 0
+        plan = json.loads((out / "plan.json").read_text())
+        assert plan["design_mode"] == design
+        assert plan["charger_counts"] == counts
+
+    def test_sweep_fixed_cells_take_the_scenarios_design(self, fixed_scenario, tmp_path,
+                                                        capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", fixed_scenario, "--alpha", "1",
+                     "--slack-min", "0", "--design", "fixed", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        plan = json.loads((out / summary["cells"][0]["plan"]).read_text())
+        assert plan["design_mode"] == "fixed"
+        assert plan["charger_counts"] == {"DC": {"1": 3}}
+
+    @pytest.mark.parametrize("policy", [
+        "main-depot-only:2", "main-depot-only:a:1", "peak-cover:", "peak-cover:x",
+        "bogus:1"])
+    def test_compare_bad_policy_names_it(self, policy, capsys):
+        code = main(["compare", "--scenario", TWO_TRUCK, "--policy", policy])
+        assert code == 2
+        message = self.config_error(capsys)
+        assert repr(policy) in message
+        assert "main-depot-only:N:R, peak-cover:R or explicit:PATH" in message
+
     def test_sweep_bad_slack(self, tmp_path, capsys):
         code = main(["sweep", "--scenario", TWO_TRUCK, "--alpha", "1",
                      "--slack-min", "10", "--design", "codesign",
@@ -350,7 +424,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, module", [
         (["solve", "--scenario", TWO_TRUCK], "fleetcharge.cli"),
         (["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2"],
-         "fleetcharge.baseline"),
+         "fleetcharge.sweep"),
     ])
     def test_internal_failure_exit_code(self, argv, module, exc, code,
                                         monkeypatch, tmp_path, capsys):
@@ -423,7 +497,11 @@ class TestCli:
         assert code == 2
         assert "DC/1" in self.config_error(capsys)
 
-    def test_compare_rejects_design_at_unknown_location(self, tmp_path, capsys):
+    def test_compare_rejects_design_at_unknown_location(self, tmp_path, monkeypatch,
+                                                        capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the design was checked")
+        monkeypatch.setattr("fleetcharge.sweep.solve_scenario", no_solve)
         design = tmp_path / "design.json"
         design.write_text(json.dumps({"NOPE": {"1": 2}}))
         code = main(["compare", "--scenario", REMOTE,
@@ -441,7 +519,7 @@ class TestCli:
         # --out under a regular file; the solving commands fail before any solve.
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the output location was made")
-        for module in ("fleetcharge.cli", "fleetcharge.baseline", "fleetcharge.sweep"):
+        for module in ("fleetcharge.cli", "fleetcharge.sweep"):
             monkeypatch.setattr(f"{module}.solve_scenario", no_solve)
         taken = tmp_path / "taken"
         taken.write_text("")
