@@ -161,10 +161,23 @@ def _all_legs(table: _Table):
 
 def _add_columns(
     model: LinearModel, scenario: Scenario, cat: VariableCatalog,
-    table: _Table, strengthen: bool,
+    table: _Table, strengthen: bool, amortize_ratio: float | None,
 ) -> None:
+    """Every column, priced as it is made: energy purchase cost + charger
+    capital + weighted peak cost.
+
+    A Y column pays for the grid energy of one block, rated power over
+    efficiency at the charger's price in that block. Capital is priced on
+    the count columns in both designs, so a fixed design's objective
+    carries its capital as priced terms too. ``amortize_ratio`` optionally
+    scales capital costs inside the objective (reporting always amortizes
+    separately). C_peak is weighted by alpha; every other column is free.
+    """
     grid = scenario.time_grid
     beta = scenario.slack_blocks
+    tau = grid.block_duration_hours
+    prices = scenario.price_schedule.energy_price_per_kwh
+    ratio = 1.0 if amortize_ratio is None else amortize_ratio
 
     # Charger-count columns come first: when the branching rule ties on
     # fractionality, the low index steers it toward the design decisions,
@@ -177,6 +190,8 @@ def _add_columns(
     # the design's count (cap or no cap), and a location the design builds
     # at gets counts even without a window, so its capital is priced.
     fixed = scenario.design_mode != CODESIGN
+    if fixed and scenario.fixed_counts is None:
+        raise ValueError("a fixed design needs fixed_counts, and the scenario has none")
     caps = _location_demand_caps(table)
     built = {location: [scenario.fixed_count(location, c.id) if fixed else 0
                         for c in scenario.charger_catalog]
@@ -193,8 +208,8 @@ def _add_columns(
         for charger, n in zip(scenario.charger_catalog, built[location]):
             cat.x[(location, charger.id)] = model.add_column(
                 f"x[{location}_r{charger.id}]", float(n),
-                float(n if fixed else caps[location]), integer=True,
-                branch_priority=1)
+                float(n if fixed else caps[location]),
+                charger.capital_cost * ratio, integer=True, branch_priority=1)
 
     for row in _all_legs(table):
         key, tag, leg, truck = row.key, row.tag, row.leg, row.truck
@@ -210,8 +225,11 @@ def _add_columns(
             float(grid.departure_block(leg) + beta))
         for block in row.window:
             for charger in row.usable:
+                price = prices[scenario.charger_index(charger.id)][block]
                 col = model.add_column(
-                    f"y[{tag}_r{charger.id}_t{block}]", 0.0, 1.0, integer=True)
+                    f"y[{tag}_r{charger.id}_t{block}]", 0.0, 1.0,
+                    tau * (charger.rated_power_kw / charger.efficiency) * price,
+                    integer=True)
                 cat.y[(*key, charger.id, block)] = col
                 row.slots.append((block, charger, col))
 
@@ -224,7 +242,8 @@ def _add_columns(
                     integer=True, branch_priority=1)
 
     for location in scenario.location_ids:
-        cat.c_peak[location] = model.add_column(f"c_peak[{location}]", 0.0, INF)
+        cat.c_peak[location] = model.add_column(
+            f"c_peak[{location}]", 0.0, INF, scenario.alpha)
 
 
 def _location_demand_caps(table: _Table) -> dict[str, int]:
@@ -399,33 +418,6 @@ def _add_strengthening_rows(
                       GE, cat.peak_floor[location])
 
 
-def _set_objective(
-    model: LinearModel, scenario: Scenario, cat: VariableCatalog,
-    table: _Table, amortize_ratio: float | None,
-) -> None:
-    """Energy purchase cost + infrastructure capital + weighted peak cost.
-
-    Capital is priced on the count columns in both designs, so a fixed
-    design's objective carries its capital as priced terms too.
-    ``amortize_ratio`` optionally scales capital costs inside the objective
-    (reporting always amortizes separately).
-    """
-    tau = scenario.time_grid.block_duration_hours
-    prices = scenario.price_schedule.energy_price_per_kwh
-    for row in _all_legs(table):
-        for block, charger, col in row.slots:
-            price = prices[scenario.charger_index(charger.id)][block]
-            model.set_objective(
-                col, tau * (charger.rated_power_kw / charger.efficiency) * price)
-
-    ratio = 1.0 if amortize_ratio is None else amortize_ratio
-    for (location, type_id), col in cat.x.items():
-        model.set_objective(col, scenario.charger(type_id).capital_cost * ratio)
-
-    for location, col in cat.c_peak.items():
-        model.set_objective(col, scenario.alpha)
-
-
 def _diagnostics(scenario: Scenario, table: _Table) -> list[ValidationIssue]:
     """Legs no plan can reach, then legs with an empty charging window.
 
@@ -478,10 +470,9 @@ def build_problem(
     model = LinearModel()
     cat = VariableCatalog()
     table = _leg_table(scenario, charging_windows(scenario))
-    _add_columns(model, scenario, cat, table, strengthen)
+    _add_columns(model, scenario, cat, table, strengthen, amortize_ratio)
     _add_leg_and_location_rows(model, scenario, cat, table)
     if strengthen:
         _add_strengthening_rows(model, scenario, cat, table)
-    _set_objective(model, scenario, cat, table, amortize_ratio)
     return BuildResult(model=model, catalog=cat,
                        diagnostics=_diagnostics(scenario, table))

@@ -5,9 +5,12 @@ a linear objective with a constant offset, and CSR row lists. Row ``i``
 (``row_names[i]``) has the coefficients ``row_vals[k]`` on the columns
 ``row_cols[k]`` for ``row_start[i] <= k < row_start[i + 1]`` (a repeated
 column adds up), the relation ``senses[i]`` and the right-hand side
-``rhs[i]``; the ``rows`` view rebuilds ``Row`` tuples on each read. Rows
-and columns are appended in a deterministic order by the builder, so two
-builds of the same scenario are identical.
+``rhs[i]``; the ``rows`` view rebuilds ``Row`` tuples on each read.
+
+A model is append-only: ``add_column`` sets a column's bounds and cost
+once, ``add_row`` appends a row, and nothing changes either afterwards.
+The builder appends them in a deterministic order, so two builds of the
+same scenario are identical.
 """
 
 from __future__ import annotations
@@ -111,9 +114,6 @@ class LinearModel:
         self.senses.append(sense)
         self.rhs.append(float(rhs))
         return len(self.row_names) - 1
-
-    def set_objective(self, col: int, coefficient: float) -> None:
-        self.objective[col] = float(coefficient)
 
     def objective_value(self, values) -> float:
         """The offset plus each priced term c_j x_j, added left to right

@@ -86,19 +86,19 @@ class SweepSpec:
         ]
 
 
-def _smooth(curves: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
-    """Centered moving average of each row; edges average over the
-    available blocks only.
+def _smooth(curves: np.ndarray) -> np.ndarray:
+    """Centered moving average of each row over ``SMOOTH_WINDOW`` blocks;
+    edges average over the available blocks only.
 
     Each window sums its terms in block order from 0.0; the zeros padded
     past the edges add exactly nothing.
     """
-    half_lo = window // 2
-    half_hi = window - half_lo - 1
+    half_lo = SMOOTH_WINDOW // 2
+    half_hi = SMOOTH_WINDOW - half_lo - 1
     blocks = curves.shape[1]
     padded = np.pad(curves, ((0, 0), (half_lo, half_hi)))
     total = np.zeros(curves.shape)
-    for k in range(window):
+    for k in range(SMOOTH_WINDOW):
         total += padded[:, k:k + blocks]
     t = np.arange(blocks)
     return total / (np.minimum(blocks, t + half_hi + 1) - np.maximum(0, t - half_lo))

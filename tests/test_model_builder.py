@@ -6,7 +6,9 @@ truth wherever the spec of a rule is subtle.
 """
 
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,12 @@ from fleetcharge.builder import build_problem, energy_consumption
 from fleetcharge.domain import scenario_variant
 from fleetcharge.model import EQ, GE, LE, LinearModel, Row
 from fleetcharge.solver import PreparedLP, SolveStatus, branch_and_bound
+from fleetcharge.sweep import default_amortize_ratio
 
 from oracles import brute_force_enumerate, objective_breakdown
 from test_domain import make_leg, minimal_scenario
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def crafted(legs, chargers, trucks, slack_blocks=0, peak_price=10.0,
@@ -320,6 +325,22 @@ class TestFixedDesign:
         assert outcome.plan.costs == fc.CostBreakdown(
             18.367346938775512, 140000.0, 1200.0, 141218.3673469388)
 
+    def test_design_without_counts_is_not_built(self, tmp_path):
+        # Such a file stays legal to load and validate, since `solve
+        # --fixed-file` and `sweep --fixed-file` supply the counts later;
+        # building it as a design with no chargers would be a silent error.
+        doc = json.loads((FIXTURES / "two_truck.json").read_text())
+        doc["params"]["design_mode"] = fc.FIXED_INFRASTRUCTURE
+        doc["params"].pop("fixed_counts", None)
+        path = tmp_path / "fixed_without_counts.json"
+        path.write_text(json.dumps(doc))
+        scenario = fc.validate_scenario(fc.load_scenario(path))
+        assert fc.scenario_issues(scenario) == []
+        with pytest.raises(ValueError, match="fixed_counts"):
+            build_problem(scenario)
+        with pytest.raises(ValueError, match="fixed_counts"):
+            fc.solve_scenario(scenario)
+
 
 class TestFastChargerCover:
     """A tour prefix whose windows are too short for the slow type must buy
@@ -582,6 +603,18 @@ GOLDEN_FINGERPRINTS = {
     ("fixed", 4, False): "ac6dbc1ec801a8dc",
 }
 
+# Inputs the table above does not pin: the depot fixture with capital
+# amortized in the objective, (fixture, design, slack blocks), and the other
+# two fixtures at their file settings, (fixture, None, None).
+GOLDEN_OTHER_FINGERPRINTS = {
+    ("depot_fixture", "codesign", 0): "9e2f11769d91ef3e",
+    ("depot_fixture", "codesign", 1): "6ebf3ae4513bbf63",
+    ("depot_fixture", "fixed", 0): "d3d4bb37d9199552",
+    ("depot_fixture", "fixed", 1): "dea028b386717d08",
+    ("remote_variant", None, None): "51d599aa9b8dee75",
+    ("two_truck", None, None): "1a0be903bc4f7b9b",
+}
+
 
 class TestModelFingerprint:
     def test_depot_models_match_golden(self, depot_scenario):
@@ -604,6 +637,28 @@ class TestModelFingerprint:
             build = build_problem(scenario, strengthen=strengthen)
             found[(design, slack, strengthen)] = model_fingerprint(build.model)
         assert found == GOLDEN_FINGERPRINTS
+
+    def test_other_models_match_golden(self, depot_scenario):
+        """The amortized objective scales every capital cost, which the
+        depot table only builds at ratio 1; the other two fixtures are
+        pinned at their file settings."""
+        from fleetcharge.baseline import MainDepotOnly, rule_based_design
+
+        fixed_counts = rule_based_design(depot_scenario, MainDepotOnly(2, 2))
+        found = {}
+        for name, design, slack in GOLDEN_OTHER_FINGERPRINTS:
+            scenario = fc.load_scenario(FIXTURES / f"{name}.json")
+            if design is None:
+                build = build_problem(scenario)
+            else:
+                scenario = fc.validate_scenario(replace(
+                    scenario, slack_blocks=slack, design_mode=design,
+                    fixed_counts=fixed_counts if design == fc.FIXED_INFRASTRUCTURE
+                    else None))
+                build = build_problem(
+                    scenario, amortize_ratio=default_amortize_ratio(scenario))
+            found[(name, design, slack)] = model_fingerprint(build.model)
+        assert found == GOLDEN_OTHER_FINGERPRINTS
 
     def test_cover_rows_are_the_only_slack0_change(self, depot_scenario):
         """Without its fast-charger cover rows and with the old peak floor
