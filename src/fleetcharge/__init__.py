@@ -1,107 +1,50 @@
 """Joint charging-infrastructure sizing and charge scheduling for electric
 truck fleets: exact MILP formulation, an in-repo solver, an independent plan
-validator, rule-based baselines, and scenario sweep tooling."""
+validator, rule-based baselines, and scenario sweep tooling.
 
-from .baseline import (
-    ExplicitDesign,
-    MainDepotOnly,
-    PeakDemandCover,
-    compare_designs,
-    parse_policy,
-    rule_based_design,
-)
-from .builder import (
-    BuildResult,
-    VariableCatalog,
-    build_problem,
-    energy_consumption,
-)
-from .domain import (
-    CODESIGN,
-    FIXED_INFRASTRUCTURE,
-    ChargerType,
-    PriceSchedule,
-    Scenario,
-    ScenarioValidationError,
-    TimeGrid,
-    TripLeg,
-    Truck,
-    charging_windows,
-    scenario_issues,
-    tours,
-    validate_scenario,
-)
-from .generator import default_charger_catalog, generate_synthetic
-from .model import LinearModel
-from .run import SolveOutcome, solve_scenario
-from .scenario_io import (
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from .schema_check import SchemaError
-from .solver import (
-    Solution,
-    SolveStatus,
-    branch_and_bound,
-)
-from .sweep import SweepSpec, default_amortize_ratio, run_sweep
-from .validator import (
-    CostBreakdown,
-    PlanReport,
-    decode_plan,
-    location_peaks_kw,
-    recompute_costs,
-    replay,
-)
+Each public name loads its submodule on first use (PEP 562), so loading,
+validating or generating a scenario imports neither numpy nor the solver.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CODESIGN",
-    "FIXED_INFRASTRUCTURE",
-    "BuildResult",
-    "ChargerType",
-    "CostBreakdown",
-    "ExplicitDesign",
-    "LinearModel",
-    "MainDepotOnly",
-    "PeakDemandCover",
-    "PlanReport",
-    "PriceSchedule",
-    "Scenario",
-    "ScenarioValidationError",
-    "SchemaError",
-    "Solution",
-    "SolveOutcome",
-    "SolveStatus",
-    "SweepSpec",
-    "TimeGrid",
-    "TripLeg",
-    "Truck",
-    "VariableCatalog",
-    "branch_and_bound",
-    "build_problem",
-    "charging_windows",
-    "compare_designs",
-    "decode_plan",
-    "default_amortize_ratio",
-    "default_charger_catalog",
-    "energy_consumption",
-    "generate_synthetic",
-    "load_scenario",
-    "location_peaks_kw",
-    "parse_policy",
-    "recompute_costs",
-    "replay",
-    "rule_based_design",
-    "run_sweep",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_issues",
-    "scenario_to_dict",
-    "solve_scenario",
-    "tours",
-    "validate_scenario",
-]
+# Each public name, listed once under the submodule that defines it.
+_EXPORTS = {
+    "baseline": ("ExplicitDesign", "MainDepotOnly", "PeakDemandCover",
+                 "compare_designs", "parse_policy", "rule_based_design"),
+    "builder": ("BuildResult", "VariableCatalog", "build_problem", "energy_consumption"),
+    "domain": ("CODESIGN", "FIXED_INFRASTRUCTURE", "ChargerType", "PriceSchedule",
+               "Scenario", "ScenarioValidationError", "TimeGrid", "TripLeg", "Truck",
+               "charging_windows", "scenario_issues", "tours", "validate_scenario"),
+    "generator": ("default_charger_catalog", "generate_synthetic"),
+    "model": ("LinearModel",),
+    "run": ("SolveOutcome", "solve_scenario"),
+    "scenario_io": ("load_scenario", "save_scenario", "scenario_from_dict",
+                    "scenario_to_dict"),
+    "schema_check": ("SchemaError",),
+    "solver": ("Solution", "SolveStatus", "branch_and_bound"),
+    "sweep": ("SweepSpec", "default_amortize_ratio", "run_sweep"),
+    "validator": ("CostBreakdown", "PlanReport", "decode_plan", "location_peaks_kw",
+                  "recompute_costs", "replay"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule, or a submodule itself, on first
+    access. A name is then stored here, so later lookups skip this."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(__all__) | set(globals()))

@@ -17,7 +17,8 @@ import math
 import sys
 from pathlib import Path
 
-from .baseline import compare_designs, parse_policy, rule_based_design
+# The solving commands import numpy and the solver in their own bodies,
+# so ``validate`` and ``generate`` never load them.
 from .domain import (
     CODESIGN,
     FIXED_INFRASTRUCTURE,
@@ -26,11 +27,7 @@ from .domain import (
     validate_scenario,
 )
 from .generator import generate_synthetic
-from .run import INTERNAL_FAILURES, PlanVerificationError, solve_scenario
 from .scenario_io import json_text, load_design, load_scenario, save_scenario
-from .solver import DEFAULT_REL_GAP, SolveStatus
-from .sweep import SweepSpec, default_amortize_ratio, run_sweep
-from .validator import write_plan_json, write_power_curves_csv
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -59,6 +56,8 @@ def _config_report(exc: Exception) -> int:
 
 def _failure_report(exc: Exception) -> int:
     """Report an internal solver or plan-verification failure as data."""
+    from .run import PlanVerificationError
+
     if isinstance(exc, PlanVerificationError):
         _error_report("PlanVerificationFailed", str(exc),
                       [str(v) for v in exc.replay_result.violations])
@@ -91,6 +90,13 @@ def _nonnegative(kind):
     return parse
 
 
+def _rel_gap(args) -> float:
+    """``--gap``, or the solver's default when it is not given."""
+    from .solver import DEFAULT_REL_GAP
+
+    return DEFAULT_REL_GAP if args.gap is None else args.gap
+
+
 def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x != ""]
 
@@ -115,6 +121,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .run import solve_scenario
+    from .solver import SolveStatus
+    from .sweep import default_amortize_ratio
+    from .validator import write_plan_json, write_power_curves_csv
+
     scenario = load_scenario(args.scenario)
     design = args.design or scenario.design_mode
     fixed_counts = load_design(args.fixed_file) if args.fixed_file else scenario.fixed_counts
@@ -129,7 +140,7 @@ def cmd_solve(args) -> int:
     trace: list[str] | None = [] if args.trace else None
     outcome = solve_scenario(
         scenario,
-        rel_gap=args.gap,
+        rel_gap=_rel_gap(args),
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         amortize_objective_ratio=ratio if args.amortize_objective else None,
@@ -162,6 +173,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, run_sweep
+
     scenario = load_scenario(args.scenario)
     designs = [d.strip() for d in args.design.split(",") if d.strip()]
     fixed_counts = load_design(args.fixed_file) if args.fixed_file else scenario.fixed_counts
@@ -170,7 +183,7 @@ def cmd_sweep(args) -> int:
         slack_minutes=_int_list(args.slack_min),
         designs=designs,
         fixed_counts=fixed_counts,
-        rel_gap=args.gap,
+        rel_gap=_rel_gap(args),
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         out_dir=args.out,
@@ -185,6 +198,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .baseline import compare_designs, parse_policy, rule_based_design
+
     scenario = load_scenario(args.scenario)
     policy = parse_policy(args.policy)
     fixed_counts = rule_based_design(scenario, policy)
@@ -194,7 +209,7 @@ def cmd_compare(args) -> int:
             args.alpha, args.slack_min))
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
-    doc = compare_designs(scenario, fixed_counts, rel_gap=args.gap)
+    doc = compare_designs(scenario, fixed_counts, rel_gap=_rel_gap(args))
     text = json_text(doc)
     if args.out:
         out = Path(args.out)
@@ -245,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--fixed-file", default=None,
                          help="explicit design JSON for --design fixed "
                               "(default: the scenario's fixed_counts)")
-    p_solve.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
+    p_solve.add_argument("--gap", type=_nonnegative(float), default=None)
     p_solve.add_argument("--node-limit", type=_nonnegative(int), default=None)
     p_solve.add_argument("--time-limit", type=_nonnegative(float), default=None)
     p_solve.add_argument("--amortize-objective", action="store_true",
@@ -268,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fixed-file", default=None,
                          help="explicit design JSON for fixed cells "
                               "(default: the scenario's fixed_counts)")
-    p_sweep.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
+    p_sweep.add_argument("--gap", type=_nonnegative(float), default=None)
     p_sweep.add_argument("--node-limit", type=_nonnegative(int), default=None)
     p_sweep.add_argument("--time-limit", type=_nonnegative(float), default=None)
     p_sweep.add_argument("--out", default="sweep_out")
@@ -281,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="main-depot-only:N:R | peak-cover:R | explicit:PATH")
     p_compare.add_argument("--alpha", type=float, default=None)
     p_compare.add_argument("--slack-min", type=int, default=None)
-    p_compare.add_argument("--gap", type=_nonnegative(float), default=DEFAULT_REL_GAP)
+    p_compare.add_argument("--gap", type=_nonnegative(float), default=None)
     p_compare.add_argument("--out", default=None)
     p_compare.set_defaults(func=cmd_compare)
 
@@ -304,10 +319,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: a usage error, or --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except INTERNAL_FAILURES as exc:
-        return _failure_report(exc)
     except CONFIG_ERRORS as exc:
         return _config_report(exc)
+    except RuntimeError as exc:  # both internal failures subclass it
+        from .run import INTERNAL_FAILURES
+
+        if not isinstance(exc, INTERNAL_FAILURES):
+            raise
+        return _failure_report(exc)
 
 
 if __name__ == "__main__":

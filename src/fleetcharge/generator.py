@@ -29,6 +29,10 @@ SLACK_BLOCKS = 1  # departure slack of every generated scenario
 # Shortest dwell at a retailer. A longer block could round leg 1's arrival
 # up past leg 2's rounded-down departure.
 MIN_DWELL_MINUTES = 30
+# Truck i first leaves the depot about 30 + 45·i minutes past midnight, so
+# from the 29th truck on a tour runs past the end of its day.
+DEPARTURE_STAGGER_MINUTES = 45
+MAX_TRUCKS = 28
 
 
 def default_charger_catalog() -> tuple[ChargerType, ...]:
@@ -79,14 +83,19 @@ def generate_synthetic(
 
     ``tightness`` in [0, 1] scales the idle time parked at retailers, i.e.
     the width of mid-tour charging windows: 0 keeps them at the minimum
-    width, 1 at the maximum. ``block_minutes`` must divide a day and be at
-    most ``MIN_DWELL_MINUTES``. The scenario has peak weight 1, one block
+    width, 1 at the maximum. ``n_trucks`` is at most ``MAX_TRUCKS``.
+    ``block_minutes`` must divide a day and be at most
+    ``MIN_DWELL_MINUTES``. The scenario has peak weight 1, one block
     of departure slack and a peak price of 25 per kW;
     ``dataclasses.replace`` plus ``validate_scenario`` varies them.
     Deterministic per (seed, parameters).
     """
     if n_trucks <= 0 or n_locations < 2 or n_days <= 0:
         raise ValueError("need at least one truck, two locations, one day")
+    if n_trucks > MAX_TRUCKS:
+        raise ValueError(
+            f"the {DEPARTURE_STAGGER_MINUTES}-minute departure stagger limits a day "
+            f"to {MAX_TRUCKS} trucks, got {n_trucks}")
     if not (0.0 <= tightness <= 1.0):
         raise ValueError("tightness must lie in [0, 1]")
     if block_minutes > MIN_DWELL_MINUTES:
@@ -133,7 +142,7 @@ def generate_synthetic(
             # that without departure slack its window only fits fast
             # charging; one slack block is enough to switch the whole depot
             # to slow chargers, which is the trade the slack sweep shows.
-            dep1 = 30 + 45 * i + rng.randrange(0, 3) * 5
+            dep1 = 30 + DEPARTURE_STAGGER_MINUTES * i + rng.randrange(0, 3) * 5
             arr1 = dep1 + travel_min
             dwell = MIN_DWELL_MINUTES + int(round(tightness * 20)) + rng.randrange(0, 2) * 5
             dep2 = arr1 + dwell

@@ -10,6 +10,7 @@ bundled schema is checked by ``schema_check``, compiled once per process.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from importlib import resources
@@ -27,7 +28,7 @@ from .domain import (
     Truck,
     validate_scenario,
 )
-from .schema_check import compile_schema
+from .schema_check import SchemaError, compile_schema
 
 __all__ = [
     "load_scenario",
@@ -142,15 +143,27 @@ def _read_json(path: str | Path) -> Any:
             raise ValueError(f"{path} is not JSON: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _naming_file(path: str | Path):
+    """Prefix ``"<path>: "`` to the text of a SchemaError raised in the
+    block; its ``path`` and ``message`` stay as they are."""
+    try:
+        yield
+    except SchemaError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_design(path: str | Path) -> dict[str, dict[int, int]]:
     """Read a design file (``{location: {type_id: count}}`` JSON).
 
     Raises ``SchemaError`` when the file breaks the bundled
     ``explicit_design`` schema, e.g. a fractional or negative count, and
-    ValueError naming the file when it is not JSON.
+    ValueError when it is not JSON; either names the file.
     """
     doc = _read_json(path)
-    validate_against_schema(doc, "explicit_design")
+    with _naming_file(path):
+        validate_against_schema(doc, "explicit_design")
     return _design_counts(doc)
 
 
@@ -244,9 +257,12 @@ def scenario_from_dict(doc: dict[str, Any], validate: bool = True) -> Scenario:
 
 
 def load_scenario(path: str | Path, validate: bool = True) -> Scenario:
-    """Read and build a scenario file; ValueError naming the file when it
-    is not JSON (see :func:`scenario_from_dict` for the rest)."""
-    return scenario_from_dict(_read_json(path), validate=validate)
+    """Read and build a scenario file. Text that is not JSON and a
+    ``SchemaError`` name the file (see :func:`scenario_from_dict` for the
+    rest)."""
+    doc = _read_json(path)
+    with _naming_file(path):
+        return scenario_from_dict(doc, validate=validate)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:

@@ -55,6 +55,15 @@ class TestStructure:
         with pytest.raises(ValueError):
             generate_synthetic(seed=1, tightness=1.5)
 
+    def test_more_trucks_than_the_stagger_fits_rejected(self):
+        # Truck 29's tour would run past midnight: say so before drawing.
+        fc.validate_scenario(generate_synthetic(seed=1, n_trucks=28, tightness=1.0))
+        with pytest.raises(ValueError) as err:
+            generate_synthetic(seed=1, n_trucks=29)
+        assert str(err.value) == ("the 45-minute departure stagger limits a day "
+                                  "to 28 trucks, got 29")
+        assert not isinstance(err.value, fc.ScenarioValidationError)
+
     @pytest.mark.parametrize("block_minutes", [
         b for b in range(31, 1441) if 1440 % b == 0])
     def test_blocks_longer_than_the_shortest_dwell_rejected(self, block_minutes):

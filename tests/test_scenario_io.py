@@ -1,6 +1,7 @@
 """Scenario JSON loading, saving, schema validation, round trips."""
 
 import copy
+import importlib
 import json
 import math
 import os
@@ -76,6 +77,28 @@ class TestDesignFiles:
         path.write_text(json.dumps(counts))
         with pytest.raises(SchemaError):
             load_design(path)
+
+    def test_schema_errors_of_files_name_the_file(self, tmp_path):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"DC": {"1": 2.7}}))
+        with pytest.raises(SchemaError) as err:
+            load_design(design)
+        assert str(err.value) == (
+            f"{design}: schema violation at DC/1: 2.7 is not of type 'integer'")
+        assert (err.value.path, err.value.message) == (
+            ("DC", "1"), "2.7 is not of type 'integer'")
+        doc = fixture_doc("two_truck.json")
+        doc["params"]["alpha"] = "x"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            fc.load_scenario(scenario)
+        assert str(err.value) == (
+            f"{scenario}: schema violation at params/alpha: 'x' is not of type 'number'")
+        assert err.value.path == ("params", "alpha")
+        with pytest.raises(SchemaError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == "schema violation at params/alpha: 'x' is not of type 'number'"
 
 
 SCHEMA_NAMES = ("scenario", "plan_report", "explicit_design")
@@ -506,6 +529,21 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+# The package's public names, pinned so that the namespace cannot shrink.
+PUBLIC_NAMES = {
+    "CODESIGN", "FIXED_INFRASTRUCTURE", "BuildResult", "ChargerType", "CostBreakdown",
+    "ExplicitDesign", "LinearModel", "MainDepotOnly", "PeakDemandCover", "PlanReport",
+    "PriceSchedule", "Scenario", "ScenarioValidationError", "SchemaError", "Solution",
+    "SolveOutcome", "SolveStatus", "SweepSpec", "TimeGrid", "TripLeg", "Truck",
+    "VariableCatalog", "branch_and_bound", "build_problem", "charging_windows",
+    "compare_designs", "decode_plan", "default_amortize_ratio", "default_charger_catalog",
+    "energy_consumption", "generate_synthetic", "load_scenario", "location_peaks_kw",
+    "parse_policy", "recompute_costs", "replay", "rule_based_design", "run_sweep",
+    "save_scenario", "scenario_from_dict", "scenario_issues", "scenario_to_dict",
+    "solve_scenario", "tours", "validate_scenario",
+}
+
+
 class TestImports:
     def test_schema_checks_leave_jsonschema_out(self, tmp_path):
         """The CLI and the schema-checked loaders run without jsonschema."""
@@ -521,6 +559,44 @@ class TestImports:
             f"fleetcharge.scenario_io.load_design({str(design)!r})\n"
             "assert 'jsonschema' not in sys.modules, 'imported by a schema check'\n")
         assert result.returncode == 0, result.stderr
+
+    def test_scenario_path_leaves_numpy_and_the_solver_out(self):
+        """Each public name loads its submodule on first use, so loading,
+        checking and generating a scenario import no numpy and no solver."""
+        result = run_fresh(
+            "import sys\n"
+            "import fleetcharge as fc\n"
+            f"s = fc.load_scenario({str(FIXTURES / 'depot_fixture.json')!r})\n"
+            "assert fc.scenario_issues(s) == []\n"
+            "fc.scenario_to_dict(fc.generate_synthetic(1, n_trucks=5))\n"
+            "loaded = {'numpy', 'fleetcharge.model', 'fleetcharge.solver'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n")
+        assert result.returncode == 0, result.stderr
+
+    def test_validate_and_generate_commands_leave_numpy_and_the_solver_out(self, tmp_path):
+        """Only the solving subcommands import numpy and the solver."""
+        result = run_fresh(
+            "import sys\n"
+            "from fleetcharge.cli import main\n"
+            f"assert main(['validate', '--scenario', {str(FIXTURES / 'depot_fixture.json')!r}]) == 0\n"
+            f"assert main(['generate', '--seed', '1', '--out', {str(tmp_path / 's.json')!r}]) == 0\n"
+            "loaded = {'numpy', 'fleetcharge.model', 'fleetcharge.solver'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n")
+        assert result.returncode == 0, result.stderr
+
+    def test_every_public_name_resolves_to_its_home(self):
+        assert set(fc.__all__) == PUBLIC_NAMES
+        for module, names in fc._EXPORTS.items():
+            home = importlib.import_module(f"fleetcharge.{module}")
+            assert getattr(fc, module) is home
+            for name in names:
+                assert getattr(fc, name) is getattr(home, name), name
+        assert set(dir(fc)) >= set(fc.__all__)
+        namespace = {}
+        exec("from fleetcharge import *", namespace)
+        assert set(namespace) >= set(fc.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fc.no_such_name
 
     def test_solve_and_sweep_leave_numpy_ma_out(self, tmp_path):
         """numpy.ma costs about 1 MB of resident memory; calls such as

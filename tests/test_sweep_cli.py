@@ -422,7 +422,7 @@ class TestCli:
 
     @pytest.mark.parametrize("exc, code", FAILURES)
     @pytest.mark.parametrize("argv, module", [
-        (["solve", "--scenario", TWO_TRUCK], "fleetcharge.cli"),
+        (["solve", "--scenario", TWO_TRUCK], "fleetcharge.run"),
         (["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2"],
          "fleetcharge.sweep"),
     ])
@@ -473,6 +473,27 @@ class TestCli:
         assert error["code"] == "ConfigError"
         return error["message"]
 
+    def test_generate_too_many_trucks_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "gen.json"
+        assert main(["generate", "--seed", "1", "--trucks", "29",
+                     "--out", str(out)]) == 2
+        assert self.config_error(capsys) == (
+            "the 45-minute departure stagger limits a day to 28 trucks, got 29")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["sweep", "--alpha", "1", "--slack-min", "0"]], ids=["solve", "sweep"])
+    def test_design_file_schema_failure_names_the_file(self, argv, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"DC": {"1": 2.7}}))
+        out = tmp_path / "o"
+        code = main([*argv, "--scenario", TWO_TRUCK, "--design", "fixed",
+                     "--fixed-file", str(design), "--out", str(out)])
+        assert code == 2
+        assert self.config_error(capsys) == (
+            f"{design}: schema violation at DC/1: 2.7 is not of type 'integer'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", [2.7, -1])
     def test_solve_rejects_bad_design_file(self, count, tmp_path, capsys):
         design = tmp_path / "design.json"
@@ -519,7 +540,7 @@ class TestCli:
         # --out under a regular file; the solving commands fail before any solve.
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the output location was made")
-        for module in ("fleetcharge.cli", "fleetcharge.sweep"):
+        for module in ("fleetcharge.run", "fleetcharge.sweep"):
             monkeypatch.setattr(f"{module}.solve_scenario", no_solve)
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -545,8 +566,9 @@ class TestCli:
         code = main([argv[0], "--scenario", str(bad), *argv[1:],
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert self.config_error(capsys) == ("schema violation at params/fixed_counts/"
-                                             "DC/1: 2.5 is not of type 'integer'")
+        assert self.config_error(capsys) == (f"{bad}: schema violation at params/"
+                                             "fixed_counts/DC/1: 2.5 is not of type "
+                                             "'integer'")
         assert not (tmp_path / "o").exists()
 
     def test_price_profile_for_unknown_charger_is_a_config_error(self, tmp_path, capsys):
@@ -565,22 +587,22 @@ class TestCli:
         argv = ["solve"]
         if place == "by_charger":
             doc["prices"]["by_charger"] = {"01": doc["prices"]["energy_per_kwh"]}
-            where = "prices/by_charger"
+            where = "bad.json: schema violation at prices/by_charger"
         elif place == "fixed_counts":
             doc["params"]["fixed_counts"] = {"DC": {"01": 2}}
             argv += ["--design", "fixed"]
-            where = "params/fixed_counts/DC"
+            where = "bad.json: schema violation at params/fixed_counts/DC"
         else:
             design = tmp_path / "design.json"
             design.write_text(json.dumps({"DC": {"01": 2}}))
             argv += ["--design", "fixed", "--fixed-file", str(design)]
-            where = "DC"
+            where = "design.json: schema violation at DC"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = main([*argv, "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert self.config_error(capsys).startswith(
-            f"schema violation at {where}: '01' does not match any of the regexes")
+            f"{tmp_path}{os.sep}{where}: '01' does not match any of the regexes")
         assert not (tmp_path / "o").exists()
 
     # The schema's maximum of 1 already rejects an infinite efficiency.
@@ -662,22 +684,22 @@ class TestCli:
         argv = ["solve"]
         if place == "by_charger":
             doc["prices"]["by_charger"] = {"1\n": doc["prices"]["energy_per_kwh"]}
-            where = "prices/by_charger"
+            where = "bad.json: schema violation at prices/by_charger"
         elif place == "fixed_counts":
             doc["params"]["fixed_counts"] = {"DC": {"1\n": 2}}
             argv += ["--design", "fixed"]
-            where = "params/fixed_counts/DC"
+            where = "bad.json: schema violation at params/fixed_counts/DC"
         else:
             design = tmp_path / "design.json"
             design.write_text(json.dumps({"DC": {"1\n": 2}}))
             argv += ["--design", "fixed", "--fixed-file", str(design)]
-            where = "DC"
+            where = "design.json: schema violation at DC"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = main([*argv, "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert self.config_error(capsys).startswith(
-            f"schema violation at {where}: '1\\n' does not match any of the regexes")
+            f"{tmp_path}{os.sep}{where}: '1\\n' does not match any of the regexes")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, flag", [
@@ -705,7 +727,8 @@ class TestCli:
         assert main(["validate", "--scenario", str(path)]) == 2
         message = self.config_error(capsys)
         if kind == "schema":
-            assert message == "schema violation at document: 'trucks' is a required property"
+            assert message == (f"{path}: schema violation at document: 'trucks' is a "
+                               "required property")
         else:
             assert str(path) in message
 
