@@ -16,12 +16,13 @@ the shared :class:`PreparedLP`, which warm-starts a dual simplex from that
 basis, since a child differs from its parent in one column bound. The root
 LP starts cold, from the slack basis.
 
-Only the most recent LP's kernel inverse (its :class:`Factor`) is kept.
-When the next node popped starts from that LP's very basis, as every
-child does when the search dives, the factor is handed to its solve, which
-then skips the refactorization; otherwise it is dropped, so at most one
-k x k kernel inverse is alive between solves and none is stored on the
-heap or returned.
+Only the most recent LP's kernel inverse (its :class:`Factor`) is kept,
+and it is passed to the next solve, whatever node that is. The solve
+decides whether to take it over (see :meth:`PreparedLP.solve`): it does
+when it starts from that LP's very basis, as every child does when the
+search dives, and then skips the refactorization. So at most one factor
+is kept between solves and none is stored on the heap or returned; the
+search sums the hand-offs its solves report.
 
 When a relaxation comes back integral, the integer columns are fixed at
 their rounded values and the LP re-solved once ("polish"), so incumbents
@@ -46,8 +47,8 @@ import time
 import numpy as np
 
 from ..model import LinearModel
-from .simplex import PreparedLP, check_solution
-from .types import Factor, NumericalFailure, Solution, SolveStatus, relative_gap
+from .simplex import Factor, PreparedLP, check_solution
+from .types import NumericalFailure, Solution, SolveStatus, relative_gap
 
 __all__ = ["branch_and_bound", "check_limits", "INTEGRALITY_TOL", "DEFAULT_REL_GAP"]
 
@@ -128,11 +129,11 @@ def branch_and_bound(
             trace.append(
                 f"node {node_id} depth {depth} bound {bound:.9g} incumbent {shown()}")
 
-    def count(result: Solution, handed: Factor | None) -> None:
+    def count(result: Solution) -> None:
         work["pivots"] += result.pivots
         work["refactorizations"] += result.refactorizations
         work["lp_solves"] += 1
-        work["factor_handoffs"] += handed is not None
+        work["factor_handoffs"] += result.factor_handoffs
 
     def finish(status: SolveStatus, wall_bound: float, reason: str) -> Solution:
         wall = time.monotonic() - start
@@ -162,7 +163,7 @@ def branch_and_bound(
     lower = np.asarray(model.lower, dtype=float)
     upper = np.asarray(model.upper, dtype=float)
     heapq.heappush(heap, (0.0, 0, -math.inf, lower, upper, 0, None))
-    factor = None  # the last LP's kernel inverse, for a node that dives from it
+    factor = None  # the last LP's factor, for a node that dives from it
 
     while heap:
         _, neg_id, bound, lo, hi, depth, basis = heapq.heappop(heap)
@@ -182,11 +183,9 @@ def branch_and_bound(
             return finish(SolveStatus.FEASIBLE,
                           min([bound] + [entry[2] for entry in heap]), limit)
 
-        handed = factor if factor is not None and factor.basis is basis else None
-        factor = None
-        result = prep.solve(lo, hi, basis, handed)
-        count(result, handed)
-        factor, result.factor = result.factor, None
+        result = prep.solve(lo, hi, basis, factor)
+        count(result)
+        factor = result.factor
         nodes += 1
         if result.status == SolveStatus.INFEASIBLE:
             log(node_id, depth, math.inf)
@@ -198,8 +197,8 @@ def branch_and_bound(
         branch_col = _most_fractional(result.values, int_cols, priorities)
         if branch_col is None:
             polished = _polish(prep, int_cols, lo, hi, result, factor, node_id)
-            count(polished, factor)
-            factor = None
+            count(polished)
+            factor = polished.factor
             if polished.objective < incumbent_obj:
                 if incumbent is None:  # the plunge is over: key by bound
                     heap[:] = [(entry[2], *entry[1:]) for entry in heap]

@@ -16,18 +16,18 @@ costs solves every LP and ends at an optimal basis (Koberstein 2005).
 Every solve runs that dual simplex from a dual-feasible basis. A warm
 start is the final :class:`Basis` of an earlier solve of the same LP under
 other bounds (a branch-and-bound parent), and the solve recomputes the
-basic values under the new bounds. Handed that solve's final kernel
-inverse too (a :class:`Factor`, which branch-and-bound passes on when it
-dives straight into a child), it takes the inverse over with its pivot age
-and refactorizes only when the basic values fail the residual check;
-without one it refactorizes the basis once. A cold start is the slack
-basis (B = I) with each structural column at the finite bound its cost
-prefers. The leaving row has the largest bound violation (ties to the
-lowest position); the entering column comes from the dual ratio test (ties
-to the largest pivot, then the lowest index). A row no column can repair
-proves the LP infeasible. A basis that does not fit, is singular or not
-dual feasible, or a warm dual loop that fails numerically, restarts from
-the slack basis.
+basic values under the new bounds. Handed the :class:`Factor` that solve
+returned with that very record, it takes the factor over with its pivot
+age (:meth:`PreparedLP.solve` owns this rule) and refactorizes only when
+the basic values fail the residual check; without one it refactorizes
+the basis once. A cold start is the slack basis (B = I) with each
+structural column at the finite bound its cost prefers. The leaving row
+has the largest bound violation (ties to the lowest position); the
+entering column comes from the dual ratio test (ties to the largest
+pivot, then the lowest index). A row no column can repair proves the LP
+infeasible. A basis that does not fit, is singular or not dual feasible,
+or a warm dual loop that fails numerically, restarts from the slack
+basis.
 
 The loop keeps one state per column, its direction: +1 at its lower
 bound, -1 at its upper bound, 0 when basic or fixed. A nonbasic column's
@@ -46,10 +46,10 @@ nonbasic, order the rows R_k first and the basic slacks' rows R_s after:
     B = [ K  0 ]        B^-1 = [ K^-1        0 ]
         [ C  I ]               [ -C K^-1     I ]
 
-with K = A[R_k, S] and C = A[R_s, S]. The solve keeps K^-1 as a dense
-k x k array, with index arrays that map its rows to basis positions and
-its columns to kernel rows; everything else is read from A's stored
-entries:
+with K = A[R_k, S] and C = A[R_s, S]. A :class:`Factor` owns this form:
+K^-1 as a dense k x k array, with index arrays that map its rows to basis
+positions and its columns to kernel rows; everything else is read from
+A's stored entries:
 
 - FTRAN: y_S = K^-1 a[R_k], and each basic slack of row r gets
   a[r] - (A[:, S] y_S)[r];
@@ -99,9 +99,9 @@ from collections import Counter
 import numpy as np
 
 from ..model import EQ, GE, LE, LinearModel
-from .types import Basis, Factor, NumericalFailure, Solution, SolveStatus
+from .types import Basis, NumericalFailure, Solution, SolveStatus
 
-__all__ = ["PreparedLP", "check_solution"]
+__all__ = ["Factor", "PreparedLP", "check_solution"]
 
 INF = float("inf")
 
@@ -127,10 +127,10 @@ class PreparedLP:
     all n + m columns.
 
     Branch-and-bound reuses a single instance across nodes, passing per-node
-    structural bounds, the parent's basis and, when it is the last one
-    solved, its factor to :meth:`solve`. Instances hold no per-solve state
-    and are immutable after construction, so the same arguments give the
-    same answer and concurrent solves are safe.
+    structural bounds, the parent's basis and the last solve's factor to
+    :meth:`solve`. Instances hold no per-solve state and are immutable
+    after construction, so the same arguments give the same answer and
+    concurrent solves are safe.
 
     Raises ValueError naming the first column outside the input class (no
     finite bound, or a cost with none on its side; see the module docstring).
@@ -183,56 +183,58 @@ class PreparedLP:
         starts the dual simplex from it; an unusable basis falls back to
         the slack basis, so the result never depends on its quality.
         ``factor``, the ``Solution.factor`` returned with ``basis``, spares
-        the start's refactorization. The solve takes its kernel inverse
-        over and leaves it None; a factor of another basis, a spent one or
-        one that fails the residual check is ignored and the basis
-        refactorized. The bounds must leave every column a finite bound,
-        and each cost its favoured side finite, as the model's do and as
-        branching, which only tightens them, keeps them; other bounds
-        raise the ValueError that :class:`PreparedLP` raises for such a
-        model. The result is OPTIMAL, carrying its own final basis and
-        factor, or INFEASIBLE; either way it counts the dual pivots and
-        refactorizations the solve made, a failed warm start's included.
+        the start's refactorization. Only here is a hand-off ruled on: the
+        solve takes the factor over, counting one ``factor_handoffs``, only
+        when it is tagged with this very ``basis`` object and was built for
+        this LP, and updates it in place; any other factor is left alone, and one that fails the
+        residual check is refactorized. The bounds must leave every column
+        a finite bound, and each cost its favoured side finite, as the
+        model's do and as branching, which only tightens them, keeps them;
+        other bounds raise the ValueError that :class:`PreparedLP` raises
+        for such a model. The result is OPTIMAL, carrying its final basis
+        and the factor tagged with it, or INFEASIBLE; either way it counts
+        the dual pivots and refactorizations the solve made, a failed warm
+        start's included.
         """
         n = self.n
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
         hi = np.asarray(self.model.upper if upper is None else upper, dtype=float)
         _check_input_class(self.model, self.c_real[:n], lo, hi)
+        handed = (basis is not None and factor is not None and factor.basis is basis
+                  and factor.prep is self)
+        counts = Counter(factor_handoffs=int(handed))  # the states count their work
         if np.any(lo > hi + 1e-12):
-            return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0)
+            return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0,
+                            **counts)
 
-        counts = Counter()
         state = None
         if basis is not None:
             try:
-                state = _SimplexState(self, lo, hi, basis, factor, counts)
+                state = _SimplexState(self, lo, hi, basis, factor if handed else None,
+                                      counts)
                 feasible = state.run_dual()
             except NumericalFailure:
                 state = None  # unusable basis: restart from the slack basis
         if state is None:
             state = _SimplexState(self, lo, hi, counts=counts)
             feasible = state.run_dual()
-        work = {"pivots": counts["pivots"],
-                "refactorizations": counts["refactorizations"]}
         if not feasible:
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0,
-                            **work)
+                            **counts)
 
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
         objective = self.model.objective_value(x)
-        final = Basis(state.basis, state.direction < 0)
-        k = state.k
+        state.factor.basis = Basis(state.basis, state.direction < 0)
         return Solution(
             status=SolveStatus.OPTIMAL,
             values=x,
             objective=objective,
             best_bound=objective,
             gap=0.0,
-            basis=final,
-            factor=Factor(final, state.K_inv, state.kernel_pos[:k],
-                          state.kernel_row[:k], state.age),
-            **work,
+            basis=state.factor.basis,
+            factor=state.factor,
+            **counts,
         )
 
 
@@ -254,20 +256,8 @@ def _check_input_class(model: LinearModel, c: np.ndarray, lower, upper) -> None:
 
 class _SimplexState:
     """Mutable per-solve state: bounds, basis, column directions, the
-    kernel inverse and its age, the pivots it has taken since it was last
-    rebuilt, and ``counts`` of pivots and refactorizations, which a caller
-    may share between states.
-
-    The kernel inverse K^-1 (module docstring) is the leading k x k block
-    of ``K_inv``, whose spare rows and columns take the borders of later
-    pivots. Row i of K^-1 belongs to basis position ``kernel_pos[i]`` and
-    column j to model row ``kernel_row[j]``. ``kernel_of_pos`` and
-    ``kernel_of_row`` map a position and a row back to its index in K^-1,
-    and ``kernel_of_entry`` each stored entry of A to the index of its
-    column; all hold -1 outside the kernel. The last row and column of
-    ``K_inv`` stay zero, and so does the last entry of ``y_ext``, scratch
-    for a kernel vector, so an index of -1 reads a zero and needs no mask.
-    """
+    basic values x_B, the basis's :class:`Factor` and ``counts`` of pivots
+    and refactorizations, which a caller may share between states."""
 
     def __init__(self, prep: PreparedLP, lo, hi, start: Basis | None = None,
                  factor: Factor | None = None, counts: Counter | None = None):
@@ -301,18 +291,18 @@ class _SimplexState:
         """Slack basis (B = I, an empty kernel) with every structural column
         at the bound its cost prefers: dual feasible for the input class."""
         self._place(np.arange(self.n, self.n_real), self.prep.c_real < 0)
-        empty = np.zeros(0, dtype=int)
-        self._adopt_kernel(np.zeros((1, 1)), empty, empty)
+        self.factor = Factor(self.prep)
+        self.factor.refactor(self.basis)
         # The identity counts as one update old: a cold solve rebuilds after
         # 95 pivots, then every 96. Root LPs run long, so where the rebuilds
         # fall sets their roundoff, and with it the last digits of the gaps
         # that sweeps report.
-        self.age = 1
+        self.factor.age = 1
         self.x_B = self._residual()
 
     def _load(self, start: Basis, factor: Factor | None) -> None:
         """Adopt a basis from an earlier solve under the current bounds,
-        taking over ``factor``'s kernel inverse when it belongs to ``start``.
+        taking ``factor``, the factor of ``start``, over when given one.
 
         Raises :class:`NumericalFailure` when the record does not fit this
         LP or its basis matrix is singular or ill-conditioned.
@@ -329,110 +319,20 @@ class _SimplexState:
         self._place(basic.astype(int), at_upper)
 
         residual = self._residual()
-        self.K_inv = None
-        if factor is not None and factor.basis is start and factor.inverse is not None:
-            self._adopt_kernel(factor.inverse, factor.positions, factor.rows)
-            factor.inverse = None
-            self.age = factor.age
-            self.x_B = self._solve(residual)
+        self.factor = Factor(self.prep) if factor is None else factor
+        if factor is not None:
+            factor.basis = None  # taken over: this solve updates it in place
+            self.x_B = factor.solve(residual, self.basis)
             if self._solves(residual):
                 return
         self._refactor()
         if not self._solves(residual):
             raise NumericalFailure("warm-start basis is ill-conditioned")
 
-    def _adopt_kernel(self, K_inv: np.ndarray, positions: np.ndarray,
-                      rows: np.ndarray) -> None:
-        """Hold ``K_inv``, K^-1 in its leading k x k block with k the length
-        of ``positions``, the basis positions of its rows, and ``rows``, the
-        model rows of its columns, and a zero last row and column; index
-        them for the current basis."""
-        m, k = self.m, len(positions)
-        self.K_inv, self.k = K_inv, k
-        self.kernel_pos = np.empty(m, dtype=int)
-        self.kernel_pos[:k] = positions
-        self.kernel_row = np.empty(m, dtype=int)
-        self.kernel_row[:k] = rows
-        index = np.arange(k)
-        self.kernel_of_pos = np.full(m, -1)
-        self.kernel_of_pos[positions] = index
-        self.kernel_of_row = np.full(m, -1)
-        self.kernel_of_row[rows] = index
-        kernel_of_col = np.full(self.n, -1)
-        kernel_of_col[self.basis[positions]] = index
-        self.kernel_of_entry = kernel_of_col[self.prep.col_of]
-        self.y_ext = np.zeros(m + 1)
-
-    def _mark(self, col: int, index: int) -> None:
-        """Set the kernel index of structural column ``col``'s entries."""
-        start = self.prep.col_start
-        self.kernel_of_entry[start[col]:start[col + 1]] = index
-
-    def _reserve(self, k: int) -> None:
-        """Make room for a k x k kernel inverse, keeping the current one."""
-        held = self.K_inv
-        if held is not None and held.shape[0] > k:
-            return
-        size = min(self.m, max(2 * k, 32)) + 1
-        grown = np.zeros((size, size))
-        if held is not None:
-            grown[:self.k, :self.k] = held[:self.k, :self.k]
-        self.K_inv = grown
-
     def _solves(self, residual: np.ndarray) -> bool:
         """Whether B x_B reproduces the residual (NaN fails)."""
         error = np.abs(self._residual(self.values())).max(initial=0.0)
         return bool(error <= 1e-7 * (1.0 + np.abs(residual).max(initial=0.0)))
-
-    # -- the kernel form of B^-1 ----------------------------------------------
-
-    def _complete(self, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """B^-1 a, given a by row and its kernel part y = K^-1 a[R_k]: the
-        structural positions take y, and the basic slack of row r takes
-        a[r] - (A[:, S] y)[r], in one pass over A's stored entries."""
-        prep, k = self.prep, self.k
-        self.y_ext[:k] = y
-        w = a - np.bincount(prep.col_rows, minlength=self.m,
-                            weights=prep.col_vals * self.y_ext[self.kernel_of_entry])
-        # Structural positions read a clipped placeholder, then take y.
-        d = w.take(self.basis - self.n, mode="clip")
-        d[self.kernel_pos[:k]] = y
-        return d
-
-    def _solve(self, v: np.ndarray) -> np.ndarray:
-        """B^-1 v for a vector v by row."""
-        k = self.k
-        return self._complete(v, self.K_inv[:k, :k] @ v[self.kernel_row[:k]])
-
-    def _ftran(self, j: int) -> np.ndarray:
-        """B^-1 times column j (a slack's is the unit column of its row),
-        read from the column's stored entries."""
-        prep, k = self.prep, self.k
-        a = np.zeros(self.m)
-        if j >= self.n:
-            a[j - self.n] = 1.0
-            return self._complete(a, self.K_inv[:k, self.kernel_of_row[j - self.n]])
-        lo, hi = prep.col_start[j], prep.col_start[j + 1]
-        rows, vals = prep.col_rows[lo:hi], prep.col_vals[lo:hi]
-        a[rows] = vals
-        return self._complete(a, self.K_inv[:k, self.kernel_of_row[rows]] @ vals)
-
-    def _inverse_row(self, p: int) -> np.ndarray:
-        """Row p of B^-1, by row: the row of K^-1 at a structural position,
-        e_r - A[r, S] K^-1 at the basic slack of row r."""
-        k = self.k
-        rho = np.zeros(self.m)
-        i = self.kernel_of_pos[p]
-        if i >= 0:
-            rho[self.kernel_row[:k]] = self.K_inv[i, :k]
-            return rho
-        prep = self.prep
-        r = self.basis[p] - self.n
-        entries = prep.row_entry[prep.row_start[r]:prep.row_start[r + 1]]
-        rho[self.kernel_row[:k]] = -(prep.col_vals[entries]
-                                     @ self.K_inv[self.kernel_of_entry[entries], :k])
-        rho[r] = 1.0
-        return rho
 
     def _row_times_A(self, v: np.ndarray) -> np.ndarray:
         """The row vector v times [A | I]: one pass over A's stored entries."""
@@ -442,12 +342,8 @@ class _SimplexState:
         return np.concatenate([vA, v])
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        """c - c_B B^-1 [A | I], with duals c_S K^-1 on the kernel rows and
-        0 on the others, because slack costs are 0."""
-        k = self.k
-        y = np.zeros(self.m)
-        y[self.kernel_row[:k]] = c[self.basis[self.kernel_pos[:k]]] @ self.K_inv[:k, :k]
-        return c - self._row_times_A(y)
+        """c - c_B B^-1 [A | I]."""
+        return c - self._row_times_A(self.factor.duals(c, self.basis))
 
     # -- values --------------------------------------------------------------
 
@@ -473,44 +369,13 @@ class _SimplexState:
         return x
 
     def _refactor(self) -> None:
-        """Rebuild K^-1, its index arrays and x_B from the basis: K is read
-        from the stored entries of the basic structural columns and
-        inverted. K^-1 goes into the held array when it has room.
+        """Rebuild the factor from the basis, then x_B with it.
 
-        Raises :class:`NumericalFailure` when the basic slacks do not leave
-        exactly k kernel rows or the kernel is singular; the held inverse
-        is then untouched.
+        Raises :class:`NumericalFailure` as :meth:`Factor.refactor` does.
         """
         self.counts["refactorizations"] += 1
-        m, n = self.m, self.n
-        structural = self.basis < n
-        struct_pos = np.flatnonzero(structural)
-        in_kernel = np.ones(m, dtype=bool)
-        in_kernel[self.basis[~structural] - n] = False
-        kernel_rows = np.flatnonzero(in_kernel)
-        k = struct_pos.size
-        if kernel_rows.size != k:
-            raise NumericalFailure("basis repeats a slack column")
-        # Each stored entry of a basic structural column on a kernel row
-        # goes to the slot of its row in R_k and of its column in S.
-        prep = self.prep
-        col_slot = np.full(n, -1)
-        col_slot[self.basis[struct_pos]] = np.arange(k)
-        row_slot = np.full(m, -1)
-        row_slot[kernel_rows] = np.arange(k)
-        cols, rows = col_slot[prep.col_of], row_slot[prep.col_rows]
-        inside = (cols >= 0) & (rows >= 0)
-        K = np.zeros((k, k))
-        K[rows[inside], cols[inside]] = prep.col_vals[inside]
-        try:
-            K_inv = np.linalg.inv(K)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure("singular basis during refactorization") from exc
-        self._reserve(k)
-        self.K_inv[:k, :k] = K_inv
-        self._adopt_kernel(self.K_inv, struct_pos, kernel_rows)
-        self.x_B = self._solve(self._residual())
-        self.age = 0
+        self.factor.refactor(self.basis)
+        self.x_B = self.factor.solve(self._residual(), self.basis)
 
     # -- dual simplex ---------------------------------------------------------
 
@@ -522,6 +387,7 @@ class _SimplexState:
         or the loop cannot finish.
         """
         c = self.prep.c_real
+        factor = self.factor
         z = self._reduced_costs(c)
         # A reduced cost on the wrong side of its column's direction is
         # dual infeasibility.
@@ -532,7 +398,7 @@ class _SimplexState:
 
         max_iters = max(1000, 3 * self.n_real)
         for _ in range(max_iters):
-            if self.age >= REFACTOR_EVERY:
+            if factor.age >= REFACTOR_EVERY:
                 self._refactor()
                 z = self._reduced_costs(c)
             x_B = self.x_B
@@ -548,7 +414,7 @@ class _SimplexState:
             # x_r = beta_r - sum_j alpha_j (x_j - x_j now) over nonbasic j;
             # a column qualifies when its feasible move pushes x_r to target,
             # that is when direction * push < -TOL_PIVOT with push = +-alpha.
-            rho = self._inverse_row(leave_pos)
+            rho = factor.row(leave_pos, self.basis)
             alpha = self._row_times_A(rho)
             signed = self.direction * alpha
             eligible = signed < -TOL_PIVOT if to_lower else signed > TOL_PIVOT
@@ -565,7 +431,7 @@ class _SimplexState:
             tied = ratio <= ratio.min() * (1 + 1e-9) + 1e-12
             enter = int(cand[tied][abs_alpha[tied].argmax()])
 
-            d = self._ftran(enter)
+            d = factor.ftran(enter, self.basis)
             step = (x_r - target) / d[leave_pos]
             base = self.lower[enter] if self.direction[enter] > 0 else self.upper[enter]
             x_B -= d * step
@@ -595,21 +461,164 @@ class _SimplexState:
         self.direction[leave_col] = 0.0 if hi - lo <= 1e-15 else \
             1.0 if abs(leave_val - lo) <= abs(leave_val - hi) else -1.0
 
-        self._update_kernel(leave_pos, leave_col, enter, d, rho)
+        self.factor.replace(leave_pos, enter, d, rho, self.basis)
         self.basis[leave_pos] = enter
         self.direction[enter] = 0.0
         self.basic_lower[leave_pos] = self.lower[enter]
         self.basic_upper[leave_pos] = self.upper[enter]
         self.x_B[leave_pos] = enter_value
-        self.age += 1
 
-    def _update_kernel(self, p: int, leave_col: int, enter: int,
-                       d: np.ndarray, rho: np.ndarray) -> None:
-        """K^-1 and its index arrays for the basis with ``enter`` in
-        position p in place of ``leave_col``, in place: the product-form
-        step restricted to the kernel block, then the case's one row or
-        column (module docstring)."""
+
+class Factor:
+    """The kernel form of B^-1 (module docstring) for one basis of a
+    :class:`PreparedLP`.
+
+    K^-1 is the leading k x k block of ``K_inv``, whose spare rows and
+    columns take the borders of later pivots. Row i of K^-1 belongs to
+    basis position ``kernel_pos[i]`` and column j to model row
+    ``kernel_row[j]``. ``kernel_of_pos`` and ``kernel_of_row`` map a
+    position and a row back to its index in K^-1, and ``kernel_of_entry``
+    each stored entry of A to the index of its column; all hold -1 outside
+    the kernel. The last row and column of ``K_inv`` stay zero, and so
+    does the last entry of ``y_ext``, scratch for a kernel vector, so an
+    index of -1 reads a zero and needs no mask. ``age`` counts the pivots
+    since K^-1 was last inverted.
+
+    The basis array stays with the solve, which passes it as ``basic`` to
+    each operation, so the factor never reads an array that a solve has
+    rebound or that siblings share. ``basis`` tags the factor with the
+    :class:`Basis` its solve returned, and is None while a solve that
+    took it over updates it in place, so one factor serves one solve.
+    """
+
+    def __init__(self, prep: PreparedLP):
+        self.prep = prep
+        self.m, self.n = prep.m, prep.n
+        self.basis: Basis | None = None
+        self.K_inv: np.ndarray | None = None
+        self.y_ext = np.zeros(prep.m + 1)
+
+    def refactor(self, basic: np.ndarray) -> None:
+        """Rebuild K^-1 and its index arrays for ``basic``: K is read from
+        the stored entries of the basic structural columns and inverted,
+        into the held array when it has room.
+
+        Raises :class:`NumericalFailure` when the basic slacks do not leave
+        exactly k kernel rows or the kernel is singular; the factor is then
+        untouched.
+        """
+        m, n = self.m, self.n
+        structural = basic < n
+        struct_pos = np.flatnonzero(structural)
+        in_kernel = np.ones(m, dtype=bool)
+        in_kernel[basic[~structural] - n] = False
+        kernel_rows = np.flatnonzero(in_kernel)
+        k = struct_pos.size
+        if kernel_rows.size != k:
+            raise NumericalFailure("basis repeats a slack column")
+        # Each stored entry of a basic structural column on a kernel row
+        # goes to the slot of its row in R_k and of its column in S.
+        prep = self.prep
+        col_slot = np.full(n, -1)
+        col_slot[basic[struct_pos]] = np.arange(k)
+        row_slot = np.full(m, -1)
+        row_slot[kernel_rows] = np.arange(k)
+        cols, rows = col_slot[prep.col_of], row_slot[prep.col_rows]
+        inside = (cols >= 0) & (rows >= 0)
+        K = np.zeros((k, k))
+        K[rows[inside], cols[inside]] = prep.col_vals[inside]
+        try:
+            K_inv = np.linalg.inv(K)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure("singular basis during refactorization") from exc
+        self._reserve(k)
+        self.K_inv[:k, :k] = K_inv
+        self.k = k
+        self.kernel_pos = np.empty(m, dtype=int)
+        self.kernel_pos[:k] = struct_pos
+        self.kernel_row = np.empty(m, dtype=int)
+        self.kernel_row[:k] = kernel_rows
+        self.kernel_of_pos = np.full(m, -1)
+        self.kernel_of_pos[struct_pos] = np.arange(k)
+        self.kernel_of_row, self.kernel_of_entry = row_slot, cols
+        self.age = 0
+
+    def _reserve(self, k: int) -> None:
+        """Make room for a k x k kernel inverse, keeping the current one."""
+        held = self.K_inv
+        if held is not None and held.shape[0] > k:
+            return
+        size = min(self.m, max(2 * k, 32)) + 1
+        grown = np.zeros((size, size))
+        if held is not None:
+            grown[:self.k, :self.k] = held[:self.k, :self.k]
+        self.K_inv = grown
+
+    def _complete(self, a: np.ndarray, y: np.ndarray, basic: np.ndarray) -> np.ndarray:
+        """B^-1 a, given a by row and its kernel part y = K^-1 a[R_k]: the
+        structural positions take y, and the basic slack of row r takes
+        a[r] - (A[:, S] y)[r], in one pass over A's stored entries."""
+        prep, k = self.prep, self.k
+        self.y_ext[:k] = y
+        w = a - np.bincount(prep.col_rows, minlength=self.m,
+                            weights=prep.col_vals * self.y_ext[self.kernel_of_entry])
+        # Structural positions read a clipped placeholder, then take y.
+        d = w.take(basic - self.n, mode="clip")
+        d[self.kernel_pos[:k]] = y
+        return d
+
+    def solve(self, v: np.ndarray, basic: np.ndarray) -> np.ndarray:
+        """B^-1 v for a vector v by row."""
+        k = self.k
+        return self._complete(v, self.K_inv[:k, :k] @ v[self.kernel_row[:k]], basic)
+
+    def ftran(self, j: int, basic: np.ndarray) -> np.ndarray:
+        """B^-1 times column j (a slack's is the unit column of its row),
+        read from the column's stored entries."""
+        prep, k = self.prep, self.k
+        a = np.zeros(self.m)
+        if j >= self.n:
+            a[j - self.n] = 1.0
+            return self._complete(a, self.K_inv[:k, self.kernel_of_row[j - self.n]], basic)
+        lo, hi = prep.col_start[j], prep.col_start[j + 1]
+        rows, vals = prep.col_rows[lo:hi], prep.col_vals[lo:hi]
+        a[rows] = vals
+        return self._complete(a, self.K_inv[:k, self.kernel_of_row[rows]] @ vals, basic)
+
+    def row(self, p: int, basic: np.ndarray) -> np.ndarray:
+        """Row p of B^-1, by row: the row of K^-1 at a structural position,
+        e_r - A[r, S] K^-1 at the basic slack of row r."""
+        k = self.k
+        rho = np.zeros(self.m)
+        i = self.kernel_of_pos[p]
+        if i >= 0:
+            rho[self.kernel_row[:k]] = self.K_inv[i, :k]
+            return rho
+        prep = self.prep
+        r = basic[p] - self.n
+        entries = prep.row_entry[prep.row_start[r]:prep.row_start[r + 1]]
+        rho[self.kernel_row[:k]] = -(prep.col_vals[entries]
+                                     @ self.K_inv[self.kernel_of_entry[entries], :k])
+        rho[r] = 1.0
+        return rho
+
+    def duals(self, c: np.ndarray, basic: np.ndarray) -> np.ndarray:
+        """The duals c_B B^-1, by row: c_S K^-1 on the kernel rows and 0 on
+        the others, because slack costs are 0."""
+        k = self.k
+        y = np.zeros(self.m)
+        y[self.kernel_row[:k]] = c[basic[self.kernel_pos[:k]]] @ self.K_inv[:k, :k]
+        return y
+
+    def replace(self, p: int, enter: int, d: np.ndarray, rho: np.ndarray,
+                basic: np.ndarray) -> None:
+        """Update K^-1 and its index arrays in place for column ``enter``,
+        whose FTRAN is d, in position p, whose row of B^-1 is rho: the
+        product-form step restricted to the kernel block, then the case's
+        one row or column (module docstring). Runs before ``basic`` records
+        the pivot."""
         n, k = self.n, self.k
+        leave_col = int(basic[p])
         K_inv = self.K_inv[:k, :k]
         d_S = d[self.kernel_pos[:k]]
         rho_k = rho[self.kernel_row[:k]] / d[p]
@@ -622,7 +631,7 @@ class _SimplexState:
             self._mark(leave_col, -1)
             self._mark(enter, i)
         elif i >= 0:  # a slack for a structural column
-            self._shrink(i, self.kernel_of_row[enter - n], leave_col)
+            self._shrink(i, self.kernel_of_row[enter - n], leave_col, basic)
         elif enter < n:  # a structural column for a slack
             self._border(p, leave_col - n, enter, -d_S / d[p], rho_k, 1.0 / d[p])
         else:  # slack for slack
@@ -632,6 +641,12 @@ class _SimplexState:
             self.kernel_row[j] = r
             self.kernel_of_row[enter - n] = -1
             self.kernel_of_row[r] = j
+        self.age += 1
+
+    def _mark(self, col: int, index: int) -> None:
+        """Set the kernel index of structural column ``col``'s entries."""
+        start = self.prep.col_start
+        self.kernel_of_entry[start[col]:start[col + 1]] = index
 
     def _border(self, p: int, r: int, col: int, column: np.ndarray,
                 row: np.ndarray, corner: float) -> None:
@@ -647,17 +662,17 @@ class _SimplexState:
         self._mark(col, k)
         self.k = k + 1
 
-    def _shrink(self, i: int, j: int, leave_col: int) -> None:
+    def _shrink(self, i: int, j: int, leave_col: int, basic: np.ndarray) -> None:
         """Delete row i and column j of K^-1 (the structural ``leave_col``
         and the kernel row whose slack enters), moving the last row and
-        column into their places. Runs before the basis records the pivot."""
+        column into their places."""
         last = self.k - 1
         K_inv = self.K_inv
         K_inv[i, :last + 1] = K_inv[last, :last + 1]
         K_inv[:last + 1, j] = K_inv[:last + 1, last]
         p, moved_pos = self.kernel_pos[i], self.kernel_pos[last]
         self.kernel_pos[i] = moved_pos
-        self._mark(self.basis[moved_pos], i)
+        self._mark(basic[moved_pos], i)
         self._mark(leave_col, -1)
         self.kernel_of_pos[moved_pos] = i
         self.kernel_of_pos[p] = -1

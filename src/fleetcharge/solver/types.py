@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["SolveStatus", "Solution", "Basis", "Factor", "NumericalFailure"]
+if TYPE_CHECKING:
+    from .simplex import Factor
+
+__all__ = ["SolveStatus", "Solution", "Basis", "NumericalFailure"]
 
 
 class SolveStatus(Enum):
@@ -38,29 +42,6 @@ class Basis:
     at_upper: np.ndarray
 
 
-@dataclass(eq=False)
-class Factor:
-    """The kernel inverse a solve ended with, for the next solve that
-    starts from the same :class:`Basis` object.
-
-    ``inverse`` holds K^-1, the inverse of the basis's structural kernel
-    (see :mod:`fleetcharge.solver.simplex`), in its leading k x k block,
-    where k is the length of ``positions``; the rest is spare room for
-    the kernel to grow, with a last row and column of zeros. Row i of
-    K^-1 belongs to basis position ``positions[i]`` and column j to model
-    row ``rows[j]``. ``age`` is the pivots it has taken since it was last
-    rebuilt from the kernel. A solve handed a factor takes the array over,
-    setting ``inverse`` to None, and both updates and refactorizes it in
-    place, so one factor serves one solve and costs k^2, not m^2, floats.
-    """
-
-    basis: Basis
-    inverse: np.ndarray | None
-    positions: np.ndarray
-    rows: np.ndarray
-    age: int
-
-
 @dataclass
 class Solution:
     """Outcome of a solve: status, variable values, objective, and bounds.
@@ -72,13 +53,15 @@ class Solution:
     covers the model's structural columns and is None when no feasible point
     was found. ``basis`` is the final LP basis of an OPTIMAL LP solve, a
     warm start for a solve of the same model under nearby bounds, and
-    ``factor`` its kernel inverse; a branch-and-bound result carries neither.
+    ``factor`` the :class:`~fleetcharge.solver.simplex.Factor` that owns
+    its kernel inverse, tagged with ``basis``; a branch-and-bound result
+    carries neither.
 
-    ``pivots`` and ``refactorizations`` count the dual pivots and kernel
-    refactorizations of an LP solve, and a branch-and-bound result sums
-    them over all its LP solves. Branch-and-bound also reports
-    ``lp_solves`` (node LPs and polishes), ``factor_handoffs`` (solves
-    handed the previous solve's :class:`Factor`) and ``stop_reason``:
+    ``pivots``, ``refactorizations`` and ``factor_handoffs`` count the
+    dual pivots, the kernel refactorizations and the factor taken over (0
+    or 1) of an LP solve, which reports its own; a branch-and-bound result
+    sums them over all its LP solves. Branch-and-bound also reports
+    ``lp_solves`` (node LPs and polishes) and ``stop_reason``:
     ``gap`` (target gap proven), ``exhausted`` (tree searched),
     ``node_limit``, ``time_limit`` or ``infeasible``.
     """

@@ -7,9 +7,10 @@ the implementation under test. The brute-force enumeration oracle tries
 every integer assignment; it borrows only the package's cold-start LP
 solve for the continuous part, never branch-and-bound or a warm start.
 
-Two small helpers that only tests call live here too: ``solve_lp`` (one
-cold LP solve of a model) and ``objective_breakdown`` (the model-side
-split of an objective that the validator recomputes independently). The
+Three small helpers that only tests call live here too: ``solve_lp`` (one
+cold LP solve of a model), ``objective_breakdown`` (the model-side split
+of an objective that the validator recomputes independently) and
+``run_fresh`` (code run in a new interpreter that imports the package). The
 loop references for vectorized code (``dense_matrix``,
 ``check_solution_by_rows``, ``curve_rows_by_loop``) and for the kernel
 refactorization (``refactor_by_dense_columns``) sit beside them, as
@@ -23,11 +24,16 @@ import functools
 import itertools
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import fleetcharge
 from fleetcharge.builder import VariableCatalog
 from fleetcharge.domain import Scenario
 from fleetcharge.model import EQ, GE, LE, LinearModel
@@ -580,3 +586,13 @@ def brute_force_enumerate(
     best.best_bound = best.objective
     best.node_count = total
     return best
+
+
+def run_fresh(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this package, with
+    ``env`` added to the environment."""
+    src = Path(fleetcharge.__file__).resolve().parents[1]
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)

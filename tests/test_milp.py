@@ -1,8 +1,10 @@
 """Branch-and-bound and the brute-force enumeration oracle."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from oracles import (
     brute_force_enumerate,
     knapsack_best_value,
     random_binary_milp,
+    run_fresh,
     scaled_matrix,
     solve_lp,
 )
 
 INF = float("inf")
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def binary_cover_model():
@@ -216,9 +220,10 @@ class TestFactorHandOff:
         calls, checked = [], []
 
         def solve_both(self, lower=None, upper=None, basis=None, factor=None):
-            calls.append(factor)
-            if factor is None:
-                return solve(self, lower, upper, basis)
+            handed = factor is not None and factor.basis is basis
+            calls.append(handed)
+            if not handed:
+                return solve(self, lower, upper, basis, factor)
             rebuilt = solve(self, lower, upper, basis)  # leaves the factor whole
             inherited = solve(self, lower, upper, basis, factor)
             assert inherited.status == rebuilt.status
@@ -231,7 +236,7 @@ class TestFactorHandOff:
         sol = branch_and_bound(model)
         assert sol.status == SolveStatus.OPTIMAL
         # Every node LP after the root and every polish dives from the last solve.
-        assert calls[0] is None and len(checked) == len(calls) - 1 >= sol.node_count
+        assert calls[0] is False and len(checked) == len(calls) - 1 >= sol.node_count
 
     def test_depot_node_lps_never_refactorize(self, depot_scenario, monkeypatch):
         model = dive_model("depot", depot_scenario)
@@ -274,7 +279,7 @@ class TestSolveCounts:
         def counted_solve(self, lower=None, upper=None, basis=None, factor=None):
             before = calls.copy()
             calls["lp_solves"] += 1
-            calls["factor_handoffs"] += factor is not None
+            calls["factor_handoffs"] += factor is not None and factor.basis is basis
             result = solve(self, lower, upper, basis, factor)
             # Each LP reports its own pivots and refactorizations.
             assert result.pivots == calls["pivots"] - before["pivots"]
@@ -289,6 +294,46 @@ class TestSolveCounts:
         # Every node LP after the root, and the polish, dives from the last solve.
         assert calls["factor_handoffs"] == calls["lp_solves"] - 1 > sol.node_count - 1
         assert calls["pivots"] > calls["refactorizations"] >= 1
+
+    def test_pinned_solver_work(self):
+        """(nodes, lp_solves, pivots, refactorizations, factor_handoffs) of
+        the search at rel_gap_target=1e-2 on three rungs, and (pivots,
+        refactorizations) of the 8-truck root LP, as recorded before the
+        kernel inverse moved into one factor object. They depend on the
+        BLAS thread count (its summation order moves simplex ties), so a
+        fresh interpreter runs them on one BLAS thread, as the benchmark
+        does. They were recorded with numpy 2.4 on its bundled OpenBLAS
+        0.3.31; another BLAS build may order its sums differently.
+        A change that moves these numbers on purpose (dual steepest edge,
+        block-LU updates, a new branching rule) re-records them and
+        reports the difference per rung in CHANGES.md."""
+        code = (
+            "import json\n"
+            "from dataclasses import replace\n"
+            "import fleetcharge as fc\n"
+            "from fleetcharge.solver import PreparedLP, branch_and_bound\n"
+            f"depot = fc.load_scenario({str(FIXTURES / 'depot_fixture.json')!r})\n"
+            "rungs = {'depot': depot,\n"
+            "         'depot_slack_0': fc.validate_scenario(replace(depot, slack_blocks=0)),\n"
+            "         'five_trucks': fc.generate_synthetic(1, n_trucks=5)}\n"
+            "work = {}\n"
+            "for name, scenario in rungs.items():\n"
+            "    s = branch_and_bound(fc.build_problem(scenario).model, rel_gap_target=1e-2)\n"
+            "    work[name] = [s.node_count, s.lp_solves, s.pivots, s.refactorizations,\n"
+            "                  s.factor_handoffs]\n"
+            "model = fc.build_problem(fc.generate_synthetic(1, n_trucks=8)).model\n"
+            "root = PreparedLP(model).solve()\n"
+            "work['eight_trucks_root'] = [root.pivots, root.refactorizations]\n"
+            "print(json.dumps(work))\n")
+        result = run_fresh(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                           MKL_NUM_THREADS="1")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "depot": [7, 8, 143, 1, 7],
+            "depot_slack_0": [4, 5, 151, 1, 4],
+            "five_trucks": [11, 12, 281, 2, 11],
+            "eight_trucks_root": [521, 5],
+        }
 
     def test_plan_reports_the_counts(self, depot_base_outcome):
         solution, info = depot_base_outcome.solution, depot_base_outcome.plan.solver_info

@@ -4,10 +4,7 @@ import copy
 import importlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -29,6 +26,8 @@ from fleetcharge.scenario_io import (
     validate_against_schema,
 )
 from fleetcharge.schema_check import ANNOTATIONS, KEYWORDS, SchemaError, compile_schema
+
+from oracles import run_fresh
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = ["depot_fixture.json", "two_truck.json", "remote_variant.json"]
@@ -518,15 +517,6 @@ class TestJsonText:
     def test_unserializable_value_raises(self):
         with pytest.raises(TypeError):
             json_text({"a": [object()]})
-
-
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this package."""
-    src = Path(fc.__file__).resolve().parents[1]
-    paths = [str(src), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 # The package's public names, pinned so that the namespace cannot shrink.

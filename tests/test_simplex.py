@@ -1,6 +1,7 @@
 """LP solver: textbook cases, the exact-arithmetic oracle, HiGHS, warm
 starts, determinism."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -388,14 +389,15 @@ class TestFactorHandOff:
         prep, root, lower, upper = depot_child(depot_scenario)
         factor = root.factor
         k = np.count_nonzero(root.basis.basic < prep.n)
-        assert factor.basis is root.basis and len(factor.positions) == len(factor.rows) == k
-        assert k <= factor.inverse.shape[0] < prep.m  # kernel-sized, not m x m
+        assert factor.basis is root.basis and factor.k == k
+        assert k <= factor.K_inv.shape[0] < prep.m  # kernel-sized, not m x m
         rebuilt = prep.solve(lower, upper, root.basis)
         calls = record_calls(monkeypatch, "_refactor")
         factor = root.factor
         inherited = prep.solve(lower, upper, root.basis, factor)
-        assert calls == []
-        assert factor.inverse is None  # taken over, so it serves one solve
+        assert calls == [] and inherited.factor_handoffs == 1
+        # Taken over: updated in place and handed on with the child's basis.
+        assert inherited.factor is factor and factor.basis is inherited.basis
         assert inherited.status == rebuilt.status == SolveStatus.OPTIMAL
         assert inherited.objective == pytest.approx(rebuilt.objective, rel=1e-9)
 
@@ -404,9 +406,9 @@ class TestFactorHandOff:
         prep, root, lower, upper = depot_child(depot_scenario)
         rebuilt = prep.solve(lower, upper, root.basis)
         if corruption == "scaled":
-            root.factor.inverse *= 1.01
+            root.factor.K_inv *= 1.01
         else:
-            root.factor.inverse[0, 0] = np.nan
+            root.factor.K_inv[0, 0] = np.nan
         calls = record_calls(monkeypatch, "_refactor")
         warm = prep.solve(lower, upper, root.basis, root.factor)
         assert calls[:1] == ["_refactor"]
@@ -417,13 +419,56 @@ class TestFactorHandOff:
     def test_factor_of_another_basis_is_ignored(self, depot_scenario, monkeypatch):
         prep, root, lower, upper = depot_child(depot_scenario)
         rebuilt = prep.solve(lower, upper, root.basis)
-        foreign = replace(root.factor, basis=Basis(root.basis.basic.copy(),
-                                                   root.basis.at_upper))
+        foreign = copy.copy(root.factor)
+        foreign.basis = Basis(root.basis.basic.copy(), root.basis.at_upper)
         calls = record_calls(monkeypatch, "_refactor")
         warm = prep.solve(lower, upper, root.basis, foreign)
         assert calls[:1] == ["_refactor"]
-        assert foreign.inverse is not None  # not taken over
+        assert warm.factor_handoffs == 0 and warm.factor is not foreign  # not taken over
         assert np.array_equal(warm.values, rebuilt.values)
+
+    def test_factor_of_another_lp_is_ignored(self, depot_scenario):
+        prep, root, lower, upper = depot_child(depot_scenario)
+        twin = PreparedLP(prep.model)
+        warm = twin.solve(lower, upper, root.basis, root.factor)
+        assert warm.factor_handoffs == 0 and root.factor.basis is root.basis
+        assert np.array_equal(warm.values, prep.solve(lower, upper, root.basis).values)
+
+    def test_one_factor_serves_one_solve(self, depot_scenario, monkeypatch):
+        """Handed the root's factor twice from root.basis, the first warm
+        solve takes it over; the second ignores it, refactorizes once and
+        equals a solve handed no factor, bit for bit. The factor, now of
+        the first solve's basis, is left as that solve returned it."""
+        prep, root, lower, upper = depot_child(depot_scenario)
+        factor = root.factor
+        first = prep.solve(lower, upper, root.basis, factor)
+        assert first.factor_handoffs == 1 and first.factor is factor
+        held = (factor.basis, factor.K_inv, factor.K_inv.copy(), factor.k, factor.age)
+        calls = record_calls(monkeypatch, "_refactor")
+        second = prep.solve(lower, upper, root.basis, factor)
+        assert second.factor_handoffs == 0 and calls == ["_refactor"]
+        assert second.refactorizations == 1 and second.factor is not factor
+        plain = prep.solve(lower, upper, root.basis)
+        assert plain.factor_handoffs == 0
+        for key in ("status", "objective", "pivots", "refactorizations"):
+            assert getattr(second, key) == getattr(plain, key)
+        assert np.array_equal(second.values, plain.values)
+        assert np.array_equal(second.basis.basic, plain.basis.basic)
+        assert np.array_equal(second.basis.at_upper, plain.basis.at_upper)
+        basis, K_inv, entries, k, age = held
+        assert factor.basis is basis is first.basis and factor.K_inv is K_inv
+        assert np.array_equal(factor.K_inv, entries, equal_nan=True)
+        assert (factor.k, factor.age) == (k, age)
+
+    def test_crossed_bounds_still_count_the_hand_off(self, depot_scenario):
+        """A solve whose bounds cross returns INFEASIBLE before any pivot,
+        but still reports the hand-off it was given, as the search counts it."""
+        prep, root, lower, upper = depot_child(depot_scenario)
+        upper[0] = lower[0] - 1.0
+        crossed = prep.solve(lower, upper, root.basis, root.factor)
+        assert crossed.status == SolveStatus.INFEASIBLE
+        assert (crossed.factor_handoffs, crossed.pivots) == (1, 0)
+        assert prep.solve(lower, upper, root.basis).factor_handoffs == 0
 
     def test_age_carries_across_the_hand_off(self, depot_scenario, monkeypatch):
         prep, root, lower, upper = depot_child(depot_scenario)
@@ -496,8 +541,9 @@ class TestLoopState:
         calls = record_calls(monkeypatch, "_refactor")
         states = check_every_pivot(monkeypatch)
         factor = root.factor
-        assert prep.solve(lower, upper, root.basis, factor).status == SolveStatus.OPTIMAL
-        assert factor.inverse is None and "_refactor" not in calls
+        child = prep.solve(lower, upper, root.basis, factor)
+        assert child.status == SolveStatus.OPTIMAL
+        assert child.factor is factor and "_refactor" not in calls  # taken over
         assert states and all(state is states[0] for state in states)
 
     def test_objective_value_equals_loop(self, depot_scenario, two_truck_scenario,
@@ -532,7 +578,7 @@ class TestSetUp:
             prep, np.array(model.lower), np.array(model.upper))
         # The cold start is the slack basis: B = I.
         assert np.array_equal(state.basis, np.arange(prep.n, prep.n_real))
-        assert state.k == 0  # an empty kernel
+        assert state.factor.k == 0  # an empty kernel
         assert state.run_dual()
         assert np.any(state.basis < prep.n)  # structural columns entered
         full = np.hstack([scaled_matrix(model), np.eye(prep.m)])  # [A | I], slacks explicit
@@ -544,7 +590,8 @@ class TestSetUp:
         x[state.basis] = v  # B v is [A | I] x, read through the residual
         assert np.allclose(prep.b - state._residual(x), reference @ v, rtol=0, atol=1e-12)
         state._refactor()
-        assert np.allclose(state._solve(reference @ v), v, rtol=0, atol=1e-9)
+        assert np.allclose(state.factor.solve(reference @ v, state.basis), v,
+                           rtol=0, atol=1e-9)
 
     def test_scaled_matrix_matches_coefficient_loop(self, depot_scenario):
         import fleetcharge as fc
@@ -632,9 +679,10 @@ def assert_kernel_form_matches_dense(state, full, atol=1e-9):
     state's kernel form against np.linalg.inv of its dense basis."""
     B_inv = np.linalg.inv(full[:, state.basis])
     for j in range(full.shape[1]):
-        assert np.allclose(state._ftran(j), B_inv @ full[:, j], rtol=0, atol=atol)
+        assert np.allclose(state.factor.ftran(j, state.basis), B_inv @ full[:, j],
+                           rtol=0, atol=atol)
     for p in range(full.shape[0]):
-        rho = state._inverse_row(p)
+        rho = state.factor.row(p, state.basis)
         assert np.allclose(rho, B_inv[p], rtol=0, atol=atol)
         assert np.allclose(state._row_times_A(rho), B_inv[p] @ full, rtol=0, atol=atol)
     c = state.prep.c_real
@@ -665,7 +713,7 @@ class TestKernelFactorization:
             prep, np.array(model.lower), np.array(model.upper),
             basis_record(prep, basic))
         full = full_matrix(model)
-        assert state.k == k
+        assert state.factor.k == k
         assert_kernel_form_matches_dense(state, full, atol=1e-10)
         B = full[:, basic]
         assert np.allclose(B @ state.x_B, state._residual(), rtol=0, atol=1e-10)
@@ -749,7 +797,7 @@ class TestKernelFactorization:
         root = prep.solve()
         state = simplex._SimplexState(
             prep, np.array(model.lower), np.array(model.upper), root.basis, root.factor)
-        assert 0 < state.k < prep.m
+        assert 0 < state.factor.k < prep.m
         assert_kernel_form_matches_dense(state, full_matrix(model))
 
     def test_no_full_basis_inversion(self, depot_scenario, monkeypatch):
@@ -805,11 +853,11 @@ class TestRefactorInPlace:
 
         def checked_refactor(self):
             K_inv, x_B = refactor_by_dense_columns(self)
-            held = self.K_inv
+            held = self.factor.K_inv
             refactor(self)
-            k = self.k
-            assert (self.K_inv is held) == (held.shape[0] > k)  # room and a zero row
-            assert np.array_equal(self.K_inv[:k, :k], K_inv)
+            k = self.factor.k
+            assert (self.factor.K_inv is held) == (held.shape[0] > k)  # room and a zero row
+            assert np.array_equal(self.factor.K_inv[:k, :k], K_inv)
             assert np.allclose(self.x_B, x_B, rtol=0, atol=1e-9)
             refactors.append(len(pivots))
 
@@ -827,17 +875,18 @@ class TestRefactorInPlace:
         root = prep.solve()
         state = simplex._SimplexState(prep, np.array(model.lower),
                                       np.array(model.upper), root.basis, root.factor)
-        assert root.factor.inverse is None  # taken over
+        assert root.factor.basis is None  # taken over
         return state
 
     def test_overwrites_whatever_the_array_holds(self, refactor_model):
         state = self.warm_state(refactor_model)
         K_inv, x_B = refactor_by_dense_columns(state)
-        held = state.K_inv
+        held = state.factor.K_inv
         held[...] = np.random.default_rng(0).standard_normal(held.shape)
         state._refactor()
-        assert state.K_inv is held
-        assert np.array_equal(state.K_inv[:state.k, :state.k], K_inv)
+        k = state.factor.k
+        assert state.factor.K_inv is held
+        assert np.array_equal(held[:k, :k], K_inv)
         assert np.allclose(state.x_B, x_B, rtol=0, atol=1e-9)
 
     def test_refactor_allocates_less_than_one_inverse(self, refactor_model):

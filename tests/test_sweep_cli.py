@@ -15,7 +15,7 @@ import fleetcharge as fc
 from fleetcharge.cli import main
 from fleetcharge.domain import ValidationIssue, scenario_variant
 from fleetcharge.run import PlanVerificationError
-from fleetcharge.solver import NumericalFailure
+from fleetcharge.solver import NumericalFailure, simplex
 from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, default_amortize_ratio, run_sweep
 from fleetcharge.validator import ReplayResult
 
@@ -789,22 +789,40 @@ def failing_recheck(monkeypatch):
                         lambda model, values: ["row cover: 1 > 0"])
 
 
+def vanishing_pivot(monkeypatch):
+    """Make the dual loop raise its own ``NumericalFailure("vanishing pivot
+    element")`` at every pivot after the first of the process, so each
+    cell's cold root LP fails inside the real simplex."""
+    pivot, calls = simplex._SimplexState._pivot, []
+
+    def failing_pivot(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise NumericalFailure("vanishing pivot element")
+        return pivot(self, *args, **kwargs)
+
+    monkeypatch.setattr(simplex._SimplexState, "_pivot", failing_pivot)
+
+
 class TestInternalFailuresThroughThePipeline:
     """Each internal failure, raised by the real pipeline and not by a
     patched ``solve_scenario``, is exit 4 with its JSON report from every
     command that solves."""
 
-    @pytest.mark.parametrize("inject, code, detail", [
-        (stray_event_decoder, "PlanVerificationFailed", "[WindowViolation] "),
-        (failing_recheck, "SolverFailure", None),
-    ], ids=["replay", "recheck"])
+    @pytest.mark.parametrize("inject, code, message, detail", [
+        (stray_event_decoder, "PlanVerificationFailed", "solved plan failed verification: ",
+         "[WindowViolation] "),
+        (failing_recheck, "SolverFailure",
+         "incumbent failed the independent feasibility re-check: row cover: 1 > 0", None),
+        (vanishing_pivot, "SolverFailure", "vanishing pivot element", None),
+    ], ids=["replay", "recheck", "pivot"])
     @pytest.mark.parametrize("argv", [
         ["solve", "--scenario", TWO_TRUCK],
         ["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2",
          "--slack-min", "30"],
         ["sweep", "--scenario", TWO_TRUCK, "--alpha", "1", "--slack-min", "0,15"],
     ], ids=["solve", "compare", "sweep"])
-    def test_exit_code_and_report(self, argv, inject, code, detail, monkeypatch,
+    def test_exit_code_and_report(self, argv, inject, code, message, detail, monkeypatch,
                                   tmp_path, capsys):
         inject(monkeypatch)
         out = tmp_path / "o"
@@ -814,10 +832,9 @@ class TestInternalFailuresThroughThePipeline:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["code"] == code
         if detail is None:
-            assert error["message"] == ("incumbent failed the independent feasibility "
-                                        "re-check: row cover: 1 > 0")
+            assert error["message"] == message
         else:
-            assert error["message"].startswith("solved plan failed verification: ")
+            assert error["message"].startswith(message)
             assert any(d.startswith(detail) for d in error["details"])
         assert not (out / "plan.json").exists()
         if argv[0] == "sweep":  # every cell ran and is on record
