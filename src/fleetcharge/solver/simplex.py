@@ -48,11 +48,13 @@ nonbasic, order the rows R_k first and the basic slacks' rows R_s after:
 
 with K = A[R_k, S] and C = A[R_s, S]. A :class:`Factor` owns this form:
 K^-1 as a dense k x k array, with index arrays that map its rows to basis
-positions and its columns to kernel rows; everything else is read from
-A's stored entries:
+positions and its columns to kernel rows. Everything else is read from
+A through :class:`PreparedLP`'s two passes over its stored entries, A x
+(``times``) and v [A | I] (``row_times``, which also prices pivot rows
+and duals):
 
 - FTRAN: y_S = K^-1 a[R_k], and each basic slack of row r gets
-  a[r] - (A[:, S] y_S)[r];
+  a[r] - (A[:, S] y_S)[r], with A[:, S] y_S from ``times``;
 - the pivot row of a structural position is its row of K^-1, and that of
   the slack of row r is e_r - A[r, S] K^-1, with A[r, S] read through a
   row-wise index over A's entries;
@@ -124,7 +126,9 @@ class PreparedLP:
     row-wise index owns no second copy of A. Slack columns are the
     implicit identity after A. It also holds the scaled right-hand side,
     the slack bounds that encode the row senses and the scaled costs over
-    all n + m columns.
+    all n + m columns. :meth:`times` and :meth:`row_times` are the passes
+    over A's stored entries that a pivot makes; only a refactorization
+    makes another.
 
     Branch-and-bound reuses a single instance across nodes, passing per-node
     structural bounds, the parent's basis and the last solve's factor to
@@ -237,6 +241,18 @@ class PreparedLP:
             **counts,
         )
 
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """A x by row, for x over the structural columns: one pass over
+        A's stored entries."""
+        return np.bincount(self.col_rows, weights=self.col_vals * x[self.col_of],
+                           minlength=self.m)
+
+    def row_times(self, v: np.ndarray) -> np.ndarray:
+        """The row vector v times [A | I]: one pass over A's stored entries."""
+        vA = np.bincount(self.col_of, weights=v[self.col_rows] * self.col_vals,
+                         minlength=self.n)
+        return np.concatenate([vA, v])
+
 
 def _check_input_class(model: LinearModel, c: np.ndarray, lower, upper) -> None:
     """Raise ValueError naming the first column under ``lower``/``upper``
@@ -334,16 +350,9 @@ class _SimplexState:
         error = np.abs(self._residual(self.values())).max(initial=0.0)
         return bool(error <= 1e-7 * (1.0 + np.abs(residual).max(initial=0.0)))
 
-    def _row_times_A(self, v: np.ndarray) -> np.ndarray:
-        """The row vector v times [A | I]: one pass over A's stored entries."""
-        prep = self.prep
-        vA = np.bincount(prep.col_of, weights=v[prep.col_rows] * prep.col_vals,
-                         minlength=self.n)
-        return np.concatenate([vA, v])
-
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         """c - c_B B^-1 [A | I]."""
-        return c - self._row_times_A(self.factor.duals(c, self.basis))
+        return c - self.prep.row_times(self.factor.duals(c, self.basis))
 
     # -- values --------------------------------------------------------------
 
@@ -355,13 +364,10 @@ class _SimplexState:
         return x
 
     def _residual(self, x: np.ndarray | None = None) -> np.ndarray:
-        """b - [A | I] x in one pass over A's stored entries; x defaults to
-        the nonbasic values, leaving what the basic columns must meet."""
+        """b - [A | I] x; x defaults to the nonbasic values, leaving what
+        the basic columns must meet."""
         x = self._nonbasic_values() if x is None else x
-        prep = self.prep
-        Ax = np.bincount(prep.col_rows, weights=prep.col_vals * x[prep.col_of],
-                         minlength=self.m)
-        return self.b - Ax - x[self.n:]
+        return self.b - self.prep.times(x[:self.n]) - x[self.n:]
 
     def values(self) -> np.ndarray:
         x = self._nonbasic_values()
@@ -415,7 +421,7 @@ class _SimplexState:
             # a column qualifies when its feasible move pushes x_r to target,
             # that is when direction * push < -TOL_PIVOT with push = +-alpha.
             rho = factor.row(leave_pos, self.basis)
-            alpha = self._row_times_A(rho)
+            alpha = self.prep.row_times(rho)
             signed = self.direction * alpha
             eligible = signed < -TOL_PIVOT if to_lower else signed > TOL_PIVOT
             cand = eligible.nonzero()[0]
@@ -476,13 +482,14 @@ class Factor:
     K^-1 is the leading k x k block of ``K_inv``, whose spare rows and
     columns take the borders of later pivots. Row i of K^-1 belongs to
     basis position ``kernel_pos[i]`` and column j to model row
-    ``kernel_row[j]``. ``kernel_of_pos`` and ``kernel_of_row`` map a
-    position and a row back to its index in K^-1, and ``kernel_of_entry``
-    each stored entry of A to the index of its column; all hold -1 outside
-    the kernel. The last row and column of ``K_inv`` stay zero, and so
-    does the last entry of ``y_ext``, scratch for a kernel vector, so an
-    index of -1 reads a zero and needs no mask. ``age`` counts the pivots
-    since K^-1 was last inverted.
+    ``kernel_row[j]``. ``kernel_of_col``, over all n + m columns, and
+    ``kernel_of_row`` map a basic structural column and a row back to its
+    index in K^-1; both hold -1 outside the kernel, so every slack column
+    reads -1, and an update writes one entry per column or row that joins
+    or leaves the kernel. The last row and column of ``K_inv`` stay zero,
+    and so does the last entry of ``y_ext``, scratch for a kernel vector,
+    so an index of -1 reads a zero and needs no mask. ``age`` counts the
+    pivots since K^-1 was last inverted.
 
     The basis array stays with the solve, which passes it as ``basic`` to
     each operation, so the factor never reads an array that a solve has
@@ -519,7 +526,7 @@ class Factor:
         # Each stored entry of a basic structural column on a kernel row
         # goes to the slot of its row in R_k and of its column in S.
         prep = self.prep
-        col_slot = np.full(n, -1)
+        col_slot = np.full(n + m, -1)
         col_slot[basic[struct_pos]] = np.arange(k)
         row_slot = np.full(m, -1)
         row_slot[kernel_rows] = np.arange(k)
@@ -538,9 +545,7 @@ class Factor:
         self.kernel_pos[:k] = struct_pos
         self.kernel_row = np.empty(m, dtype=int)
         self.kernel_row[:k] = kernel_rows
-        self.kernel_of_pos = np.full(m, -1)
-        self.kernel_of_pos[struct_pos] = np.arange(k)
-        self.kernel_of_row, self.kernel_of_entry = row_slot, cols
+        self.kernel_of_col, self.kernel_of_row = col_slot, row_slot
         self.age = 0
 
     def _reserve(self, k: int) -> None:
@@ -557,11 +562,10 @@ class Factor:
     def _complete(self, a: np.ndarray, y: np.ndarray, basic: np.ndarray) -> np.ndarray:
         """B^-1 a, given a by row and its kernel part y = K^-1 a[R_k]: the
         structural positions take y, and the basic slack of row r takes
-        a[r] - (A[:, S] y)[r], in one pass over A's stored entries."""
-        prep, k = self.prep, self.k
+        a[r] - (A[:, S] y)[r], through :meth:`PreparedLP.times`."""
+        k = self.k
         self.y_ext[:k] = y
-        w = a - np.bincount(prep.col_rows, minlength=self.m,
-                            weights=prep.col_vals * self.y_ext[self.kernel_of_entry])
+        w = a - self.prep.times(self.y_ext[self.kernel_of_col[:self.n]])
         # Structural positions read a clipped placeholder, then take y.
         d = w.take(basic - self.n, mode="clip")
         d[self.kernel_pos[:k]] = y
@@ -590,15 +594,15 @@ class Factor:
         e_r - A[r, S] K^-1 at the basic slack of row r."""
         k = self.k
         rho = np.zeros(self.m)
-        i = self.kernel_of_pos[p]
+        i = self.kernel_of_col[basic[p]]
         if i >= 0:
             rho[self.kernel_row[:k]] = self.K_inv[i, :k]
             return rho
         prep = self.prep
         r = basic[p] - self.n
         entries = prep.row_entry[prep.row_start[r]:prep.row_start[r + 1]]
-        rho[self.kernel_row[:k]] = -(prep.col_vals[entries]
-                                     @ self.K_inv[self.kernel_of_entry[entries], :k])
+        slots = self.kernel_of_col[prep.col_of[entries]]
+        rho[self.kernel_row[:k]] = -(prep.col_vals[entries] @ self.K_inv[slots, :k])
         rho[r] = 1.0
         return rho
 
@@ -625,11 +629,11 @@ class Factor:
         # Rows where d_S is zero keep their entries exactly.
         moved = d_S.nonzero()[0]
         K_inv[moved] -= np.multiply.outer(d_S[moved], rho_k)
-        i = self.kernel_of_pos[p]
+        i = self.kernel_of_col[leave_col]
         if i >= 0 and enter < n:  # structural for structural
             K_inv[i] = rho_k
-            self._mark(leave_col, -1)
-            self._mark(enter, i)
+            self.kernel_of_col[leave_col] = -1
+            self.kernel_of_col[enter] = i
         elif i >= 0:  # a slack for a structural column
             self._shrink(i, self.kernel_of_row[enter - n], leave_col, basic)
         elif enter < n:  # a structural column for a slack
@@ -643,11 +647,6 @@ class Factor:
             self.kernel_of_row[r] = j
         self.age += 1
 
-    def _mark(self, col: int, index: int) -> None:
-        """Set the kernel index of structural column ``col``'s entries."""
-        start = self.prep.col_start
-        self.kernel_of_entry[start[col]:start[col + 1]] = index
-
     def _border(self, p: int, r: int, col: int, column: np.ndarray,
                 row: np.ndarray, corner: float) -> None:
         """Grow K^-1 by one row, for position p holding structural ``col``,
@@ -658,8 +657,7 @@ class Factor:
         self.K_inv[:k, k] = column
         self.K_inv[k, k] = corner
         self.kernel_pos[k], self.kernel_row[k] = p, r
-        self.kernel_of_pos[p] = self.kernel_of_row[r] = k
-        self._mark(col, k)
+        self.kernel_of_col[col] = self.kernel_of_row[r] = k
         self.k = k + 1
 
     def _shrink(self, i: int, j: int, leave_col: int, basic: np.ndarray) -> None:
@@ -670,12 +668,10 @@ class Factor:
         K_inv = self.K_inv
         K_inv[i, :last + 1] = K_inv[last, :last + 1]
         K_inv[:last + 1, j] = K_inv[:last + 1, last]
-        p, moved_pos = self.kernel_pos[i], self.kernel_pos[last]
+        moved_pos = self.kernel_pos[last]
         self.kernel_pos[i] = moved_pos
-        self._mark(basic[moved_pos], i)
-        self._mark(leave_col, -1)
-        self.kernel_of_pos[moved_pos] = i
-        self.kernel_of_pos[p] = -1
+        self.kernel_of_col[basic[moved_pos]] = i
+        self.kernel_of_col[leave_col] = -1
         r, moved_row = self.kernel_row[j], self.kernel_row[last]
         self.kernel_row[j] = moved_row
         self.kernel_of_row[moved_row] = j

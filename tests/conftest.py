@@ -6,12 +6,20 @@ cached per (alpha, slack, design) for the whole session.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-import fleetcharge as fc
+# The suite runs on one BLAS thread. The thread count sets the order of
+# BLAS sums, which moves simplex ties, so the pivot and node counts that
+# tests pin hold only at a fixed count. BLAS reads it when numpy loads,
+# which no import above does.
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_threads] = "1"
+
+import fleetcharge as fc  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

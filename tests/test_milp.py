@@ -335,6 +335,16 @@ class TestSolveCounts:
             "eight_trucks_root": [521, 5],
         }
 
+    def test_suite_runs_on_one_blas_thread(self):
+        """conftest.py pins one BLAS thread before numpy loads, so in this
+        process too the 8-truck root LP does the work pinned above. With
+        two threads, on a 2-core machine, it takes 525 pivots."""
+        import fleetcharge as fc
+
+        model = fc.build_problem(fc.generate_synthetic(1, n_trucks=8)).model
+        root = PreparedLP(model).solve()
+        assert [root.pivots, root.refactorizations] == [521, 5]
+
     def test_plan_reports_the_counts(self, depot_base_outcome):
         solution, info = depot_base_outcome.solution, depot_base_outcome.plan.solver_info
         for key in ("lp_solves", "pivots", "refactorizations", "factor_handoffs",

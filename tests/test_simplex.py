@@ -675,16 +675,24 @@ def full_matrix(model):
 
 
 def assert_kernel_form_matches_dense(state, full, atol=1e-9):
-    """FTRAN of every column, every pivot row and the reduced costs of the
-    state's kernel form against np.linalg.inv of its dense basis."""
-    B_inv = np.linalg.inv(full[:, state.basis])
+    """The kernel index maps, then FTRAN of every column, every pivot row
+    and the reduced costs of the state's kernel form against
+    np.linalg.inv of its dense basis."""
+    factor, basis = state.factor, state.basis
+    k = factor.k
+    for i in range(k):
+        assert factor.kernel_of_col[basis[factor.kernel_pos[i]]] == i
+        assert factor.kernel_of_row[factor.kernel_row[i]] == i
+    assert np.count_nonzero(factor.kernel_of_col >= 0) == k
+    assert np.count_nonzero(factor.kernel_of_row >= 0) == k
+    assert np.all(factor.kernel_of_col[state.n:] == -1)  # no slack is in the kernel
+    B_inv = np.linalg.inv(full[:, basis])
     for j in range(full.shape[1]):
-        assert np.allclose(state.factor.ftran(j, state.basis), B_inv @ full[:, j],
-                           rtol=0, atol=atol)
+        assert np.allclose(factor.ftran(j, basis), B_inv @ full[:, j], rtol=0, atol=atol)
     for p in range(full.shape[0]):
-        rho = state.factor.row(p, state.basis)
+        rho = factor.row(p, basis)
         assert np.allclose(rho, B_inv[p], rtol=0, atol=atol)
-        assert np.allclose(state._row_times_A(rho), B_inv[p] @ full, rtol=0, atol=atol)
+        assert np.allclose(state.prep.row_times(rho), B_inv[p] @ full, rtol=0, atol=atol)
     c = state.prep.c_real
     assert np.allclose(state._reduced_costs(c), c - (c[state.basis] @ B_inv) @ full,
                        rtol=0, atol=atol)
