@@ -6,7 +6,8 @@ two outcomes into the compare document.
 
 The real-world planning baselines these policies stand in for are not
 published anywhere, so each policy here is an explicit, reproducible
-definition; headline savings against them are scenario-dependent.
+definition; headline savings against them are scenario-dependent. An
+explicit design is a design file, read by ``scenario_io.load_design``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import asdict, dataclass
 from .builder import energy_consumption
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario, charging_windows, tours
 from .run import SolveOutcome
-from .scenario_io import load_design
+from .scenario_io import design_counts_doc, load_design
 from .solver import DEFAULT_REL_GAP
 from .sweep import SweepSpec, solve_cell
-from .validator import charger_counts_to_dict
 
 __all__ = [
     "MainDepotOnly",
@@ -50,10 +50,9 @@ class PeakDemandCover:
 
 @dataclass(frozen=True, slots=True)
 class ExplicitDesign:
-    """User-supplied counts, e.g. loaded from a design file."""
+    """The counts of a design file (``{location: {type_id: count}}`` JSON)."""
 
-    counts: dict[str, dict[int, int]] | None = None
-    path: str | None = None
+    path: str
 
 
 def parse_policy(text: str):
@@ -134,17 +133,7 @@ def rule_based_design(scenario: Scenario, policy) -> dict[str, dict[int, int]]:
     if isinstance(policy, PeakDemandCover):
         return _naive_cover_counts(scenario, policy.charger_type_id)
     if isinstance(policy, ExplicitDesign):
-        counts = policy.counts
-        if counts is None:
-            if policy.path is None:
-                raise ValueError("explicit design needs counts or a file path")
-            counts = load_design(policy.path)
-        for loc, per in counts.items():
-            for tid, n in per.items():
-                if n < 0:
-                    raise ValueError(
-                        f"explicit design: negative count at ({loc}, {tid})")
-        return counts
+        return load_design(policy.path)
     raise TypeError(f"unknown policy object {policy!r}")
 
 
@@ -156,7 +145,7 @@ def _outcome_doc(outcome: SolveOutcome) -> dict:
         "gap": outcome.solution.gap,
         "costs": None if plan is None else asdict(plan.costs),
         "charger_counts": (None if plan is None
-                           else charger_counts_to_dict(plan.charger_counts)),
+                           else design_counts_doc(plan.charger_counts)),
     }
 
 

@@ -364,8 +364,6 @@ def _add_strengthening_rows(
         usable = rows[0].usable
         block_max_kwh = tau * max((c.rated_power_kw for c in usable), default=0.0)
         coeffs: list[tuple[int, float]] = []
-        single_location: str | None = None
-        broken = False
         window_locations: set[str] = set()
         window_blocks = 0
         for row in rows:
@@ -373,9 +371,6 @@ def _add_strengthening_rows(
             if len(row.window) > 0:
                 window_blocks += len(row.window)
                 window_locations.add(row.leg.origin_id)
-                if single_location is None:
-                    single_location = row.leg.origin_id
-                broken = broken or row.leg.origin_id != single_location
             if usable and row.deficit > 1e-9:
                 blocks_needed = math.ceil(row.deficit / block_max_kwh - 1e-9)
                 model.add_row(
@@ -388,12 +383,12 @@ def _add_strengthening_rows(
                         [(cat.x[(location, c.id)], 1.0)
                          for location in sorted(window_locations) for c in fast],
                         GE, 1.0)
-                    if not broken:
-                        fast_power[single_location] = max(
-                            fast_power.get(single_location, 0.0),
-                            min(c.rated_power_kw for c in fast))
-            if not broken and single_location is not None and row.deficit > 1e-9:
-                needs.add(single_location)
+                    if len(window_locations) == 1:
+                        (only,) = window_locations
+                        fast_power[only] = max(fast_power.get(only, 0.0),
+                                               min(c.rated_power_kw for c in fast))
+            if len(window_locations) == 1 and row.deficit > 1e-9:
+                needs.update(window_locations)
         count_col = cat.blocks_used.get((truck_id, day))
         if coeffs and count_col is not None:
             model.add_row(f"blocks_used[{truck_id}_d{day}]",

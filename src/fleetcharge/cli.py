@@ -27,7 +27,7 @@ from .domain import (
     validate_scenario,
 )
 from .generator import generate_synthetic
-from .scenario_io import json_text, load_design, load_scenario, save_scenario
+from .scenario_io import json_text, load_design, load_scenario, save_scenario, write_json
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -210,11 +210,11 @@ def cmd_compare(args) -> int:
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
     doc = compare_designs(scenario, fixed_counts, rel_gap=_rel_gap(args))
-    text = json_text(doc)
     if args.out:
-        out = Path(args.out)
-        out.write_text(text + "\n")
-        print(f"wrote {out}")
+        text = write_json(doc, args.out)
+        print(f"wrote {Path(args.out)}")
+    else:
+        text = json_text(doc)
     print(text)
     return _exit_code([doc["codesign"]["status"], doc["fixed"]["status"]])
 

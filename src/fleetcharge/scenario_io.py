@@ -1,5 +1,8 @@
-"""Scenario JSON loading, saving, and schema validation, and the one
-JSON writer every output file goes through.
+"""Scenario and design JSON loading, saving, and schema validation, and
+the one home of each file format: every JSON file goes through
+:func:`write_json`, every CSV file through :func:`write_csv`, and the
+design document ``{location: {type_id: count}}`` is written by
+:func:`design_counts_doc` and read by :func:`load_design`.
 
 The on-disk format keeps human conventions (times as "HH:MM" plus a day
 index, slack in minutes). Legs load as clock minutes, from which the
@@ -16,7 +19,7 @@ import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .domain import (
     CODESIGN,
@@ -39,6 +42,9 @@ __all__ = [
     "load_schema",
     "validate_against_schema",
     "json_text",
+    "write_json",
+    "write_csv",
+    "design_counts_doc",
 ]
 
 
@@ -103,6 +109,25 @@ def _json_text(value: Any, newline: str) -> str:
     return json.dumps(value)
 
 
+def write_json(doc: Any, path: str | Path) -> str:
+    """Write ``json_text(doc)`` and a newline to ``path``; return the
+    ``json_text``."""
+    text = json_text(doc)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+    return text
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write a header and rows to ``path`` with ``csv``'s default dialect."""
+    import csv  # here, so that loading a scenario imports no csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _parse_clock(text: str) -> int:
     """\"HH:MM\" to minutes past midnight; hour 24 marks the day boundary."""
     hours, minutes = text.split(":")
@@ -124,6 +149,13 @@ def _expand_price_row(row: list[float], grid: TimeGrid, label: str) -> tuple[flo
     raise ValueError(
         f"price profile {label} has {len(row)} entries; expected "
         f"{grid.blocks_per_day} (daily) or {grid.total_blocks} (full period)")
+
+
+def design_counts_doc(counts: dict[str, dict[int, int]]) -> dict[str, dict[str, int]]:
+    """Charger counts as the design format ``{location: {type_id: count}}``,
+    keys sorted; :func:`_design_counts` reads it back."""
+    return {loc: {str(tid): int(n) for tid, n in sorted(per.items())}
+            for loc, per in sorted(counts.items())}
 
 
 def _design_counts(raw: dict[str, Any]) -> dict[str, dict[int, int]]:
@@ -298,10 +330,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "design_mode": scenario.design_mode,
     }
     if scenario.fixed_counts is not None:
-        params["fixed_counts"] = {
-            loc: {str(tid): int(n) for tid, n in sorted(counts.items())}
-            for loc, counts in sorted(scenario.fixed_counts.items())
-        }
+        params["fixed_counts"] = design_counts_doc(scenario.fixed_counts)
 
     doc: dict[str, Any] = {
         "time_grid": {
@@ -338,6 +367,4 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    text = json_text(scenario_to_dict(scenario))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_json(scenario_to_dict(scenario), path)

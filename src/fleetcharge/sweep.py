@@ -20,7 +20,7 @@ import numpy as np
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
 from .domain import scenario_variant, validate_scenario
 from .run import INTERNAL_FAILURES, SolveOutcome, solve_scenario
-from .scenario_io import json_text
+from .scenario_io import write_csv, write_json
 from .solver import DEFAULT_REL_GAP, check_limits
 from .validator import location_total_kw, write_plan_json
 
@@ -184,35 +184,32 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
                     [cell.alpha, cell.slack_minutes, cell.design,
                      location, type_id, count])
 
-        costs = plan.costs
+        costs, amortized = plan.costs, plan.costs.amortized(ratio)
         cost_rows.append([
             cell.alpha, cell.slack_minutes, cell.design, solution.status.value,
             _fmt(solution.gap), _fmt(solution.objective), _fmt(costs.energy),
-            _fmt(costs.infrastructure), _fmt(costs.infrastructure * ratio),
-            _fmt(costs.peak), _fmt(costs.total),
-            _fmt(costs.energy + costs.infrastructure * ratio + costs.peak),
+            _fmt(costs.infrastructure), _fmt(amortized.infrastructure),
+            _fmt(costs.peak), _fmt(costs.total), _fmt(amortized.total),
         ])
 
         curve_rows.extend(_curve_rows(scenario, cell, plan, type_ids))
 
-    _write_csv(out_dir / "infrastructure.csv",
-               ["alpha", "slack_minutes", "design", "location", "charger_type",
-                "count"], infra_rows)
-    _write_csv(out_dir / "costs.csv",
-               ["alpha", "slack_minutes", "design", "status", "gap", "objective",
-                "energy", "infrastructure", "infrastructure_amortized", "peak",
-                "total", "total_amortized"], cost_rows)
-    _write_csv(out_dir / "power_curves.csv",
-               ["alpha", "slack_minutes", "design", "location", "block_of_day"]
-               + [f"kw_type_{tid}" for tid in type_ids]
-               + [f"kw_type_{tid}_smooth" for tid in type_ids]
-               + ["kw_total", "kw_total_smooth", "max_peak_kw", "installed_kw"],
-               curve_rows)
+    write_csv(out_dir / "infrastructure.csv",
+              ["alpha", "slack_minutes", "design", "location", "charger_type",
+               "count"], infra_rows)
+    write_csv(out_dir / "costs.csv",
+              ["alpha", "slack_minutes", "design", "status", "gap", "objective",
+               "energy", "infrastructure", "infrastructure_amortized", "peak",
+               "total", "total_amortized"], cost_rows)
+    write_csv(out_dir / "power_curves.csv",
+              ["alpha", "slack_minutes", "design", "location", "block_of_day"]
+              + [f"kw_type_{tid}" for tid in type_ids]
+              + [f"kw_type_{tid}_smooth" for tid in type_ids]
+              + ["kw_total", "kw_total_smooth", "max_peak_kw", "installed_kw"],
+              curve_rows)
 
     summary["amortize_ratio"] = ratio
-    text = json_text(summary)
-    with open(out_dir / "summary.json", "w") as fh:
-        fh.write(text + "\n")
+    write_json(summary, out_dir / "summary.json")
     if internal:
         raise internal[0]
     return summary
@@ -253,12 +250,3 @@ def _curve_rows(scenario: Scenario, cell: SweepCell, plan, type_ids) -> list[lis
             rows.append([cell.alpha, cell.slack_minutes, cell.design, location, t,
                          *values, max_peak, installed])
     return rows
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

@@ -5,19 +5,19 @@ checks it against the scenario with arithmetic that never touches the model
 builder: state of energy is walked leg by leg, occupancy counted block by
 block, and the peak found by a literal max over blocks rather than the
 epigraph trick. Violations are data, not exceptions, and replay never stops
-at the first fault.
+at the first fault. ``plan.json`` and the per-block ``power_curves.csv``
+are laid out here and written through ``scenario_io``'s file writers.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .builder import VariableCatalog
 from .domain import (FIXED_INFRASTRUCTURE, Scenario, ValidationIssue, charging_windows,
                      tours)
-from .scenario_io import json_text
+from .scenario_io import design_counts_doc, write_csv, write_json
 from .solver import Solution
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "power_curves",
     "location_total_kw",
     "location_peaks_kw",
-    "charger_counts_to_dict",
     "plan_to_dict",
     "write_plan_json",
     "write_power_curves_csv",
@@ -76,6 +75,13 @@ class CostBreakdown:
     infrastructure: float
     peak: float
     total: float
+
+    def amortized(self, ratio: float) -> CostBreakdown:
+        """The costs with capital prorated by ``ratio``: the infrastructure
+        times ``ratio``, and a total of energy, that and peak, in that order."""
+        infrastructure = self.infrastructure * ratio
+        return CostBreakdown(self.energy, infrastructure, self.peak,
+                             self.energy + infrastructure + self.peak)
 
 
 @dataclass
@@ -381,18 +387,12 @@ def location_peaks_kw(scenario: Scenario, plan: PlanReport) -> dict[str, float]:
             for loc in scenario.location_ids}
 
 
-def charger_counts_to_dict(counts: dict[str, dict[int, int]]) -> dict:
-    """Counts per location and type as a JSON document, keys sorted."""
-    return {loc: {str(tid): int(n) for tid, n in sorted(per.items())}
-            for loc, per in sorted(counts.items())}
-
-
 def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
     doc = {
         "design_mode": plan.design_mode,
         "alpha": plan.alpha,
         "slack_blocks": plan.slack_blocks,
-        "charger_counts": charger_counts_to_dict(plan.charger_counts),
+        "charger_counts": design_counts_doc(plan.charger_counts),
         "events": [
             {
                 "truck": e.truck_id,
@@ -430,10 +430,10 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
     if plan.scenario_name:
         doc["scenario_name"] = plan.scenario_name
     if amortize_ratio is not None:
-        infra = plan.costs.infrastructure * amortize_ratio
+        amortized = plan.costs.amortized(amortize_ratio)
         doc["costs_amortized"] = {
-            "infrastructure": infra,
-            "total": plan.costs.energy + infra + plan.costs.peak,
+            "infrastructure": amortized.infrastructure,
+            "total": amortized.total,
             "amortization_ratio": amortize_ratio,
         }
     return doc
@@ -441,9 +441,7 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
 
 def write_plan_json(plan: PlanReport, path: str | Path,
                     amortize_ratio: float | None = None) -> None:
-    text = json_text(plan_to_dict(plan, amortize_ratio))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_json(plan_to_dict(plan, amortize_ratio), path)
 
 
 def write_power_curves_csv(scenario: Scenario, plan: PlanReport,
@@ -451,17 +449,16 @@ def write_power_curves_csv(scenario: Scenario, plan: PlanReport,
     """Raw per-block power per location: one row per (location, day, block)."""
     grid = scenario.time_grid
     type_ids = [c.id for c in scenario.charger_catalog]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["location", "day", "block"]
-            + [f"kw_type_{tid}" for tid in type_ids] + ["kw_total"])
+    zeros = [0.0] * grid.total_blocks
+
+    def rows():
         for location in scenario.location_ids:
             by_type = plan.power_by_type.get(location, {})
-            total = location_total_kw(by_type) or [0.0] * grid.total_blocks
+            curves = [by_type.get(tid, zeros) for tid in type_ids]
+            curves.append(location_total_kw(by_type) or zeros)
             for block in range(grid.total_blocks):
-                per_type = [by_type.get(tid, [0.0] * grid.total_blocks)[block]
-                            for tid in type_ids]
-                writer.writerow(
-                    [location, grid.day_of_block(block), grid.block_of_day(block)]
-                    + [repr(v) for v in per_type] + [repr(total[block])])
+                yield ([location, grid.day_of_block(block), grid.block_of_day(block)]
+                       + [repr(curve[block]) for curve in curves])
+
+    write_csv(path, ["location", "day", "block"]
+              + [f"kw_type_{tid}" for tid in type_ids] + ["kw_total"], rows())

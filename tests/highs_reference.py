@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, diags_array
 
 from fleetcharge.model import EQ, GE, LE, LinearModel
 
@@ -47,23 +47,24 @@ def highs_solve(model: LinearModel, time_limit: float = 60.0):
     return float(result.fun) + model.objective_offset, np.asarray(result.x)
 
 
-def highs_lp(model: LinearModel):
-    """(status, objective) of the LP with integrality ignored, from
-    ``scipy.optimize.linprog``: status is "optimal", "infeasible" or
-    "unbounded", and the objective is None unless optimal. Any other
-    outcome fails loudly."""
-    dense = _matrix(model).toarray()
+def highs_lp(model: LinearModel, method: str = "highs"):
+    """(status, objective, iterations) of the LP with integrality ignored,
+    from ``scipy.optimize.linprog`` with ``method``: status is "optimal",
+    "infeasible" or "unbounded", the objective is None unless optimal, and
+    iterations is HiGHS's iteration count. Any other outcome fails loudly."""
+    matrix = _matrix(model)
     rhs, sense = np.array(model.rhs, dtype=float), np.array(model.senses, dtype=object)
     sign = np.where(sense == GE, -1.0, 1.0)  # GE rows become LE rows
-    ub, eq = sense != EQ, sense == EQ
+    ub, eq = np.flatnonzero(sense != EQ), np.flatnonzero(sense == EQ)
+    signed = (diags_array(sign) @ matrix).tocsr()
     result = linprog(
         np.asarray(model.objective, dtype=float),
-        A_ub=(sign[:, None] * dense)[ub] if ub.any() else None,
-        b_ub=(sign * rhs)[ub] if ub.any() else None,
-        A_eq=dense[eq] if eq.any() else None,
-        b_eq=rhs[eq] if eq.any() else None,
+        A_ub=signed[ub] if ub.size else None,
+        b_ub=(sign * rhs)[ub] if ub.size else None,
+        A_eq=matrix[eq] if eq.size else None,
+        b_eq=rhs[eq] if eq.size else None,
         bounds=list(zip(model.lower, model.upper)),
-        method="highs",
+        method=method,
         # Presolve can call an unbounded LP infeasible; the simplex without
         # it tells the two apart.
         options={"presolve": False},
@@ -72,5 +73,5 @@ def highs_lp(model: LinearModel):
     if status is None:
         raise RuntimeError(f"HiGHS did not finish: {result.message}")
     if status != "optimal":
-        return status, None
-    return status, float(result.fun) + model.objective_offset
+        return status, None, int(result.nit)
+    return status, float(result.fun) + model.objective_offset, int(result.nit)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -40,10 +41,12 @@ class TestPolicies:
                                              r"is not in .* \(types \[1\]\)"):
             rule_based_design(two_truck_scenario, policy)
 
-    def test_explicit_negative_rejected(self, depot_scenario):
-        with pytest.raises(ValueError):
-            rule_based_design(
-                depot_scenario, ExplicitDesign(counts={"DEPOT": {1: -2}}))
+    def test_explicit_negative_rejected(self, depot_scenario, tmp_path):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"DEPOT": {"1": -2}}))
+        with pytest.raises(fc.SchemaError, match=rf"^{re.escape(str(path))}: schema "
+                                                 r"violation at DEPOT/1: -2 is less than"):
+            rule_based_design(depot_scenario, ExplicitDesign(str(path)))
 
     def test_explicit_from_file(self, depot_scenario, tmp_path):
         path = tmp_path / "design.json"

@@ -14,16 +14,18 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import fleetcharge as fc
-from fleetcharge.baseline import compare_designs
+from fleetcharge.baseline import PeakDemandCover, compare_designs, rule_based_design
 from fleetcharge.domain import scenario_variant
-from fleetcharge.validator import plan_to_dict
+from fleetcharge.validator import plan_to_dict, write_plan_json
 from fleetcharge.scenario_io import (
+    design_counts_doc,
     json_text,
     load_design,
     load_schema,
     scenario_from_dict,
     scenario_to_dict,
     validate_against_schema,
+    write_json,
 )
 from fleetcharge.schema_check import ANNOTATIONS, KEYWORDS, SchemaError, compile_schema
 
@@ -76,6 +78,28 @@ class TestDesignFiles:
         path.write_text(json.dumps(counts))
         with pytest.raises(SchemaError):
             load_design(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=6),
+        st.dictionaries(st.integers(0, 10**6), st.integers(0, 10**6), max_size=4),
+        max_size=4))
+    def test_design_document_round_trips(self, tmp_path_factory, counts):
+        path = tmp_path_factory.getbasetemp() / "round_trip_design.json"
+        write_json(design_counts_doc(counts), path)
+        assert load_design(path) == counts
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_scenario_files_write_the_design_document(self, name, tmp_path):
+        scenario = fc.load_scenario(FIXTURES / name)
+        counts = rule_based_design(scenario, PeakDemandCover(1))
+        fixed = fc.validate_scenario(scenario_variant(
+            scenario, fc.FIXED_INFRASTRUCTURE, counts))
+        doc = scenario_to_dict(fixed)
+        assert doc["params"]["fixed_counts"] == design_counts_doc(fixed.fixed_counts)
+        path = tmp_path / "design.json"
+        write_json(doc["params"]["fixed_counts"], path)
+        assert load_design(path) == counts
 
     def test_schema_errors_of_files_name_the_file(self, tmp_path):
         design = tmp_path / "design.json"
@@ -487,27 +511,41 @@ TREES = st.recursive(
 
 
 class TestJsonText:
-    """The one JSON writer against ``json.dumps(doc, indent=2, sort_keys=True)``."""
+    """The one JSON writer against ``json.dumps(doc, indent=2, sort_keys=True)``,
+    and each JSON file as that text and one newline."""
 
     @settings(max_examples=300, deadline=None)
     @given(TREES)
     def test_matches_indented_dumps(self, doc):
         assert json_text(doc) == reference_text(doc)
 
-    def test_plan_document(self, depot_base_outcome):
+    def test_plan_document(self, depot_base_outcome, tmp_path):
+        path = tmp_path / "plan.json"
+        write_plan_json(depot_base_outcome.plan, path, 1 / 3650)
         doc = plan_to_dict(depot_base_outcome.plan, 1 / 3650)
-        assert json_text(doc) == reference_text(doc)
+        assert path.read_bytes() == (reference_text(doc) + "\n").encode()
 
     def test_sweep_summary(self, two_truck_scenario, tmp_path):
         spec = fc.SweepSpec(alphas=[1.0], slack_minutes=[0, 15],
                             designs=["codesign", "fixed"], fixed_counts={"DC": {1: 2}},
                             rel_gap=1e-3, out_dir=tmp_path)
         summary = fc.run_sweep(two_truck_scenario, spec)
-        assert json_text(summary) == reference_text(summary)
+        assert (tmp_path / "summary.json").read_bytes() == \
+            (reference_text(summary) + "\n").encode()
 
-    def test_compare_document(self, two_truck_scenario):
+    def test_saved_scenario(self, depot_scenario, tmp_path):
+        scenario = fc.validate_scenario(scenario_variant(
+            depot_scenario, fc.FIXED_INFRASTRUCTURE, {"DEPOT": {2: 3}, "R01": {1: 1}}))
+        path = tmp_path / "scenario.json"
+        fc.save_scenario(scenario, path)
+        assert path.read_bytes() == \
+            (reference_text(scenario_to_dict(scenario)) + "\n").encode()
+
+    def test_compare_document(self, two_truck_scenario, tmp_path):
         doc = compare_designs(two_truck_scenario, {"DC": {1: 2}}, rel_gap=1e-3)
-        assert json_text(doc) == reference_text(doc)
+        path = tmp_path / "compare.json"
+        write_json(doc, path)
+        assert path.read_bytes() == (reference_text(doc) + "\n").encode()
 
     @pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2.5: 0}]])
     def test_non_str_key_raises(self, doc):
@@ -533,6 +571,9 @@ PUBLIC_NAMES = {
     "solve_scenario", "tours", "validate_scenario",
 }
 
+# Modules that only solving and writing outputs need.
+SOLVE_PATH_MODULES = {"csv", "numpy", "fleetcharge.model", "fleetcharge.solver"}
+
 
 class TestImports:
     def test_schema_checks_leave_jsonschema_out(self, tmp_path):
@@ -552,25 +593,26 @@ class TestImports:
 
     def test_scenario_path_leaves_numpy_and_the_solver_out(self):
         """Each public name loads its submodule on first use, so loading,
-        checking and generating a scenario import no numpy and no solver."""
+        checking and generating a scenario import no numpy, no solver and
+        no csv."""
         result = run_fresh(
             "import sys\n"
             "import fleetcharge as fc\n"
             f"s = fc.load_scenario({str(FIXTURES / 'depot_fixture.json')!r})\n"
             "assert fc.scenario_issues(s) == []\n"
             "fc.scenario_to_dict(fc.generate_synthetic(1, n_trucks=5))\n"
-            "loaded = {'numpy', 'fleetcharge.model', 'fleetcharge.solver'} & set(sys.modules)\n"
+            f"loaded = {SOLVE_PATH_MODULES} & set(sys.modules)\n"
             "assert not loaded, sorted(loaded)\n")
         assert result.returncode == 0, result.stderr
 
     def test_validate_and_generate_commands_leave_numpy_and_the_solver_out(self, tmp_path):
-        """Only the solving subcommands import numpy and the solver."""
+        """Only the solving subcommands import numpy, the solver and csv."""
         result = run_fresh(
             "import sys\n"
             "from fleetcharge.cli import main\n"
             f"assert main(['validate', '--scenario', {str(FIXTURES / 'depot_fixture.json')!r}]) == 0\n"
             f"assert main(['generate', '--seed', '1', '--out', {str(tmp_path / 's.json')!r}]) == 0\n"
-            "loaded = {'numpy', 'fleetcharge.model', 'fleetcharge.solver'} & set(sys.modules)\n"
+            f"loaded = {SOLVE_PATH_MODULES} & set(sys.modules)\n"
             "assert not loaded, sorted(loaded)\n")
         assert result.returncode == 0, result.stderr
 

@@ -199,7 +199,7 @@ class TestAgainstHiGHS:
 
         model = random_mixed_bounds_lp(seed)
         mine = solve_lp(model)
-        status, objective = highs_lp(model)
+        status, objective, _ = highs_lp(model)
         assert mine.status.value == status
         if status == "optimal":
             assert mine.objective == pytest.approx(objective, rel=1e-9, abs=1e-7)
@@ -920,7 +920,7 @@ class TestKernelFootprint:
         prep = PreparedLP(model)
         solved = []
         peak = traced_peak(lambda: solved.append(prep.solve()))
-        status, objective = highs_lp(model)
+        status, objective, _ = highs_lp(model)
         assert status == "optimal" and solved[0].status == SolveStatus.OPTIMAL
         assert solved[0].objective == pytest.approx(objective, rel=1e-9)
         assert peak < 8 * prep.m ** 2 / 4

@@ -137,6 +137,15 @@ class TestSweep:
         row = read_csv(tmp_path / "costs.csv")[0]
         assert float(row["infrastructure_amortized"]) == pytest.approx(
             float(row["infrastructure"]) * ratio)
+        # The plan and the CSV print one figure each: capital times the
+        # ratio, and energy plus that plus peak, summed in that order.
+        plan = json.loads((tmp_path / "plan_a1_s0_codesign.json").read_text())
+        infrastructure = plan["costs"]["infrastructure"] * ratio
+        total = plan["costs"]["energy"] + infrastructure + plan["costs"]["peak"]
+        assert plan["costs_amortized"] == {
+            "infrastructure": infrastructure, "total": total, "amortization_ratio": ratio}
+        assert (row["infrastructure_amortized"], row["total_amortized"]) == (
+            repr(infrastructure), repr(total))
 
     def test_power_curves_columns(self, two_truck_scenario, tmp_path):
         spec = SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["codesign"],

@@ -227,6 +227,35 @@ class TestSerialization:
         assert fc.location_peaks_kw(depot_scenario, plan) == {
             loc: max(totals) for loc, totals in expected.items()}
 
+    def test_power_curves_csv_rows_match_block_loop(self, depot_scenario,
+                                                   depot_base_outcome, tmp_path):
+        """Every row of the two-day depot plan's CSV: location, day, block
+        of the day, each type's kW and their sum from 0, per block. A plan
+        without curves writes zeros."""
+        grid = depot_scenario.time_grid
+        assert grid.num_days == 2
+        type_ids = [c.id for c in depot_scenario.charger_catalog]
+        path = tmp_path / "curves.csv"
+        for plan in (depot_base_outcome.plan,
+                     replace(depot_base_outcome.plan, power_by_type={})):
+            expected = []
+            for location in depot_scenario.location_ids:
+                for t in range(grid.total_blocks):
+                    day, block = divmod(t, grid.blocks_per_day)
+                    per_type = [plan.power_by_type[location][tid][t]
+                                if plan.power_by_type else 0.0 for tid in type_ids]
+                    total = 0
+                    for value in per_type:
+                        total += value
+                    expected.append([location, str(day), str(block),
+                                     *map(repr, per_type), repr(total)])
+            write_power_curves_csv(depot_scenario, plan, path)
+            with open(path, newline="") as fh:
+                written = list(csv.reader(fh))
+            assert written[0] == ["location", "day", "block",
+                                  *[f"kw_type_{tid}" for tid in type_ids], "kw_total"]
+            assert written[1:] == expected
+
     def test_events_canonically_ordered(self, two_truck_outcome):
         events = two_truck_outcome.plan.events
         keys = [(e.truck_id, e.day, e.leg_index, e.block, e.charger_type_id)
