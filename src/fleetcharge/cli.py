@@ -60,7 +60,7 @@ def _failure_report(exc: Exception) -> int:
 
     if isinstance(exc, PlanVerificationError):
         _error_report("PlanVerificationFailed", str(exc),
-                      [str(v) for v in exc.replay_result.violations])
+                      [str(v) for v in exc.violations])
     else:
         _error_report("SolverFailure", str(exc))
     return EXIT_FAILURE

@@ -9,20 +9,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builder import BuildResult, build_problem
-from .domain import Scenario
+from .domain import Scenario, ValidationIssue
 from .solver import (DEFAULT_REL_GAP, NumericalFailure, Solution, SolveStatus,
                      branch_and_bound, check_limits)
-from .validator import PlanReport, ReplayResult, decode_plan, replay
+from .validator import PlanReport, decode_plan, replay
 
 __all__ = ["SolveOutcome", "solve_scenario", "PlanVerificationError", "INTERNAL_FAILURES"]
 
 
 class PlanVerificationError(RuntimeError):
-    """The decoded plan failed the independent replay; indicates a bug."""
+    """The decoded plan failed the independent replay; indicates a bug.
 
-    def __init__(self, replay_result: ReplayResult):
-        self.replay_result = replay_result
-        lines = "; ".join(str(v) for v in replay_result.violations[:8])
+    ``violations`` is the list of findings that :func:`replay` returned.
+    """
+
+    def __init__(self, violations: list[ValidationIssue]):
+        self.violations = violations
+        lines = "; ".join(str(v) for v in violations[:8])
         super().__init__(f"solved plan failed verification: {lines}")
 
 
@@ -75,7 +78,7 @@ def solve_scenario(
         return SolveOutcome(solution=solution, build=build, plan=None)
 
     plan = decode_plan(scenario, build.catalog, solution)
-    verdict = replay(scenario, plan)
-    if not verdict.clean:
-        raise PlanVerificationError(verdict)
+    violations = replay(scenario, plan)
+    if violations:
+        raise PlanVerificationError(violations)
     return SolveOutcome(solution=solution, build=build, plan=plan)

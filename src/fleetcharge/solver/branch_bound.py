@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def branch_and_bound(
     cutoff = math.inf  # a node bounded at or above this cannot improve
     nodes = 0
     seq = 0
-    work = {"pivots": 0, "refactorizations": 0, "lp_solves": 0, "factor_handoffs": 0}
+    counts = Counter()  # summed over every LP solved
     # Entries (key, -seq, bound, lo, hi, depth, basis): the key is 0.0 until
     # the first incumbent (a plunge, newest first) and the bound after it.
     heap: list = []
@@ -129,17 +130,11 @@ def branch_and_bound(
             trace.append(
                 f"node {node_id} depth {depth} bound {bound:.9g} incumbent {shown()}")
 
-    def count(result: Solution) -> None:
-        work["pivots"] += result.pivots
-        work["refactorizations"] += result.refactorizations
-        work["lp_solves"] += 1
-        work["factor_handoffs"] += result.factor_handoffs
-
     def finish(status: SolveStatus, wall_bound: float, reason: str) -> Solution:
         wall = time.monotonic() - start
         if trace is not None:
             trace.append(f"stop {reason} nodes {nodes} incumbent {shown()}")
-        stats = dict(node_count=nodes, wall_time=wall, stop_reason=reason, **work)
+        stats = dict(node_count=nodes, wall_time=wall, stop_reason=reason, counts=counts)
         if incumbent is None:
             if status == SolveStatus.INFEASIBLE:
                 return Solution(status=status, **stats)
@@ -184,7 +179,7 @@ def branch_and_bound(
                           min([bound] + [entry[2] for entry in heap]), limit)
 
         result = prep.solve(lo, hi, basis, factor)
-        count(result)
+        counts.update(result.counts)
         factor = result.factor
         nodes += 1
         if result.status == SolveStatus.INFEASIBLE:
@@ -197,7 +192,7 @@ def branch_and_bound(
         branch_col = _most_fractional(result.values, int_cols, priorities)
         if branch_col is None:
             polished = _polish(prep, int_cols, lo, hi, result, factor, node_id)
-            count(polished)
+            counts.update(polished.counts)
             factor = polished.factor
             if polished.objective < incumbent_obj:
                 if incumbent is None:  # the plunge is over: key by bound

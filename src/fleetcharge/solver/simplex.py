@@ -196,9 +196,9 @@ class PreparedLP:
         model's do and as branching, which only tightens them, keeps them;
         other bounds raise the ValueError that :class:`PreparedLP` raises
         for such a model. The result is OPTIMAL, carrying its final basis
-        and the factor tagged with it, or INFEASIBLE; either way it counts
-        the dual pivots and refactorizations the solve made, a failed warm
-        start's included.
+        and the factor tagged with it, or INFEASIBLE; either way its
+        ``counts`` hold one ``lp_solves`` and the dual pivots and
+        refactorizations the solve made, a failed warm start's included.
         """
         n = self.n
         lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
@@ -206,10 +206,12 @@ class PreparedLP:
         _check_input_class(self.model, self.c_real[:n], lo, hi)
         handed = (basis is not None and factor is not None and factor.basis is basis
                   and factor.prep is self)
-        counts = Counter(factor_handoffs=int(handed))  # the states count their work
+        # The states add their pivots and refactorizations.
+        counts = Counter(lp_solves=1, pivots=0, refactorizations=0,
+                         factor_handoffs=int(handed))
         if np.any(lo > hi + 1e-12):
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0,
-                            **counts)
+                            counts=counts)
 
         state = None
         if basis is not None:
@@ -224,7 +226,7 @@ class PreparedLP:
             feasible = state.run_dual()
         if not feasible:
             return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0,
-                            **counts)
+                            counts=counts)
 
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
@@ -238,7 +240,7 @@ class PreparedLP:
             gap=0.0,
             basis=state.factor.basis,
             factor=state.factor,
-            **counts,
+            counts=counts,
         )
 
     def times(self, x: np.ndarray) -> np.ndarray:

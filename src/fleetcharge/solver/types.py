@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -57,13 +58,14 @@ class Solution:
     its kernel inverse, tagged with ``basis``; a branch-and-bound result
     carries neither.
 
-    ``pivots``, ``refactorizations`` and ``factor_handoffs`` count the
-    dual pivots, the kernel refactorizations and the factor taken over (0
-    or 1) of an LP solve, which reports its own; a branch-and-bound result
-    sums them over all its LP solves. Branch-and-bound also reports
-    ``lp_solves`` (node LPs and polishes) and ``stop_reason``:
-    ``gap`` (target gap proven), ``exhausted`` (tree searched),
-    ``node_limit``, ``time_limit`` or ``infeasible``.
+    ``counts`` is the work done, keyed ``lp_solves``, ``pivots``,
+    ``refactorizations`` and ``factor_handoffs``: an LP solve counts
+    itself once, its dual pivots, its kernel refactorizations and the
+    factor it took over (0 or 1), and a branch-and-bound result sums the
+    counts of all its LP solves (node LPs and polishes).
+    Branch-and-bound also reports ``stop_reason``: ``gap`` (target gap
+    proven), ``exhausted`` (tree searched), ``node_limit``, ``time_limit``
+    or ``infeasible``.
     """
 
     status: SolveStatus
@@ -75,10 +77,7 @@ class Solution:
     wall_time: float = 0.0
     basis: Basis | None = None
     factor: Factor | None = None
-    pivots: int = 0
-    refactorizations: int = 0
-    lp_solves: int = 0
-    factor_handoffs: int = 0
+    counts: Counter = field(default_factory=Counter)
     stop_reason: str | None = None
 
     @property

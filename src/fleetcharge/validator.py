@@ -11,7 +11,7 @@ are laid out here and written through ``scenario_io``'s file writers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .builder import VariableCatalog
@@ -25,7 +25,6 @@ __all__ = [
     "LegDeparture",
     "CostBreakdown",
     "PlanReport",
-    "ReplayResult",
     "decode_plan",
     "replay",
     "recompute_costs",
@@ -82,15 +81,6 @@ class CostBreakdown:
         infrastructure = self.infrastructure * ratio
         return CostBreakdown(self.energy, infrastructure, self.peak,
                              self.energy + infrastructure + self.peak)
-
-
-@dataclass
-class ReplayResult:
-    violations: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
 
 
 @dataclass
@@ -177,10 +167,7 @@ def decode_plan(
             "gap": solution.gap,
             "nodes": solution.node_count,
             "wall_time_s": solution.wall_time,
-            "lp_solves": solution.lp_solves,
-            "pivots": solution.pivots,
-            "refactorizations": solution.refactorizations,
-            "factor_handoffs": solution.factor_handoffs,
+            **solution.counts,
             "stop_reason": solution.stop_reason,
         },
         scenario_name=scenario.name,
@@ -195,12 +182,13 @@ def _leg_consumption(scenario: Scenario, leg) -> float:
     return leg.distance_km * tons * truck.consumption_kwh_per_km_ton
 
 
-def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
-    """Re-simulate the plan and collect every constraint violation."""
-    result = ReplayResult()
+def replay(scenario: Scenario, plan: PlanReport) -> list[ValidationIssue]:
+    """Re-simulate the plan and return every constraint violation, in the
+    order found; an empty list means the plan replays clean."""
+    violations: list[ValidationIssue] = []
 
     def add(code: str, message: str) -> None:
-        result.violations.append(ValidationIssue(code, message))
+        violations.append(ValidationIssue(code, message))
 
     grid = scenario.time_grid
     tau = grid.block_duration_hours
@@ -313,7 +301,7 @@ def replay(scenario: Scenario, plan: PlanReport) -> ReplayResult:
             if built != design:
                 add(DESIGN_VIOLATION, f"{location}: {built} type-{type_id} chargers "
                     f"built, but the fixed design has {design}")
-    return result
+    return violations
 
 
 def power_curves(

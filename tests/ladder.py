@@ -148,10 +148,7 @@ def run_rung(name: str) -> dict:
         "gap": _finite(solution.gap),
         "stop_reason": solution.stop_reason,
         "nodes": solution.node_count,
-        "lp_solves": 1 if rung.root else solution.lp_solves,
-        "pivots": solution.pivots,
-        "refactorizations": solution.refactorizations,
-        "factor_handoffs": solution.factor_handoffs,
+        **solution.counts,
         "build_s": build_s,
         "solve_s": solve_s,
         # ru_maxrss is in KiB on Linux.

@@ -69,7 +69,7 @@ def test_criterion_2_end_to_end_fidelity(depot_scenario):
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
     verdict = fc.replay(depot_scenario, outcome.plan)
-    assert verdict.clean, [str(v) for v in verdict.violations]
+    assert not verdict, [str(v) for v in verdict]
     recomputed = fc.recompute_costs(depot_scenario, outcome.plan)
     assert abs(recomputed.total - outcome.solution.objective) <= 1e-6
     ok("2 end-to-end fidelity",

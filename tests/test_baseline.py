@@ -192,7 +192,7 @@ class TestGeneratedScenarios:
             outcome = fc.solve_scenario(variant)
             if outcome.feasible:
                 verdict = fc.replay(variant, outcome.plan)
-                assert verdict.clean, [str(v) for v in verdict.violations]
+                assert not verdict, [str(v) for v in verdict]
             return outcome
 
         codesign = {slack: solve(fc.CODESIGN, None, slack) for slack in (0, 30)}

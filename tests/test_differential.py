@@ -48,7 +48,7 @@ def test_branch_and_bound_matches_highs(trucks, slack_minutes, design):
     # Ours is a feasible point within the proven gap; HiGHS's is optimal.
     assert ours >= reference - 1e-6 * abs(reference)
     assert ours - reference <= REL_GAP * abs(ours)
-    assert fc.replay(scenario, outcome.plan).clean
+    assert not fc.replay(scenario, outcome.plan)
 
 
 @pytest.mark.parametrize("design", [fc.CODESIGN, fc.FIXED_INFRASTRUCTURE])

@@ -282,18 +282,30 @@ class TestSolveCounts:
             calls["factor_handoffs"] += factor is not None and factor.basis is basis
             result = solve(self, lower, upper, basis, factor)
             # Each LP reports its own pivots and refactorizations.
-            assert result.pivots == calls["pivots"] - before["pivots"]
-            assert result.refactorizations == \
+            assert result.counts["pivots"] == calls["pivots"] - before["pivots"]
+            assert result.counts["refactorizations"] == \
                 calls["refactorizations"] - before["refactorizations"]
             return result
 
         monkeypatch.setattr(PreparedLP, "solve", counted_solve)
         sol = branch_and_bound(model)
         assert sol.status == SolveStatus.OPTIMAL and sol.stop_reason == "gap"
-        assert {key: getattr(sol, key) for key in calls} == dict(calls)
+        assert {key: sol.counts[key] for key in calls} == dict(calls)
         # Every node LP after the root, and the polish, dives from the last solve.
         assert calls["factor_handoffs"] == calls["lp_solves"] - 1 > sol.node_count - 1
         assert calls["pivots"] > calls["refactorizations"] >= 1
+
+    def test_lone_lp_counts_itself(self):
+        """A lone LP solve reports every key, and one LP solve, whether it
+        ends OPTIMAL or its bounds cross, as each LP of a search counts."""
+        model = binary_cover_model()
+        prep = PreparedLP(model)
+        crossed = np.array(model.upper, dtype=float)
+        crossed[0] = model.lower[0] - 1.0
+        for sol in (prep.solve(), prep.solve(model.lower, crossed)):
+            assert set(sol.counts) == {"lp_solves", "pivots", "refactorizations",
+                                       "factor_handoffs"}
+            assert sol.counts["lp_solves"] == 1
 
     def test_pinned_solver_work(self):
         """(nodes, lp_solves, pivots, refactorizations, factor_handoffs) of
@@ -319,11 +331,12 @@ class TestSolveCounts:
             "work = {}\n"
             "for name, scenario in rungs.items():\n"
             "    s = branch_and_bound(fc.build_problem(scenario).model, rel_gap_target=1e-2)\n"
-            "    work[name] = [s.node_count, s.lp_solves, s.pivots, s.refactorizations,\n"
-            "                  s.factor_handoffs]\n"
+            "    work[name] = [s.node_count, *(s.counts[key] for key in\n"
+            "        ('lp_solves', 'pivots', 'refactorizations', 'factor_handoffs'))]\n"
             "model = fc.build_problem(fc.generate_synthetic(1, n_trucks=8)).model\n"
             "root = PreparedLP(model).solve()\n"
-            "work['eight_trucks_root'] = [root.pivots, root.refactorizations]\n"
+            "work['eight_trucks_root'] = [root.counts['pivots'],\n"
+            "                             root.counts['refactorizations']]\n"
             "print(json.dumps(work))\n")
         result = run_fresh(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                            MKL_NUM_THREADS="1")
@@ -343,13 +356,13 @@ class TestSolveCounts:
 
         model = fc.build_problem(fc.generate_synthetic(1, n_trucks=8)).model
         root = PreparedLP(model).solve()
-        assert [root.pivots, root.refactorizations] == [521, 5]
+        assert [root.counts["pivots"], root.counts["refactorizations"]] == [521, 5]
 
     def test_plan_reports_the_counts(self, depot_base_outcome):
         solution, info = depot_base_outcome.solution, depot_base_outcome.plan.solver_info
-        for key in ("lp_solves", "pivots", "refactorizations", "factor_handoffs",
-                    "stop_reason"):
-            assert info[key] == getattr(solution, key)
+        for key in ("lp_solves", "pivots", "refactorizations", "factor_handoffs"):
+            assert info[key] == solution.counts[key]
+        assert info["stop_reason"] == solution.stop_reason
         assert info["lp_solves"] > info["nodes"] and info["pivots"] > 0
 
     @pytest.mark.parametrize("limits, status, reason", [
@@ -375,7 +388,7 @@ class TestSolveCounts:
         sol = branch_and_bound(model, trace=trace)
         assert (sol.status, sol.stop_reason) == (SolveStatus.INFEASIBLE, "infeasible")
         assert trace[-1] == f"stop infeasible nodes {sol.node_count} incumbent -"
-        assert sol.lp_solves == sol.node_count == 3
+        assert sol.counts["lp_solves"] == sol.node_count == 3
 
 
 class TestDualOptimality:

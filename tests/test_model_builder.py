@@ -572,14 +572,23 @@ class TestDiagnostics:
         assert empties and not build.guaranteed_infeasible
 
 
+def csr_rows(model) -> list[tuple]:
+    """Each row as ``(name, coeffs, sense, rhs)``, read from the CSR lists,
+    with ``coeffs`` a tuple of ``(column, value)`` pairs."""
+    spans = zip(model.row_start, model.row_start[1:])
+    return [(name, tuple(zip(model.row_cols[lo:hi], model.row_vals[lo:hi])), sense, rhs)
+            for name, (lo, hi), sense, rhs
+            in zip(model.row_names, spans, model.senses, model.rhs)]
+
+
 def model_fingerprint(model) -> str:
     """Digest of every model field, floats by exact repr."""
     digest = hashlib.sha256()
     for part in (model.col_names, model.lower, model.upper, model.integer,
                  model.objective, model.objective_offset, model.branch_priority):
         digest.update(repr(part).encode())
-    for row in model.rows:
-        digest.update(repr((row.name, row.coeffs, row.sense, row.rhs)).encode())
+    for row in csr_rows(model):
+        digest.update(repr(row).encode())
     return digest.hexdigest()[:16]
 
 
@@ -674,11 +683,11 @@ class TestModelFingerprint:
             integer=model.integer, objective=model.objective,
             objective_offset=model.objective_offset,
             branch_priority=model.branch_priority)
-        for row in model.rows:
-            if row.name.startswith("fast_required["):
+        for name, coeffs, sense, rhs in csr_rows(model):
+            if name.startswith("fast_required["):
                 continue
-            rhs = old_floor if row.name.startswith("peak_floor[") else row.rhs
-            kept.add_row(row.name, list(row.coeffs), row.sense, rhs)
+            kept.add_row(name, list(coeffs), sense,
+                         old_floor if name.startswith("peak_floor[") else rhs)
         assert kept.num_rows < model.num_rows
         assert model_fingerprint(kept) == "c4616490b02b505d"
 

@@ -327,6 +327,29 @@ class TestWarmStart:
             assert np.array_equal(warm.values, cold.values)
             assert warm.objective == cold.objective
 
+    def test_dual_infeasible_basis_falls_back_to_cold(self, monkeypatch):
+        """The optimal basis of min x0 + 2 x1 over x0 + x1 >= 1 is not dual
+        feasible under the costs (2, 1): the warm dual loop refuses it, and
+        the solve restarts from the slack basis."""
+        bounds, rows = [(0, 1), (0, 1)], [([(0, 1.0), (1, 1.0)], GE, 1.0)]
+        first = PreparedLP(simple_model([1.0, 2.0], bounds, rows)).solve()
+        assert first.values.tolist() == [1.0, 0.0]
+        refusals = []
+        run_dual = simplex._SimplexState.run_dual
+
+        def recorded(self):
+            try:
+                return run_dual(self)
+            except simplex.NumericalFailure as exc:
+                refusals.append(str(exc))
+                raise
+        monkeypatch.setattr(simplex._SimplexState, "run_dual", recorded)
+        swapped = PreparedLP(simple_model([2.0, 1.0], bounds, rows))
+        warm = swapped.solve(basis=first.basis)
+        assert refusals == ["start basis is not dual feasible"]
+        assert warm.status == SolveStatus.OPTIMAL
+        assert warm.values.tolist() == [0.0, 1.0] and warm.objective == 1.0
+
     def test_repeat_warm_solves_identical(self, depot_scenario):
         import fleetcharge as fc
 
@@ -395,7 +418,7 @@ class TestFactorHandOff:
         calls = record_calls(monkeypatch, "_refactor")
         factor = root.factor
         inherited = prep.solve(lower, upper, root.basis, factor)
-        assert calls == [] and inherited.factor_handoffs == 1
+        assert calls == [] and inherited.counts["factor_handoffs"] == 1
         # Taken over: updated in place and handed on with the child's basis.
         assert inherited.factor is factor and factor.basis is inherited.basis
         assert inherited.status == rebuilt.status == SolveStatus.OPTIMAL
@@ -424,14 +447,15 @@ class TestFactorHandOff:
         calls = record_calls(monkeypatch, "_refactor")
         warm = prep.solve(lower, upper, root.basis, foreign)
         assert calls[:1] == ["_refactor"]
-        assert warm.factor_handoffs == 0 and warm.factor is not foreign  # not taken over
+        assert warm.counts["factor_handoffs"] == 0  # not taken over
+        assert warm.factor is not foreign
         assert np.array_equal(warm.values, rebuilt.values)
 
     def test_factor_of_another_lp_is_ignored(self, depot_scenario):
         prep, root, lower, upper = depot_child(depot_scenario)
         twin = PreparedLP(prep.model)
         warm = twin.solve(lower, upper, root.basis, root.factor)
-        assert warm.factor_handoffs == 0 and root.factor.basis is root.basis
+        assert warm.counts["factor_handoffs"] == 0 and root.factor.basis is root.basis
         assert np.array_equal(warm.values, prep.solve(lower, upper, root.basis).values)
 
     def test_one_factor_serves_one_solve(self, depot_scenario, monkeypatch):
@@ -442,16 +466,18 @@ class TestFactorHandOff:
         prep, root, lower, upper = depot_child(depot_scenario)
         factor = root.factor
         first = prep.solve(lower, upper, root.basis, factor)
-        assert first.factor_handoffs == 1 and first.factor is factor
+        assert first.counts["factor_handoffs"] == 1 and first.factor is factor
         held = (factor.basis, factor.K_inv, factor.K_inv.copy(), factor.k, factor.age)
         calls = record_calls(monkeypatch, "_refactor")
         second = prep.solve(lower, upper, root.basis, factor)
-        assert second.factor_handoffs == 0 and calls == ["_refactor"]
-        assert second.refactorizations == 1 and second.factor is not factor
+        assert second.counts["factor_handoffs"] == 0 and calls == ["_refactor"]
+        assert second.counts["refactorizations"] == 1 and second.factor is not factor
         plain = prep.solve(lower, upper, root.basis)
-        assert plain.factor_handoffs == 0
-        for key in ("status", "objective", "pivots", "refactorizations"):
+        assert plain.counts["factor_handoffs"] == 0
+        for key in ("status", "objective"):
             assert getattr(second, key) == getattr(plain, key)
+        for key in ("pivots", "refactorizations"):
+            assert second.counts[key] == plain.counts[key]
         assert np.array_equal(second.values, plain.values)
         assert np.array_equal(second.basis.basic, plain.basis.basic)
         assert np.array_equal(second.basis.at_upper, plain.basis.at_upper)
@@ -467,8 +493,8 @@ class TestFactorHandOff:
         upper[0] = lower[0] - 1.0
         crossed = prep.solve(lower, upper, root.basis, root.factor)
         assert crossed.status == SolveStatus.INFEASIBLE
-        assert (crossed.factor_handoffs, crossed.pivots) == (1, 0)
-        assert prep.solve(lower, upper, root.basis).factor_handoffs == 0
+        assert (crossed.counts["factor_handoffs"], crossed.counts["pivots"]) == (1, 0)
+        assert prep.solve(lower, upper, root.basis).counts["factor_handoffs"] == 0
 
     def test_age_carries_across_the_hand_off(self, depot_scenario, monkeypatch):
         prep, root, lower, upper = depot_child(depot_scenario)

@@ -17,7 +17,6 @@ from fleetcharge.domain import ValidationIssue, scenario_variant
 from fleetcharge.run import PlanVerificationError
 from fleetcharge.solver import NumericalFailure, simplex
 from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, default_amortize_ratio, run_sweep
-from fleetcharge.validator import ReplayResult
 
 from oracles import curve_rows_by_loop
 
@@ -247,6 +246,17 @@ class TestCli:
         assert plan["costs"]["total"] == pytest.approx(41218.3673, abs=1e-3)
         assert "status=optimal" in capsys.readouterr().out
 
+    def test_solve_prints_the_build_diagnostics(self, tmp_path, capsys):
+        """At slack 0 one remote leg departs in the block its truck arrives,
+        so its charging window is empty: a warning, and the solve goes on."""
+        code = main(["solve", "--scenario", REMOTE, "--slack-min", "0",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("note: ")] == [
+            "note: [WindowEmpty] truck TR day 0 leg 3 has an empty charging window"]
+        assert out[1].startswith("status=optimal ")
+
     def test_solve_amortize_objective(self, tmp_path):
         out = tmp_path / "run"
         assert main(["solve", "--scenario", TWO_TRUCK, "--amortize-objective",
@@ -425,7 +435,7 @@ class TestCli:
 
     FAILURES = [
         (NumericalFailure("vanishing pivot element"), "SolverFailure"),
-        (PlanVerificationError(ReplayResult([ValidationIssue("SoeBelowZero", "truck T1")])),
+        (PlanVerificationError([ValidationIssue("SoeBelowZero", "truck T1")]),
          "PlanVerificationFailed"),
     ]
 
@@ -722,7 +732,8 @@ class TestCli:
         assert main(argv + ([flag] if flag else [])) == 2
         assert str(out / name) in self.config_error(capsys)
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "not_json", "schema"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_json", "schema",
+                                      "clock", "prices"])
     def test_validate_bad_input_is_a_config_error(self, kind, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         if kind == "directory":
@@ -733,11 +744,25 @@ class TestCli:
             doc = json.loads(Path(TWO_TRUCK).read_text())
             del doc["trucks"]
             path.write_text(json.dumps(doc))
+        elif kind == "clock":
+            doc = json.loads(Path(TWO_TRUCK).read_text())
+            doc["legs"][0]["departure"] = "24:30"
+            path.write_text(json.dumps(doc))
+        elif kind == "prices":
+            # The depot fixture prices each type apart and has no shared profile.
+            doc = json.loads((FIXTURES / "depot_fixture.json").read_text())
+            assert "energy_per_kwh" not in doc["prices"]
+            doc["prices"]["by_charger"] = {"1": doc["prices"]["by_charger"]["1"]}
+            path.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(path)]) == 2
         message = self.config_error(capsys)
         if kind == "schema":
             assert message == (f"{path}: schema violation at document: 'trucks' is a "
                                "required property")
+        elif kind == "clock":
+            assert message == "invalid clock time '24:30'"
+        elif kind == "prices":
+            assert message == "no energy price profile for charger type 2"
         else:
             assert str(path) in message
 

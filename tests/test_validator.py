@@ -12,6 +12,7 @@ from fleetcharge.validator import (
     ChargeEvent,
     CostBreakdown,
     PlanReport,
+    decode_plan,
     plan_to_dict,
     recompute_costs,
     replay,
@@ -26,11 +27,11 @@ from test_domain import make_leg, minimal_scenario
 class TestReplay:
     def test_solver_plan_replays_clean(self, two_truck_scenario, two_truck_outcome):
         verdict = replay(two_truck_scenario, two_truck_outcome.plan)
-        assert verdict.clean, [str(v) for v in verdict.violations]
+        assert not verdict, [str(v) for v in verdict]
 
     def test_depot_plan_replays_clean(self, depot_scenario, depot_base_outcome):
         verdict = replay(depot_scenario, depot_base_outcome.plan)
-        assert verdict.clean
+        assert not verdict
 
     def test_moved_event_is_exactly_one_window_violation(
             self, two_truck_scenario, two_truck_outcome):
@@ -44,7 +45,7 @@ class TestReplay:
         events[0] = replace(victim, block=bad_block)
         tampered = replace(plan, events=tuple(events))
         verdict = replay(two_truck_scenario, tampered)
-        windowish = [v for v in verdict.violations if v.code == "WindowViolation"]
+        windowish = [v for v in verdict if v.code == "WindowViolation"]
         assert len(windowish) == 1
         assert victim.truck_id in windowish[0].message
 
@@ -55,7 +56,7 @@ class TestReplay:
         victim = events.pop(0)
         tampered = replace(plan, events=tuple(events))
         verdict = replay(two_truck_scenario, tampered)
-        energy = [v for v in verdict.violations if v.code == "EnergyViolation"]
+        energy = [v for v in verdict if v.code == "EnergyViolation"]
         assert energy
         assert victim.truck_id in energy[0].message
         assert f"leg {victim.leg_index}" in energy[0].message
@@ -73,14 +74,14 @@ class TestReplay:
             departures=(), costs=CostBreakdown(0, 0, 0, 0),
             power_by_type={}, solver_info={})
         verdict = replay(scenario, plan)
-        assert any(v.code == "BatteryViolation" for v in verdict.violations)
+        assert any(v.code == "BatteryViolation" for v in verdict)
 
     def test_capacity_violation(self, two_truck_scenario, two_truck_outcome):
         plan = two_truck_outcome.plan
         shrunk = {loc: {t: 1 for t in per} for loc, per in plan.charger_counts.items()}
         tampered = replace(plan, charger_counts=shrunk)
         verdict = replay(two_truck_scenario, tampered)
-        assert any(v.code == "CapacityViolation" for v in verdict.violations)
+        assert any(v.code == "CapacityViolation" for v in verdict)
 
     def test_multi_charger_violation(self):
         truck = fc.Truck("T1", 400.0, 0.12, 200.0)
@@ -99,14 +100,14 @@ class TestReplay:
             departures=(), costs=CostBreakdown(0, 0, 0, 0),
             power_by_type={}, solver_info={})
         verdict = replay(scenario, plan)
-        assert any(v.code == "MultiChargerViolation" for v in verdict.violations)
+        assert any(v.code == "MultiChargerViolation" for v in verdict)
 
     def test_wrong_location_event_flagged(self, two_truck_scenario, two_truck_outcome):
         plan = two_truck_outcome.plan
         events = list(plan.events)
         events[0] = replace(events[0], location_id="R1")
         verdict = replay(two_truck_scenario, replace(plan, events=tuple(events)))
-        assert any(v.code == "ReferenceViolation" for v in verdict.violations)
+        assert any(v.code == "ReferenceViolation" for v in verdict)
 
     def test_late_departure_flagged(self, two_truck_scenario, two_truck_outcome):
         plan = two_truck_outcome.plan
@@ -114,8 +115,43 @@ class TestReplay:
                 for d in plan.departures]
         tampered = replace(plan, departures=tuple(deps))
         verdict = replay(two_truck_scenario, tampered)
-        assert any(v.code == "DepartureViolation" for v in verdict.violations)
+        assert any(v.code == "DepartureViolation" for v in verdict)
 
+
+    @pytest.mark.parametrize("tamper", ["leg", "charger_type", "energy", "departure"])
+    def test_tampered_field_is_flagged(self, tamper, depot_scenario, depot_base_outcome):
+        """Replay checks that no solved plan trips, each on one tampered
+        field of the depot plan."""
+        plan = depot_base_outcome.plan
+        events, departures = list(plan.events), list(plan.departures)
+        victim = events[0]
+        if tamper == "leg":
+            events[0] = replace(victim, leg_index=9)
+            expected = ("ReferenceViolation", "event references unknown leg "
+                        f"{(victim.truck_id, victim.day, 9)}")
+        elif tamper == "charger_type":
+            events[0] = replace(victim, charger_type_id=99)
+            expected = ("ReferenceViolation", "event references unknown charger type 99")
+        elif tamper == "energy":
+            events[0] = replace(victim, energy_kwh=victim.energy_kwh + 1.0)
+            expected = ("EnergyViolation", f"event energy {victim.energy_kwh + 1.0} kWh "
+                        f"does not match block x rated power = {victim.energy_kwh} kWh")
+        else:
+            # Leg 2 leaves a block before leg 1's departure plus its travel.
+            first_leg = fc.tours(depot_scenario)[("T01", 0)][0]
+            first, second = departures[:2]
+            assert (first.leg_index, second.leg_index) == (1, 2)
+            floor = first.actual_block + depot_scenario.time_grid.travel_blocks(first_leg)
+            departures[1] = replace(second, actual_block=floor - 1.0)
+            expected = ("DepartureViolation", f"truck T01 day 0 leg 2: departs at "
+                        f"{floor - 1.0}, before earliest possible {floor}")
+        tampered = replace(plan, events=tuple(events), departures=tuple(departures))
+        assert expected in [(v.code, v.message) for v in replay(depot_scenario, tampered)]
+
+    def test_infeasible_solution_is_not_decoded(self, depot_scenario, depot_base_outcome):
+        with pytest.raises(ValueError, match="cannot decode an infeasible solution"):
+            decode_plan(depot_scenario, depot_base_outcome.build.catalog,
+                        fc.Solution(status=fc.SolveStatus.INFEASIBLE))
 
     def test_fixed_plan_must_build_the_design(self, two_truck_scenario):
         # No leg departs R1, so dropping its charger frees no used capacity.
@@ -123,10 +159,10 @@ class TestReplay:
             two_truck_scenario, design_mode=fc.FIXED_INFRASTRUCTURE,
             fixed_counts={"DC": {1: 2}, "R1": {1: 1}}))
         plan = fc.solve_scenario(scenario).plan
-        assert replay(scenario, plan).clean
+        assert not replay(scenario, plan)
         tampered = replace(plan, charger_counts={"DC": {1: 3}})
         verdict = replay(scenario, tampered)
-        assert [str(v) for v in verdict.violations] == [
+        assert [str(v) for v in verdict] == [
             "[DesignViolation] DC: 3 type-1 chargers built, but the fixed "
             "design has 2",
             "[DesignViolation] R1: 0 type-1 chargers built, but the fixed "
