@@ -187,13 +187,12 @@ def pair_designs(codesign: SolveOutcome, fixed: SolveOutcome) -> dict:
 
 def compare_designs(scenario: Scenario, fixed_counts: dict[str, dict[int, int]],
                     rel_gap: float = DEFAULT_REL_GAP) -> dict:
-    """Co-design against ``fixed_counts`` at the scenario's alpha and slack:
-    a one-cell sweep over both designs, paired by :func:`pair_designs`."""
+    """Co-design against ``fixed_counts`` at the scenario's alpha and slack: a
+    one-cell sweep over both designs, each validated before either is solved."""
     spec = SweepSpec(
         alphas=[scenario.alpha],
         slack_minutes=[scenario.slack_blocks * scenario.time_grid.block_minutes],
         designs=[CODESIGN, FIXED_INFRASTRUCTURE], fixed_counts=fixed_counts,
         rel_gap=rel_gap)
-    codesign_cell, fixed_cell = spec.cells()
-    fixed = solve_cell(scenario, spec, fixed_cell)  # a bad design fails before any solve
-    return pair_designs(solve_cell(scenario, spec, codesign_cell), fixed)
+    (_, codesign), (_, fixed) = spec.variants(scenario)
+    return pair_designs(solve_cell(codesign, spec), solve_cell(fixed, spec))

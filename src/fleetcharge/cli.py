@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: validate, solve, sweep, compare, generate. Exit codes:
-0 success, 1 infeasibility or violations found, 2 usage or configuration
+Subcommands: validate, solve, sweep, compare, generate. Exit codes: 0
+success, 1 infeasibility or violations found, 2 usage or configuration
 error, 3 solver limit hit, 4 internal solver or verification failure.
 ``solve``, ``sweep`` and ``compare`` follow one rule: 4 over 1 over 3 over
-0. Every command, ``validate`` included, reports a bad input or an output
-path it cannot write as a ``ConfigError`` (2). :func:`main` alone turns an
-exception into a report; every error lands as a JSON report on stderr.
+0. Every command reports a bad input or an output path it cannot write as
+a ``ConfigError`` (2). :func:`main` alone turns an exception into a JSON
+report on stderr; a flag argparse rejects prints argparse's usage instead.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     design = args.design or scenario.design_mode
     fixed_counts = load_design(args.fixed_file) if args.fixed_file else scenario.fixed_counts
-    if design == FIXED_INFRASTRUCTURE and fixed_counts is None:
-        raise ValueError("--design fixed requires --fixed-file or the scenario's fixed_counts")
     scenario = validate_scenario(scenario_variant(
         scenario, design, fixed_counts, args.alpha, args.slack_min))
     out_dir = Path(args.out)
@@ -203,10 +201,7 @@ def cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     policy = parse_policy(args.policy)
     fixed_counts = rule_based_design(scenario, policy)
-    if args.slack_min is not None or args.alpha is not None:
-        scenario = validate_scenario(scenario_variant(
-            scenario, scenario.design_mode, scenario.fixed_counts,
-            args.alpha, args.slack_min))
+    scenario = scenario_variant(scenario, CODESIGN, None, args.alpha, args.slack_min)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
     doc = compare_designs(scenario, fixed_counts, rel_gap=_rel_gap(args))

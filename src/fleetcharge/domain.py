@@ -461,7 +461,10 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 def scenario_variant(scenario: Scenario, design: str, fixed_counts=None,
                      alpha: float | None = None, slack_minutes=None) -> Scenario:
     """The scenario under ``design`` (``fixed_counts`` only for the fixed design)
-    and, if given, another alpha and slack; validate it before use."""
+    and, if given, another alpha and slack; validate it before use. A fixed
+    design without counts, or a slack of no whole blocks, raises ValueError."""
+    if design == FIXED_INFRASTRUCTURE and fixed_counts is None:
+        raise ValueError("a fixed design needs fixed_counts")
     updates = {"design_mode": design,
                "fixed_counts": fixed_counts if design == FIXED_INFRASTRUCTURE else None}
     if alpha is not None:

@@ -1,11 +1,12 @@
 """Build, solve, decode, verify: the one path every front end goes through.
 
-A plan is only ever returned after the independent validator replays it
-clean, so nothing downstream can emit an unverified schedule.
+A plan is only returned once the validator replays it clean and its costs
+equal the objective, so nothing downstream can emit an unverified schedule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .builder import BuildResult, build_problem
@@ -18,9 +19,9 @@ __all__ = ["SolveOutcome", "solve_scenario", "PlanVerificationError", "INTERNAL_
 
 
 class PlanVerificationError(RuntimeError):
-    """The decoded plan failed the independent replay; indicates a bug.
+    """The decoded plan failed the replay or the cost check; indicates a bug.
 
-    ``violations`` is the list of findings that :func:`replay` returned.
+    ``violations`` is the list of findings (:func:`replay`'s, ``CostMismatch``).
     """
 
     def __init__(self, violations: list[ValidationIssue]):
@@ -53,7 +54,8 @@ def solve_scenario(
     amortize_objective_ratio: float | None = None,
     trace: list[str] | None = None,
 ) -> SolveOutcome:
-    """Solve one scenario end to end and verify the plan before returning.
+    """Solve one scenario end to end; a plan that fails replay, or whose
+    costs miss the objective by over 1e-9, raises PlanVerificationError.
 
     Scenarios the structural scan proves unreachable short-circuit to
     INFEASIBLE without a solver run; the diagnostics say why. A limit that
@@ -79,6 +81,11 @@ def solve_scenario(
 
     plan = decode_plan(scenario, build.catalog, solution)
     violations = replay(scenario, plan)
+    costs = plan.costs if amortize_objective_ratio is None \
+        else plan.costs.amortized(amortize_objective_ratio)
+    if not math.isclose(costs.total, solution.objective, rel_tol=1e-9, abs_tol=1e-9):
+        violations.append(ValidationIssue("CostMismatch", f"plan costs {costs.total!r}, "
+                                          f"objective {solution.objective!r}"))
     if violations:
         raise PlanVerificationError(violations)
     return SolveOutcome(solution=solution, build=build, plan=plan)

@@ -1,11 +1,11 @@
 """Full-factorial sweeps over peak weight, time slack, and design mode.
 
-Each cell is an independent solve, :func:`solve_cell`, whose verified plan
-lands in a JSON report; three aggregate CSVs collect infrastructure, costs,
-and daily power curves across cells. ``baseline.compare_designs`` solves
-its two designs as one cell each through the same function. Cells run one
-after another and are written in cell order, so outputs are byte-identical
-for identical inputs.
+Every cell is validated before the first solve; each is then an independent
+solve, :func:`solve_cell`, whose verified plan lands in a JSON report; three
+aggregate CSVs collect infrastructure, costs, and daily power curves across
+cells. ``baseline.compare_designs`` solves its two designs as one cell each
+the same way. Cells run in order and are written in cell order, so outputs
+are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario
-from .domain import scenario_variant, validate_scenario
+from .domain import Scenario, scenario_variant, validate_scenario
 from .run import INTERNAL_FAILURES, SolveOutcome, solve_scenario
 from .scenario_io import write_csv, write_json
 from .solver import DEFAULT_REL_GAP, check_limits
@@ -48,6 +47,8 @@ class SweepCell:
 
 @dataclass
 class SweepSpec:
+    """A grid of cells under one gap and limits; :meth:`variants` checks each."""
+
     alphas: list[float]
     slack_minutes: list[int]
     designs: list[str]
@@ -60,17 +61,6 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.alphas or not self.slack_minutes or not self.designs:
             raise ValueError("alpha, slack, and design lists must be nonempty")
-        for design in self.designs:
-            if design not in (CODESIGN, FIXED_INFRASTRUCTURE):
-                raise ValueError(f"unknown design mode {design!r}")
-        if FIXED_INFRASTRUCTURE in self.designs and self.fixed_counts is None:
-            raise ValueError("fixed design cells need fixed_counts")
-        for alpha in self.alphas:
-            if not 0 <= alpha < math.inf:
-                raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
-        for slack in self.slack_minutes:
-            if slack < 0:
-                raise ValueError(f"slack must be nonnegative, got {slack} min")
         check_limits(self.rel_gap, self.node_limit, self.time_limit)
         tagged: dict[str, SweepCell] = {}
         for cell in self.cells():  # each cell writes plan_<tag>.json
@@ -84,6 +74,13 @@ class SweepSpec:
             for alpha, slack, design in itertools.product(
                 self.alphas, self.slack_minutes, self.designs)
         ]
+
+    def variants(self, scenario: Scenario) -> list[tuple[SweepCell, Scenario]]:
+        """Each cell with its validated scenario variant; a bad cell raises
+        ValueError before any is returned."""
+        return [(c, validate_scenario(scenario_variant(
+            scenario, c.design, self.fixed_counts, c.alpha, c.slack_minutes)))
+            for c in self.cells()]
 
 
 def _smooth(curves: np.ndarray) -> np.ndarray:
@@ -108,11 +105,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def solve_cell(scenario: Scenario, spec: SweepSpec, cell: SweepCell) -> SolveOutcome:
-    """The scenario under the cell's design, alpha and slack, validated and
-    solved under the spec's gap and limits."""
-    variant = validate_scenario(scenario_variant(
-        scenario, cell.design, spec.fixed_counts, cell.alpha, cell.slack_minutes))
+def solve_cell(variant: Scenario, spec: SweepSpec) -> SolveOutcome:
+    """One validated variant from :meth:`SweepSpec.variants`, solved under
+    the spec's gap and limits."""
     return solve_scenario(variant, rel_gap=spec.rel_gap,
                           node_limit=spec.node_limit, time_limit=spec.time_limit)
 
@@ -120,15 +115,15 @@ def solve_cell(scenario: Scenario, spec: SweepSpec, cell: SweepCell) -> SolveOut
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     """One solve per cell; per-cell JSON plans plus three aggregate CSVs.
 
-    Cell failures (infeasible cells, solver limits, exceptions) are recorded
-    in the summary and the sweep continues; a cell that raised carries the
-    exception's class name as ``error_class``. Returns the summary document,
-    which is also written to ``summary.json``. Once every output is written,
-    the first internal failure (see ``run.INTERNAL_FAILURES``) a cell raised
-    is raised again, since it is a bug and no property of the cell.
+    A bad cell raises ValueError before any solve or write. A solve's failures
+    (infeasibility, limits, exceptions) are recorded in the summary and the
+    sweep goes on; a cell that raised carries the exception's class name as
+    ``error_class``. Returns the summary document, also written to
+    ``summary.json``. Once every output is written, the first internal
+    failure (``run.INTERNAL_FAILURES``) a cell raised is raised again, since
+    it is a bug and no property of the cell.
     """
-    for slack in spec.slack_minutes:
-        scenario.time_grid.slack_blocks(slack)  # reject before any cell runs
+    variants = spec.variants(scenario)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ratio = default_amortize_ratio(scenario)
@@ -140,15 +135,15 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
     type_ids = [c.id for c in scenario.charger_catalog]
     internal: list[Exception] = []
 
-    for cell in spec.cells():
+    for cell, variant in variants:
         entry: dict = {
             "alpha": cell.alpha,
             "slack_minutes": cell.slack_minutes,
             "design": cell.design,
         }
         try:
-            outcome = solve_cell(scenario, spec, cell)
-        except Exception as error:  # per-cell failure; the sweep continues
+            outcome = solve_cell(variant, spec)
+        except Exception as error:  # the solve failed; the sweep continues
             entry["status"] = "error"
             entry["error"] = f"{type(error).__name__}: {error}"
             entry["error_class"] = type(error).__name__

@@ -31,6 +31,12 @@ class TestPolicies:
         counts = rule_based_design(remote_scenario, MainDepotOnly(1, 1))
         assert counts == {"DC": {1: 1}}
 
+    def test_main_depot_without_legs_takes_the_first_location(self, depot_scenario):
+        locations = tuple(reversed(depot_scenario.location_ids))
+        scenario = replace(depot_scenario, legs=(), location_ids=locations)
+        counts = rule_based_design(scenario, MainDepotOnly(1, 2))
+        assert counts == {locations[0]: {2: 1}}
+
     def test_negative_count_rejected(self, depot_scenario):
         with pytest.raises(ValueError):
             rule_based_design(depot_scenario, MainDepotOnly(-1, 2))
@@ -107,6 +113,24 @@ class TestCompareDesigns:
         assert not doc["fixed_feasible"]
         assert doc["deltas_pct"] is None
         assert "infeasible" in doc["finding"]
+
+    def test_zero_peak_weight_has_no_peak_delta(self, depot_scenario):
+        # At alpha 0 the fixed design's peak cost is 0, so no saving is defined.
+        scenario = fc.validate_scenario(replace(depot_scenario, alpha=0.0))
+        fixed = rule_based_design(scenario, PeakDemandCover(2))
+        doc = compare_designs(scenario, fixed, rel_gap=1e-4)
+        assert doc["finding"] == "both designs feasible"
+        assert doc["deltas_pct"]["peak"] is None
+        assert doc["deltas_pct"]["total"] is not None
+
+    def test_infeasible_codesign_is_the_finding(self, depot_scenario):
+        legs = list(depot_scenario.legs)
+        legs[0] = replace(legs[0], distance_km=legs[0].distance_km * 50)
+        scenario = fc.validate_scenario(replace(depot_scenario, legs=tuple(legs)))
+        doc = compare_designs(scenario, rule_based_design(scenario, PeakDemandCover(2)))
+        assert doc["finding"] == "scenario infeasible even under co-design"
+        assert doc["codesign"]["status"] == doc["fixed"]["status"] == "infeasible"
+        assert doc["deltas_pct"] is None
 
     @pytest.mark.parametrize("rel_gap", [math.nan, math.inf, -1.0])
     def test_invalid_gap_raises(self, two_truck_scenario, rel_gap):

@@ -14,6 +14,7 @@ import pytest
 from fleetcharge.model import EQ, GE, LE, LinearModel
 from fleetcharge.solver import (
     Basis,
+    NumericalFailure,
     PreparedLP,
     SolveStatus,
     branch_and_bound,
@@ -45,6 +46,35 @@ def simple_model(objective, bounds, rows):
     for i, (coeffs, sense, rhs) in enumerate(rows):
         model.add_row(f"r{i}", coeffs, sense, rhs)
     return model
+
+
+class TestDualToleranceBand:
+    """min 0 s.t. x >= 1 + eps, 0 <= x <= 1: a row violated by eps with no
+    column left to move. Within the primal tolerance it is met; past the
+    infeasibility tolerance it proves the LP infeasible; in between the dual
+    simplex cannot tell and says so."""
+
+    @staticmethod
+    def model(eps, integer=False):
+        model = simple_model([0.0], [(0.0, 1.0)], [([(0, 1.0)], GE, 1.0 + eps)])
+        model.integer[0] = integer
+        return model
+
+    def test_within_the_primal_tolerance_is_optimal(self):
+        sol = PreparedLP(self.model(5e-10)).solve()
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.values[0] == 1.0
+
+    def test_past_the_infeasibility_tolerance_is_infeasible(self):
+        assert PreparedLP(self.model(5e-7)).solve().status == SolveStatus.INFEASIBLE
+
+    def test_between_the_tolerances_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="near-feasible row has no pivot"):
+            PreparedLP(self.model(5e-8)).solve()
+
+    def test_branch_and_bound_reports_it_not_infeasibility(self):
+        with pytest.raises(NumericalFailure, match="near-feasible row has no pivot"):
+            branch_and_bound(self.model(5e-8, integer=True))
 
 
 class TestTextbookCases:

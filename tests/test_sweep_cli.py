@@ -31,18 +31,26 @@ def read_csv(path):
 
 
 class TestSweep:
-    def test_spec_validation(self):
+    def test_spec_validation(self, two_truck_scenario, tmp_path):
+        # The constructor checks the lists and the limits; each cell's values
+        # are checked by run_sweep before any cell is solved or written.
+        out = tmp_path / "out"
+
+        def sweep(**grid):
+            run_sweep(two_truck_scenario, SweepSpec(out_dir=out, **grid))
+
         with pytest.raises(ValueError):
             SweepSpec(alphas=[], slack_minutes=[0], designs=["codesign"])
         with pytest.raises(ValueError):
-            SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["bogus"])
+            sweep(alphas=[1.0], slack_minutes=[0], designs=["bogus"])
         with pytest.raises(ValueError):
-            SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["fixed"])
+            sweep(alphas=[1.0], slack_minutes=[0], designs=["fixed"])
         for alpha in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="alpha"):
-                SweepSpec(alphas=[1.0, alpha], slack_minutes=[0], designs=["codesign"])
+                sweep(alphas=[1.0, alpha], slack_minutes=[0], designs=["codesign"])
         with pytest.raises(ValueError, match="slack"):
-            SweepSpec(alphas=[1.0], slack_minutes=[0, -15], designs=["codesign"])
+            sweep(alphas=[1.0], slack_minutes=[0, -15], designs=["codesign"])
+        assert not out.exists()
         for limit in ("rel_gap", "time_limit", "node_limit"):
             for value in (-1, math.nan, math.inf):
                 with pytest.raises(ValueError, match=limit):
@@ -272,7 +280,7 @@ class TestCli:
 
     def test_solve_fixed_requires_file(self, capsys):
         assert main(["solve", "--scenario", TWO_TRUCK, "--design", "fixed"]) == 2
-        assert "ConfigError" in capsys.readouterr().err
+        assert self.config_error(capsys) == "a fixed design needs fixed_counts"
 
     def test_solve_infeasible_exit_code(self, tmp_path, capsys):
         design = tmp_path / "zero.json"
@@ -537,17 +545,26 @@ class TestCli:
         assert code == 2
         assert "DC/1" in self.config_error(capsys)
 
-    def test_compare_rejects_design_at_unknown_location(self, tmp_path, monkeypatch,
-                                                        capsys):
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--design", "fixed", "--fixed-file", "{design}", "--out", "{out}"],
+        ["sweep", "--alpha", "1", "--slack-min", "30", "--design", "codesign,fixed",
+         "--fixed-file", "{design}", "--out", "{out}"],
+        ["compare", "--policy", "explicit:{design}"],
+    ], ids=["solve", "sweep", "compare"])
+    def test_design_at_unknown_location_fails_before_any_solve(self, argv, tmp_path,
+                                                               monkeypatch, capsys):
+        # Each command checks its whole request before the first solve.
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the design was checked")
-        monkeypatch.setattr("fleetcharge.sweep.solve_scenario", no_solve)
+        for module in ("fleetcharge.run", "fleetcharge.sweep"):
+            monkeypatch.setattr(f"{module}.solve_scenario", no_solve)
         design = tmp_path / "design.json"
         design.write_text(json.dumps({"NOPE": {"1": 2}}))
-        code = main(["compare", "--scenario", REMOTE,
-                     "--policy", f"explicit:{design}"])
-        assert code == 2
+        out = tmp_path / "o"
+        argv = [arg.format(design=design, out=out) for arg in argv]
+        assert main([argv[0], "--scenario", REMOTE, *argv[1:]]) == 2
         assert "unknown location 'NOPE'" in self.config_error(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--seed", "1"],
@@ -816,6 +833,19 @@ def stray_event_decoder(monkeypatch):
     monkeypatch.setattr(fc.run, "decode_plan", decode_with_stray_event)
 
 
+def inflated_energy(monkeypatch):
+    """Make the plan's cost breakdown read 0.1% more energy than the
+    solution's objective carries."""
+    costs = fc.validator._costs
+
+    def inflated(*args, **kwargs):
+        c = costs(*args, **kwargs)
+        energy = c.energy * 1.001
+        return replace(c, energy=energy, total=energy + c.infrastructure + c.peak)
+
+    monkeypatch.setattr(fc.validator, "_costs", inflated)
+
+
 def failing_recheck(monkeypatch):
     """Make the incumbent's independent re-check in ``branch_and_bound``
     report a violated row."""
@@ -846,10 +876,12 @@ class TestInternalFailuresThroughThePipeline:
     @pytest.mark.parametrize("inject, code, message, detail", [
         (stray_event_decoder, "PlanVerificationFailed", "solved plan failed verification: ",
          "[WindowViolation] "),
+        (inflated_energy, "PlanVerificationFailed", "solved plan failed verification: ",
+         "[CostMismatch] "),
         (failing_recheck, "SolverFailure",
          "incumbent failed the independent feasibility re-check: row cover: 1 > 0", None),
         (vanishing_pivot, "SolverFailure", "vanishing pivot element", None),
-    ], ids=["replay", "recheck", "pivot"])
+    ], ids=["replay", "costs", "recheck", "pivot"])
     @pytest.mark.parametrize("argv", [
         ["solve", "--scenario", TWO_TRUCK],
         ["compare", "--scenario", REMOTE, "--policy", "main-depot-only:2:2",

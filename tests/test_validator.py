@@ -3,10 +3,12 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import fleetcharge as fc
+from fleetcharge.domain import scenario_variant
 from fleetcharge.scenario_io import validate_against_schema
 from fleetcharge.validator import (
     ChargeEvent,
@@ -302,3 +304,19 @@ class TestSerialization:
         doc = plan_to_dict(two_truck_outcome.plan)
         for per in doc["charger_counts"].values():
             assert all(isinstance(k, str) for k in per)
+
+class TestCostAgreement:
+    """Every plan ``solve_scenario`` returns costs what the solver's objective
+    says, amortized as the objective is: it raises otherwise."""
+
+    @pytest.mark.parametrize("name", ["two_truck", "depot_fixture", "remote_variant"])
+    @pytest.mark.parametrize("design", [fc.CODESIGN, fc.FIXED_INFRASTRUCTURE])
+    @pytest.mark.parametrize("amortize", [False, True], ids=["plain", "amortized"])
+    def test_fixture_plans_cost_their_objective(self, name, design, amortize):
+        scenario = fc.load_scenario(Path(__file__).parent / "fixtures" / f"{name}.json")
+        counts = fc.rule_based_design(scenario, fc.PeakDemandCover(1))
+        variant = fc.validate_scenario(scenario_variant(scenario, design, counts))
+        ratio = fc.default_amortize_ratio(scenario) if amortize else None
+        outcome = fc.solve_scenario(variant, amortize_objective_ratio=ratio)
+        costs = outcome.plan.costs if ratio is None else outcome.plan.costs.amortized(ratio)
+        assert costs.total == pytest.approx(outcome.solution.objective, rel=1e-12)
