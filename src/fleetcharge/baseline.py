@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 from .builder import energy_consumption
 from .domain import CODESIGN, FIXED_INFRASTRUCTURE, Scenario, charging_windows, tours
 from .run import SolveOutcome
-from .scenario_io import design_counts_doc, load_design
+from .scenario_io import design_counts_doc, load_design, write_json
 from .solver import DEFAULT_REL_GAP
 from .sweep import SweepSpec, solve_cell
 
@@ -186,13 +187,22 @@ def pair_designs(codesign: SolveOutcome, fixed: SolveOutcome) -> dict:
 
 
 def compare_designs(scenario: Scenario, fixed_counts: dict[str, dict[int, int]],
-                    rel_gap: float = DEFAULT_REL_GAP) -> dict:
+                    rel_gap: float = DEFAULT_REL_GAP, out: str | Path | None = None) -> dict:
     """Co-design against ``fixed_counts`` at the scenario's alpha and slack: a
-    one-cell sweep over both designs, each validated before either is solved."""
+    one-cell sweep over both designs, each validated before either is solved.
+
+    With ``out``, the document is also written there; as in ``run_sweep``,
+    its directory is made once both variants pass and before either solve.
+    """
     spec = SweepSpec(
         alphas=[scenario.alpha],
         slack_minutes=[scenario.slack_blocks * scenario.time_grid.block_minutes],
         designs=[CODESIGN, FIXED_INFRASTRUCTURE], fixed_counts=fixed_counts,
         rel_gap=rel_gap)
     (_, codesign), (_, fixed) = spec.variants(scenario)
-    return pair_designs(solve_cell(codesign, spec), solve_cell(fixed, spec))
+    if out is not None:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+    doc = pair_designs(solve_cell(codesign, spec), solve_cell(fixed, spec))
+    if out is not None:
+        write_json(doc, out)
+    return doc

@@ -87,16 +87,13 @@ class VariableCatalog:
 @dataclass
 class BuildResult:
     """The model, its column map and the structural findings of the build:
-    an ``"error"`` finding proves the model infeasible, a ``"warning"``
-    only notes a leg without a charging window."""
+    an ``"error"`` finding names a leg no plan can reach, which explains an
+    INFEASIBLE verdict of the search; a ``"warning"`` only notes a leg
+    without a charging window."""
 
     model: LinearModel
     catalog: VariableCatalog
     diagnostics: list[ValidationIssue]
-
-    @property
-    def guaranteed_infeasible(self) -> bool:
-        return any(d.severity == "error" for d in self.diagnostics)
 
 
 def energy_consumption(leg: TripLeg, truck: Truck) -> float:
@@ -417,9 +414,10 @@ def _diagnostics(scenario: Scenario, table: _Table) -> list[ValidationIssue]:
     """Legs no plan can reach, then legs with an empty charging window.
 
     The reachability walk assumes unlimited chargers of the fastest usable
-    type throughout each window, so a negative state of energy proves the
-    model infeasible. A deficit at a leg with an empty window is the
-    classic no-window failure; with a window it is a plain shortfall.
+    type throughout each window, so a negative state of energy names a leg
+    no plan can reach; the search reports the verdict. A deficit at a leg
+    with an empty window is the classic no-window failure; with a window it
+    is a plain shortfall.
     """
     diagnostics: list[ValidationIssue] = []
     tau = scenario.time_grid.block_duration_hours

@@ -27,7 +27,7 @@ from .domain import (
     validate_scenario,
 )
 from .generator import generate_synthetic
-from .scenario_io import json_text, load_design, load_scenario, save_scenario, write_json
+from .scenario_io import json_text, load_design, load_scenario, save_scenario
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -202,15 +202,11 @@ def cmd_compare(args) -> int:
     policy = parse_policy(args.policy)
     fixed_counts = rule_based_design(scenario, policy)
     scenario = scenario_variant(scenario, CODESIGN, None, args.alpha, args.slack_min)
+    doc = compare_designs(scenario, fixed_counts, rel_gap=_rel_gap(args),
+                          out=args.out or None)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the solve
-    doc = compare_designs(scenario, fixed_counts, rel_gap=_rel_gap(args))
-    if args.out:
-        text = write_json(doc, args.out)
         print(f"wrote {Path(args.out)}")
-    else:
-        text = json_text(doc)
-    print(text)
+    print(json_text(doc))
     return _exit_code([doc["codesign"]["status"], doc["fixed"]["status"]])
 
 

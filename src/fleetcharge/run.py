@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .builder import BuildResult, build_problem
 from .domain import Scenario, ValidationIssue
-from .solver import (DEFAULT_REL_GAP, NumericalFailure, Solution, SolveStatus,
-                     branch_and_bound, check_limits)
+from .solver import DEFAULT_REL_GAP, NumericalFailure, Solution, branch_and_bound
 from .validator import PlanReport, decode_plan, replay
 
 __all__ = ["SolveOutcome", "solve_scenario", "PlanVerificationError", "INTERNAL_FAILURES"]
@@ -57,18 +56,11 @@ def solve_scenario(
     """Solve one scenario end to end; a plan that fails replay, or whose
     costs miss the objective by over 1e-9, raises PlanVerificationError.
 
-    Scenarios the structural scan proves unreachable short-circuit to
-    INFEASIBLE without a solver run; the diagnostics say why. A limit that
-    :func:`check_limits` rejects raises ValueError either way.
+    Every verdict, INFEASIBLE included, is the search's; the build's
+    diagnostics only explain it. A negative or non-finite gap or limit
+    raises :func:`branch_and_bound`'s ValueError.
     """
-    check_limits(rel_gap, node_limit, time_limit)
     build = build_problem(scenario, amortize_ratio=amortize_objective_ratio)
-    if build.guaranteed_infeasible:
-        return SolveOutcome(
-            solution=Solution(status=SolveStatus.INFEASIBLE),
-            build=build,
-            plan=None,
-        )
     solution = branch_and_bound(
         build.model,
         rel_gap_target=rel_gap,

@@ -543,18 +543,46 @@ class TestSolverInputClass:
 
 
 class TestDiagnostics:
-    def test_window_empty_guaranteed_infeasible(self):
+    """The reachability walk explains an infeasibility; the search decides it."""
+
+    @staticmethod
+    def assert_search_infeasible(outcome):
+        # The root LP proves it: one node, one LP, no plan.
+        solution = outcome.solution
+        assert solution.status == SolveStatus.INFEASIBLE
+        assert solution.stop_reason == "infeasible"
+        assert solution.node_count == 1
+        assert solution.counts["lp_solves"] == 1
+        assert outcome.plan is None
+
+    def test_window_empty_is_infeasible_in_search(self):
         # Depart at block 0 with an empty pack: no window can save the leg.
         truck = fc.Truck("T1", 150.0, 0.12, 10.0)
         leg = make_leg(dep_min=0, arr_min=60, km=50.0, tons=10.0)
         scenario = crafted([leg], (fc.ChargerType(1, 60.0, 20000.0, 0.98),), (truck,))
-        build = build_problem(scenario)
-        assert build.guaranteed_infeasible
-        assert any(d.code == "WindowEmpty" for d in build.diagnostics)
         outcome = fc.solve_scenario(scenario)
-        assert outcome.solution.status == SolveStatus.INFEASIBLE
+        assert any(d.code == "WindowEmpty" and d.severity == "error"
+                   for d in outcome.build.diagnostics)
+        self.assert_search_infeasible(outcome)
         with pytest.raises(ValueError, match="time_limit"):
             fc.solve_scenario(scenario, time_limit=float("nan"))
+
+    @pytest.mark.parametrize("fixture, last", [
+        ("depot_scenario", False), ("five_truck_scenario", True)],
+        ids=["depot-first-leg", "five-trucks-last-leg"])
+    def test_unreachable_leg_is_infeasible_at_the_root(self, fixture, last, request):
+        # A leg stretched 50x is one the walk cannot reach: the first leg of
+        # scenario.legs, or the last in (truck, day, leg) order.
+        base = request.getfixturevalue(fixture)
+        legs = list(base.legs)
+        i = max(range(len(legs)), key=lambda k: (
+            legs[k].truck_id, legs[k].day, legs[k].leg_index)) if last else 0
+        legs[i] = replace(legs[i], distance_km=legs[i].distance_km * 50)
+        outcome = fc.solve_scenario(fc.validate_scenario(replace(base, legs=tuple(legs))))
+        self.assert_search_infeasible(outcome)
+        name = f"truck {legs[i].truck_id} day {legs[i].day} leg {legs[i].leg_index}: "
+        assert [d.code for d in outcome.build.diagnostics
+                if d.severity == "error" and d.message.startswith(name)] == ["EnergyDeficit"]
 
     def test_energy_deficit_diagnostic(self):
         # A window exists but even flat-out charging cannot cover the leg.
@@ -569,7 +597,7 @@ class TestDiagnostics:
         tight = fc.validate_scenario(replace(remote_scenario, slack_blocks=0))
         build = build_problem(tight)
         empties = [d for d in build.diagnostics if d.code == "WindowEmpty"]
-        assert empties and not build.guaranteed_infeasible
+        assert empties and all(d.severity == "warning" for d in build.diagnostics)
 
 
 def csr_rows(model) -> list[tuple]:
@@ -740,6 +768,13 @@ class TestRowStore:
             model.add_row("bad", coeffs, sense, 1.0)
         assert self.row_lists(model) == before
         assert model.num_rows == 1
+
+    def test_crossed_column_bounds_are_rejected(self):
+        model = LinearModel()
+        with pytest.raises(ValueError) as err:
+            model.add_column("x[3]", lower=2.0, upper=1.0)
+        assert str(err.value) == "column x[3]: upper 1.0 < lower 2.0"
+        assert model.num_cols == 0
 
     def test_rows_view_rebuilds_each_row(self):
         model = LinearModel()

@@ -351,6 +351,24 @@ class TestSchemaCheck:
         else:
             assert expected == []
 
+    @pytest.mark.parametrize("schema, message", [
+        ({"type": "object", "properties": {"a": {}}, "additionalProperties": False},
+         "['b'] is not of type 'object'"),
+        ({"additionalProperties": False}, None),
+    ], ids=["typed", "untyped"])
+    def test_closed_object_schema_ignores_other_values(self, schema, message):
+        # additionalProperties constrains objects only: a list is reported
+        # for its type alone, or passes where no type is required.
+        expected = [error.message for error in
+                    jsonschema.Draft202012Validator(schema).iter_errors(["b"])]
+        assert expected == ([] if message is None else [message])
+        if message is None:
+            compile_schema(schema)(["b"])
+            return
+        with pytest.raises(SchemaError) as err:
+            compile_schema(schema)(["b"])
+        assert (err.value.path, err.value.message) == ((), message)
+
     def test_bundled_schemas_use_exactly_the_supported_keywords(self):
         used = set()
         for name in SCHEMA_NAMES:

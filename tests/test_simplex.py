@@ -380,6 +380,34 @@ class TestWarmStart:
         assert warm.status == SolveStatus.OPTIMAL
         assert warm.values.tolist() == [0.0, 1.0] and warm.objective == 1.0
 
+    def test_ill_conditioned_basis_falls_back_to_cold(self, monkeypatch):
+        """The 10 x 10 Hilbert rows, H x >= -1 over the unit box: the basis
+        of all ten columns inverts (condition about 1e13), but x_B misses
+        the residual check, so the warm start is refused and the solve
+        returns the cold optimum."""
+        k = 10
+        hilbert = [[1.0 / (i + j + 1) for j in range(k)] for i in range(k)]
+        assert np.linalg.cond(hilbert) > 1e12
+        prep = PreparedLP(simple_model(
+            [1.0] * k, [(0, 1)] * k,
+            [(list(enumerate(row)), GE, -1.0) for row in hilbert]))
+        cold = prep.solve()
+        refusals = []
+        load = simplex._SimplexState._load
+
+        def recorded(self, *args):
+            try:
+                return load(self, *args)
+            except simplex.NumericalFailure as exc:
+                refusals.append(str(exc))
+                raise
+        monkeypatch.setattr(simplex._SimplexState, "_load", recorded)
+        warm = prep.solve(basis=Basis(np.arange(k), np.zeros(prep.n_real, dtype=bool)))
+        assert refusals == ["warm-start basis is ill-conditioned"]
+        assert warm.status == cold.status == SolveStatus.OPTIMAL
+        assert np.array_equal(warm.values, cold.values)
+        assert warm.objective == cold.objective == 0.0
+
     def test_repeat_warm_solves_identical(self, depot_scenario):
         import fleetcharge as fc
 

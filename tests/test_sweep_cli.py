@@ -469,6 +469,18 @@ class TestCli:
             assert error["details"] == ["[SoeBelowZero] truck T1"]
         assert not (tmp_path / "o" / "plan.json").exists()
 
+    def test_other_runtime_error_propagates(self, monkeypatch, tmp_path, capsys):
+        # Only the internal failures become exit 4; any other RuntimeError
+        # is a bug in the front end and keeps its traceback.
+        def fail(*args, **kwargs):
+            raise RuntimeError("not an internal failure")
+        monkeypatch.setattr("fleetcharge.run.solve_scenario", fail)
+        with pytest.raises(RuntimeError) as err:
+            main(["solve", "--scenario", TWO_TRUCK, "--out", str(tmp_path / "o")])
+        assert type(err.value) is RuntimeError
+        assert str(err.value) == "not an internal failure"
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("exc, code", FAILURES)
     def test_sweep_internal_failure_exit_code(self, exc, code, monkeypatch, tmp_path):
         # One cell fails internally and one with a plain error (exit 1 on its
@@ -545,15 +557,21 @@ class TestCli:
         assert code == 2
         assert "DC/1" in self.config_error(capsys)
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--design", "fixed", "--fixed-file", "{design}", "--out", "{out}"],
-        ["sweep", "--alpha", "1", "--slack-min", "30", "--design", "codesign,fixed",
-         "--fixed-file", "{design}", "--out", "{out}"],
-        ["compare", "--policy", "explicit:{design}"],
-    ], ids=["solve", "sweep", "compare"])
-    def test_design_at_unknown_location_fails_before_any_solve(self, argv, tmp_path,
-                                                               monkeypatch, capsys):
-        # Each command checks its whole request before the first solve.
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--design", "fixed", "--fixed-file", "{design}", "--out", "{out}"],
+         "unknown location 'NOPE'"),
+        (["sweep", "--alpha", "1", "--slack-min", "30", "--design", "codesign,fixed",
+          "--fixed-file", "{design}", "--out", "{out}"], "unknown location 'NOPE'"),
+        (["compare", "--policy", "explicit:{design}", "--out", "{out}/c.json"],
+         "unknown location 'NOPE'"),
+        (["compare", "--policy", "main-depot-only:2:2", "--alpha", "-1",
+          "--out", "{out}/c.json"], "[NegativeQuantity] alpha"),
+    ], ids=["solve", "sweep", "compare", "compare-alpha"])
+    def test_design_at_unknown_location_fails_before_any_solve(self, argv, message,
+                                                               tmp_path, monkeypatch,
+                                                               capsys):
+        # Each command checks its whole request before the first solve, and
+        # before it makes an output directory.
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the design was checked")
         for module in ("fleetcharge.run", "fleetcharge.sweep"):
@@ -563,7 +581,7 @@ class TestCli:
         out = tmp_path / "o"
         argv = [arg.format(design=design, out=out) for arg in argv]
         assert main([argv[0], "--scenario", REMOTE, *argv[1:]]) == 2
-        assert "unknown location 'NOPE'" in self.config_error(capsys)
+        assert message in self.config_error(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -815,6 +833,34 @@ class TestCli:
         assert lines[-1] == (f"stop {solver['stop_reason']} nodes {solver['nodes']} "
                              f"incumbent {solver['objective']:.9g}")
         assert solver["stop_reason"] == "gap"
+
+    @pytest.mark.parametrize("flags, code, tail", [
+        (["--trace"], 1, ["node 0 depth 0 bound inf incumbent -",
+                          "stop infeasible nodes 1 incumbent -"]),
+        (["--trace", "--node-limit", "0"], 3, ["stop node_limit nodes 0 incumbent -"]),
+    ], ids=["proven", "node-limit-0"])
+    def test_unreachable_leg_goes_through_the_search(self, flags, code, tail,
+                                                     tmp_path, capsys):
+        """The depot fixture with its first leg 50x longer: the note names
+        the leg, and the verdict is the search's. The root LP proves it
+        infeasible, and a node limit of 0 stops before the root."""
+        scenario = fc.load_scenario(FIXTURES / "depot_fixture.json")
+        legs = list(scenario.legs)
+        legs[0] = replace(legs[0], distance_km=legs[0].distance_km * 50)
+        path = tmp_path / "unreachable.json"
+        fc.save_scenario(replace(scenario, legs=tuple(legs)), path)
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", str(path), *flags, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "note: [EnergyDeficit] truck T01 day 0 leg 1: needs 4796.914 kWh but "
+            "at most 150.000 kWh is reachable"]
+        error = json.loads(captured.err)["error"]
+        assert (error["code"], error["message"]) == (
+            ("Infeasible", "solver status: infeasible") if code == 1
+            else ("NoIncumbent", "solver status: feasible"))
+        assert (out / "solver_trace.log").read_text().splitlines() == tail
+        assert not (out / "plan.json").exists()
 
 
 def stray_event_decoder(monkeypatch):
