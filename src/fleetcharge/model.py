@@ -10,15 +10,15 @@ column adds up), the relation ``senses[i]`` and the right-hand side
 A model is append-only: ``add_column`` sets a column's bounds and cost
 once, ``add_row`` appends a row, and nothing changes either afterwards.
 The builder appends them in a deterministic order, so two builds of the
-same scenario are identical.
+same scenario are identical. The model does no arithmetic, so building
+one imports no numpy: the solver's ``PreparedLP`` reads it once into
+arrays and prices its own solutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = ["LE", "GE", "EQ", "Row", "LinearModel"]
 
@@ -114,16 +114,6 @@ class LinearModel:
         self.senses.append(sense)
         self.rhs.append(float(rhs))
         return len(self.row_names) - 1
-
-    def objective_value(self, values) -> float:
-        """The offset plus each priced term c_j x_j, added left to right
-        (``np.add.accumulate`` sums in order, unlike ``np.sum``)."""
-        c = np.asarray(self.objective, dtype=float)
-        priced = np.flatnonzero(c)
-        terms = np.empty(priced.size + 1)
-        terms[0] = self.objective_offset
-        terms[1:] = c[priced] * np.asarray(values, dtype=float)[priced]
-        return float(np.add.accumulate(terms)[-1])
 
     def to_lp_format(self) -> str:
         """Human-readable LP interchange text for external cross-checking."""

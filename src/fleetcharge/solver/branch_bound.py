@@ -155,9 +155,7 @@ def branch_and_bound(
             **stats,
         )
 
-    lower = np.asarray(model.lower, dtype=float)
-    upper = np.asarray(model.upper, dtype=float)
-    heapq.heappush(heap, (0.0, 0, -math.inf, lower, upper, 0, None))
+    heapq.heappush(heap, (0.0, 0, -math.inf, prep.lower, prep.upper, 0, None))
     factor = None  # the last LP's factor, for a node that dives from it
 
     while heap:

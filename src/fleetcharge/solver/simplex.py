@@ -116,19 +116,22 @@ REFACTOR_EVERY = 96
 
 
 class PreparedLP:
-    """A model converted once to arrays, solvable under many bounds.
+    """A snapshot of a model as arrays, solvable under many bounds.
 
-    Holds the row-scaled m x n structural matrix A once, as flat CSC
-    arrays built from the model's CSR rows: column j's entries are
-    ``col_start[j]:col_start[j + 1]`` of ``col_rows`` (ascending),
-    ``col_vals`` and ``col_of`` (j itself). Row i's entries are the CSC
-    positions ``row_entry[row_start[i]:row_start[i + 1]]``, so the
-    row-wise index owns no second copy of A. Slack columns are the
-    implicit identity after A. It also holds the scaled right-hand side,
-    the slack bounds that encode the row senses and the scaled costs over
-    all n + m columns. :meth:`times` and :meth:`row_times` are the passes
-    over A's stored entries that a pivot makes; only a refactorization
-    makes another.
+    Reads the model once and keeps no reference to it, so a later change
+    to the model changes no solve. Holds the row-scaled m x n structural
+    matrix A once, as flat CSC arrays built from the model's CSR rows:
+    column j's entries are ``col_start[j]:col_start[j + 1]`` of
+    ``col_rows`` (ascending), ``col_vals`` and ``col_of`` (j itself). Row
+    i's entries are the CSC positions ``row_entry[row_start[i]:row_start[i
+    + 1]]``, so the row-wise index owns no second copy of A. Slack columns
+    are the implicit identity after A. It also holds the scaled right-hand
+    side, the slack bounds that encode the row senses, the scaled costs
+    over all n + m columns and, read-only, the structural ``lower`` and
+    ``upper`` bounds, the ``col_names``, the unscaled ``cost``, its
+    ``priced`` columns and the ``objective_offset``. :meth:`times` and
+    :meth:`row_times` are the passes over A's stored entries that a pivot
+    makes; only a refactorization makes another.
 
     Branch-and-bound reuses a single instance across nodes, passing per-node
     structural bounds, the parent's basis and the last solve's factor to
@@ -141,9 +144,14 @@ class PreparedLP:
     """
 
     def __init__(self, model: LinearModel):
-        c = np.asarray(model.objective, dtype=float)
-        _check_input_class(model, c, model.lower, model.upper)
-        self.model = model
+        self.col_names = tuple(model.col_names)
+        self.cost, self.lower, self.upper = (np.array(values, dtype=float) for values in
+                                             (model.objective, model.lower, model.upper))
+        _check_input_class(self.col_names, self.cost, self.lower, self.upper)
+        self.priced = np.flatnonzero(self.cost)
+        for array in (self.cost, self.lower, self.upper, self.priced):
+            array.flags.writeable = False
+        self.objective_offset = float(model.objective_offset)
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
 
@@ -166,7 +174,7 @@ class PreparedLP:
         row_scale[row_scale == 0] = 1.0
         self.b = np.array(model.rhs, dtype=float) / row_scale
 
-        self.cost_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+        self.cost_scale = max(1.0, float(np.abs(self.cost).max(initial=0.0)))
 
         # Columns: structural then one slack per row.
         self.n_real = n + m
@@ -177,11 +185,11 @@ class PreparedLP:
         self.row_start = np.zeros(m + 1, dtype=int)
         np.cumsum(np.bincount(self.col_rows, minlength=m), out=self.row_start[1:])
         self.c_real = np.zeros(self.n_real)
-        self.c_real[:n] = c / self.cost_scale
+        self.c_real[:n] = self.cost / self.cost_scale
 
     def solve(self, lower=None, upper=None, basis: Basis | None = None,
               factor: Factor | None = None) -> Solution:
-        """Solve min c'x under the given structural bounds (default: model's).
+        """Solve min c'x under the given structural bounds (default: the model's).
 
         ``basis``, the ``Solution.basis`` of an earlier solve of this LP,
         starts the dual simplex from it; an unusable basis falls back to
@@ -201,9 +209,9 @@ class PreparedLP:
         refactorizations the solve made, a failed warm start's included.
         """
         n = self.n
-        lo = np.asarray(self.model.lower if lower is None else lower, dtype=float)
-        hi = np.asarray(self.model.upper if upper is None else upper, dtype=float)
-        _check_input_class(self.model, self.c_real[:n], lo, hi)
+        lo = self.lower if lower is None else np.asarray(lower, dtype=float)
+        hi = self.upper if upper is None else np.asarray(upper, dtype=float)
+        _check_input_class(self.col_names, self.cost, lo, hi)
         handed = (basis is not None and factor is not None and factor.basis is basis
                   and factor.prep is self)
         # The states add their pivots and refactorizations.
@@ -230,7 +238,9 @@ class PreparedLP:
 
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
-        objective = self.model.objective_value(x)
+        # The offset, then each priced c_j x_j, added left to right (unlike np.sum).
+        objective = float(np.add.accumulate(np.concatenate(
+            [[self.objective_offset], self.cost[self.priced] * x[self.priced]]))[-1])
         state.factor.basis = Basis(state.basis, state.direction < 0)
         return Solution(
             status=SolveStatus.OPTIMAL,
@@ -256,20 +266,20 @@ class PreparedLP:
         return np.concatenate([vA, v])
 
 
-def _check_input_class(model: LinearModel, c: np.ndarray, lower, upper) -> None:
-    """Raise ValueError naming the first column under ``lower``/``upper``
-    that has no finite bound, or whose cost, of the sign of ``c``, has no
-    finite bound on its side."""
+def _check_input_class(names, cost: np.ndarray, lower, upper) -> None:
+    """Raise ValueError naming (from ``names``) the first column under
+    ``lower``/``upper`` that has no finite bound, or whose ``cost`` has no
+    finite bound on the side it favours."""
     lo_ok, hi_ok = np.isfinite(lower), np.isfinite(upper)
-    uncapped = ((c > 0) & ~lo_ok) | ((c < 0) & ~hi_ok)
+    uncapped = ((cost > 0) & ~lo_ok) | ((cost < 0) & ~hi_ok)
     outside = uncapped | ~(lo_ok | hi_ok)
     if outside.any():
         j = int(np.argmax(outside))
         if not uncapped[j]:
-            raise ValueError(f"column {model.col_names[j]} has no finite bound")
-        side = "lower" if c[j] > 0 else "upper"
-        raise ValueError(f"column {model.col_names[j]} has cost "
-                         f"{model.objective[j]:g} and no finite {side} bound")
+            raise ValueError(f"column {names[j]} has no finite bound")
+        side = "lower" if cost[j] > 0 else "upper"
+        raise ValueError(f"column {names[j]} has cost "
+                         f"{cost[j]:g} and no finite {side} bound")
 
 
 class _SimplexState:

@@ -37,6 +37,11 @@ class TestPolicies:
         counts = rule_based_design(scenario, MainDepotOnly(1, 2))
         assert counts == {locations[0]: {2: 1}}
 
+    def test_unknown_policy_object_rejected(self, depot_scenario):
+        policy = object()
+        with pytest.raises(TypeError, match=rf"^unknown policy object {re.escape(repr(policy))}$"):
+            rule_based_design(depot_scenario, policy)
+
     def test_negative_count_rejected(self, depot_scenario):
         with pytest.raises(ValueError):
             rule_based_design(depot_scenario, MainDepotOnly(-1, 2))

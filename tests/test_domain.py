@@ -67,6 +67,25 @@ def make_leg(truck="T1", day=0, index=1, origin="DC", dest="R1",
     )
 
 
+class TestLookups:
+    """Scenario.truck, charger and charger_index find an id, and raise
+    KeyError of an id the scenario does not hold."""
+
+    SCENARIO = minimal_scenario(chargers=(CHARGER_1, CHARGER_2))
+
+    @pytest.mark.parametrize("lookup, known, found, unknown", [
+        ("truck", "T1", SCENARIO.trucks[0], "T9"),
+        ("charger", 2, CHARGER_2, 3),
+        ("charger_index", 2, 1, 3),
+    ])
+    def test_known_and_unknown_ids(self, lookup, known, found, unknown):
+        method = getattr(self.SCENARIO, lookup)
+        assert method(known) == found
+        with pytest.raises(KeyError) as raised:
+            method(unknown)
+        assert raised.value.args == (unknown,)
+
+
 class TestTimeGrid:
     def test_derived_fields(self):
         grid = TimeGrid(15, 2)

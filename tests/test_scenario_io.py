@@ -623,6 +623,18 @@ class TestImports:
             "assert not loaded, sorted(loaded)\n")
         assert result.returncode == 0, result.stderr
 
+    def test_building_a_model_leaves_numpy_and_the_solver_out(self):
+        """A model is plain data: building one and writing its LP text
+        import no numpy, no solver and no csv."""
+        result = run_fresh(
+            "import sys\n"
+            "import fleetcharge as fc\n"
+            f"s = fc.load_scenario({str(FIXTURES / 'depot_fixture.json')!r})\n"
+            "assert fc.build_problem(s).model.to_lp_format().endswith('End\\n')\n"
+            "loaded = {'csv', 'numpy', 'fleetcharge.solver'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n")
+        assert result.returncode == 0, result.stderr
+
     def test_validate_and_generate_commands_leave_numpy_and_the_solver_out(self, tmp_path):
         """Only the solving subcommands import numpy, the solver and csv."""
         result = run_fresh(

@@ -510,8 +510,10 @@ class TestFactorHandOff:
         assert np.array_equal(warm.values, rebuilt.values)
 
     def test_factor_of_another_lp_is_ignored(self, depot_scenario):
+        import fleetcharge as fc
+
         prep, root, lower, upper = depot_child(depot_scenario)
-        twin = PreparedLP(prep.model)
+        twin = PreparedLP(fc.build_problem(depot_scenario).model)
         warm = twin.solve(lower, upper, root.basis, root.factor)
         assert warm.counts["factor_handoffs"] == 0 and root.factor.basis is root.basis
         assert np.array_equal(warm.values, prep.solve(lower, upper, root.basis).values)
@@ -630,24 +632,53 @@ class TestLoopState:
         assert child.factor is factor and "_refactor" not in calls  # taken over
         assert states and all(state is states[0] for state in states)
 
-    def test_objective_value_equals_loop(self, depot_scenario, two_truck_scenario,
-                                         remote_scenario):
+    def test_reported_objective_equals_loop(self, depot_scenario, two_truck_scenario,
+                                            remote_scenario):
         import fleetcharge as fc
 
-        rng = np.random.default_rng(7)
         for scenario in (depot_scenario, two_truck_scenario, remote_scenario):
             model = fc.build_problem(scenario).model
-            values = PreparedLP(model).solve().values
-            assert model.objective_value(values) == objective_by_loop(model, values)
-            noise = values + rng.normal(scale=100.0, size=values.size)
-            assert model.objective_value(noise) == objective_by_loop(model, noise)
+            for solution in (PreparedLP(model).solve(), branch_and_bound(model)):
+                assert solution.objective == objective_by_loop(model, solution.values)
 
-    def test_objective_value_with_offset_and_zero_costs(self):
+    def test_reported_objective_with_offset_and_zero_costs(self):
         model = simple_model([0.0, 0.1, 0.0, -0.7, 1e16], [(0, 1)] * 5, [])
         model.objective_offset = 0.3
-        values = [INF, 0.2, math.nan, 3.0, 1.0]  # unpriced columns are skipped
-        assert model.objective_value(values) == objective_by_loop(model, values)
-        assert model.objective_value([0.0] * 5) == 0.3
+        prep = PreparedLP(model)
+        point = np.array([0.5, 0.2, 1.0, 1.0, 1.0])
+        solution = prep.solve(point, point)
+        assert solution.objective == objective_by_loop(model, point)
+        assert prep.solve(np.zeros(5), np.zeros(5)).objective == 0.3
+
+
+class TestSnapshot:
+    """A prepared LP reads its model once: a later change to the model
+    changes no solve, and the instance keeps no reference to it."""
+
+    @pytest.mark.parametrize("change", ["append-column", "offset"])
+    def test_later_model_changes_leave_solves_alone(self, depot_scenario, change):
+        import fleetcharge as fc
+
+        model = fc.build_problem(depot_scenario).model
+        prep = PreparedLP(model)
+        before = prep.solve()
+        if change == "append-column":
+            model.add_column("late", 0.0, 1.0, objective=5.0)
+        else:
+            model.objective_offset = 10.0
+        after = prep.solve()
+        assert after.status == before.status == SolveStatus.OPTIMAL
+        assert after.objective == before.objective
+        assert np.array_equal(after.values, before.values)
+        assert not any(isinstance(value, LinearModel) for value in vars(prep).values())
+
+    def test_held_arrays_are_read_only(self, depot_scenario):
+        import fleetcharge as fc
+
+        prep = PreparedLP(fc.build_problem(depot_scenario).model)
+        for array in (prep.lower, prep.upper, prep.cost, prep.priced):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 class TestSetUp:

@@ -900,18 +900,27 @@ def failing_recheck(monkeypatch):
 
 
 def vanishing_pivot(monkeypatch):
-    """Make the dual loop raise its own ``NumericalFailure("vanishing pivot
-    element")`` at every pivot after the first of the process, so each
-    cell's cold root LP fails inside the real simplex."""
-    pivot, calls = simplex._SimplexState._pivot, []
+    """Shrink every FTRAN 1e12-fold, so the real dual loop raises its own
+    ``NumericalFailure("vanishing pivot element")`` at the first pivot of
+    each cell's cold root LP (from the slack basis of a row-scaled LP, a
+    pivot element is at most 1)."""
+    ftran = simplex.Factor.ftran
+    monkeypatch.setattr(simplex.Factor, "ftran",
+                        lambda factor, j, basic: ftran(factor, j, basic) * 1e-12)
 
-    def failing_pivot(self, *args, **kwargs):
-        calls.append(1)
-        if len(calls) > 1:
-            raise NumericalFailure("vanishing pivot element")
-        return pivot(self, *args, **kwargs)
 
-    monkeypatch.setattr(simplex._SimplexState, "_pivot", failing_pivot)
+def stalled_pivot(monkeypatch) -> list[int]:
+    """Make each pivot only rebuild x_B from the unchanged basis, so the
+    real dual loop runs into its iteration cap; returns the list of the
+    stalled LPs' column counts n + m, one per pivot."""
+    sizes = []
+
+    def stalled(state, *args, **kwargs):
+        sizes.append(state.n_real)
+        state._refactor()
+
+    monkeypatch.setattr(simplex._SimplexState, "_pivot", stalled)
+    return sizes
 
 
 class TestInternalFailuresThroughThePipeline:
@@ -954,3 +963,20 @@ class TestInternalFailuresThroughThePipeline:
             assert [c["status"] for c in summary["cells"]] == ["error", "error"]
             assert {c["error_class"] for c in summary["failures"]} == {
                 "PlanVerificationError" if detail else "NumericalFailure"}
+
+    def test_iteration_cap(self, two_truck_scenario, monkeypatch, tmp_path, capsys):
+        """The dual loop's iteration cap, max(1000, 3 (n + m)), leaves
+        ``solve_scenario`` as NumericalFailure and ``solve`` with exit 4."""
+        sizes = stalled_pivot(monkeypatch)
+        with pytest.raises(NumericalFailure) as raised:
+            fc.solve_scenario(two_truck_scenario)
+        cap = max(1000, 3 * sizes[0])
+        assert len(sizes) == cap
+        assert str(raised.value) == f"dual simplex exceeded {cap} iterations without converging"
+        sizes.clear()
+        assert main(["solve", "--scenario", TWO_TRUCK, "--out", str(tmp_path / "o")]) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "SolverFailure"
+        assert error["message"] == (f"dual simplex exceeded {max(1000, 3 * sizes[0])} "
+                                    "iterations without converging")
+        assert not (tmp_path / "o" / "plan.json").exists()
