@@ -15,9 +15,9 @@ _EXPORTS = {
     "baseline": ("ExplicitDesign", "MainDepotOnly", "PeakDemandCover",
                  "compare_designs", "parse_policy", "rule_based_design"),
     "builder": ("BuildResult", "VariableCatalog", "build_problem", "energy_consumption"),
-    "domain": ("CODESIGN", "FIXED_INFRASTRUCTURE", "ChargerType", "PriceSchedule",
-               "Scenario", "ScenarioValidationError", "TimeGrid", "TripLeg", "Truck",
-               "charging_windows", "scenario_issues", "tours", "validate_scenario"),
+    "domain": ("CODESIGN", "FIXED_INFRASTRUCTURE", "ChargerType", "PriceSchedule", "Scenario",
+               "ScenarioValidationError", "TimeGrid", "TripLeg", "Truck", "charging_windows",
+               "default_amortize_ratio", "scenario_issues", "tours", "validate_scenario"),
     "generator": ("default_charger_catalog", "generate_synthetic"),
     "model": ("LinearModel",),
     "run": ("SolveOutcome", "solve_scenario"),
@@ -25,7 +25,7 @@ _EXPORTS = {
                     "scenario_to_dict"),
     "schema_check": ("SchemaError",),
     "solver": ("Solution", "SolveStatus", "branch_and_bound"),
-    "sweep": ("SweepSpec", "default_amortize_ratio", "run_sweep"),
+    "sweep": ("SweepSpec", "run_sweep"),
     "validator": ("CostBreakdown", "PlanReport", "decode_plan", "location_peaks_kw",
                   "recompute_costs", "replay"),
 }

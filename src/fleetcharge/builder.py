@@ -37,6 +37,7 @@ from .domain import (
     Truck,
     ValidationIssue,
     charging_windows,
+    default_amortize_ratio,
     tours,
 )
 from .model import EQ, GE, INF, LE, LinearModel
@@ -158,7 +159,7 @@ def _all_legs(table: _Table):
 
 def _add_columns(
     model: LinearModel, scenario: Scenario, cat: VariableCatalog,
-    table: _Table, strengthen: bool, amortize_ratio: float | None,
+    table: _Table, strengthen: bool, amortize: bool,
 ) -> None:
     """Every column, priced as it is made: energy purchase cost + charger
     capital + weighted peak cost.
@@ -166,15 +167,15 @@ def _add_columns(
     A Y column pays for the grid energy of one block, rated power over
     efficiency at the charger's price in that block. Capital is priced on
     the count columns in both designs, so a fixed design's objective
-    carries its capital as priced terms too. ``amortize_ratio`` optionally
-    scales capital costs inside the objective (reporting always amortizes
-    separately). C_peak is weighted by alpha; every other column is free.
+    carries its capital as priced terms too. ``amortize`` scales capital by
+    ``default_amortize_ratio`` (reporting always amortizes separately).
+    C_peak is weighted by alpha; every other column is free.
     """
     grid = scenario.time_grid
     beta = scenario.slack_blocks
     tau = grid.block_duration_hours
     prices = scenario.price_schedule.energy_price_per_kwh
-    ratio = 1.0 if amortize_ratio is None else amortize_ratio
+    ratio = default_amortize_ratio(scenario) if amortize else 1.0
 
     # Charger-count columns come first: when the branching rule ties on
     # fractionality, the low index steers it toward the design decisions,
@@ -449,11 +450,11 @@ def _diagnostics(scenario: Scenario, table: _Table) -> list[ValidationIssue]:
 
 
 def build_problem(
-    scenario: Scenario, amortize_ratio: float | None = None,
-    strengthen: bool = True,
+    scenario: Scenario, amortize: bool = False, strengthen: bool = True,
 ) -> BuildResult:
     """Compose the full model; pure function of the scenario.
 
+    ``amortize=True`` prices capital at its ``default_amortize_ratio`` share.
     ``strengthen=True`` (default) adds redundant-for-integers rows and
     integer bookkeeping columns (per-location charger totals, per-tour
     block counts, counting and capacity rows) that tighten the relaxation;
@@ -463,7 +464,7 @@ def build_problem(
     model = LinearModel()
     cat = VariableCatalog()
     table = _leg_table(scenario, charging_windows(scenario))
-    _add_columns(model, scenario, cat, table, strengthen, amortize_ratio)
+    _add_columns(model, scenario, cat, table, strengthen, amortize)
     _add_leg_and_location_rows(model, scenario, cat, table)
     if strengthen:
         _add_strengthening_rows(model, scenario, cat, table)

@@ -123,7 +123,6 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     from .run import solve_scenario
     from .solver import SolveStatus
-    from .sweep import default_amortize_ratio
     from .validator import write_plan_json, write_power_curves_csv
 
     scenario = load_scenario(args.scenario)
@@ -134,16 +133,10 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # before the solve
 
-    ratio = default_amortize_ratio(scenario)
     trace: list[str] | None = [] if args.trace else None
-    outcome = solve_scenario(
-        scenario,
-        rel_gap=_rel_gap(args),
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        amortize_objective_ratio=ratio if args.amortize_objective else None,
-        trace=trace,
-    )
+    outcome = solve_scenario(scenario, rel_gap=_rel_gap(args), node_limit=args.node_limit,
+                             time_limit=args.time_limit,
+                             amortize_objective=args.amortize_objective, trace=trace)
 
     if trace is not None:
         (out_dir / "solver_trace.log").write_text("\n".join(trace) + "\n")
@@ -158,7 +151,7 @@ def cmd_solve(args) -> int:
                       else "NoIncumbent", f"solver status: {status.value}")
         return _exit_code([status.value])
 
-    write_plan_json(outcome.plan, out_dir / "plan.json", amortize_ratio=ratio)
+    write_plan_json(outcome.plan, out_dir / "plan.json")
     write_power_curves_csv(scenario, outcome.plan, out_dir / "power_curves.csv")
     costs = outcome.plan.costs
     print(f"status={status.value} "

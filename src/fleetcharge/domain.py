@@ -29,6 +29,7 @@ __all__ = [
     "Scenario",
     "ValidationIssue",
     "ScenarioValidationError",
+    "default_amortize_ratio",
     "scenario_issues",
     "validate_scenario",
     "scenario_variant",
@@ -50,6 +51,8 @@ TIME_ORDER = "TimeOrder"
 BATTERY_RANGE = "BatteryRange"
 DUPLICATE_ID = "DuplicateId"
 EMPTY_WINDOW = "EmptyWindow"  # warning, not an error
+
+SERVICE_YEARS = 10.0  # charger service life that capital is prorated over
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,6 +241,11 @@ class Scenario:
         if self.fixed_counts is None:
             return 0
         return int(self.fixed_counts.get(location_id, {}).get(type_id, 0))
+
+
+def default_amortize_ratio(scenario: Scenario) -> float:
+    """Reporting convention: capital prorated to the analysis period."""
+    return scenario.time_grid.num_days / (SERVICE_YEARS * 365.0)
 
 
 def tours(scenario: Scenario) -> dict[tuple[str, int], list[TripLeg]]:

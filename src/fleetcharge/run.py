@@ -50,17 +50,19 @@ def solve_scenario(
     rel_gap: float = DEFAULT_REL_GAP,
     node_limit: int | None = None,
     time_limit: float | None = None,
-    amortize_objective_ratio: float | None = None,
+    amortize_objective: bool = False,
     trace: list[str] | None = None,
 ) -> SolveOutcome:
     """Solve one scenario end to end; a plan that fails replay, or whose
     costs miss the objective by over 1e-9, raises PlanVerificationError.
+    With ``amortize_objective``, capital enters the objective at the
+    scenario's amortized share, and the plan's costs are checked at it.
 
     Every verdict, INFEASIBLE included, is the search's; the build's
     diagnostics only explain it. A negative or non-finite gap or limit
     raises :func:`branch_and_bound`'s ValueError.
     """
-    build = build_problem(scenario, amortize_ratio=amortize_objective_ratio)
+    build = build_problem(scenario, amortize=amortize_objective)
     solution = branch_and_bound(
         build.model,
         rel_gap_target=rel_gap,
@@ -73,8 +75,8 @@ def solve_scenario(
 
     plan = decode_plan(scenario, build.catalog, solution)
     violations = replay(scenario, plan)
-    costs = plan.costs if amortize_objective_ratio is None \
-        else plan.costs.amortized(amortize_objective_ratio)
+    costs = plan.costs.amortized(plan.amortize_ratio) if amortize_objective \
+        else plan.costs
     if not math.isclose(costs.total, solution.objective, rel_tol=1e-9, abs_tol=1e-9):
         violations.append(ValidationIssue("CostMismatch", f"plan costs {costs.total!r}, "
                                           f"objective {solution.objective!r}"))

@@ -17,22 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Scenario, scenario_variant, validate_scenario
+from .domain import Scenario, default_amortize_ratio, scenario_variant, validate_scenario
 from .run import INTERNAL_FAILURES, SolveOutcome, solve_scenario
 from .scenario_io import write_csv, write_json
 from .solver import DEFAULT_REL_GAP, check_limits
 from .validator import location_total_kw, write_plan_json
 
-__all__ = ["SweepSpec", "SweepCell", "solve_cell", "run_sweep",
-           "default_amortize_ratio"]
+__all__ = ["SweepSpec", "SweepCell", "solve_cell", "run_sweep"]
 
 SMOOTH_WINDOW = 4  # centered moving average width, in blocks
-SERVICE_YEARS = 10.0  # charger service life that capital is prorated over
-
-
-def default_amortize_ratio(scenario: Scenario) -> float:
-    """Reporting convention: capital prorated to the analysis period."""
-    return scenario.time_grid.num_days / (SERVICE_YEARS * 365.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +162,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> dict:
 
         plan = outcome.plan
         plan_path = out_dir / f"plan_{cell.tag()}.json"
-        write_plan_json(plan, plan_path, amortize_ratio=ratio)
+        write_plan_json(plan, plan_path)
         entry["plan"] = plan_path.name
         summary["cells"].append(entry)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .builder import VariableCatalog
 from .domain import (FIXED_INFRASTRUCTURE, Scenario, ValidationIssue, charging_windows,
-                     tours)
+                     default_amortize_ratio, tours)
 from .scenario_io import design_counts_doc, write_csv, write_json
 from .solver import Solution
 
@@ -85,11 +85,13 @@ class CostBreakdown:
 
 @dataclass
 class PlanReport:
-    """A decoded solution in operational terms."""
+    """A decoded solution in operational terms, with the scenario's alpha,
+    slack and capital share (``amortize_ratio``, its ``default_amortize_ratio``)."""
 
     design_mode: str
     alpha: float
     slack_blocks: int
+    amortize_ratio: float
     charger_counts: dict[str, dict[int, int]]
     events: tuple[ChargeEvent, ...]
     departures: tuple[LegDeparture, ...]
@@ -155,6 +157,7 @@ def decode_plan(
         design_mode=scenario.design_mode,
         alpha=scenario.alpha,
         slack_blocks=scenario.slack_blocks,
+        amortize_ratio=default_amortize_ratio(scenario),
         charger_counts=counts,
         events=tuple(events),
         departures=tuple(departures),
@@ -375,7 +378,9 @@ def location_peaks_kw(scenario: Scenario, plan: PlanReport) -> dict[str, float]:
             for loc in scenario.location_ids}
 
 
-def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
+def plan_to_dict(plan: PlanReport) -> dict:
+    """The ``plan.json`` document, its costs also amortized at ``plan.amortize_ratio``."""
+    amortized = plan.costs.amortized(plan.amortize_ratio)
     doc = {
         "design_mode": plan.design_mode,
         "alpha": plan.alpha,
@@ -404,6 +409,9 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
             for d in plan.departures
         ],
         "costs": asdict(plan.costs),
+        "costs_amortized": {
+            "infrastructure": amortized.infrastructure, "total": amortized.total,
+            "amortization_ratio": plan.amortize_ratio},
         "power_curves": {
             loc: {
                 "by_type": {
@@ -417,19 +425,12 @@ def plan_to_dict(plan: PlanReport, amortize_ratio: float | None = None) -> dict:
     }
     if plan.scenario_name:
         doc["scenario_name"] = plan.scenario_name
-    if amortize_ratio is not None:
-        amortized = plan.costs.amortized(amortize_ratio)
-        doc["costs_amortized"] = {
-            "infrastructure": amortized.infrastructure,
-            "total": amortized.total,
-            "amortization_ratio": amortize_ratio,
-        }
     return doc
 
 
-def write_plan_json(plan: PlanReport, path: str | Path,
-                    amortize_ratio: float | None = None) -> None:
-    write_json(plan_to_dict(plan, amortize_ratio), path)
+def write_plan_json(plan: PlanReport, path: str | Path) -> None:
+    """Write :func:`plan_to_dict`'s document to ``path``."""
+    write_json(plan_to_dict(plan), path)
 
 
 def write_power_curves_csv(scenario: Scenario, plan: PlanReport,

@@ -7,7 +7,6 @@ cached per (alpha, slack, design) for the whole session.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_threads] = "1"
 
 import fleetcharge as fc  # noqa: E402
+from fleetcharge.domain import scenario_variant  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,15 +50,12 @@ class SolveLab:
 
     def variant(self, alpha=None, slack_blocks=None, design=None,
                 fixed_counts=None) -> fc.Scenario:
-        updates = {}
-        if alpha is not None:
-            updates["alpha"] = alpha
-        if slack_blocks is not None:
-            updates["slack_blocks"] = slack_blocks
-        if design is not None:
-            updates["design_mode"] = design
-            updates["fixed_counts"] = fixed_counts
-        return fc.validate_scenario(replace(self.scenario, **updates))
+        """The validated ``scenario_variant``; no design keeps the scenario's."""
+        base = self.scenario
+        if design is None:
+            design, fixed_counts = base.design_mode, base.fixed_counts
+        slack = None if slack_blocks is None else slack_blocks * base.time_grid.block_minutes
+        return fc.validate_scenario(scenario_variant(base, design, fixed_counts, alpha, slack))
 
     def solve(self, alpha=None, slack_blocks=None, design=None,
               fixed_counts=None, rel_gap=REL_GAP) -> fc.SolveOutcome:

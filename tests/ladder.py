@@ -36,7 +36,7 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,15 +55,17 @@ class Rung:
 
     def scenario(self):
         import fleetcharge as fc
+        from fleetcharge.domain import scenario_variant
 
         base = (fc.load_scenario(DEPOT_FIXTURE) if self.trucks is None
                 else fc.generate_synthetic(1, n_trucks=self.trucks))
+        design, counts = base.design_mode, base.fixed_counts
         if self.fixed:
+            design = fc.FIXED_INFRASTRUCTURE
             counts = fc.rule_based_design(base, fc.PeakDemandCover(2))
-            base = replace(base, design_mode=fc.FIXED_INFRASTRUCTURE, fixed_counts=counts)
-        if self.slack_blocks is not None:
-            base = replace(base, slack_blocks=self.slack_blocks)
-        return fc.validate_scenario(base)
+        slack = (None if self.slack_blocks is None
+                 else self.slack_blocks * base.time_grid.block_minutes)
+        return fc.validate_scenario(scenario_variant(base, design, counts, slack_minutes=slack))
 
 
 RUNGS = {

@@ -137,7 +137,7 @@ def test_criterion_6_alpha_trends(depot_lab):
        f"installed kW {installed}")
 
 
-def test_criterion_3_epigraph_tightness(depot_scenario, depot_lab):
+def test_criterion_3_epigraph_tightness(depot_lab):
     """Peak epigraph equals the literal max-over-blocks at every optimum."""
     checked = 0
     for outcome in list(depot_lab.cache.values()):
@@ -146,13 +146,11 @@ def test_criterion_3_epigraph_tightness(depot_scenario, depot_lab):
         scenario_alpha = outcome.plan.alpha
         if scenario_alpha <= 0:
             continue
-        variant = depot_lab.variant(
-            alpha=outcome.plan.alpha, slack_blocks=outcome.plan.slack_blocks,
-            design=outcome.plan.design_mode,
-            fixed_counts=None if outcome.plan.design_mode == fc.CODESIGN
-            else depot_scenario.fixed_counts)
         if outcome.plan.design_mode != fc.CODESIGN:
             continue  # epigraph columns exist in both; codesign cells suffice
+        variant = depot_lab.variant(
+            alpha=outcome.plan.alpha, slack_blocks=outcome.plan.slack_blocks,
+            design=fc.CODESIGN)
         peaks = fc.location_peaks_kw(variant, outcome.plan)
         values = outcome.solution.values
         price = variant.price_schedule.peak_price_per_kw

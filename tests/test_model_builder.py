@@ -17,7 +17,6 @@ from fleetcharge.builder import build_problem, energy_consumption
 from fleetcharge.domain import scenario_variant
 from fleetcharge.model import EQ, GE, LE, LinearModel, Row
 from fleetcharge.solver import PreparedLP, SolveStatus, branch_and_bound
-from fleetcharge.sweep import default_amortize_ratio
 
 from oracles import brute_force_enumerate, objective_breakdown
 from test_domain import make_leg, minimal_scenario
@@ -536,8 +535,7 @@ class TestSolverInputClass:
             base, fc.MainDepotOnly(2, base.charger_catalog[-1].id))
         scenario = fc.validate_scenario(scenario_variant(
             base, design, fixed_counts, slack_minutes=slack_minutes))
-        ratio = fc.default_amortize_ratio(scenario) if amortize else None
-        model = build_problem(scenario, amortize_ratio=ratio).model
+        model = build_problem(scenario, amortize=amortize).model
         assert model.num_cols > 0
         PreparedLP(model)  # raises ValueError naming a column outside the class
 
@@ -692,8 +690,7 @@ class TestModelFingerprint:
                     scenario, slack_blocks=slack, design_mode=design,
                     fixed_counts=fixed_counts if design == fc.FIXED_INFRASTRUCTURE
                     else None))
-                build = build_problem(
-                    scenario, amortize_ratio=default_amortize_ratio(scenario))
+                build = build_problem(scenario, amortize=True)
             found[(name, design, slack)] = model_fingerprint(build.model)
         assert found == GOLDEN_OTHER_FINGERPRINTS
 

@@ -248,7 +248,7 @@ def apply_fault(doc, fault):
 def base_documents(two_truck_outcome, depot_base_outcome):
     """(schema name, document, its single faults) for each fixture, a
     design file and two plan documents, as they read back from JSON."""
-    plans = [json.loads(json_text(plan_to_dict(outcome.plan, 1 / 3650)))
+    plans = [json.loads(json_text(plan_to_dict(outcome.plan)))
              for outcome in (two_truck_outcome, depot_base_outcome)]
     docs = ([("scenario", fixture_doc(name)) for name in FIXTURE_NAMES]
             + [("explicit_design", DESIGN_DOC)]
@@ -538,9 +538,13 @@ class TestJsonText:
         assert json_text(doc) == reference_text(doc)
 
     def test_plan_document(self, depot_base_outcome, tmp_path):
+        """A plan amortizes at its own scenario's ratio: the depot fixture
+        covers two days."""
         path = tmp_path / "plan.json"
-        write_plan_json(depot_base_outcome.plan, path, 1 / 3650)
-        doc = plan_to_dict(depot_base_outcome.plan, 1 / 3650)
+        write_plan_json(depot_base_outcome.plan, path)
+        doc = plan_to_dict(depot_base_outcome.plan)
+        assert doc["costs_amortized"]["amortization_ratio"] == 2 / 3650
+        assert path.read_text() == json_text(doc) + "\n"
         assert path.read_bytes() == (reference_text(doc) + "\n").encode()
 
     def test_sweep_summary(self, two_truck_scenario, tmp_path):
@@ -611,13 +615,14 @@ class TestImports:
 
     def test_scenario_path_leaves_numpy_and_the_solver_out(self):
         """Each public name loads its submodule on first use, so loading,
-        checking and generating a scenario import no numpy, no solver and
-        no csv."""
+        checking and generating a scenario, and reading its capital share,
+        import no numpy, no solver and no csv."""
         result = run_fresh(
             "import sys\n"
             "import fleetcharge as fc\n"
             f"s = fc.load_scenario({str(FIXTURES / 'depot_fixture.json')!r})\n"
             "assert fc.scenario_issues(s) == []\n"
+            "assert fc.default_amortize_ratio(s) == 2 / 3650\n"
             "fc.scenario_to_dict(fc.generate_synthetic(1, n_trucks=5))\n"
             f"loaded = {SOLVE_PATH_MODULES} & set(sys.modules)\n"
             "assert not loaded, sorted(loaded)\n")
@@ -645,6 +650,17 @@ class TestImports:
             f"loaded = {SOLVE_PATH_MODULES} & set(sys.modules)\n"
             "assert not loaded, sorted(loaded)\n")
         assert result.returncode == 0, result.stderr
+
+    def test_solve_command_leaves_the_sweep_out(self, tmp_path):
+        """``solve`` writes its plan without the sweep module."""
+        result = run_fresh(
+            "import sys\n"
+            "from fleetcharge.cli import main\n"
+            f"assert main(['solve', '--scenario', {str(FIXTURES / 'two_truck.json')!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'fleetcharge.sweep' not in sys.modules, 'imported by solve'\n")
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "plan.json").exists()
 
     def test_every_public_name_resolves_to_its_home(self):
         assert set(fc.__all__) == PUBLIC_NAMES

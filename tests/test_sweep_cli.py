@@ -16,7 +16,7 @@ from fleetcharge.cli import main
 from fleetcharge.domain import ValidationIssue, scenario_variant
 from fleetcharge.run import PlanVerificationError
 from fleetcharge.solver import NumericalFailure, simplex
-from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, default_amortize_ratio, run_sweep
+from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, run_sweep
 
 from oracles import curve_rows_by_loop
 
@@ -136,7 +136,7 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
     def test_amortization_convention(self, two_truck_scenario, tmp_path):
-        ratio = default_amortize_ratio(two_truck_scenario)
+        ratio = fc.default_amortize_ratio(two_truck_scenario)
         assert ratio == pytest.approx(1 / 3650)
         spec = SweepSpec(alphas=[1.0], slack_minutes=[0], designs=["codesign"],
                          rel_gap=1e-3, out_dir=tmp_path)
@@ -272,7 +272,7 @@ class TestCli:
         plan = json.loads((out / "plan.json").read_text())
         scenario = fc.validate_scenario(
             scenario_variant(fc.load_scenario(TWO_TRUCK), fc.CODESIGN))
-        build = fc.build_problem(scenario, amortize_ratio=default_amortize_ratio(scenario))
+        build = fc.build_problem(scenario, amortize=True)
         direct = fc.branch_and_bound(build.model, rel_gap_target=0.01)  # the CLI's --gap
         assert plan["solver"]["objective"] == direct.objective
         # The flag reached the model: capital enters the objective amortized.

@@ -70,7 +70,7 @@ class TestReplay:
             legs=[leg], trucks=(truck,),
             chargers=(fc.ChargerType(2, 180.0, 50000.0, 0.98),)))
         plan = PlanReport(
-            design_mode="codesign", alpha=1.0, slack_blocks=0,
+            design_mode="codesign", alpha=1.0, slack_blocks=0, amortize_ratio=1 / 3650,
             charger_counts={"DC": {2: 1}},
             events=(ChargeEvent("T1", 0, 1, 0, "DC", 2, 45.0),),
             departures=(), costs=CostBreakdown(0, 0, 0, 0),
@@ -97,7 +97,7 @@ class TestReplay:
             ChargeEvent("T1", 0, 1, 0, "DC", 2, 45.0),
         )
         plan = PlanReport(
-            design_mode="codesign", alpha=1.0, slack_blocks=0,
+            design_mode="codesign", alpha=1.0, slack_blocks=0, amortize_ratio=1 / 3650,
             charger_counts={"DC": {1: 1, 2: 1}}, events=events,
             departures=(), costs=CostBreakdown(0, 0, 0, 0),
             power_by_type={}, solver_info={})
@@ -174,7 +174,7 @@ class TestReplay:
 class TestRecompute:
     def test_empty_plan_costs_zero(self, two_truck_scenario):
         plan = PlanReport(
-            design_mode="codesign", alpha=1.0, slack_blocks=0,
+            design_mode="codesign", alpha=1.0, slack_blocks=0, amortize_ratio=1 / 3650,
             charger_counts={}, events=(), departures=(),
             costs=CostBreakdown(0, 0, 0, 0), power_by_type={}, solver_info={})
         costs = recompute_costs(two_truck_scenario, plan)
@@ -186,7 +186,7 @@ class TestRecompute:
             legs=[make_leg(dep_min=30, arr_min=90)], trucks=(truck,),
             chargers=(fc.ChargerType(2, 180.0, 50000.0, 0.98),)))
         plan = PlanReport(
-            design_mode="codesign", alpha=1.0, slack_blocks=0,
+            design_mode="codesign", alpha=1.0, slack_blocks=0, amortize_ratio=1 / 3650,
             charger_counts={}, events=(ChargeEvent("T1", 0, 1, 0, "DC", 2, 45.0),),
             departures=(), costs=CostBreakdown(0, 0, 0, 0),
             power_by_type={}, solver_info={})
@@ -214,7 +214,7 @@ class TestRecompute:
 class TestSerialization:
     def test_plan_json_schema(self, two_truck_outcome, tmp_path):
         path = tmp_path / "plan.json"
-        write_plan_json(two_truck_outcome.plan, path, amortize_ratio=1 / 3650)
+        write_plan_json(two_truck_outcome.plan, path)
         with open(path) as fh:
             doc = json.load(fh)
         validate_against_schema(doc, "plan_report")
@@ -222,8 +222,8 @@ class TestSerialization:
 
     def test_plan_json_is_one_sorted_indented_document(self, two_truck_outcome, tmp_path):
         path = tmp_path / "plan.json"
-        write_plan_json(two_truck_outcome.plan, path, amortize_ratio=1 / 3650)
-        doc = plan_to_dict(two_truck_outcome.plan, 1 / 3650)
+        write_plan_json(two_truck_outcome.plan, path)
+        doc = plan_to_dict(two_truck_outcome.plan)
         expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode()
 
@@ -316,7 +316,7 @@ class TestCostAgreement:
         scenario = fc.load_scenario(Path(__file__).parent / "fixtures" / f"{name}.json")
         counts = fc.rule_based_design(scenario, fc.PeakDemandCover(1))
         variant = fc.validate_scenario(scenario_variant(scenario, design, counts))
-        ratio = fc.default_amortize_ratio(scenario) if amortize else None
-        outcome = fc.solve_scenario(variant, amortize_objective_ratio=ratio)
-        costs = outcome.plan.costs if ratio is None else outcome.plan.costs.amortized(ratio)
+        outcome = fc.solve_scenario(variant, amortize_objective=amortize)
+        ratio = fc.default_amortize_ratio(scenario)
+        costs = outcome.plan.costs.amortized(ratio) if amortize else outcome.plan.costs
         assert costs.total == pytest.approx(outcome.solution.objective, rel=1e-12)
