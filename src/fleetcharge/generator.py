@@ -87,7 +87,8 @@ def generate_synthetic(
     ``block_minutes`` must divide a day and be at most
     ``MIN_DWELL_MINUTES``. The scenario has peak weight 1, one block
     of departure slack and a peak price of 25 per kW;
-    ``dataclasses.replace`` plus ``validate_scenario`` varies them.
+    ``domain.scenario_variant`` plus ``validate_scenario`` varies the
+    weight and the slack.
     Deterministic per (seed, parameters).
     """
     if n_trucks <= 0 or n_locations < 2 or n_days <= 0:

@@ -1,11 +1,11 @@
 """Solver-agnostic mixed-integer linear model container.
 
 A :class:`LinearModel` is plain data: column bounds with integrality marks,
-a linear objective with a constant offset, and CSR row lists. Row ``i``
-(``row_names[i]``) has the coefficients ``row_vals[k]`` on the columns
-``row_cols[k]`` for ``row_start[i] <= k < row_start[i + 1]`` (a repeated
-column adds up), the relation ``senses[i]`` and the right-hand side
-``rhs[i]``; the ``rows`` view rebuilds ``Row`` tuples on each read.
+one objective cost per column (there is no constant term), and CSR row
+lists. Row ``i`` (``row_names[i]``) has the coefficients ``row_vals[k]`` on
+the columns ``row_cols[k]`` for ``row_start[i] <= k < row_start[i + 1]`` (a
+repeated column adds up), the relation ``senses[i]`` and the right-hand
+side ``rhs[i]``; the ``rows`` view rebuilds ``Row`` tuples on each read.
 
 A model is append-only: ``add_column`` sets a column's bounds and cost
 once, ``add_row`` appends a row, and nothing changes either afterwards.
@@ -44,7 +44,6 @@ class LinearModel:
     upper: list[float] = field(default_factory=list)
     integer: list[bool] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
-    objective_offset: float = 0.0
     row_names: list[str] = field(default_factory=list)
     row_start: list[int] = field(default_factory=lambda: [0])  # num_rows + 1 offsets
     row_cols: list[int] = field(default_factory=list)
@@ -54,6 +53,8 @@ class LinearModel:
     # Higher values branch first; structural design columns outrank
     # per-block scheduling columns.
     branch_priority: list[int] = field(default_factory=list)
+    # Not a field: perfbench/highs_ref.py still adds it to HiGHS's objective.
+    objective_offset = 0.0
 
     @property
     def num_cols(self) -> int:
@@ -122,10 +123,7 @@ class LinearModel:
             sign = "+" if coef >= 0 else "-"
             return f"{sign} {abs(coef):.12g} {name}"
 
-        lines = []
-        if self.objective_offset:
-            lines.append(f"\\ constant objective offset: {self.objective_offset:.12g}")
-        lines += ["Minimize", " obj:"]
+        lines = ["Minimize", " obj:"]
         parts = [
             term(c, self.col_names[j])
             for j, c in enumerate(self.objective)

@@ -201,14 +201,16 @@ def branch_and_bound(
                 log(node_id, depth, result.objective)
             continue
 
+        # Each child copies only the bound it changes and shares the other
+        # with its parent; read-only, as the root's are, since siblings share.
         frac = result.values[branch_col]
-        lo_down, hi_down = lo.copy(), hi.copy()
+        hi_down, lo_up = hi.copy(), lo.copy()
         hi_down[branch_col] = math.floor(frac)
-        lo_up, hi_up = lo.copy(), hi.copy()
         lo_up[branch_col] = math.ceil(frac)
+        hi_down.flags.writeable = lo_up.flags.writeable = False
         # The up child is pushed last, so it pops first among equal keys.
         key = 0.0 if incumbent is None else result.objective
-        for child_lo, child_hi in ((lo_down, hi_down), (lo_up, hi_up)):
+        for child_lo, child_hi in ((lo, hi_down), (lo_up, hi)):
             seq += 1
             heapq.heappush(heap, (key, -seq, result.objective,
                                   child_lo, child_hi, depth + 1, result.basis))

@@ -128,10 +128,10 @@ class PreparedLP:
     are the implicit identity after A. It also holds the scaled right-hand
     side, the slack bounds that encode the row senses, the scaled costs
     over all n + m columns and, read-only, the structural ``lower`` and
-    ``upper`` bounds, the ``col_names``, the unscaled ``cost``, its
-    ``priced`` columns and the ``objective_offset``. :meth:`times` and
-    :meth:`row_times` are the passes over A's stored entries that a pivot
-    makes; only a refactorization makes another.
+    ``upper`` bounds, the ``col_names``, the unscaled ``cost`` and its
+    ``priced`` columns, whose terms make up the whole objective.
+    :meth:`times` and :meth:`row_times` are the passes over A's stored
+    entries that a pivot makes; only a refactorization makes another.
 
     Branch-and-bound reuses a single instance across nodes, passing per-node
     structural bounds, the parent's basis and the last solve's factor to
@@ -151,7 +151,6 @@ class PreparedLP:
         self.priced = np.flatnonzero(self.cost)
         for array in (self.cost, self.lower, self.upper, self.priced):
             array.flags.writeable = False
-        self.objective_offset = float(model.objective_offset)
         m, n = model.num_rows, model.num_cols
         self.m, self.n = m, n
 
@@ -204,7 +203,8 @@ class PreparedLP:
         model's do and as branching, which only tightens them, keeps them;
         other bounds raise the ValueError that :class:`PreparedLP` raises
         for such a model. The result is OPTIMAL, carrying its final basis
-        and the factor tagged with it, or INFEASIBLE; either way its
+        and the factor tagged with it, or INFEASIBLE, when a lower bound
+        exceeds its upper or a row proves it; either way its
         ``counts`` hold one ``lp_solves`` and the dual pivots and
         refactorizations the solve made, a failed warm start's included.
         """
@@ -217,30 +217,27 @@ class PreparedLP:
         # The states add their pivots and refactorizations.
         counts = Counter(lp_solves=1, pivots=0, refactorizations=0,
                          factor_handoffs=int(handed))
-        if np.any(lo > hi + 1e-12):
-            return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0,
-                            counts=counts)
-
-        state = None
-        if basis is not None:
-            try:
-                state = _SimplexState(self, lo, hi, basis, factor if handed else None,
-                                      counts)
-                feasible = state.run_dual()
-            except NumericalFailure:
-                state = None  # unusable basis: restart from the slack basis
-        if state is None:
-            state = _SimplexState(self, lo, hi, counts=counts)
-            feasible = state.run_dual()
-        if not feasible:
-            return Solution(status=SolveStatus.INFEASIBLE, best_bound=INF, gap=0.0,
-                            counts=counts)
+        state, status = None, SolveStatus.INFEASIBLE  # the verdict of crossed bounds
+        if not np.any(lo > hi + 1e-12):
+            if basis is not None:
+                try:
+                    state = _SimplexState(self, lo, hi, basis, factor if handed else None,
+                                          counts)
+                    status = state.run_dual()
+                except NumericalFailure:
+                    state = None  # unusable basis: restart from the slack basis
+            if state is None:
+                state = _SimplexState(self, lo, hi, counts=counts)
+                status = state.run_dual()
+        if status == SolveStatus.INFEASIBLE:
+            return Solution(status=status, best_bound=INF, gap=0.0, counts=counts)
 
         x = state.values()[:n]
         x = np.minimum(np.maximum(x, lo), hi)  # clamp roundoff noise
-        # The offset, then each priced c_j x_j, added left to right (unlike np.sum).
+        # Each priced c_j x_j added left to right (unlike np.sum) after a
+        # 0.0, which an LP with no priced column reports.
         objective = float(np.add.accumulate(np.concatenate(
-            [[self.objective_offset], self.cost[self.priced] * x[self.priced]]))[-1])
+            [[0.0], self.cost[self.priced] * x[self.priced]]))[-1])
         state.factor.basis = Basis(state.basis, state.direction < 0)
         return Solution(
             status=SolveStatus.OPTIMAL,
@@ -397,9 +394,10 @@ class _SimplexState:
 
     # -- dual simplex ---------------------------------------------------------
 
-    def run_dual(self) -> bool:
+    def run_dual(self) -> SolveStatus:
         """Bounded dual simplex on the true costs from a dual-feasible
-        basis to an optimal one; False when a row proves the LP infeasible.
+        basis: OPTIMAL at an optimal basis, INFEASIBLE when a row no
+        column can repair proves the LP infeasible.
 
         Raises :class:`NumericalFailure` when the basis is not dual feasible
         or the loop cannot finish.
@@ -412,7 +410,7 @@ class _SimplexState:
         if np.any(self.direction * z < -TOL_WARM_DUAL):
             raise NumericalFailure("start basis is not dual feasible")
         if not self.m:
-            return True  # no row to repair
+            return SolveStatus.OPTIMAL  # no row to repair
 
         max_iters = max(1000, 3 * self.n_real)
         for _ in range(max_iters):
@@ -423,7 +421,7 @@ class _SimplexState:
             violation = np.maximum(self.basic_lower - x_B, x_B - self.basic_upper)
             leave_pos = int(violation.argmax())
             if violation[leave_pos] <= TOL_PRIMAL:
-                return True
+                return SolveStatus.OPTIMAL
             x_r = float(x_B[leave_pos])
             lo_r, hi_r = float(self.basic_lower[leave_pos]), float(self.basic_upper[leave_pos])
             to_lower = lo_r - x_r > 0
@@ -440,7 +438,7 @@ class _SimplexState:
             if not cand.size:
                 if violation[leave_pos] <= TOL_INFEASIBLE:
                     raise NumericalFailure("near-feasible row has no pivot")
-                return False
+                return SolveStatus.INFEASIBLE
 
             # The dual room of a candidate is direction * z.
             room = self.direction[cand] * z[cand]
@@ -453,8 +451,8 @@ class _SimplexState:
             step = (x_r - target) / d[leave_pos]
             base = self.lower[enter] if self.direction[enter] > 0 else self.upper[enter]
             x_B -= d * step
-            leave_col = self.basis[leave_pos]
-            self._pivot(leave_pos, enter, base + step, d=d, rho=rho)
+            leave_col = int(self.basis[leave_pos])
+            self._pivot(leave_pos, leave_col, to_lower, enter, base + step, d=d, rho=rho)
             # Dual step: the entering reduced cost drops to zero and the
             # leaving column takes minus the step.
             theta = z[enter] / alpha[enter]
@@ -464,20 +462,17 @@ class _SimplexState:
         raise NumericalFailure(
             f"dual simplex exceeded {max_iters} iterations without converging")
 
-    def _pivot(self, leave_pos: int, enter: int, enter_value: float,
-               d: np.ndarray, rho: np.ndarray) -> None:
+    def _pivot(self, leave_pos: int, leave_col: int, to_lower: bool, enter: int,
+               enter_value: float, d: np.ndarray, rho: np.ndarray) -> None:
         """Put column ``enter``, whose FTRAN is d, in position ``leave_pos``,
-        whose row of B^-1 is rho, at ``enter_value``."""
+        whose row of B^-1 is rho, at ``enter_value``. Column ``leave_col``
+        leaves at the bound the ratio test drove it to: its lower one when
+        ``to_lower``, else its upper one; a fixed column gets direction 0."""
         self.counts["pivots"] += 1
-        pivot = float(d[leave_pos])
-        if abs(pivot) < TOL_PIVOT:
+        if abs(float(d[leave_pos])) < TOL_PIVOT:
             raise NumericalFailure("vanishing pivot element")
-        leave_col = int(self.basis[leave_pos])
-        leave_val = float(self.x_B[leave_pos])
-        lo, hi = float(self.lower[leave_col]), float(self.upper[leave_col])
-        # It leaves at its nearer bound (an infinite one is never nearer).
-        self.direction[leave_col] = 0.0 if hi - lo <= 1e-15 else \
-            1.0 if abs(leave_val - lo) <= abs(leave_val - hi) else -1.0
+        fixed = self.upper[leave_col] - self.lower[leave_col] <= 1e-15
+        self.direction[leave_col] = 0.0 if fixed else 1.0 if to_lower else -1.0
 
         self.factor.replace(leave_pos, enter, d, rho, self.basis)
         self.basis[leave_pos] = enter

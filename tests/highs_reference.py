@@ -44,7 +44,7 @@ def highs_solve(model: LinearModel, time_limit: float = 60.0):
         return None, None
     if result.status != 0:
         raise RuntimeError(f"HiGHS did not finish: {result.message}")
-    return float(result.fun) + model.objective_offset, np.asarray(result.x)
+    return float(result.fun), np.asarray(result.x)
 
 
 def highs_lp(model: LinearModel, method: str = "highs"):
@@ -74,4 +74,4 @@ def highs_lp(model: LinearModel, method: str = "highs"):
         raise RuntimeError(f"HiGHS did not finish: {result.message}")
     if status != "optimal":
         return status, None, int(result.nit)
-    return status, float(result.fun) + model.objective_offset, int(result.nit)
+    return status, float(result.fun), int(result.nit)

@@ -540,9 +540,8 @@ def _pure_integer_best(model: LinearModel, int_cols, ranges) -> Solution:
             best_x = X[ok][k].copy()
     if best_x is None:
         return Solution(status=SolveStatus.INFEASIBLE)
-    total = best_obj + model.objective_offset
-    return Solution(status=SolveStatus.OPTIMAL, values=best_x, objective=total,
-                    best_bound=total, gap=0.0)
+    return Solution(status=SolveStatus.OPTIMAL, values=best_x, objective=best_obj,
+                    best_bound=best_obj, gap=0.0)
 
 
 def brute_force_enumerate(

@@ -66,7 +66,6 @@ class TestBuildShape:
         scenario = minimal_scenario()
         build = build_problem(scenario)
         assert build.model.num_rows == 0
-        assert build.model.objective_offset == 0.0
         assert len(build.catalog.y) == len(build.catalog.x) == 0
         sol = branch_and_bound(build.model, rel_gap_target=0.0)
         assert sol.objective == pytest.approx(0.0)
@@ -611,7 +610,7 @@ def model_fingerprint(model) -> str:
     """Digest of every model field, floats by exact repr."""
     digest = hashlib.sha256()
     for part in (model.col_names, model.lower, model.upper, model.integer,
-                 model.objective, model.objective_offset, model.branch_priority):
+                 model.objective, model.branch_priority):
         digest.update(repr(part).encode())
     for row in csr_rows(model):
         digest.update(repr(row).encode())
@@ -620,34 +619,34 @@ def model_fingerprint(model) -> str:
 
 # (design, slack blocks, strengthen) -> fingerprint of the depot fixture's model.
 GOLDEN_FINGERPRINTS = {
-    ("codesign", 0, True): "546607e11fddfb77",
-    ("codesign", 0, False): "b2d7c8e9b98b56e5",
-    ("codesign", 1, True): "ac6cd088a63bf515",
-    ("codesign", 1, False): "61be1abbc4bb4ea9",
-    ("codesign", 2, True): "cf975c12440a68b8",
-    ("codesign", 2, False): "79d51978682a0878",
-    ("codesign", 4, True): "4ca4e7a71d4c4be5",
-    ("codesign", 4, False): "dd7a9d8d7b3f5bf7",
-    ("fixed", 0, True): "8a1c7474b99307ff",
-    ("fixed", 0, False): "95a0998aaa0909b2",
-    ("fixed", 1, True): "8543aabb30ca0e85",
-    ("fixed", 1, False): "1175b177058dd980",
-    ("fixed", 2, True): "781e810218913194",
-    ("fixed", 2, False): "e131957a4b486745",
-    ("fixed", 4, True): "2fb66d2ae54a98dc",
-    ("fixed", 4, False): "ac6dbc1ec801a8dc",
+    ("codesign", 0, True): "d974b5482534f9c5",
+    ("codesign", 0, False): "371e06d097693c37",
+    ("codesign", 1, True): "97b80cb93e182ce9",
+    ("codesign", 1, False): "5c15eef63e01841a",
+    ("codesign", 2, True): "2a9a902b6de59645",
+    ("codesign", 2, False): "d3d51619270fc758",
+    ("codesign", 4, True): "6c6ddec4683a9ecf",
+    ("codesign", 4, False): "f4af87e66fe63479",
+    ("fixed", 0, True): "c521bf45e2475db3",
+    ("fixed", 0, False): "e08c361576ea2cfc",
+    ("fixed", 1, True): "14b17346554c1dae",
+    ("fixed", 1, False): "f3d63e82870e2c90",
+    ("fixed", 2, True): "879463ba570dc847",
+    ("fixed", 2, False): "a54267a8e712da46",
+    ("fixed", 4, True): "504d70237e1581fe",
+    ("fixed", 4, False): "8e782f1a44c835eb",
 }
 
 # Inputs the table above does not pin: the depot fixture with capital
 # amortized in the objective, (fixture, design, slack blocks), and the other
 # two fixtures at their file settings, (fixture, None, None).
 GOLDEN_OTHER_FINGERPRINTS = {
-    ("depot_fixture", "codesign", 0): "9e2f11769d91ef3e",
-    ("depot_fixture", "codesign", 1): "6ebf3ae4513bbf63",
-    ("depot_fixture", "fixed", 0): "d3d4bb37d9199552",
-    ("depot_fixture", "fixed", 1): "dea028b386717d08",
-    ("remote_variant", None, None): "51d599aa9b8dee75",
-    ("two_truck", None, None): "1a0be903bc4f7b9b",
+    ("depot_fixture", "codesign", 0): "015333ea5e80f6ba",
+    ("depot_fixture", "codesign", 1): "4e9a6b9fdcb03ca2",
+    ("depot_fixture", "fixed", 0): "6077d3ff11dfdcb6",
+    ("depot_fixture", "fixed", 1): "f159e2c329ac6e33",
+    ("remote_variant", None, None): "a73a583b07b401b5",
+    ("two_truck", None, None): "2b2f12255181cad7",
 }
 
 
@@ -706,7 +705,6 @@ class TestModelFingerprint:
         kept = LinearModel(
             col_names=model.col_names, lower=model.lower, upper=model.upper,
             integer=model.integer, objective=model.objective,
-            objective_offset=model.objective_offset,
             branch_priority=model.branch_priority)
         for name, coeffs, sense, rhs in csr_rows(model):
             if name.startswith("fast_required["):
@@ -714,7 +712,7 @@ class TestModelFingerprint:
             kept.add_row(name, list(coeffs), sense,
                          old_floor if name.startswith("peak_floor[") else rhs)
         assert kept.num_rows < model.num_rows
-        assert model_fingerprint(kept) == "c4616490b02b505d"
+        assert model_fingerprint(kept) == "521d031207fc88c2"
 
 
 

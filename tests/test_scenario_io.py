@@ -662,6 +662,16 @@ class TestImports:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "plan.json").exists()
 
+    def test_submodule_loads_on_first_attribute_access(self):
+        """``fc.<submodule>`` imports that submodule when first read."""
+        result = run_fresh(
+            "import sys\n"
+            "import fleetcharge as fc\n"
+            "assert 'fleetcharge.sweep' not in sys.modules, 'imported with the package'\n"
+            "assert fc.sweep is sys.modules['fleetcharge.sweep']\n"
+            "assert fc.sweep.run_sweep is fc.run_sweep\n")
+        assert result.returncode == 0, result.stderr
+
     def test_every_public_name_resolves_to_its_home(self):
         assert set(fc.__all__) == PUBLIC_NAMES
         for module, names in fc._EXPORTS.items():

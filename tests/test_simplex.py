@@ -316,7 +316,7 @@ class TestWarmStart:
         state = simplex._SimplexState(
             prep, np.array(lower, dtype=float), np.array(upper, dtype=float),
             parent.basis)
-        if not state.run_dual():
+        if state.run_dual() == SolveStatus.INFEASIBLE:
             return  # proven infeasible; covered against the oracle above
         z = state._reduced_costs(prep.c_real)
         assert np.all(z[state.direction > 0] >= -1e-9)  # at the lower bound
@@ -602,7 +602,7 @@ def check_every_pivot(monkeypatch):
 
 def objective_by_loop(model, values):
     """The objective as a loop over the priced columns, left to right."""
-    total = model.objective_offset
+    total = 0.0
     for c, x in zip(model.objective, values):
         if c != 0.0:
             total += c * x
@@ -641,21 +641,20 @@ class TestLoopState:
             for solution in (PreparedLP(model).solve(), branch_and_bound(model)):
                 assert solution.objective == objective_by_loop(model, solution.values)
 
-    def test_reported_objective_with_offset_and_zero_costs(self):
+    def test_reported_objective_with_zero_costs(self):
         model = simple_model([0.0, 0.1, 0.0, -0.7, 1e16], [(0, 1)] * 5, [])
-        model.objective_offset = 0.3
         prep = PreparedLP(model)
         point = np.array([0.5, 0.2, 1.0, 1.0, 1.0])
         solution = prep.solve(point, point)
         assert solution.objective == objective_by_loop(model, point)
-        assert prep.solve(np.zeros(5), np.zeros(5)).objective == 0.3
+        assert prep.solve(np.zeros(5), np.zeros(5)).objective == 0.0
 
 
 class TestSnapshot:
     """A prepared LP reads its model once: a later change to the model
     changes no solve, and the instance keeps no reference to it."""
 
-    @pytest.mark.parametrize("change", ["append-column", "offset"])
+    @pytest.mark.parametrize("change", ["append-column", "edit-cost"])
     def test_later_model_changes_leave_solves_alone(self, depot_scenario, change):
         import fleetcharge as fc
 
@@ -665,7 +664,7 @@ class TestSnapshot:
         if change == "append-column":
             model.add_column("late", 0.0, 1.0, objective=5.0)
         else:
-            model.objective_offset = 10.0
+            model.objective[:] = [2.0 * c for c in model.objective]
         after = prep.solve()
         assert after.status == before.status == SolveStatus.OPTIMAL
         assert after.objective == before.objective
@@ -694,7 +693,7 @@ class TestSetUp:
         # The cold start is the slack basis: B = I.
         assert np.array_equal(state.basis, np.arange(prep.n, prep.n_real))
         assert state.factor.k == 0  # an empty kernel
-        assert state.run_dual()
+        assert state.run_dual() == SolveStatus.OPTIMAL
         assert np.any(state.basis < prep.n)  # structural columns entered
         full = np.hstack([scaled_matrix(model), np.eye(prep.m)])  # [A | I], slacks explicit
         reference = np.zeros((prep.m, prep.m))
@@ -813,10 +812,10 @@ def assert_kernel_form_matches_dense(state, full, atol=1e-9):
                        rtol=0, atol=atol)
 
 
-def pivot_case(state, leave_pos, enter):
+def pivot_case(state, leave_col, enter):
     """The kernel update a pivot takes: which kind of column leaves, which enters."""
     kind = ("slack", "structural")
-    return (kind[bool(state.basis[leave_pos] < state.n)], kind[bool(enter < state.n)])
+    return (kind[bool(leave_col < state.n)], kind[bool(enter < state.n)])
 
 
 class TestKernelFactorization:
@@ -849,9 +848,13 @@ class TestKernelFactorization:
         cases = Counter()
         full = None
 
-        def checked_pivot(self, leave_pos, enter, *args, **kwargs):
-            cases[pivot_case(self, leave_pos, enter)] += 1
-            pivot(self, leave_pos, enter, *args, **kwargs)
+        def checked_pivot(self, leave_pos, leave_col, to_lower, enter, *args, **kwargs):
+            assert leave_col == self.basis[leave_pos]
+            # The ratio test's side is the bound the leaving value now sits nearer.
+            value, lo, hi = self.x_B[leave_pos], self.lower[leave_col], self.upper[leave_col]
+            assert hi - lo <= 1e-15 or to_lower == (abs(value - lo) <= abs(value - hi))
+            cases[pivot_case(self, leave_col, enter)] += 1
+            pivot(self, leave_pos, leave_col, to_lower, enter, *args, **kwargs)
             assert_kernel_form_matches_dense(self, full)
 
         def checked_refactor(self):

@@ -18,7 +18,7 @@ from fleetcharge.run import PlanVerificationError
 from fleetcharge.solver import NumericalFailure, simplex
 from fleetcharge.sweep import SweepCell, SweepSpec, _curve_rows, run_sweep
 
-from oracles import curve_rows_by_loop
+from oracles import curve_rows_by_loop, run_fresh
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWO_TRUCK = str(FIXTURES / "two_truck.json")
@@ -239,6 +239,19 @@ class TestCli:
         assert main(["validate", "--scenario", str(bad)]) == 1
         captured = capsys.readouterr()
         assert "ChainBroken" in captured.out + captured.err
+
+    def test_module_entry_point_exits_with_the_command_code(self, tmp_path):
+        """``python -m fleetcharge.cli`` runs ``main`` and exits with its code."""
+        doc = json.loads(Path(REMOTE).read_text())
+        doc["legs"][1]["origin"] = "DC"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run_fresh(
+            "import runpy, sys\n"
+            f"sys.argv = ['fleetcharge.cli', 'validate', '--scenario', {str(bad)!r}]\n"
+            "runpy.run_module('fleetcharge.cli', run_name='__main__', alter_sys=True)\n")
+        assert result.returncode == 1, result.stderr
+        assert "ChainBroken" in result.stdout + result.stderr
 
     def test_solve_writes_verified_plan(self, tmp_path, capsys):
         out = tmp_path / "run"
